@@ -664,9 +664,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_record(path: str, index: int) -> corpus_mod.CorpusObject:
+    objs = corpus_mod.load_corpus(path)
+    if not 0 <= index < len(objs):
+        raise ConfigError(f"--index {index} is out of range: {path} has {len(objs)} records")
+    return objs[index]
+
+
 def _cmd_norm(args: argparse.Namespace) -> int:
-    objs = corpus_mod.load_corpus(args.input)
-    obj = objs[args.index]
+    obj = _load_record(args.input, args.index)
     r = args.r if args.r is not None else args.p
     if isinstance(obj, GridFunction1D):
         if args.space == "lp":
@@ -693,8 +699,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_rearrange(args: argparse.Namespace) -> int:
-    objs = corpus_mod.load_corpus(args.input)
-    obj = objs[args.index]
+    obj = _load_record(args.input, args.index)
     if not isinstance(obj, RadialStepFunction):
         raise ConfigError("rearrange needs a radial step record")
     g = rearrangement(obj)
@@ -710,8 +715,11 @@ def _cmd_rearrange(args: argparse.Namespace) -> int:
 
 
 def _cmd_kfunc(args: argparse.Namespace) -> int:
-    objs = corpus_mod.load_corpus(args.input)
-    obj = objs[args.index]
+    if args.points < 2:
+        raise ConfigError("--points must be at least 2")
+    if not (args.t_lo > 0 and args.t_hi > 0):
+        raise ConfigError("--t-lo and --t-hi must be positive")
+    obj = _load_record(args.input, args.index)
     ts = [
         args.t_lo * (args.t_hi / args.t_lo) ** (i / (args.points - 1))
         for i in range(args.points)

@@ -79,8 +79,22 @@ def object_to_record(obj: CorpusObject) -> dict[str, Any]:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_REQUIRED_FIELDS = {
+    "radial_step": ("dim", "breakpoints", "values"),
+    "grid1d": ("half_width", "values"),
+    "annulus_measures": ("dim", "entries"),
+}
+
+
 def record_to_object(rec: dict[str, Any]) -> CorpusObject:
+    if not isinstance(rec, dict):
+        raise ValueError("a corpus record must be a JSON object")
     kind = rec.get("type")
+    if kind not in _REQUIRED_FIELDS:
+        raise ValueError(f"unknown corpus record type {kind!r}")
+    for name in _REQUIRED_FIELDS[kind]:
+        if name not in rec:
+            raise ValueError(f"{kind} record has no {name!r} field")
     if kind == "radial_step":
         bp = [_decode_rational(b) for b in rec["breakpoints"]]
         if any(x >= y for x, y in zip(bp, bp[1:])):
@@ -93,12 +107,10 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
         if "cells" in rec and int(rec["cells"]) != len(values):
             raise ValueError("declared cell count does not match values")
         return GridFunction1D.from_array(float(rec["half_width"]), values)
-    if kind == "annulus_measures":
-        entries = {int(u): _decode_rational(m) for u, m in rec["entries"].items()}
-        tail = rec.get("tail")
-        tail_t = None if tail is None else (tail[0], _decode_rational(tail[1]), int(tail[2]))
-        return AnnulusMeasureSequence.from_dict(entries, int(rec["dim"]), tail_t)
-    raise ValueError(f"unknown corpus record type {kind!r}")
+    entries = {int(u): _decode_rational(m) for u, m in rec["entries"].items()}
+    tail = rec.get("tail")
+    tail_t = None if tail is None else (tail[0], _decode_rational(tail[1]), int(tail[2]))
+    return AnnulusMeasureSequence.from_dict(entries, int(rec["dim"]), tail_t)
 
 
 def save_corpus(objects: Sequence[CorpusObject], path: str | Path) -> None:
@@ -108,7 +120,15 @@ def save_corpus(objects: Sequence[CorpusObject], path: str | Path) -> None:
 
 def load_corpus(path: str | Path) -> list[CorpusObject]:
     doc = json.loads(Path(path).read_text())
-    return [record_to_object(rec) for rec in doc["records"]]
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
+        raise ValueError(f"{path}: a corpus file holds a 'records' list")
+    out = []
+    for i, rec in enumerate(doc["records"]):
+        try:
+            out.append(record_to_object(rec))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: record {i}: {exc}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ The uncentered maximal operator is evaluated exactly over the family of
 intervals with endpoints on the grid (plus the evaluation point itself): for
 grid step functions an optimal interval can always be slid to that family,
 so the values are exact, and they converge to the true maximal function from
-below under refinement.  The Hilbert transform uses the exact log primitive
-of the kernel against piecewise-constant data, assembled with an FFT.
+below under refinement.  The sup over that family is taken from a chord
+table whose columns are the nodes where |f| changes level, so its cost is
+O(n * K) for n cells and K level changes.  The Hilbert transform uses the
+exact log primitive of the kernel against piecewise-constant data, assembled
+with an FFT.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .herz import HerzParams, annulus_measure
+from .herz import HerzParams, annulus_measure, weighted_lq
 from .lorentz import (
     INF,
     LorentzParams,
@@ -124,54 +127,14 @@ def _cumulative_abs(f: GridFunction1D) -> np.ndarray:
     return out
 
 
-def _one_sided_max(values: np.ndarray, h: float) -> np.ndarray:
-    """sup over right grid nodes b of the average of |f| on [center, b].
+# Entries per row block of the chord table, so memory stays flat in n * K.
+_TABLE_BLOCK = 1 << 15
 
-    Scans cells right to left while maintaining the upper convex hull of the
-    cumulative-integral graph over the nodes to the right; the best average
-    is the max chord slope from the query point to a hull vertex, found by
-    ternary search (the slope is unimodal along the hull).
-    """
-    n = len(values)
-    absolute = np.abs(values)
-    cum = np.concatenate(([0.0], np.cumsum(absolute * h)))
-    t = h * np.arange(n + 1)
-    out = np.empty(n)
-    hull_t: list[float] = []  # stored in decreasing t
-    hull_f: list[float] = []
 
-    def push(tj: float, fj: float) -> None:
-        # pop middle points that sink to or below the chord of their
-        # neighbours: keeps only upper-hull vertices
-        while len(hull_t) >= 2:
-            tb, fb = hull_t[-1], hull_f[-1]
-            tc, fc = hull_t[-2], hull_f[-2]
-            if (tb - tj) * (fc - fj) - (fb - fj) * (tc - tj) >= 0.0:
-                hull_t.pop()
-                hull_f.pop()
-            else:
-                break
-        hull_t.append(tj)
-        hull_f.append(fj)
-
-    for i in range(n - 1, -1, -1):
-        push(t[i + 1], cum[i + 1])
-        x = t[i] + 0.5 * h
-        fx = cum[i] + 0.5 * h * absolute[i]
-
-        def slope(k: int) -> float:
-            return (hull_f[k] - fx) / (hull_t[k] - x)
-
-        lo, hi = 0, len(hull_t) - 1
-        while hi - lo > 2:
-            m1 = lo + (hi - lo) // 3
-            m2 = hi - (hi - lo) // 3
-            if slope(m1) < slope(m2):
-                lo = m1 + 1
-            else:
-                hi = m2
-        out[i] = max(slope(k) for k in range(lo, hi + 1))
-    return out
+def _candidate_nodes(absolute: np.ndarray) -> np.ndarray:
+    """Grid edges plus the interior nodes where |f| changes level."""
+    kinks = np.flatnonzero(absolute[1:] != absolute[:-1]) + 1
+    return np.concatenate(([0], kinks, [len(absolute)]))
 
 
 def maximal_operator(f: GridFunction1D) -> GridFunction1D:
@@ -179,14 +142,28 @@ def maximal_operator(f: GridFunction1D) -> GridFunction1D:
 
     Any interval around x splits at x into two one-sided intervals whose
     averages bound the whole, so the sup equals max(|f(x)|, right-sided sup,
-    left-sided sup).
+    left-sided sup).  Between consecutive candidate nodes the cumulative
+    integral F is linear, so the chord slope from (x, F(x)) is monotone in
+    the far end b there, and its sup over grid nodes sits at a candidate or
+    at a node next to x, where the average is |f(x)| itself.  A chord to a
+    node on the left has negative numerator and denominator, so one table of
+    (F(b) - F(x)) / (b - x), built in row blocks, serves both sides.
     """
-    vals = f.array()
-    right = _one_sided_max(vals, f.h)
-    left = _one_sided_max(vals[::-1], f.h)[::-1]
-    return GridFunction1D.from_array(
-        f.half_width, np.maximum(np.abs(vals), np.maximum(right, left))
-    )
+    absolute = np.abs(f.array())
+    n, h = f.n_cells, f.h
+    cum = np.concatenate(([0.0], np.cumsum(absolute * h)))
+    t = h * np.arange(n + 1)
+    nodes = _candidate_nodes(absolute)
+    t_c, f_c = t[nodes], cum[nodes]
+    x = t[:-1] + 0.5 * h
+    fx = cum[:-1] + 0.5 * h * absolute
+    out = np.empty(n)
+    rows = max(1, _TABLE_BLOCK // len(nodes))
+    for lo in range(0, n, rows):
+        chords = np.subtract(f_c, fx[lo : lo + rows, None])
+        chords /= t_c - x[lo : lo + rows, None]
+        out[lo : lo + rows] = chords.max(axis=1)
+    return GridFunction1D.from_array(f.half_width, np.maximum(absolute, out))
 
 
 def maximal_at_points(f: GridFunction1D, xs: Sequence[float]) -> np.ndarray:
@@ -433,19 +410,18 @@ def grid_annulus_profiles(
     return out
 
 
+def _profile_scores(
+    profiles: Sequence[tuple[int, np.ndarray, np.ndarray]], p: float, r: float
+) -> dict[int, float]:
+    """Per-annulus Lorentz (p, r) norms, the inputs of `weighted_lq`."""
+    return {u: lorentz_norm_from_steps(levels, knots, p, r) for u, levels, knots in profiles}
+
+
 def hl_norm_from_profiles(
     profiles: Sequence[tuple[int, np.ndarray, np.ndarray]], params: HerzParams
 ) -> float:
-    p, r, a, q = params.p, params.r, params.a, params.q
-    scores = [
-        (u, lorentz_norm_from_steps(levels, knots, p, r))
-        for u, levels, knots in profiles
-    ]
-    if not scores:
-        return 0.0
-    if q == INF:
-        return max(2.0 ** (u * a) * s for u, s in scores)
-    return math.fsum((2.0 ** (u * a) * s) ** q for u, s in scores) ** (1.0 / q)
+    scores = _profile_scores(profiles, params.p, params.r)
+    return weighted_lq(scores, params.a, params.q)
 
 
 def grid_hl_norm(f: GridFunction1D, params: HerzParams) -> float:
@@ -511,22 +487,26 @@ def _sweep_ratios(
                 grid_annulus_profiles(_OPERATORS[operator](fr)),
             )
         )
+    # per-annulus scores depend on (profile, p, r) only; weighted_lq then
+    # gives every (a, q) the same value hl_norm_from_profiles would
+    scores = {
+        (p, r): [
+            tuple(_profile_scores(prof, p, r) for prof in profs)
+            for profs in transformed
+        ]
+        for p, r in dict.fromkeys((p, r) for _, p, _, r in cells)
+    }
     rows = []
     for a, p, q, r in cells:
-        params = HerzParams(a, p, q, r)
         base_ratio = 0.0
         fine_ratio = 0.0
-        for prof_f, prof_tf, prof_fr, prof_tfr in transformed:
-            denom = hl_norm_from_profiles(prof_f, params)
+        for s_f, s_tf, s_fr, s_tfr in scores[(p, r)]:
+            denom = weighted_lq(s_f, a, q)
             if denom == 0.0:
                 continue
-            base_ratio = max(
-                base_ratio, hl_norm_from_profiles(prof_tf, params) / denom
-            )
-            denom_r = hl_norm_from_profiles(prof_fr, params)
-            fine_ratio = max(
-                fine_ratio, hl_norm_from_profiles(prof_tfr, params) / denom_r
-            )
+            base_ratio = max(base_ratio, weighted_lq(s_tf, a, q) / denom)
+            denom_r = weighted_lq(s_fr, a, q)
+            fine_ratio = max(fine_ratio, weighted_lq(s_tfr, a, q) / denom_r)
         drift = abs(fine_ratio - base_ratio) / base_ratio if base_ratio > 0 else 0.0
         passed = math.isfinite(base_ratio) and drift <= drift_tol
         rows.append(SweepCell(operator, a, p, q, r, base_ratio, fine_ratio, drift, passed))

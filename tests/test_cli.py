@@ -80,6 +80,40 @@ class TestCommands:
         code = main(["verify", "rearrange", "--corpus", "/nonexistent/path.json"])
         assert code == 2
 
+    def test_index_out_of_range_exit_2(self, capsys, two_annuli_file):
+        code = main(["rearrange", "--input", two_annuli_file, "--index", "5"])
+        assert code == 2
+        assert "--index 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--points", "1"], "--points"),
+        (["--t-lo", "0"], "--t-lo"),
+        (["--t-hi", "-1"], "--t-hi"),
+    ])
+    def test_kfunc_bad_grid_exit_2(self, capsys, two_annuli_file, flags, message):
+        code = main(["kfunc", "--input", two_annuli_file, "--l1-linf", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_kfunc_descending_grid(self, capsys, two_annuli_file):
+        code = main(["kfunc", "--input", two_annuli_file, "--l1-linf",
+                     "--t-lo", "4", "--t-hi", "0.25", "--points", "3"])
+        assert code == 0
+        ts = [float(line.split("\t")[0]) for line in capsys.readouterr().out.splitlines()]
+        assert ts == pytest.approx([4.0, 1.0, 0.25], rel=1e-14)
+
+    @pytest.mark.parametrize("record, field", [
+        ({"type": "radial_step", "dim": 1, "values": [1]}, "'breakpoints'"),
+        ({"type": "annulus_measures", "dim": 1, "entries": [1, 2]}, "items"),
+    ])
+    def test_malformed_record_exit_2(self, tmp_path, capsys, record, field):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"records": [record]}))
+        code = main(["norm", "--space", "lp", "--p", "2", "--input", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 0" in err and field in err
+
     def test_verify_tsv_output(self, tmp_path):
         report = tmp_path / "rep.tsv"
         code = main(["verify", "bfs", "--out", str(report), "--format", "tsv"])

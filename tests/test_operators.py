@@ -6,6 +6,7 @@ import pytest
 from herzlab.corpus import random_grid_functions
 from herzlab.herz import HerzParams
 from herzlab.lorentz import INF, LorentzParams
+from herzlab import operators
 from herzlab.operators import (
     GridFunction1D,
     annulus_interaction_bound,
@@ -79,11 +80,23 @@ class TestMaximal:
         assert np.allclose(m.array(), 0.7, rtol=1e-12)
 
     def test_hull_matches_direct_evaluation(self):
-        for seed in range(4):
-            f = small_grid(n=48, seed=seed)
+        fs = [small_grid(n=48, seed=seed) for seed in range(4)] + [
+            random_grid_functions(1, seed=3, n_cells=512)[0],
+            # a new level in every cell: the chord table takes many row blocks
+            small_grid(n=1024, seed=7),
+            # sign flips at equal |f|, then zero cells at both edges
+            GridFunction1D.from_array(2.0, [0.5, -0.5, 0.5, -0.5, 1.5, -1.5, -1.5, 1.5] * 4),
+            GridFunction1D.from_array(2.0, [0.0] * 10 + [0.3, 1.2, 1.2, -0.7] * 3 + [0.0] * 10),
+        ]
+        for f in fs:
             m_full = maximal_operator(f).array()
             m_direct = maximal_at_points(f, f.centers())
             assert np.max(np.abs(m_full - m_direct)) < 1e-12
+
+    def test_sign_flip_at_equal_level_is_not_a_candidate(self):
+        f = GridFunction1D.from_array(1.0, [0.0, 0.5, -0.5, 0.5, -0.5, 0.0])
+        nodes = operators._candidate_nodes(np.abs(f.array()))
+        assert nodes.tolist() == [0, 1, 5, 6]
 
     def test_sublinear(self):
         f = small_grid(seed=5)
@@ -256,6 +269,28 @@ class TestSweep:
             f, HerzParams(0.0, p, p, p)
         )
         assert hl_ratio == pytest.approx(num / den, rel=1e-10)
+
+
+@pytest.mark.parametrize("operator", ["maximal", "hilbert"])
+def test_sweep_rows_equal_cell_by_cell_ratios(operator):
+    corpus = [grid_indicator(4.0, 256, -1.0, 1.0)] + random_grid_functions(
+        2, seed=11, half_width=4.0, n_cells=256
+    )
+    op = {"maximal": maximal_operator, "hilbert": hilbert_transform}[operator]
+    rep = boundedness_sweep(operator, corpus, ps=(1.5, 4.0), qs=(1.0, INF),
+                            rs=(2.0,), weight_count=2)
+    assert len(rep.cells) == 8
+    for row in rep.cells:
+        params = HerzParams(row.a, row.p, row.q, row.r)
+        base = fine = 0.0
+        for f in corpus:
+            denom = grid_hl_norm(f, params)
+            if denom == 0.0:
+                continue
+            base = max(base, grid_hl_norm(op(f), params) / denom)
+            fr = f.refine()
+            fine = max(fine, grid_hl_norm(op(fr), params) / grid_hl_norm(fr, params))
+        assert (row.ratio, row.refined_ratio) == (base, fine)
 
 
 class TestWitness:
