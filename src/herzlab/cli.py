@@ -22,6 +22,7 @@ from . import corpus as corpus_mod
 from .herz import (
     AnnulusMeasureSequence,
     HerzParams,
+    annulus_profile,
     bfs_condition_check,
     embedding_check,
     hl_holder_check,
@@ -58,7 +59,7 @@ from .rearrange import (
     rearrangement,
     sum_bound_check,
 )
-from .reporting import CheckRecord, render_tsv, summarize, write_report
+from .reporting import CheckRecord, read_report, render_tsv, summarize, write_report
 
 SUITES = (
     "rearrange",
@@ -79,6 +80,16 @@ SUITES = (
 
 class ConfigError(Exception):
     """Configuration or hypothesis violation: exit code 2."""
+
+
+# the types a `verify --config` file may give each SuiteConfig field, by key;
+# any other key goes to SuiteConfig.extra
+_NUM, _NONE = (int, float), type(None)
+_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
+    "seed": (int,), "size": (int,), "cutoff": (int,), "jobs": (int,),
+    "a": (*_NUM, _NONE), "p": _NUM, "q": _NUM, "r": _NUM, "theta": _NUM,
+    "corpus": (str, _NONE), "out": (str, _NONE), "format": (str,),
+}
 
 
 @dataclass
@@ -107,6 +118,8 @@ class SuiteConfig:
             raise ConfigError("cutoff must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.fmt not in ("json", "tsv"):
+            raise ConfigError(f"unknown report format {self.fmt!r}; choose json or tsv")
 
 
 def _float(x: str) -> float:
@@ -331,6 +344,7 @@ def _suite_embeddings(cfg: SuiteConfig) -> list[Check]:
 
     def one(i: int, f: RadialStepFunction) -> list[CheckRecord]:
         records = []
+        prof = annulus_profile(f)
         cases = [
             ("A", HerzParams(0.3, 2.0, 1.5, 1.0), HerzParams(0.3, 2.0, 1.5, 2.0)),
             ("B", HerzParams(1.0, 2.0, 1.0, 2.0), HerzParams(0.0, 2.0, 1.0, 2.0)),
@@ -338,7 +352,7 @@ def _suite_embeddings(cfg: SuiteConfig) -> list[Check]:
             ("D", HerzParams(0.0, 2.0, 1.0, 2.0), HerzParams(0.0, 2.0, 2.0, 2.0)),
         ]
         for variant, src, tgt in cases:
-            rep = embedding_check(variant, f, src, tgt)
+            rep = embedding_check(variant, prof, src, tgt)
             records.append(
                 CheckRecord(
                     "embeddings",
@@ -748,6 +762,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     overrides: dict[str, Any] = {}
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"--config {args.config} must hold a JSON object")
+        for key, kinds in _CONFIG_TYPES.items():
+            value = overrides.get(key)
+            if key in overrides and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ConfigError(f"--config field {key!r} has the wrong type: {value!r}")
     cfg = SuiteConfig(
         suite=args.suite,
         seed=overrides.get("seed", args.seed),
@@ -762,9 +782,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         jobs=overrides.get("jobs", args.jobs),
         out=overrides.get("out", args.out),
         fmt=overrides.get("format", args.fmt),
-        extra={k: v for k, v in overrides.items()
-               if k not in ("seed", "size", "corpus", "a", "p", "q", "r",
-                            "theta", "cutoff", "jobs", "out", "format")},
+        extra={k: v for k, v in overrides.items() if k not in _CONFIG_TYPES},
     )
     records, code = run_suite(cfg)
     for rec in records:
@@ -796,18 +814,13 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    records, doc = read_report(args.input)
     if args.fmt == "summary":
         s = doc.get("summary", {})
         print(json.dumps(s, indent=2, sort_keys=True))
         return 0 if s.get("passed") else 1
-    records = doc.get("records", [])
     if args.fmt == "tsv":
-        cols = ["suite", "check_id", "params", "lhs", "rhs", "ratio", "passed", "notes"]
-        print("\t".join(cols))
-        for rec in records:
-            print("\t".join(json.dumps(rec.get(c)) if c == "params" else str(rec.get(c))
-                            for c in cols))
+        sys.stdout.write(render_tsv(records))
     else:
         print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

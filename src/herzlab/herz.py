@@ -4,6 +4,14 @@ The annuli are A_u = {2^{u-1} <= |x| < 2^u} for u >= 0 together with the
 central ball A_{-1} = {|x| < 1/2}.  The HL norm aggregates per-annulus
 Lorentz norms in a weighted l^q with weights 2^{ua}; r = p recovers the
 classical Herz norm and r = inf its weak variant.
+
+The annulus-profile layer is the one path from a function to those numbers:
+an `AnnulusProfile` holds the decreasing rearrangement of f on each occupied
+annulus, built once per function (`annulus_profile` for radial step
+functions, `operators.grid_annulus_profiles` for grid functions).  It caches
+per-annulus Lorentz scores per (p, r, starred) and aggregates them only with
+`weighted_lq`; HL norms, the annulus retract, the endpoint K-functional and
+the operator sweeps all read it.
 """
 
 from __future__ import annotations
@@ -11,19 +19,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .lorentz import (
     INF,
+    HolderReport,
     LorentzParams,
     conjugate_exponent,
-    lorentz_quasi_norm,
+    lorentz_norm_from_steps,
     lorentz_star_norm,
 )
 from .rearrange import (
     RadialStepFunction,
+    StepRearrangement,
     integrate_abs_product,
     pointwise_sum,
+    rearrangement,
+    rearrangement_from_pairs,
     restrict_radii,
     unit_ball_volume,
 )
@@ -36,6 +49,8 @@ __all__ = [
     "annulus_indicator",
     "annulus_window",
     "annuli_decompose",
+    "AnnulusProfile",
+    "annulus_profile",
     "weighted_lq",
     "hl_norm",
     "quasi_constant_probe",
@@ -131,35 +146,113 @@ def weighted_lq(scores: Mapping[int, float], a: float, q: float) -> float:
     return total ** (1.0 / q)
 
 
-def _annulus_scores(
-    f: RadialStepFunction, params: HerzParams, starred: bool, tol: float
-) -> dict[int, float]:
-    inner = params.lorentz
-    scores: dict[int, float] = {}
+@dataclass(eq=False)
+class AnnulusProfile:
+    """Decreasing rearrangement of a function on each occupied dyadic annulus.
+
+    ``us`` lists the occupied annuli in increasing order; ``levels[i]`` and
+    ``knots[i]`` are the float steps of the profile on annulus ``us[i]``
+    (levels decreasing, knots cumulative measures).  ``exact`` holds the
+    exact rearrangements when the profile comes from a radial step function
+    and is None for sampled data; averaged-profile scores and the endpoint
+    (integrable, bounded) data need it.
+    """
+
+    dim: int
+    us: Sequence[int]
+    levels: Sequence[Sequence[float]]
+    knots: Sequence[Sequence[float]]
+    exact: Sequence[StepRearrangement] | None
+    # (p, r, None) for quasi-norm scores, (p, r, tol) for averaged-profile ones
+    _scores: dict[tuple[float, float, float | None], dict[int, float]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def _exact(self) -> Sequence[StepRearrangement]:
+        if self.exact is None:
+            raise ValueError("this quantity needs the exact annulus rearrangements")
+        return self.exact
+
+    def scores(self, params: LorentzParams) -> dict[int, float]:
+        """u -> Lorentz (p, r) quasi-norm of f on A_u (cached: do not mutate)."""
+        key = (params.p, params.r, None)
+        if key not in self._scores:
+            self._scores[key] = {
+                u: lorentz_norm_from_steps(w, t, params.p, params.r)
+                for u, w, t in zip(self.us, self.levels, self.knots)
+            }
+        return self._scores[key]
+
+    def star_scores(self, params: LorentzParams, tol: float) -> dict[int, float]:
+        """u -> averaged-profile Lorentz (p, r) norm of f on A_u."""
+        key = (params.p, params.r, tol)
+        if key not in self._scores:
+            self._scores[key] = {
+                u: lorentz_star_norm(g, params, tol=tol)
+                for u, g in zip(self.us, self._exact())
+            }
+        return self._scores[key]
+
+    @cached_property
+    def tops(self) -> list[float]:
+        """Sup level of f on each annulus: the bounded-base scores."""
+        return [w[0] for w in self.levels]
+
+    @cached_property
+    def integrals(self) -> list[float]:
+        """Integral of |f| over each annulus: the integrable-base scores."""
+        return [float(g.total_mass()) for g in self._exact()]
+
+    @cached_property
+    def masses(self) -> list[list[float]]:
+        """Measure of each level set of f* on each annulus."""
+        return [[float(m) for m in g.segment_masses()] for g in self._exact()]
+
+    def truncation_cost(self, i: int, c: float) -> float:
+        """Integral of (f* - c)_+ on annulus us[i]; piecewise linear in c."""
+        total = 0.0
+        for w, m in zip(self.levels[i], self.masses[i]):
+            if w <= c:
+                break
+            total += (w - c) * m
+        return total
+
+    def merged_rearrangement(self) -> StepRearrangement:
+        """f* of the whole function, merged exactly from the annulus pieces."""
+        return rearrangement_from_pairs(
+            (m, w) for g in self._exact() for m, w in zip(g.segment_masses(), g.levels)
+        )
+
+
+def annulus_profile(f: RadialStepFunction | AnnulusProfile) -> AnnulusProfile:
+    """The annulus profile of a radial step function; a profile passes through."""
+    if isinstance(f, AnnulusProfile):
+        return f
+    us, exact = [], []
     for u, piece in annuli_decompose(f):
-        if starred:
-            scores[u] = lorentz_star_norm(piece, inner, tol=tol)
-        else:
-            scores[u] = lorentz_quasi_norm(piece, inner)
-    return scores
+        us.append(u)
+        exact.append(rearrangement(piece))
+    steps = [g.float_steps() for g in exact]
+    return AnnulusProfile(f.dim, us, [w for w, _ in steps], [t for _, t in steps], exact)
 
 
 def hl_norm(
-    f: RadialStepFunction,
+    f: RadialStepFunction | AnnulusProfile,
     params: HerzParams,
     starred: bool = False,
     tol: float = 1e-10,
 ) -> float:
-    """Non-homogeneous Lorentz-Herz norm of a radial step function.
+    """Non-homogeneous Lorentz-Herz norm of a radial step function or profile.
 
     Finite for every finitely supported step function; the annulus window is
     finite, so no truncation is involved.
     """
-    if starred and not params.lorentz.allows_star_norm:
+    inner = params.lorentz
+    if starred and not inner.allows_star_norm:
         raise ValueError("starred inner norm not available for these exponents")
-    return weighted_lq(
-        _annulus_scores(f, params, starred, tol), params.a, params.q
-    )
+    prof = annulus_profile(f)
+    scores = prof.star_scores(inner, tol) if starred else prof.scores(inner)
+    return weighted_lq(scores, params.a, params.q)
 
 
 @dataclass(frozen=True)
@@ -356,27 +449,19 @@ def _running_max(xs: Sequence[float]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class PairingReport:
-    integral: float
-    bound: float
-    ratio: float
-    passed: bool
-
-
 def hl_holder_check(
     f: RadialStepFunction,
     g: RadialStepFunction,
     params: HerzParams,
     slack: float = 1e-12,
-) -> PairingReport:
+) -> HolderReport:
     """int |fg| <= ||f||_{HL(a,p,q,r)} ||g||_{HL(-a,p',q',r')}, constant-free."""
     if not (1 < params.p < INF and params.q >= 1 and params.r >= 1):
         raise ValueError("pairing needs 1 < p < inf and 1 <= q, r <= inf")
     integral = float(integrate_abs_product(f, g))
     bound = hl_norm(f, params) * hl_norm(g, params.conjugate())
     ratio = integral / bound if bound > 0 else (0.0 if integral == 0.0 else INF)
-    return PairingReport(integral, bound, ratio, integral <= bound * (1.0 + slack) + slack)
+    return HolderReport(integral, bound, ratio, integral <= bound * (1.0 + slack) + slack)
 
 
 @dataclass(frozen=True)
@@ -389,14 +474,13 @@ class EmbeddingReport:
     passed: bool
 
 
-def _occupied_weight_constant(f: RadialStepFunction, a1: float, a2: float) -> float:
+def _occupied_weight_constant(us: Sequence[int], a1: float, a2: float) -> float:
     """Embedding constant for lowering the weight exponent from a1 to a2.
 
     The weight ratio 2^{u(a2-a1)} stays at most 1 on the annuli u >= 0, so
     the constant is 1 whenever f avoids the central ball; a charged central
     ball contributes the ratio 2^{a1-a2} > 1 instead.
     """
-    us = [u for u, _ in annuli_decompose(f)]
     if not us:
         return 1.0
     return max(1.0, max(2.0 ** (u * (a2 - a1)) for u in us))
@@ -404,7 +488,7 @@ def _occupied_weight_constant(f: RadialStepFunction, a1: float, a2: float) -> fl
 
 def embedding_check(
     variant: str,
-    f: RadialStepFunction,
+    f: RadialStepFunction | AnnulusProfile,
     source: HerzParams,
     target: HerzParams,
     slack: float = 1e-9,
@@ -418,6 +502,7 @@ def embedding_check(
         applied inside the outer sum, target reached through L^{p2,inf}.
     (D) q2 <= q1 at fixed (a, p, r): constant 1.
     """
+    f = annulus_profile(f)
     v = variant.upper()
     if v == "A":
         if not (
@@ -442,7 +527,7 @@ def embedding_check(
             raise ValueError("variant B needs identical (p,q,r) and a2 <= a1")
         lhs = hl_norm(f, target)
         rhs = hl_norm(f, source)
-        constant = _occupied_weight_constant(f, source.a, target.a)
+        constant = _occupied_weight_constant(f.us, source.a, target.a)
         ratio = lhs / rhs if rhs > 0 else 0.0
         return EmbeddingReport(v, lhs, rhs, constant, ratio, lhs <= constant * rhs * (1 + slack))
     if v == "C":
@@ -457,11 +542,10 @@ def embedding_check(
         lhs = hl_norm(f, target)
         gap = r1 / p1 - r1 / p2
         factor_const = gap ** (-1.0 / r1) if r1 != INF else 1.0
-        scores: dict[int, float] = {}
-        for u, piece in annuli_decompose(f):
-            weak = lorentz_quasi_norm(piece, LorentzParams(p2, INF))
-            mu_u = float(annulus_measure(u, f.dim))
-            scores[u] = factor_const * mu_u ** (1.0 / p1 - 1.0 / p2) * weak
+        scores = {
+            u: factor_const * float(annulus_measure(u, f.dim)) ** (1.0 / p1 - 1.0 / p2) * weak
+            for u, weak in f.scores(LorentzParams(p2, INF)).items()
+        }
         rhs = weighted_lq(scores, target.a, target.q)
         ratio = lhs / rhs if rhs > 0 else 0.0
         passed = lhs <= rhs * (1 + slack)

@@ -15,10 +15,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Any, Callable, Literal, Mapping, Sequence
 
-from .herz import HerzParams, annuli_decompose, annulus_bounds, hl_norm, weighted_lq
-from .lorentz import INF, LorentzParams, lorentz_quasi_norm, lorentz_star_norm
+from .herz import (
+    AnnulusProfile,
+    HerzParams,
+    annulus_bounds,
+    annulus_profile,
+    hl_norm,
+    weighted_lq,
+)
+from .lorentz import (
+    INF,
+    LorentzParams,
+    conjugate_exponent,
+    lorentz_quasi_norm,
+    lorentz_star_norm,
+)
 from .quadrature import adaptive_simpson
 from .rearrange import (
     RadialStepFunction,
@@ -38,7 +51,6 @@ __all__ = [
     "coretract_M",
     "k_functional",
     "k_functional_curve",
-    "k_curve",
     "check_k_curve",
     "k_functional_l1_linf",
     "k_functional_herz_endpoint",
@@ -138,12 +150,9 @@ def retract_L(
     f: RadialStepFunction, base: LorentzParams, starred: bool = False
 ) -> WeightedSeq:
     """Annulus score sequence u -> ||f X_{A_u}||; an exact isometry onto l_q^a."""
-    scores: dict[int, float] = {}
-    for u, piece in annuli_decompose(f):
-        if starred:
-            scores[u] = lorentz_star_norm(piece, base)
-        else:
-            scores[u] = lorentz_quasi_norm(piece, base)
+    prof = annulus_profile(f)
+    # 1e-10 is the averaged-profile tolerance of lorentz_star_norm and hl_norm
+    scores = prof.star_scores(base, 1e-10) if starred else prof.scores(base)
     return WeightedSeq.from_dict(scores)
 
 
@@ -188,7 +197,7 @@ def coretract_M(
 # ---------------------------------------------------------------------------
 
 
-def _weights(y: WeightedSeq, a: float) -> tuple[list[int], list[float]]:
+def _weights(y: WeightedSeq) -> tuple[list[int], list[float]]:
     us = [u for u, v in y.entries if v > 0]
     vals = [v for _, v in y.entries if v > 0]
     return us, vals
@@ -357,14 +366,6 @@ def _cd_sweeps(
     return _objective(s, t, a_vec, b_vec, q0, q1)
 
 
-def _dual_exponent(q: float) -> float:
-    if q == 1.0:
-        return INF
-    if q == INF:
-        return 1.0
-    return q / (q - 1.0)
-
-
 def _corner_escape(
     s: list[float],
     t: float,
@@ -390,7 +391,7 @@ def _corner_escape(
         norm_b = _norm_vec(list(b_vec), q1)
         g = [(b**q1) * norm_b ** (1.0 - q1) for b in b_vec]
         w = [g_i / a for g_i, a in zip(g, a_vec)]
-        qd = _dual_exponent(q0)
+        qd = conjugate_exponent(q0)
         if t * _norm_vec(w, qd) <= 1.0 + 1e-12:
             return False
         if qd == INF:
@@ -402,7 +403,7 @@ def _corner_escape(
         norm_a = _norm_vec(list(a_vec), q0)
         g = [(a**q0) * norm_a ** (1.0 - q0) for a in a_vec]
         w = [g_i / b for g_i, b in zip(g, b_vec)]
-        qd = _dual_exponent(q1)
+        qd = conjugate_exponent(q1)
         if _norm_vec(w, qd) <= t * (1.0 + 1e-12):
             return False
         if qd == INF:
@@ -526,7 +527,7 @@ def k_functional(
         raise ValueError("function-coordinate couples use the endpoint routines")
     a0, q0 = couple.side0
     a1, q1 = couple.side1
-    us, vals = _weights(y, 0.0)
+    us, vals = _weights(y)
     if not us:
         return 0.0
     a_vec = [2.0 ** (u * a0) * v for u, v in zip(us, vals)]
@@ -571,7 +572,7 @@ def k_functional_curve(
         or q1 < 1.0
     ):
         return [k_functional(t, y, couple, tol) for t in ts]
-    us, vals = _weights(y, 0.0)
+    us, vals = _weights(y)
     if not us:
         return [0.0 for _ in ts]
     a_vec = [2.0 ** (u * a0) * v for u, v in zip(us, vals)]
@@ -585,19 +586,6 @@ def k_functional_curve(
         upper = min(_norm_vec(a_vec, q0), t * _norm_vec(b_vec, q1))
         out.append(min(value, upper))
     return out
-
-
-def k_curve(
-    ts: Sequence[float],
-    k_of_t: Callable[[float], float],
-    norm0: float,
-    norm1: float,
-    tol: float = 1e-7,
-) -> list[float]:
-    """Evaluate K on a grid and assert its structural invariants."""
-    if any(t <= 0 for t in ts) or any(s >= t for s, t in zip(ts, ts[1:])):
-        raise ValueError("t grid must be positive and increasing")
-    return check_k_curve(ts, [k_of_t(t) for t in ts], norm0, norm1, tol)
 
 
 def check_k_curve(
@@ -639,60 +627,34 @@ def k_functional_l1_linf(f: RadialStepFunction | StepRearrangement, t: float) ->
     return float(g.integral_up_to(Fraction(t)))
 
 
-class _EndpointProfile:
-    """Float view of one annulus piece: levels, masses and truncation cost."""
-
-    __slots__ = ("u", "levels", "masses", "top")
-
-    def __init__(self, u: int, g: StepRearrangement) -> None:
-        self.u = u
-        self.levels = [float(w) for w in g.levels]
-        self.masses = [float(m) for m in g.segment_masses()]
-        self.top = self.levels[0] if self.levels else 0.0
-
-    def truncation_cost(self, c: float) -> float:
-        """Integral of (f* - c)_+; piecewise linear in c with kinks at levels."""
-        total = 0.0
-        for w, m in zip(self.levels, self.masses):
-            if w <= c:
-                break
-            total += (w - c) * m
-        return total
-
-
-def _endpoint_profiles(f: RadialStepFunction) -> list[_EndpointProfile]:
-    return [
-        _EndpointProfile(u, rearrangement(piece)) for u, piece in annuli_decompose(f)
-    ]
-
-
 def _k_herz_endpoint(
     t: float,
-    profiles: Sequence[_EndpointProfile],
+    prof: AnnulusProfile,
     side0: tuple[float, float],
     side1: tuple[float, float],
 ) -> float:
     a0, q0 = side0
     a1, q1 = side1
-    if not profiles:
+    if not prof.us:
         return 0.0
-    w0 = [2.0 ** (pr.u * a0) for pr in profiles]
-    w1 = [2.0 ** (pr.u * a1) for pr in profiles]
-    tops = [pr.top for pr in profiles]
+    w0 = [2.0 ** (u * a0) for u in prof.us]
+    w1 = [2.0 ** (u * a1) for u in prof.us]
+    tops = prof.tops
+    cost = prof.truncation_cost
 
     if q0 == 1.0 and q1 == 1.0:
         # separable: per coordinate the cost is piecewise linear in c, so
         # the minimum sits at a kink
         total = 0.0
-        for pr, wa, wb in zip(profiles, w0, w1):
+        for i, (wa, wb) in enumerate(zip(w0, w1)):
             total += min(
-                wa * pr.truncation_cost(c) + t * wb * c
-                for c in [0.0] + pr.levels
+                wa * cost(i, c) + t * wb * c
+                for c in [0.0] + prof.levels[i]
             )
         return total
 
     def objective(cs: list[float]) -> float:
-        part0 = [wa * pr.truncation_cost(c) for pr, wa, c in zip(profiles, w0, cs)]
+        part0 = [wa * cost(i, c) for i, (wa, c) in enumerate(zip(w0, cs))]
         part1 = [wb * c for wb, c in zip(w1, cs)]
         return _norm_vec(part0, q0) + t * _norm_vec(part1, q1)
 
@@ -744,7 +706,7 @@ def k_functional_herz_endpoint(
         raise ValueError("t must be positive")
     if couple.base != "l1-linf":
         raise ValueError("this routine is for the endpoint base couple")
-    return _k_herz_endpoint(t, _endpoint_profiles(f), couple.side0, couple.side1)
+    return _k_herz_endpoint(t, annulus_profile(f), couple.side0, couple.side1)
 
 
 # ---------------------------------------------------------------------------
@@ -764,21 +726,15 @@ class InterpNormResult:
 
 
 def _endpoint_norms(
-    source: WeightedSeq | RadialStepFunction, couple: CoupleSpec
+    source: WeightedSeq | AnnulusProfile, couple: CoupleSpec
 ) -> tuple[float, float]:
-    if couple.base == "l1-linf":
-        assert isinstance(source, RadialStepFunction)
-        a0, q0 = couple.side0
-        a1, q1 = couple.side1
-        scores0: dict[int, float] = {}
-        scores1: dict[int, float] = {}
-        for u, piece in annuli_decompose(source):
-            scores0[u] = float(piece.abs_integral())
-            scores1[u] = float(rearrangement(piece).top_level)
-        return weighted_lq(scores0, a0, q0), weighted_lq(scores1, a1, q1)
-    assert isinstance(source, WeightedSeq)
     a0, q0 = couple.side0
     a1, q1 = couple.side1
+    if isinstance(source, AnnulusProfile):
+        return (
+            weighted_lq(dict(zip(source.us, source.integrals)), a0, q0),
+            weighted_lq(dict(zip(source.us, source.tops)), a1, q1),
+        )
     return ell_norm(source, a0, q0), ell_norm(source, a1, q1)
 
 
@@ -805,20 +761,17 @@ def _float_profile_integral(g: StepRearrangement) -> Callable[[float], float]:
 
 
 def _k_evaluator(
-    source: WeightedSeq | RadialStepFunction, couple: CoupleSpec, tol: float
+    source: WeightedSeq | AnnulusProfile, couple: CoupleSpec, tol: float
 ) -> Callable[[float], float]:
-    if couple.base == "l1-linf":
-        assert isinstance(source, RadialStepFunction)
+    if isinstance(source, AnnulusProfile):
         if couple.side0 == (0.0, 1.0) and couple.side1 == (0.0, INF):
-            return _float_profile_integral(rearrangement(source))
-        profiles = _endpoint_profiles(source)
-        return lambda t: _k_herz_endpoint(t, profiles, couple.side0, couple.side1)
-    assert isinstance(source, WeightedSeq)
+            return _float_profile_integral(source.merged_rearrangement())
+        return lambda t: _k_herz_endpoint(t, source, couple.side0, couple.side1)
     return lambda t: k_functional(t, source, couple, tol)
 
 
 def interpolation_norm(
-    source: WeightedSeq | RadialStepFunction,
+    source: WeightedSeq | RadialStepFunction | AnnulusProfile,
     params: InterpolationParams,
     couple: CoupleSpec,
 ) -> InterpNormResult:
@@ -827,9 +780,12 @@ def interpolation_norm(
     The K integral runs over t in [2^-T, 2^T] by per-octave adaptive
     quadrature in log t; the two truncated tails are bracketed analytically
     from K(t) <= min(N0, t N1) together with monotonicity of K and K(t)/t.
-    The reported value is the midpoint of the rigorous bracket.
+    The reported value is the midpoint of the rigorous bracket.  Functions
+    (endpoint couple) are read through their annulus profile, built once.
     """
     theta, q = params.theta, params.q
+    if couple.base == "l1-linf":
+        source = annulus_profile(source)
     n0, n1 = _endpoint_norms(source, couple)
     if n0 == 0.0 and n1 == 0.0:
         return InterpNormResult(0.0, 0.0, 0.0)
@@ -976,8 +932,8 @@ def verify_interpolation(
 ) -> SuiteReport:
     """Ratio-band verification of one interpolation identity.
 
-    Each corpus member contributes interpolation_norm / target_norm; the
-    suite passes when the ratios stay within a band of spread at most
+    Each nonzero corpus member contributes interpolation_norm / target_norm
+    (a zero member has 0/0 and is skipped in every suite); the suite passes when the ratios stay within a band of spread at most
     `stability_factor` and are scale-stable (the ratio for 2f matches the
     ratio for f to 1e-9, reflecting homogeneity).
 
@@ -994,21 +950,9 @@ def verify_interpolation(
         if q is None:
             raise ValueError("target exponent q required")
         a = (1.0 - theta) * a0 + theta * a1
+        q_target = q
         couple = CoupleSpec((a0, q0), (a1, q1))
-        params = InterpolationParams(theta, q, t_exponent_bound, rel_tol)
-        if suite == "seq-a":
-            seqs = list(corpus)
-        else:
-            if base is None:
-                raise ValueError("hl-1 needs the shared Lorentz base")
-            seqs = [retract_L(f, base) for f in corpus]
-
-        def target(y: WeightedSeq) -> float:
-            return ell_norm(y, a, q)
-
-        return _ratio_suite(suite, seqs, params, couple, target, stability_factor)
-
-    if suite in ("seq-q", "hl-2"):
+    elif suite in ("seq-q", "hl-2"):
         inv_q = (1.0 - theta) / q0 + theta / q1
         q_target = INF if inv_q == 0.0 else 1.0 / inv_q
         if q is not None and not math.isclose(q, q_target, rel_tol=1e-12):
@@ -1017,107 +961,63 @@ def verify_interpolation(
         if a1 != a0:
             raise ValueError("exponent interpolation needs a common weight")
         couple = CoupleSpec((a, q0), (a, q1))
-        params = InterpolationParams(theta, q_target, t_exponent_bound, rel_tol)
-        if suite == "seq-q":
-            seqs = list(corpus)
-        else:
+    elif suite == "lorentz":
+        if q is None:
+            raise ValueError("target exponent q required")
+        q_target = q
+        couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
+        lorentz_target = LorentzParams(1.0 / (1.0 - theta), q)
+    elif suite in ("hl-3", "hl-4"):
+        # both interpolate the endpoint base pair: hl-3 against the weighted
+        # aggregation of interpolated (averaged-profile) coordinate norms,
+        # hl-4 against the HL norm with p = 1/(1-theta) and r = q
+        if q0 == INF or q1 == INF:
+            raise ValueError(f"{suite} requires finite outer exponents")
+        q_target = 1.0 / ((1.0 - theta) / q0 + theta / q1)
+        a = (1.0 - theta) * a0 + theta * a1
+        couple = CoupleSpec((a0, q0), (a1, q1), base="l1-linf")
+        hl_target = HerzParams(a, 1.0 / (1.0 - theta), q_target, q_target)
+    else:
+        raise ValueError(f"unknown interpolation suite {suite!r}")
+    params = InterpolationParams(theta, q_target, t_exponent_bound, rel_tol)
+
+    if couple.base is None:
+        if suite.startswith("hl"):
             if base is None:
-                raise ValueError("hl-2 needs the shared Lorentz base")
+                raise ValueError(f"{suite} needs the shared Lorentz base")
             seqs = [retract_L(f, base) for f in corpus]
+        else:
+            seqs = list(corpus)
+        pairs = [(y, y.scaled(2.0)) for y in seqs if not y.is_zero()]
 
         def target(y: WeightedSeq) -> float:
             return ell_norm(y, a, q_target)
 
-        return _ratio_suite(suite, seqs, params, couple, target, stability_factor)
+    else:
+        pairs = [(annulus_profile(f), scale(f, 2)) for f in corpus if not f.is_zero()]
 
-    if suite == "lorentz":
-        if q is None:
-            raise ValueError("target exponent q required")
-        p_target = 1.0 / (1.0 - theta)
-        params = InterpolationParams(theta, q, t_exponent_bound, rel_tol)
-        couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
-        target_params = LorentzParams(p_target, q)
+        def target(prof: AnnulusProfile) -> float:
+            if suite == "lorentz":
+                return lorentz_star_norm(prof.merged_rearrangement(), lorentz_target)
+            return hl_norm(prof, hl_target, starred=suite == "hl-3")
 
-        ratios, drifts = [], []
-        for f in corpus:
-            val = interpolation_norm(f, params, couple).value
-            tgt = lorentz_star_norm(f, target_params)
-            ratios.append(val / tgt if tgt > 0 else INF)
-            val2 = interpolation_norm(scale(f, 2), params, couple).value
-            drifts.append(_scale_drift(val, val2))
-        return _band_verdict(suite, ratios, drifts, stability_factor)
-
-    if suite == "hl-3":
-        # mixed-base sequence identity over the endpoint base pair: the
-        # interpolated couple of integrable-based and bounded-based weighted
-        # sequence spaces against the weighted aggregation of interpolated
-        # coordinate norms
-        if q0 == INF or q1 == INF:
-            raise ValueError("mixed-base suite requires finite outer exponents")
-        inv_q = (1.0 - theta) / q0 + theta / q1
-        q_target = 1.0 / inv_q
-        a = (1.0 - theta) * a0 + theta * a1
-        p_target = 1.0 / (1.0 - theta)
-        params = InterpolationParams(theta, q_target, t_exponent_bound, rel_tol)
-        couple = CoupleSpec((a0, q0), (a1, q1), base="l1-linf")
-        target_base = LorentzParams(p_target, q_target)
-
-        def hl_target(f: RadialStepFunction) -> float:
-            scores = {
-                u: lorentz_star_norm(piece, target_base)
-                for u, piece in annuli_decompose(f)
-            }
-            return weighted_lq(scores, a, q_target)
-
-        ratios, drifts = [], []
-        for f in corpus:
-            val = interpolation_norm(f, params, couple).value
-            tgt = hl_target(f)
-            ratios.append(val / tgt if tgt > 0 else INF)
-            val2 = interpolation_norm(scale(f, 2), params, couple).value
-            drifts.append(_scale_drift(val, val2))
-        return _band_verdict(suite, ratios, drifts, stability_factor)
-
-    if suite == "hl-4":
-        # endpoint Herz couple (integrable base, bounded base) against the
-        # interpolated HL norm with p = 1/(1-theta) and r = q
-        if q0 == INF or q1 == INF:
-            raise ValueError("endpoint Herz suite requires finite outer exponents")
-        inv_q = (1.0 - theta) / q0 + theta / q1
-        q_target = 1.0 / inv_q
-        a = (1.0 - theta) * a0 + theta * a1
-        p_target = 1.0 / (1.0 - theta)
-        params = InterpolationParams(theta, q_target, t_exponent_bound, rel_tol)
-        couple = CoupleSpec((a0, q0), (a1, q1), base="l1-linf")
-        target_params = HerzParams(a, p_target, q_target, q_target)
-
-        ratios, drifts = [], []
-        for f in corpus:
-            val = interpolation_norm(f, params, couple).value
-            tgt = hl_norm(f, target_params)
-            ratios.append(val / tgt if tgt > 0 else INF)
-            val2 = interpolation_norm(scale(f, 2), params, couple).value
-            drifts.append(_scale_drift(val, val2))
-        return _band_verdict(suite, ratios, drifts, stability_factor)
-
-    raise ValueError(f"unknown interpolation suite {suite!r}")
+    return _ratio_suite(suite, pairs, params, couple, target, stability_factor)
 
 
 def _ratio_suite(
     suite: str,
-    seqs: Sequence[WeightedSeq],
+    pairs: Sequence[tuple[Any, Any]],
     params: InterpolationParams,
     couple: CoupleSpec,
-    target: Callable[[WeightedSeq], float],
+    target: Callable[[Any], float],
     stability_factor: float,
 ) -> SuiteReport:
+    """Band of interpolation_norm / target over (x, 2x) pairs, with scale drifts."""
     ratios, drifts = [], []
-    for y in seqs:
-        if y.is_zero():
-            continue
-        val = interpolation_norm(y, params, couple).value
-        tgt = target(y)
+    for x, doubled in pairs:
+        val = interpolation_norm(x, params, couple).value
+        tgt = target(x)
         ratios.append(val / tgt if tgt > 0 else INF)
-        val2 = interpolation_norm(y.scaled(2.0), params, couple).value
+        val2 = interpolation_norm(doubled, params, couple).value
         drifts.append(_scale_drift(val, val2))
     return _band_verdict(suite, ratios, drifts, stability_factor)

@@ -19,14 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .herz import HerzParams, annulus_measure, weighted_lq
-from .lorentz import (
-    INF,
-    LorentzParams,
-    char_norm_constant,
-    conjugate_exponent,
-    lorentz_norm_from_steps,
-)
+from .herz import AnnulusProfile, HerzParams, annulus_measure, hl_norm, weighted_lq
+from .lorentz import INF, LorentzParams, char_norm_constant, conjugate_exponent
 
 __all__ = [
     "GridFunction1D",
@@ -378,10 +372,8 @@ def annulus_interaction_scan(
 # ---------------------------------------------------------------------------
 
 
-def grid_annulus_profiles(
-    f: GridFunction1D,
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per-annulus rearrangement steps (u, levels desc, cumulative widths).
+def grid_annulus_profiles(f: GridFunction1D) -> AnnulusProfile:
+    """Annulus profile of a grid function restricted to its window.
 
     Cells straddling a dyadic radius are split exactly, so the annulus
     restrictions partition the grid window and the only approximation in the
@@ -391,7 +383,7 @@ def grid_annulus_profiles(
     el = f.nodes()[:-1]
     er = f.nodes()[1:]
     u_max = max(0, math.ceil(math.log2(f.half_width)))
-    out = []
+    us, levels, knots = [], [], []
     for u in range(-1, u_max + 1):
         if u == -1:
             lo, hi = 0.0, 0.5
@@ -406,22 +398,14 @@ def grid_annulus_profiles(
         w = np.abs(vals[mask])
         m = widths[mask]
         order = np.argsort(-w, kind="stable")
-        out.append((u, w[order], np.cumsum(m[order])))
-    return out
+        us.append(u)
+        levels.append(w[order])
+        knots.append(np.cumsum(m[order]))
+    return AnnulusProfile(1, us, levels, knots, None)
 
 
-def _profile_scores(
-    profiles: Sequence[tuple[int, np.ndarray, np.ndarray]], p: float, r: float
-) -> dict[int, float]:
-    """Per-annulus Lorentz (p, r) norms, the inputs of `weighted_lq`."""
-    return {u: lorentz_norm_from_steps(levels, knots, p, r) for u, levels, knots in profiles}
-
-
-def hl_norm_from_profiles(
-    profiles: Sequence[tuple[int, np.ndarray, np.ndarray]], params: HerzParams
-) -> float:
-    scores = _profile_scores(profiles, params.p, params.r)
-    return weighted_lq(scores, params.a, params.q)
+def hl_norm_from_profiles(profiles: AnnulusProfile, params: HerzParams) -> float:
+    return hl_norm(profiles, params)
 
 
 def grid_hl_norm(f: GridFunction1D, params: HerzParams) -> float:
@@ -476,10 +460,12 @@ def _sweep_ratios(
     cells: Sequence[tuple[float, float, float, float]],
     drift_tol: float,
 ) -> list[SweepCell]:
-    transformed = []
+    # each profile caches its per-annulus scores per (p, r), so the cells
+    # sharing (p, r) differ only in the weighted_lq aggregation
+    profiles = []
     for f in corpus:
         fr = f.refine()
-        transformed.append(
+        profiles.append(
             (
                 grid_annulus_profiles(f),
                 grid_annulus_profiles(_OPERATORS[operator](f)),
@@ -487,26 +473,17 @@ def _sweep_ratios(
                 grid_annulus_profiles(_OPERATORS[operator](fr)),
             )
         )
-    # per-annulus scores depend on (profile, p, r) only; weighted_lq then
-    # gives every (a, q) the same value hl_norm_from_profiles would
-    scores = {
-        (p, r): [
-            tuple(_profile_scores(prof, p, r) for prof in profs)
-            for profs in transformed
-        ]
-        for p, r in dict.fromkeys((p, r) for _, p, _, r in cells)
-    }
     rows = []
     for a, p, q, r in cells:
+        inner = LorentzParams(p, r)
         base_ratio = 0.0
         fine_ratio = 0.0
-        for s_f, s_tf, s_fr, s_tfr in scores[(p, r)]:
-            denom = weighted_lq(s_f, a, q)
-            if denom == 0.0:
+        for profs in profiles:
+            n_f, n_tf, n_fr, n_tfr = (weighted_lq(pr.scores(inner), a, q) for pr in profs)
+            if n_f == 0.0:
                 continue
-            base_ratio = max(base_ratio, weighted_lq(s_tf, a, q) / denom)
-            denom_r = weighted_lq(s_fr, a, q)
-            fine_ratio = max(fine_ratio, weighted_lq(s_tfr, a, q) / denom_r)
+            base_ratio = max(base_ratio, n_tf / n_f)
+            fine_ratio = max(fine_ratio, n_tfr / n_fr)
         drift = abs(fine_ratio - base_ratio) / base_ratio if base_ratio > 0 else 0.0
         passed = math.isfinite(base_ratio) and drift <= drift_tol
         rows.append(SweepCell(operator, a, p, q, r, base_ratio, fine_ratio, drift, passed))

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
-__all__ = ["CheckRecord", "write_report", "render_tsv", "summarize"]
+__all__ = ["CheckRecord", "write_report", "read_report", "render_tsv", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class CheckRecord:
 
     def row(self) -> dict[str, Any]:
         d = asdict(self)
-        d["params"] = json.dumps(self.params, sort_keys=True)
+        d["params"] = json.dumps(_clean(self.params), sort_keys=True)
         return d
 
 
@@ -44,6 +44,25 @@ def write_report(records: Sequence[CheckRecord], path: str | Path) -> None:
         "summary": summarize(records),
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def read_report(path: str | Path) -> tuple[list[CheckRecord], dict[str, Any]]:
+    """Records of a report file and the file's document; ValueError if the
+    file breaks the report schema."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a report is a JSON object, not {type(doc).__name__}")
+    raw, summary = doc.get("records", []), doc.get("summary", {})
+    if not isinstance(raw, list) or not isinstance(summary, dict):
+        raise ValueError(f"{path}: 'records' must be a list and 'summary' an object")
+    names = {f.name for f in fields(CheckRecord)}
+    for i, rec in enumerate(raw):
+        if not (isinstance(rec, dict) and {"suite", "check_id"} <= rec.keys() <= names):
+            raise ValueError(
+                f"{path}: record {i} is not a report record (fields {sorted(names)}, "
+                f"suite and check_id required): {rec!r}"
+            )
+    return [CheckRecord(**rec) for rec in raw], doc
 
 
 def render_tsv(records: Sequence[CheckRecord]) -> str:

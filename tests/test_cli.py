@@ -122,6 +122,35 @@ class TestCommands:
         assert header == ["suite", "check_id", "params", "lhs", "rhs", "ratio",
                           "passed", "notes"]
 
+    def test_report_tsv_matches_verify_tsv(self, tmp_path, capsys):
+        # one TSV writer: infinite params read "inf" in both outputs
+        direct, report = tmp_path / "direct.tsv", tmp_path / "rep.json"
+        main(["verify", "bfs", "--q", "inf", "--format", "tsv", "--out", str(direct)])
+        main(["verify", "bfs", "--q", "inf", "--out", str(report)])
+        capsys.readouterr()
+        assert main(["report", "--input", str(report), "--format", "tsv"]) == 0
+        assert capsys.readouterr().out.encode() == direct.read_bytes()
+        assert '"q": "inf"' in direct.read_text()
+
+    @pytest.mark.parametrize("command, content, message", [
+        ("verify", [1, 2], "JSON object"),
+        ("verify", {"size": "x"}, "'size'"),
+        ("summary", [1, 2], "JSON object"),
+        ("tsv", "text", "JSON object"),
+        ("tsv", {"records": [{"suite": "s", "check_id": "c", "extra": 1}]}, "'extra'"),
+        ("summary", {"records": [{"suite": "s"}], "summary": {}}, "record 0"),
+    ])
+    def test_malformed_config_or_report_exit_2(self, tmp_path, capsys, command,
+                                               content, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        if command == "verify":
+            argv = ["verify", "bfs", "--config", str(path)]
+        else:
+            argv = ["report", "--input", str(path), "--format", command]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_report_determinism(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for path in (r1, r2):

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from herzlab.corpus import quadratic_shell_family, shell_trace_sequence
+from herzlab.corpus import quadratic_shell_family, random_step_functions, shell_trace_sequence
 from herzlab.herz import (
     AnnulusMeasureSequence,
     HerzParams,
     annuli_decompose,
     annulus_indicator,
     annulus_measure,
+    annulus_profile,
     bfs_condition_check,
     embedding_check,
     hl_holder_check,
@@ -18,7 +19,8 @@ from herzlab.herz import (
     weighted_lq,
 )
 from herzlab.lorentz import INF, LorentzParams, lorentz_quasi_norm
-from herzlab.rearrange import ball, pointwise_sum, radial_step
+from herzlab.operators import grid_indicator, grid_annulus_profiles
+from herzlab.rearrange import ball, pointwise_sum, radial_step, rearrangement
 
 # partial sums of 2^u * 2/u^2 for u = 1..5: 4, 6, 7.777..., 9.777..., 12.3377...
 DIVERGENCE_PARTIALS = [4.0, 6.0, 70.0 / 9.0, 88.0 / 9.0, 2776.0 / 225.0]
@@ -52,6 +54,25 @@ class TestAnnuli:
             assert pointwise_sum([p for _, p in pieces]) == f
             total = sum((p.support_measure() for _, p in pieces), Fraction(0))
             assert total == f.support_measure()
+
+    def test_profile_matches_pieces(self, step_corpus):
+        # the per-piece formulas the profile replaced are the reference; in
+        # R^3 the shell measures are not dyadic, so float shortcuts would show
+        for f in step_corpus + random_step_functions(20, seed=7, dim=3):
+            pieces = annuli_decompose(f)
+            prof = annulus_profile(f)
+            assert list(prof.us) == [u for u, _ in pieces]
+            assert prof.integrals == [float(p.abs_integral()) for _, p in pieces]
+            assert prof.tops == [float(rearrangement(p).top_level) for _, p in pieces]
+            base = LorentzParams(2.0, 1.0)
+            assert prof.scores(base) == {u: lorentz_quasi_norm(p, base) for u, p in pieces}
+            assert prof.merged_rearrangement() == rearrangement(f)
+
+    def test_grid_profile_has_no_averaged_scores(self):
+        prof = grid_annulus_profiles(grid_indicator(4.0, 64, -1.0, 1.0))
+        assert list(prof.us) == [-1, 0]
+        with pytest.raises(ValueError):
+            prof.star_scores(LorentzParams(2.0, 2.0), 1e-10)
 
     def test_disjoint_supports(self, step_corpus):
         f = step_corpus[0]

@@ -11,10 +11,10 @@ from herzlab.interp import (
     CoupleSpec,
     InterpolationParams,
     WeightedSeq,
+    check_k_curve,
     coretract_M,
     ell_norm,
     interpolation_norm,
-    k_curve,
     k_functional,
     k_functional_herz_endpoint,
     k_functional_l1_linf,
@@ -252,7 +252,7 @@ class TestKFunctional:
         ts = [2.0 ** (k / 4.0) for k in range(-24, 25)]
         n0 = ell_norm(y, 0.0, 2.0)
         n1 = ell_norm(y, 1.0, 1.5)
-        k_curve(ts, lambda t: k_functional(t, y, couple), n0, n1)
+        check_k_curve(ts, [k_functional(t, y, couple) for t in ts], n0, n1)
 
     def test_subunit_exponent_best_effort(self):
         y = WeightedSeq.from_dict({0: 1.0, 1: 1.0})
@@ -423,6 +423,15 @@ class TestVerifySuites:
         # and plain profiles differ by the exact factor p/(p-1) = 2
         assert rep4.band[0] == pytest.approx(2.0, rel=1e-6)
         assert rep4.band[1] == pytest.approx(2.0, rel=1e-6)
+
+    def test_zero_member_is_skipped(self):
+        # 0/0 carries no ratio: a zero function is skipped, as a zero sequence is
+        fns = random_step_functions(2, seed=5, nonnegative=True)
+        zero = radial_step(1, [0, 1], [0])
+        kw = dict(theta=0.5, a0=0.2, a1=0.2, q0=1.0, q1=1.0)
+        with_zero = verify_interpolation("hl-4", fns + [zero], **kw)
+        assert with_zero == verify_interpolation("hl-4", fns, **kw)
+        assert with_zero.passed
 
     def test_single_annulus_reduction_constant_ratio(self):
         from herzlab.herz import annulus_indicator

@@ -211,7 +211,7 @@ class TestGridNorms:
     def test_annulus_split_preserves_measure(self):
         f = small_grid(n=128, half=4.0, seed=11)
         profiles = grid_annulus_profiles(f)
-        total = sum(knots[-1] for _, _, knots in profiles)
+        total = sum(knots[-1] for knots in profiles.knots)
         support = np.sum(np.abs(f.array()) > 0) * f.h
         assert total == pytest.approx(support, rel=1e-12)
 
