@@ -82,13 +82,35 @@ class ConfigError(Exception):
     """Configuration or hypothesis violation: exit code 2."""
 
 
-# the types a `verify --config` file may give each SuiteConfig field, by key;
-# any other key goes to SuiteConfig.extra
+_Pred = Callable[[Any], bool]
+
+
+def _is(*kinds: type) -> _Pred:
+    return lambda v: isinstance(v, kinds) and not isinstance(v, bool)
+
+
+def _list_of(check: _Pred, length: int | None = None) -> _Pred:
+    return lambda v: isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
+
+
+# the checks a `verify --config` file's value must pass, by key: first the
+# SuiteConfig fields, then the keys that go to SuiteConfig.extra for the one
+# suite that reads them; any other key is rejected
 _NUM, _NONE = (int, float), type(None)
-_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
-    "seed": (int,), "size": (int,), "cutoff": (int,), "jobs": (int,),
-    "a": (*_NUM, _NONE), "p": _NUM, "q": _NUM, "r": _NUM, "theta": _NUM,
-    "corpus": (str, _NONE), "out": (str, _NONE), "format": (str,),
+_CONFIG_TYPES: dict[str, _Pred] = {
+    "seed": _is(int), "size": _is(int), "cutoff": _is(int), "jobs": _is(int),
+    "a": _is(*_NUM, _NONE), "p": _is(*_NUM), "q": _is(*_NUM), "r": _is(*_NUM),
+    "theta": _is(*_NUM), "corpus": _is(str, _NONE), "out": _is(str, _NONE),
+    "format": _is(str),
+}
+_SUITE_EXTRAS: dict[str, dict[str, _Pred]] = {
+    "herz-holder": {"a_values": _list_of(_is(*_NUM))},
+    "interp-lorentz": {"measures": _list_of(_is(*_NUM))},
+    "lemma-bound": {
+        "dims": _list_of(_is(int)),
+        "pr": _list_of(_list_of(_is(*_NUM), 2)),
+        "window": _list_of(_is(int), 2),
+    },
 }
 
 
@@ -764,9 +786,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         overrides = json.loads(Path(args.config).read_text())
         if not isinstance(overrides, dict):
             raise ConfigError(f"--config {args.config} must hold a JSON object")
-        for key, kinds in _CONFIG_TYPES.items():
-            value = overrides.get(key)
-            if key in overrides and (isinstance(value, bool) or not isinstance(value, kinds)):
+        checks = {**_CONFIG_TYPES, **_SUITE_EXTRAS.get(args.suite, {})}
+        for key, value in overrides.items():
+            if key not in checks:
+                raise ConfigError(f"--config field {key!r} is not read by suite {args.suite}")
+            if not checks[key](value):
                 raise ConfigError(f"--config field {key!r} has the wrong type: {value!r}")
     cfg = SuiteConfig(
         suite=args.suite,

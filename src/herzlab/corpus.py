@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from .herz import AnnulusMeasureSequence
 from .operators import GridFunction1D
-from .rearrange import RadialStepFunction, ball, radial_step
+from .rearrange import RadialStepFunction, ball, radial_step, unit_ball_volume
 
 __all__ = [
     "load_corpus",
@@ -99,9 +99,9 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
         bp = [_decode_rational(b) for b in rec["breakpoints"]]
         if any(x >= y for x, y in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        return radial_step(
-            int(rec["dim"]), bp, [_decode_rational(v) for v in rec["values"]]
-        )
+        dim = int(rec["dim"])
+        unit_ball_volume(dim)  # rejects a dimension whose measures overflow floats
+        return radial_step(dim, bp, [_decode_rational(v) for v in rec["values"]])
     if kind == "grid1d":
         values = [float(v) for v in rec["values"]]
         if "cells" in rec and int(rec["cells"]) != len(values):
@@ -126,7 +126,7 @@ def load_corpus(path: str | Path) -> list[CorpusObject]:
     for i, rec in enumerate(doc["records"]):
         try:
             out.append(record_to_object(rec))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: record {i}: {exc}") from None
     return out
 

@@ -3,10 +3,12 @@
 K-functionals are computed as finite convex programs.  For a couple of
 weighted sequence spaces over a common base, both norms are absolute and
 monotone, so an optimal decomposition can be taken coordinatewise aligned:
-y_u = s_u y_u + (1 - s_u) y_u with s in [0,1]^U.  The program is solved by
-closed forms where available (both outer exponents 1, or both infinite) and
-by per-coordinate convex descent otherwise.  The couple whose endpoints are
-the integrable and bounded functions admits the exact formula
+y_u = s_u y_u + (1 - s_u) y_u with s in [0,1]^U.  The program is solved in
+closed form for outer exponents (1, 1), by a 1-d minimization over the sup
+level when one side is a sup (exact at its kinks unless the other exponent
+lies strictly between 1 and inf), and otherwise by cyclic exact coordinate
+minimization, each slice by bisecting its derivative.  The couple whose
+endpoints are the integrable and bounded functions admits the exact formula
 K(t, f) = integral_0^t f*, used both directly and per annulus coordinate.
 """
 
@@ -197,10 +199,12 @@ def coretract_M(
 # ---------------------------------------------------------------------------
 
 
-def _weights(y: WeightedSeq) -> tuple[list[int], list[float]]:
-    us = [u for u, v in y.entries if v > 0]
-    vals = [v for _, v in y.entries if v > 0]
-    return us, vals
+def _side_vectors(y: WeightedSeq, couple: CoupleSpec) -> list[list[float]]:
+    """Side weights a_u = 2^{u a0} y_u and b_u = 2^{u a1} y_u over y's support."""
+    support = [(u, v) for u, v in y.entries if v > 0]
+    return [
+        [2.0 ** (u * a) * v for u, v in support] for a in (couple.side0[0], couple.side1[0])
+    ]
 
 
 def _norm_vec(vals: Sequence[float], q: float) -> float:
@@ -233,54 +237,39 @@ def _golden_min(
     return x, fun(x)
 
 
-def _k_linear(t: float, a_vec: Sequence[float], b_vec: Sequence[float]) -> float:
-    return math.fsum(min(a, t * b) for a, b in zip(a_vec, b_vec))
-
-
-def _k_sup_sup(t: float, a_vec: Sequence[float], b_vec: Sequence[float]) -> float:
-    # minimize alpha + t*beta subject to alpha/a_u + beta/b_u >= 1: a
-    # two-variable linear program; the optimum sits at a constraint vertex
-    n = len(a_vec)
-
-    def feasible(alpha: float, beta: float) -> bool:
-        eps = 1e-12
-        return all(
-            alpha / a + beta / b >= 1.0 - eps for a, b in zip(a_vec, b_vec)
-        )
-
-    candidates = [(max(a_vec), 0.0), (0.0, max(b_vec))]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a1, b1 = a_vec[i], b_vec[i]
-            a2, b2 = a_vec[j], b_vec[j]
-            denom = a2 * b1 - a1 * b2
-            if denom == 0.0:
-                continue
-            # solve alpha/a1 + beta/b1 = 1, alpha/a2 + beta/b2 = 1
-            alpha = a1 * a2 * (b1 - b2) / denom
-            beta = b1 * b2 * (a2 - a1) / denom
-            if alpha >= -1e-15 and beta >= -1e-15:
-                candidates.append((max(alpha, 0.0), max(beta, 0.0)))
-    best_val = INF
-    for alpha, beta in candidates:
-        if feasible(alpha, beta):
-            best_val = min(best_val, alpha + t * beta)
-    return best_val
-
-
-def _k_mixed_inf_second(
+def _k_sup_side(
     t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, tol: float
 ) -> float:
-    # second norm is a sup: cap the second part at level beta and minimize
-    # the first norm of what remains; convex and unimodal in beta
-    beta_max = max(b_vec)
+    """K when the second side is a sup, as a 1-d minimization over its level.
+
+    Capping the second part at level beta forces s_u >= 1 - beta/b_u, so
+    K = min over 0 <= beta <= max b of ||(a_u (1 - beta/b_u))_+||_{q0} + t beta.
+    The cost has kinks at 0 and at each b_u and, for q0 = inf, where two
+    capped parts cross (the vertices of the equivalent linear program).
+    Between kinks it is concave for q0 <= 1 and linear for q0 = inf, so the
+    best kink is the exact minimum; for 1 < q0 < inf it is convex, and a
+    golden-section search over the two kink intervals around the best kink
+    finishes.
+    """
 
     def cost(beta: float) -> float:
         rest = [max(0.0, a * (1.0 - beta / b)) for a, b in zip(a_vec, b_vec)]
         return _norm_vec(rest, q0) + t * beta
 
-    _, val = _golden_min(cost, 0.0, beta_max, tol * max(beta_max, 1e-300))
-    return min(val, cost(0.0), cost(beta_max))
+    kinks, top = {0.0, *b_vec}, max(b_vec)
+    if q0 == INF:
+        pairs = list(zip(a_vec, b_vec))
+        for i, (a1, b1) in enumerate(pairs):
+            for a2, b2 in pairs[i + 1 :]:
+                denom = a2 * b1 - a1 * b2  # a1 (1 - beta/b1) = a2 (1 - beta/b2)
+                if denom != 0.0:
+                    kinks.add(b1 * b2 * (a2 - a1) / denom)
+    grid = sorted(beta for beta in kinks if 0.0 <= beta <= top)
+    best, i = min((cost(beta), i) for i, beta in enumerate(grid))
+    if 1.0 < q0 < INF:
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        best = min(best, _golden_min(cost, lo, hi, tol * top)[1])
+    return best
 
 
 def _objective(
@@ -504,6 +493,30 @@ def _multistart_search(
     return best
 
 
+def _k_solve(
+    t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float,
+    tol: float, s_init: list[float] | None,
+) -> tuple[float, list[float] | None]:
+    """K(t) for nonempty side vectors, by the branch the outer exponents select.
+
+    Returns the value and, on the descent branch, the minimizing split,
+    which warm-starts the next solve along a t grid.
+    """
+    if q0 == 1.0 and q1 == 1.0:
+        return math.fsum(min(a, t * b) for a, b in zip(a_vec, b_vec)), None
+    if q1 == INF:
+        return _k_sup_side(t, a_vec, b_vec, q0, tol), None
+    if q0 == INF:
+        # swap roles: K(t; X0, X1) = t K(1/t; X1, X0)
+        return t * _k_sup_side(1.0 / t, b_vec, a_vec, q1, tol), None
+    s = None
+    if q0 < 1.0 or q1 < 1.0:
+        value = _multistart_search(t, a_vec, b_vec, q0, q1)
+    else:
+        value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, s_init)
+    return min(value, _norm_vec(a_vec, q0), t * _norm_vec(b_vec, q1)), s
+
+
 def k_functional(
     t: float,
     y: WeightedSeq,
@@ -513,40 +526,16 @@ def k_functional(
     """K(t, y) between the two weighted sequence norms of the couple.
 
     Restricting to coordinatewise scalar splits is lossless because both
-    lattice norms are absolute and monotone.  Exponent pairs (1,1) and
-    (inf,inf) are solved in closed form, a single infinite side by a 1-d
-    convex minimization, and general exponents >= 1 by cyclic per-coordinate
-    golden-section descent on the convex objective.  Exponents below 1 are
-    handled best-effort with multistart descent (the objective is no longer
-    convex); the returned value is then an upper bound certified only by the
-    brute-force cross-checks in the test suite.
+    lattice norms are absolute and monotone.  Exponents (1, 1) have a closed
+    form.  A sup side reduces K to a 1-d minimization over its level, exact
+    when the other exponent is <= 1 or infinite and finished by a
+    golden-section search to `tol` otherwise.  Other exponents >= 1 go
+    through cyclic exact coordinate minimization (derivative bisection per
+    slice) with corner escapes; exponents below 1 through a best-effort
+    multistart (the objective is no longer convex), whose value is an upper
+    bound certified only by the brute-force cross-checks in the test suite.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if couple.base == "l1-linf":
-        raise ValueError("function-coordinate couples use the endpoint routines")
-    a0, q0 = couple.side0
-    a1, q1 = couple.side1
-    us, vals = _weights(y)
-    if not us:
-        return 0.0
-    a_vec = [2.0 ** (u * a0) * v for u, v in zip(us, vals)]
-    b_vec = [2.0 ** (u * a1) * v for u, v in zip(us, vals)]
-    if q0 == 1.0 and q1 == 1.0:
-        return _k_linear(t, a_vec, b_vec)
-    if q0 == INF and q1 == INF:
-        return _k_sup_sup(t, a_vec, b_vec)
-    if q1 == INF and q0 != INF:
-        return _k_mixed_inf_second(t, a_vec, b_vec, q0, tol)
-    if q0 == INF and q1 != INF:
-        # swap roles: K(t; X0, X1) = t K(1/t; X1, X0)
-        return t * _k_mixed_inf_second(1.0 / t, b_vec, a_vec, q1, tol)
-    if q0 < 1.0 or q1 < 1.0:
-        value = _multistart_search(t, a_vec, b_vec, q0, q1)
-    else:
-        value, _ = _coordinate_descent(t, a_vec, b_vec, q0, q1)
-    upper = min(_norm_vec(a_vec, q0), t * _norm_vec(b_vec, q1))
-    return min(value, upper)
+    return k_functional_curve([t], y, couple, tol)[0]
 
 
 def k_functional_curve(
@@ -561,30 +550,16 @@ def k_functional_curve(
     minimizer is carried from one grid point to the next, which makes dense
     curves far cheaper to evaluate.
     """
-    a0, q0 = couple.side0
-    a1, q1 = couple.side1
-    if (
-        couple.base == "l1-linf"
-        or q0 == INF
-        or q1 == INF
-        or q0 == 1.0 and q1 == 1.0
-        or q0 < 1.0
-        or q1 < 1.0
-    ):
-        return [k_functional(t, y, couple, tol) for t in ts]
-    us, vals = _weights(y)
-    if not us:
-        return [0.0 for _ in ts]
-    a_vec = [2.0 ** (u * a0) * v for u, v in zip(us, vals)]
-    b_vec = [2.0 ** (u * a1) * v for u, v in zip(us, vals)]
-    out = []
-    s_prev: list[float] | None = None
+    if couple.base == "l1-linf":
+        raise ValueError("function-coordinate couples use the endpoint routines")
+    if any(t <= 0 for t in ts):
+        raise ValueError("t must be positive")
+    q0, q1 = couple.side0[1], couple.side1[1]
+    a_vec, b_vec = _side_vectors(y, couple)
+    out, s = [], None
     for t in ts:
-        if t <= 0:
-            raise ValueError("t must be positive")
-        value, s_prev = _coordinate_descent(t, a_vec, b_vec, q0, q1, s_prev)
-        upper = min(_norm_vec(a_vec, q0), t * _norm_vec(b_vec, q1))
-        out.append(min(value, upper))
+        value, s = _k_solve(t, a_vec, b_vec, q0, q1, tol, s) if a_vec else (0.0, None)
+        out.append(value)
     return out
 
 
@@ -719,10 +694,6 @@ class InterpNormResult:
     value: float
     lower: float
     upper: float
-
-    @property
-    def bracket_width(self) -> float:
-        return self.upper - self.lower
 
 
 def _endpoint_norms(

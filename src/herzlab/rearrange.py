@@ -66,7 +66,10 @@ def unit_ball_volume(dim: int) -> Fraction:
         raise ValueError("dimension must be a positive integer")
     if dim == 1:
         return Fraction(2)
-    return Fraction(math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0))
+    try:
+        return Fraction(math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0))
+    except OverflowError:
+        raise ValueError(f"the unit ball volume of dimension {dim} overflows") from None
 
 
 @dataclass(frozen=True)

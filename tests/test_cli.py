@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -105,6 +106,14 @@ class TestCommands:
     @pytest.mark.parametrize("record, field", [
         ({"type": "radial_step", "dim": 1, "values": [1]}, "'breakpoints'"),
         ({"type": "annulus_measures", "dim": 1, "entries": [1, 2]}, "items"),
+        ({"type": "radial_step", "dim": 1, "breakpoints": [0, [1, 0]], "values": [1]},
+         "Fraction(1, 0)"),
+        ({"type": "radial_step", "dim": 1, "breakpoints": [0, math.inf], "values": [1]},
+         "Infinity"),
+        ({"type": "annulus_measures", "dim": 1, "entries": {"0": 1},
+          "tail": ["power", 1, math.inf]}, "infinity"),
+        ({"type": "radial_step", "dim": 343, "breakpoints": [0, 1], "values": [1]},
+         "dimension 343"),
     ])
     def test_malformed_record_exit_2(self, tmp_path, capsys, record, field):
         path = tmp_path / "broken.json"
@@ -139,13 +148,17 @@ class TestCommands:
         ("tsv", "text", "JSON object"),
         ("tsv", {"records": [{"suite": "s", "check_id": "c", "extra": 1}]}, "'extra'"),
         ("summary", {"records": [{"suite": "s"}], "summary": {}}, "record 0"),
+        ("verify", {"sise": 3}, "'sise'"),
+        ("verify herz-holder", {"a_values": "x"}, "'a_values'"),
+        ("verify lemma-bound", {"window": [-1, 60, 2]}, "'window'"),
     ])
     def test_malformed_config_or_report_exit_2(self, tmp_path, capsys, command,
                                                content, message):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
-        if command == "verify":
-            argv = ["verify", "bfs", "--config", str(path)]
+        if command.startswith("verify"):
+            suite = command.partition(" ")[2] or "bfs"
+            argv = ["verify", suite, "--config", str(path)]
         else:
             argv = ["report", "--input", str(path), "--format", command]
         assert main(argv) == 2

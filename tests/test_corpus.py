@@ -1,8 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from herzlab.corpus import (
+    _REQUIRED_FIELDS,
     generate_corpus,
     load_corpus,
     quadratic_shell_family,
@@ -59,6 +63,57 @@ class TestRoundTrip:
         rec = {"type": "grid1d", "half_width": 1.0, "cells": 4, "values": [1.0, 2.0]}
         with pytest.raises(ValueError):
             record_to_object(rec)
+
+
+# arbitrary JSON, with small integers (so dimensions and annulus indices stay
+# cheap to evaluate) and every float, infinities and NaN included
+_NUMBER = st.integers(-3, 400) | st.floats()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=10,
+)
+# a rational is a number or a [numerator, denominator] pair
+_RATIONAL = _NUMBER | st.lists(st.integers(-2, 3), min_size=2, max_size=2)
+_RATIONALS = st.lists(_RATIONAL, max_size=4)
+_JUNK = st.sampled_from([None, True, "x", [], {}, [[]]])
+# each field near its valid form, or a value of the wrong shape
+_FIELDS = {
+    "dim": _NUMBER | _JUNK,
+    "breakpoints": _RATIONALS.map(lambda xs: [0, *xs]) | _JUNK,
+    "values": _RATIONALS | _JUNK,
+    "half_width": _NUMBER | _JUNK,
+    "cells": _NUMBER | _JUNK,
+    "entries": st.dictionaries(st.sampled_from(["-2", "-1", "0", "2", "x"]), _RATIONAL,
+                               max_size=3) | _JUNK,
+    "tail": st.tuples(st.sampled_from(["power", "x"]), _RATIONAL, _NUMBER).map(list)
+    | st.lists(_RATIONAL, max_size=2) | _JUNK,
+}
+# each record type with its required fields present, plus optional extras
+_RECORD = st.sampled_from(sorted(_REQUIRED_FIELDS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"type": st.just(kind), **{name: _FIELDS[name] for name in _REQUIRED_FIELDS[kind]}},
+        optional={"cells": _FIELDS["cells"], "tail": _FIELDS["tail"]},
+    )
+)
+_DOCUMENT = (
+    _JSON
+    | st.fixed_dictionaries({"records": st.lists(_RECORD | _JSON, max_size=3)})
+    | st.fixed_dictionaries({"records": st.lists(_RECORD, min_size=1, max_size=2)})
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_DOCUMENT)
+def test_load_corpus_raises_only_value_error(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_corpus(path)
+    except ValueError:
+        pass
 
 
 class TestGenerators:

@@ -16,6 +16,7 @@ from herzlab.interp import (
     ell_norm,
     interpolation_norm,
     k_functional,
+    k_functional_curve,
     k_functional_herz_endpoint,
     k_functional_l1_linf,
     retract_L,
@@ -226,7 +227,7 @@ class TestKFunctional:
                 oracle = brute_force_k(t, y, couple)
                 assert got == pytest.approx(oracle, abs=1e-6 * max(1.0, oracle))
 
-    @pytest.mark.parametrize("q0", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("q0", [0.5, 1.0, 2.0, 3.0, INF])
     def test_sup_side_matches_scan_oracle(self, q0):
         couple = CoupleSpec((0.0, q0), (1.0, INF))
         for trial in range(6):
@@ -235,6 +236,33 @@ class TestKFunctional:
                 got = k_functional(t, y, couple)
                 oracle = truncation_scan_oracle(t, y, couple)
                 assert got == pytest.approx(oracle, abs=2e-6 * max(1.0, oracle))
+
+    @pytest.mark.parametrize("q0", [0.5, 1.0])
+    def test_sup_side_exact_at_kinks(self, q0):
+        # for q0 <= 1 the capped cost is concave between the levels b_u, so
+        # K is its exact minimum over {0} and those levels; the capped parts
+        # are evaluated in exact rationals
+        couple = CoupleSpec((0.0, q0), (1.0, INF))
+        for trial in range(6):
+            y = random_seq(4)
+            a, b = (list(map(Fraction, v)) for v in _side_vectors(y, couple))
+            for t in (0.3, 1.0, 4.0):
+                costs = []
+                for beta in [Fraction(0), *b]:
+                    parts = [max(Fraction(0), a_u * (1 - beta / b_u))
+                             for a_u, b_u in zip(a, b)]
+                    norm = math.fsum(float(x) ** q0 for x in parts) ** (1.0 / q0)
+                    costs.append(norm + float(Fraction(t) * beta))
+                assert k_functional(t, y, couple) == pytest.approx(min(costs), rel=1e-13)
+
+    @pytest.mark.parametrize("q_pair", [(1.0, 1.0), (2.0, INF), (INF, 2.0), (0.5, 0.7)])
+    def test_curve_matches_pointwise(self, q_pair):
+        # only the descent branch warm-starts along the curve; every other
+        # branch solves each t afresh and must agree bit for bit
+        couple = CoupleSpec((0.0, q_pair[0]), (1.0, q_pair[1]))
+        y = random_seq()
+        ts = [0.25, 1.0, 3.0]
+        assert k_functional_curve(ts, y, couple) == [k_functional(t, y, couple) for t in ts]
 
     def test_sup_first_side_by_symmetry(self):
         couple = CoupleSpec((0.3, INF), (0.0, 2.0))
