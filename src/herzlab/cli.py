@@ -61,22 +61,6 @@ from .rearrange import (
 )
 from .reporting import CheckRecord, read_report, render_tsv, summarize, write_report
 
-SUITES = (
-    "rearrange",
-    "lorentz-equivalence",
-    "herz-holder",
-    "bfs",
-    "example-divergence",
-    "embeddings",
-    "interp-seq",
-    "interp-lorentz",
-    "interp-hl",
-    "lemma-bound",
-    "boundedness",
-    "witness",
-    "interp-boundedness",
-)
-
 
 class ConfigError(Exception):
     """Configuration or hypothesis violation: exit code 2."""
@@ -93,23 +77,39 @@ def _list_of(check: _Pred, length: int | None = None) -> _Pred:
     return lambda v: isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
 
 
-# the checks a `verify --config` file's value must pass, by key: first the
-# SuiteConfig fields, then the keys that go to SuiteConfig.extra for the one
-# suite that reads them; any other key is rejected
-_NUM, _NONE = (int, float), type(None)
-_CONFIG_TYPES: dict[str, _Pred] = {
-    "seed": _is(int), "size": _is(int), "cutoff": _is(int), "jobs": _is(int),
-    "a": _is(*_NUM, _NONE), "p": _is(*_NUM), "q": _is(*_NUM), "r": _is(*_NUM),
-    "theta": _is(*_NUM), "corpus": _is(str, _NONE), "out": _is(str, _NONE),
-    "format": _is(str),
+def _float(x: str) -> float:
+    if x in ("inf", "Inf", "INF", "oo"):
+        return INF
+    return float(x)
+
+
+# every verify setting, declared once: its name is the SuiteConfig field, the
+# --flag and the --config key; it maps to the flag's argparse options and the
+# check a --config value must pass (SuiteConfig.validate checks the ranges)
+_NUM, _NONE, _FORMATS = (int, float), type(None), ("json", "tsv")
+_SETTINGS: dict[str, tuple[dict[str, Any], _Pred]] = {
+    "seed": ({"type": int}, _is(int)),
+    "size": ({"type": int}, _is(int)),
+    "corpus": ({}, _is(str, _NONE)),
+    "a": ({"type": _float}, _is(*_NUM, _NONE)),
+    "p": ({"type": _float}, _is(*_NUM)),
+    "q": ({"type": _float}, _is(*_NUM)),
+    "r": ({"type": _float}, _is(*_NUM)),
+    "theta": ({"type": float}, _is(*_NUM)),
+    "cutoff": ({"type": int}, _is(int)),
+    "jobs": ({"type": int}, _is(int)),
+    "out": ({}, _is(str, _NONE)),
+    "format": ({"choices": _FORMATS}, _is(str)),
 }
-_SUITE_EXTRAS: dict[str, dict[str, _Pred]] = {
-    "herz-holder": {"a_values": _list_of(_is(*_NUM))},
-    "interp-lorentz": {"measures": _list_of(_is(*_NUM))},
+# the --config keys that one suite reads from SuiteConfig.extra, each with its
+# default and its check; any key in neither table is rejected
+_SUITE_EXTRAS: dict[str, dict[str, tuple[Any, _Pred]]] = {
+    "herz-holder": {"a_values": ((-0.4, 0.0, 0.4), _list_of(_is(*_NUM)))},
+    "interp-lorentz": {"measures": ((0.25, 1.0, 9.0), _list_of(_is(*_NUM)))},
     "lemma-bound": {
-        "dims": _list_of(_is(int)),
-        "pr": _list_of(_list_of(_is(*_NUM), 2)),
-        "window": _list_of(_is(int), 2),
+        "dims": ((1, 2, 3), _list_of(_is(int))),
+        "pr": (((1.5, 1.0), (2.0, 2.0), (4.0, INF)), _list_of(_list_of(_is(*_NUM), 2))),
+        "window": ((-1, 60), _list_of(_is(int), 2)),
     },
 }
 
@@ -119,7 +119,7 @@ class SuiteConfig:
     suite: str
     seed: int = 20240801
     size: int = 20
-    corpus_path: str | None = None
+    corpus: str | None = None
     a: float | None = None
     p: float = 2.0
     q: float = 1.0
@@ -128,8 +128,12 @@ class SuiteConfig:
     cutoff: int = 5
     jobs: int = 1
     out: str | None = None
-    fmt: str = "json"
+    format: str = "json"
     extra: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        defaults = _SUITE_EXTRAS.get(self.suite, {})
+        self.extra = {**{k: d for k, (d, _) in defaults.items()}, **self.extra}
 
     def validate(self) -> None:
         if self.suite not in SUITES:
@@ -140,21 +144,15 @@ class SuiteConfig:
             raise ConfigError("cutoff must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.fmt not in ("json", "tsv"):
-            raise ConfigError(f"unknown report format {self.fmt!r}; choose json or tsv")
-
-
-def _float(x: str) -> float:
-    if x in ("inf", "Inf", "INF", "oo"):
-        return INF
-    return float(x)
+        if self.format not in _FORMATS:
+            raise ConfigError(f"unknown report format {self.format!r}; choose json or tsv")
 
 
 def _load_objects(cfg: SuiteConfig, want: type) -> list[Any]:
-    if cfg.corpus_path:
-        objs = [o for o in corpus_mod.load_corpus(cfg.corpus_path) if isinstance(o, want)]
+    if cfg.corpus:
+        objs = [o for o in corpus_mod.load_corpus(cfg.corpus) if isinstance(o, want)]
         if not objs:
-            raise ConfigError(f"corpus {cfg.corpus_path} holds no usable records")
+            raise ConfigError(f"corpus {cfg.corpus} holds no usable records")
         return objs
     if want is RadialStepFunction:
         return corpus_mod.random_step_functions(cfg.size, cfg.seed)
@@ -164,7 +162,11 @@ def _load_objects(cfg: SuiteConfig, want: type) -> list[Any]:
         return [grid_indicator(8.0, 4096, -1.0, 1.0)] + corpus_mod.random_grid_functions(
             max(1, cfg.size - 1), cfg.seed, half_width=8.0, n_cells=4096
         )
-    raise ConfigError("no default corpus for this suite")
+    # annulus traces: one finitely supported, one with the divergent shell tail
+    finite = AnnulusMeasureSequence.from_dict(
+        {-1: Fraction(1, 2), 0: Fraction(1, 2), 1: Fraction(1)}, dim=1
+    )
+    return [finite, corpus_mod.shell_trace_sequence(cfg.cutoff + 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +265,6 @@ def _suite_herz_holder(cfg: SuiteConfig) -> list[Check]:
     if not (1 < cfg.p < INF and cfg.q >= 1 and cfg.r >= 1):
         raise ConfigError("pairing requires 1 < p < inf and q, r >= 1")
     fns = _load_objects(cfg, RadialStepFunction)
-    weights = cfg.extra.get("a_values", (-0.4, 0.0, 0.4))
 
     def pair(i: int, a: float) -> list[CheckRecord]:
         f = fns[i % len(fns)]
@@ -282,31 +283,15 @@ def _suite_herz_holder(cfg: SuiteConfig) -> list[Check]:
         ]
 
     checks = []
-    for a in weights:
+    for a in cfg.extra["a_values"]:
         checks.extend((lambda i=i, a=a: pair(i, a)) for i in range(cfg.size))
     return checks
-
-
-def _bfs_inputs(cfg: SuiteConfig) -> list[AnnulusMeasureSequence]:
-    if cfg.corpus_path:
-        seqs = [
-            o
-            for o in corpus_mod.load_corpus(cfg.corpus_path)
-            if isinstance(o, AnnulusMeasureSequence)
-        ]
-        if not seqs:
-            raise ConfigError("corpus holds no annulus trace records")
-        return seqs
-    finite = AnnulusMeasureSequence.from_dict(
-        {-1: Fraction(1, 2), 0: Fraction(1, 2), 1: Fraction(1)}, dim=1
-    )
-    return [finite, corpus_mod.shell_trace_sequence(cfg.cutoff + 3)]
 
 
 def _suite_bfs(cfg: SuiteConfig) -> list[Check]:
     a = 1.0 if cfg.a is None else cfg.a
     params = HerzParams(a, cfg.p, cfg.q, cfg.r)
-    seqs = _bfs_inputs(cfg)
+    seqs = _load_objects(cfg, AnnulusMeasureSequence)
 
     def one(i: int, m: AnnulusMeasureSequence) -> list[CheckRecord]:
         rep = bfs_condition_check(m, params, cfg.cutoff)
@@ -399,44 +384,31 @@ def _suite_interp_seq(cfg: SuiteConfig) -> list[Check]:
         WeightedSeq.from_dict({0: 1.0, 2: 1.0}),
     ]
 
-    def seq_a() -> list[CheckRecord]:
-        rep = verify_interpolation(
-            "seq-a", ys, theta=cfg.theta, q=cfg.q, a0=0.0, a1=1.0, q0=1.0, q1=1.0
-        )
+    def one(suite: str, check_id: str, params: dict[str, float], **kw: float) -> list[CheckRecord]:
+        rep = verify_interpolation(suite, ys, theta=cfg.theta, **kw)
         return [
             CheckRecord(
                 "interp-seq",
-                "weight-interpolation",
-                {"theta": cfg.theta, "q": cfg.q},
+                check_id,
+                {"theta": cfg.theta, **params},
                 ratio=rep.stability,
                 passed=rep.passed,
                 notes=f"band={rep.band}",
             )
         ]
 
-    def seq_q() -> list[CheckRecord]:
-        rep = verify_interpolation(
-            "seq-q", ys, theta=cfg.theta, a0=0.5, a1=0.5, q0=1.0, q1=2.0
-        )
-        return [
-            CheckRecord(
-                "interp-seq",
-                "exponent-interpolation",
-                {"theta": cfg.theta, "q0": 1.0, "q1": 2.0},
-                ratio=rep.stability,
-                passed=rep.passed,
-                notes=f"band={rep.band}",
-            )
-        ]
-
-    return [seq_a, seq_q]
+    return [
+        lambda: one("seq-a", "weight-interpolation", {"q": cfg.q},
+                    q=cfg.q, a0=0.0, a1=1.0, q0=1.0, q1=1.0),
+        lambda: one("seq-q", "exponent-interpolation", {"q0": 1.0, "q1": 2.0},
+                    a0=0.5, a1=0.5, q0=1.0, q1=2.0),
+    ]
 
 
 def _suite_interp_lorentz(cfg: SuiteConfig) -> list[Check]:
     from .rearrange import ball
 
-    measures = cfg.extra.get("measures", (0.25, 1.0, 9.0))
-    fns = [ball(1, Fraction(m)) for m in measures]
+    fns = [ball(1, Fraction(m)) for m in cfg.extra["measures"]]
 
     def run() -> list[CheckRecord]:
         rep = verify_interpolation(
@@ -482,9 +454,7 @@ def _suite_interp_hl(cfg: SuiteConfig) -> list[Check]:
 
 
 def _suite_lemma_bound(cfg: SuiteConfig) -> list[Check]:
-    dims = cfg.extra.get("dims", (1, 2, 3))
-    pr_grid = cfg.extra.get("pr", ((1.5, 1.0), (2.0, 2.0), (4.0, INF)))
-    window = cfg.extra.get("window", (-1, 60))
+    window = cfg.extra["window"]
 
     def one(dim: int, p: float, r: float) -> list[CheckRecord]:
         rep = annulus_interaction_scan(dim, LorentzParams(p, r), window)
@@ -501,8 +471,8 @@ def _suite_lemma_bound(cfg: SuiteConfig) -> list[Check]:
 
     return [
         (lambda dim=dim, p=p, r=r: one(dim, p, r))
-        for dim in dims
-        for p, r in pr_grid
+        for dim in cfg.extra["dims"]
+        for p, r in cfg.extra["pr"]
     ]
 
 
@@ -592,6 +562,7 @@ _SUITE_BUILDERS: dict[str, Callable[[SuiteConfig], list[Check]]] = {
     "witness": _suite_witness,
     "interp-boundedness": _suite_interp_boundedness,
 }
+SUITES = tuple(_SUITE_BUILDERS)
 
 
 def run_suite(cfg: SuiteConfig) -> tuple[list[CheckRecord], int]:
@@ -610,7 +581,7 @@ def run_suite(cfg: SuiteConfig) -> tuple[list[CheckRecord], int]:
     records = [rec for chunk in chunks for rec in chunk]
     code = 0 if all(r.passed for r in records) else 1
     if cfg.out:
-        if cfg.fmt == "tsv":
+        if cfg.format == "tsv":
             Path(cfg.out).write_text(render_tsv(records))
         else:
             write_report(records, cfg.out)
@@ -623,18 +594,9 @@ def run_suite(cfg: SuiteConfig) -> tuple[list[CheckRecord], int]:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--corpus", dest="corpus_path")
-    sub.add_argument("--seed", type=int, default=20240801)
-    sub.add_argument("--size", type=int, default=20)
-    sub.add_argument("--a", type=_float, default=None)
-    sub.add_argument("--p", type=_float, default=2.0)
-    sub.add_argument("--q", type=_float, default=1.0)
-    sub.add_argument("--r", type=_float, default=2.0)
-    sub.add_argument("--theta", type=float, default=0.5)
-    sub.add_argument("--cutoff", type=int, default=5)
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--out")
-    sub.add_argument("--format", dest="fmt", choices=("json", "tsv"), default="json")
+    defaults = SuiteConfig("")
+    for name, (flag, _) in _SETTINGS.items():
+        sub.add_argument(f"--{name}", default=getattr(defaults, name), **flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -781,33 +743,24 @@ def _cmd_kfunc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    overrides: dict[str, Any] = {}
+    settings = {name: getattr(args, name) for name in _SETTINGS}
+    extra: dict[str, Any] = {}
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
         if not isinstance(overrides, dict):
             raise ConfigError(f"--config {args.config} must hold a JSON object")
-        checks = {**_CONFIG_TYPES, **_SUITE_EXTRAS.get(args.suite, {})}
+        extras = _SUITE_EXTRAS.get(args.suite, {})
         for key, value in overrides.items():
-            if key not in checks:
+            if key in _SETTINGS:
+                check, target = _SETTINGS[key][1], settings
+            elif key in extras:
+                check, target = extras[key][1], extra
+            else:
                 raise ConfigError(f"--config field {key!r} is not read by suite {args.suite}")
-            if not checks[key](value):
+            if not check(value):
                 raise ConfigError(f"--config field {key!r} has the wrong type: {value!r}")
-    cfg = SuiteConfig(
-        suite=args.suite,
-        seed=overrides.get("seed", args.seed),
-        size=overrides.get("size", args.size),
-        corpus_path=overrides.get("corpus", args.corpus_path),
-        a=overrides.get("a", args.a),
-        p=overrides.get("p", args.p),
-        q=overrides.get("q", args.q),
-        r=overrides.get("r", args.r),
-        theta=overrides.get("theta", args.theta),
-        cutoff=overrides.get("cutoff", args.cutoff),
-        jobs=overrides.get("jobs", args.jobs),
-        out=overrides.get("out", args.out),
-        fmt=overrides.get("format", args.fmt),
-        extra={k: v for k, v in overrides.items() if k not in _CONFIG_TYPES},
-    )
+            target[key] = value
+    cfg = SuiteConfig(args.suite, **settings, extra=extra)
     records, code = run_suite(cfg)
     for rec in records:
         status = "pass" if rec.passed else "FAIL"

@@ -43,11 +43,18 @@ def _encode_rational(x: Fraction) -> Any:
     return [x.numerator, x.denominator]
 
 
+def _decode_int(x: Any) -> int:
+    """An integer field; a float must be integral, so nothing is truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or x != int(x):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def _decode_rational(x: Any) -> Fraction:
     if isinstance(x, (int, float)):
         return Fraction(x)
     if isinstance(x, list) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+        return Fraction(_decode_int(x[0]), _decode_int(x[1]))
     raise ValueError(f"cannot decode rational from {x!r}")
 
 
@@ -99,18 +106,18 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
         bp = [_decode_rational(b) for b in rec["breakpoints"]]
         if any(x >= y for x, y in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        dim = int(rec["dim"])
+        dim = _decode_int(rec["dim"])
         unit_ball_volume(dim)  # rejects a dimension whose measures overflow floats
         return radial_step(dim, bp, [_decode_rational(v) for v in rec["values"]])
     if kind == "grid1d":
         values = [float(v) for v in rec["values"]]
-        if "cells" in rec and int(rec["cells"]) != len(values):
+        if "cells" in rec and _decode_int(rec["cells"]) != len(values):
             raise ValueError("declared cell count does not match values")
         return GridFunction1D.from_array(float(rec["half_width"]), values)
     entries = {int(u): _decode_rational(m) for u, m in rec["entries"].items()}
     tail = rec.get("tail")
-    tail_t = None if tail is None else (tail[0], _decode_rational(tail[1]), int(tail[2]))
-    return AnnulusMeasureSequence.from_dict(entries, int(rec["dim"]), tail_t)
+    tail_t = None if tail is None else (tail[0], _decode_rational(tail[1]), _decode_int(tail[2]))
+    return AnnulusMeasureSequence.from_dict(entries, _decode_int(rec["dim"]), tail_t)
 
 
 def save_corpus(objects: Sequence[CorpusObject], path: str | Path) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .lorentz import (
@@ -51,6 +51,7 @@ __all__ = [
     "annuli_decompose",
     "AnnulusProfile",
     "annulus_profile",
+    "lq_norm",
     "weighted_lq",
     "hl_norm",
     "quasi_constant_probe",
@@ -101,6 +102,7 @@ def annulus_bounds(u: int) -> tuple[Fraction, Fraction]:
     return Fraction(2) ** (u - 1), Fraction(2) ** u
 
 
+@lru_cache(maxsize=None)
 def annulus_measure(u: int, dim: int) -> Fraction:
     lo, hi = annulus_bounds(u)
     return unit_ball_volume(dim) * (hi**dim - lo**dim)
@@ -135,15 +137,18 @@ def annuli_decompose(f: RadialStepFunction) -> list[tuple[int, RadialStepFunctio
     return pieces
 
 
-def weighted_lq(scores: Mapping[int, float], a: float, q: float) -> float:
-    """Weighted aggregation (sum_u 2^{uaq} s_u^q)^{1/q}, sup form at q = inf."""
-    items = sorted(scores.items())
-    if not items:
+def lq_norm(vals: Sequence[float], q: float) -> float:
+    """(sum_i v_i^q)^{1/q} of nonnegative values, max at q = inf; zeros are skipped."""
+    if not vals:
         return 0.0
     if q == INF:
-        return max(2.0 ** (u * a) * s for u, s in items)
-    total = math.fsum((2.0 ** (u * a) * s) ** q for u, s in items if s != 0.0)
-    return total ** (1.0 / q)
+        return max(vals)
+    return math.fsum(v**q for v in vals if v != 0.0) ** (1.0 / q)
+
+
+def weighted_lq(scores: Mapping[int, float], a: float, q: float) -> float:
+    """Weighted aggregation (sum_u 2^{uaq} s_u^q)^{1/q}, sup form at q = inf."""
+    return lq_norm([2.0 ** (u * a) * s for u, s in scores.items()], q)
 
 
 @dataclass(eq=False)
@@ -163,8 +168,8 @@ class AnnulusProfile:
     levels: Sequence[Sequence[float]]
     knots: Sequence[Sequence[float]]
     exact: Sequence[StepRearrangement] | None
-    # (p, r, None) for quasi-norm scores, (p, r, tol) for averaged-profile ones
-    _scores: dict[tuple[float, float, float | None], dict[int, float]] = field(
+    # keyed by (p, r, starred)
+    _scores: dict[tuple[float, float, bool], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -175,7 +180,7 @@ class AnnulusProfile:
 
     def scores(self, params: LorentzParams) -> dict[int, float]:
         """u -> Lorentz (p, r) quasi-norm of f on A_u (cached: do not mutate)."""
-        key = (params.p, params.r, None)
+        key = (params.p, params.r, False)
         if key not in self._scores:
             self._scores[key] = {
                 u: lorentz_norm_from_steps(w, t, params.p, params.r)
@@ -183,12 +188,12 @@ class AnnulusProfile:
             }
         return self._scores[key]
 
-    def star_scores(self, params: LorentzParams, tol: float) -> dict[int, float]:
+    def star_scores(self, params: LorentzParams) -> dict[int, float]:
         """u -> averaged-profile Lorentz (p, r) norm of f on A_u."""
-        key = (params.p, params.r, tol)
+        key = (params.p, params.r, True)
         if key not in self._scores:
             self._scores[key] = {
-                u: lorentz_star_norm(g, params, tol=tol)
+                u: lorentz_star_norm(g, params)
                 for u, g in zip(self.us, self._exact())
             }
         return self._scores[key]
@@ -240,7 +245,6 @@ def hl_norm(
     f: RadialStepFunction | AnnulusProfile,
     params: HerzParams,
     starred: bool = False,
-    tol: float = 1e-10,
 ) -> float:
     """Non-homogeneous Lorentz-Herz norm of a radial step function or profile.
 
@@ -251,7 +255,7 @@ def hl_norm(
     if starred and not inner.allows_star_norm:
         raise ValueError("starred inner norm not available for these exponents")
     prof = annulus_profile(f)
-    scores = prof.star_scores(inner, tol) if starred else prof.scores(inner)
+    scores = prof.star_scores(inner) if starred else prof.scores(inner)
     return weighted_lq(scores, params.a, params.q)
 
 

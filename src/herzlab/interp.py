@@ -25,6 +25,7 @@ from .herz import (
     annulus_bounds,
     annulus_profile,
     hl_norm,
+    lq_norm,
     weighted_lq,
 )
 from .lorentz import (
@@ -129,7 +130,6 @@ class InterpolationParams:
     q: float
     t_exponent_bound: int = 40
     rel_tol: float = 1e-9
-    points_per_octave: int = 16
 
     def __post_init__(self) -> None:
         if self.q == INF:
@@ -153,8 +153,7 @@ def retract_L(
 ) -> WeightedSeq:
     """Annulus score sequence u -> ||f X_{A_u}||; an exact isometry onto l_q^a."""
     prof = annulus_profile(f)
-    # 1e-10 is the averaged-profile tolerance of lorentz_star_norm and hl_norm
-    scores = prof.star_scores(base, 1e-10) if starred else prof.scores(base)
+    scores = prof.star_scores(base) if starred else prof.scores(base)
     return WeightedSeq.from_dict(scores)
 
 
@@ -207,14 +206,6 @@ def _side_vectors(y: WeightedSeq, couple: CoupleSpec) -> list[list[float]]:
     ]
 
 
-def _norm_vec(vals: Sequence[float], q: float) -> float:
-    if not vals:
-        return 0.0
-    if q == INF:
-        return max(vals)
-    return math.fsum(v**q for v in vals) ** (1.0 / q)
-
-
 def _golden_min(
     fun: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
@@ -254,7 +245,7 @@ def _k_sup_side(
 
     def cost(beta: float) -> float:
         rest = [max(0.0, a * (1.0 - beta / b)) for a, b in zip(a_vec, b_vec)]
-        return _norm_vec(rest, q0) + t * beta
+        return lq_norm(rest, q0) + t * beta
 
     kinks, top = {0.0, *b_vec}, max(b_vec)
     if q0 == INF:
@@ -282,7 +273,7 @@ def _objective(
 ) -> float:
     part0 = [a * x for a, x in zip(a_vec, s)]
     part1 = [b * (1.0 - x) for b, x in zip(b_vec, s)]
-    return _norm_vec(part0, q0) + t * _norm_vec(part1, q1)
+    return lq_norm(part0, q0) + t * lq_norm(part1, q1)
 
 
 def _cd_sweeps(
@@ -377,11 +368,11 @@ def _corner_escape(
     if all(x == 0.0 for x in s):
         # the b-side norm is smooth at the corner; its gradient there is
         # g_j = b_j^{q1} ||b||^{1-q1}
-        norm_b = _norm_vec(list(b_vec), q1)
+        norm_b = lq_norm(b_vec, q1)
         g = [(b**q1) * norm_b ** (1.0 - q1) for b in b_vec]
         w = [g_i / a for g_i, a in zip(g, a_vec)]
         qd = conjugate_exponent(q0)
-        if t * _norm_vec(w, qd) <= 1.0 + 1e-12:
+        if t * lq_norm(w, qd) <= 1.0 + 1e-12:
             return False
         if qd == INF:
             x = [1.0 if w_i == max(w) else 0.0 for w_i in w]
@@ -389,11 +380,11 @@ def _corner_escape(
             x = [w_i ** (qd - 1.0) for w_i in w]
         d = [x_i / a for x_i, a in zip(x, a_vec)]
     elif all(x == 1.0 for x in s):
-        norm_a = _norm_vec(list(a_vec), q0)
+        norm_a = lq_norm(a_vec, q0)
         g = [(a**q0) * norm_a ** (1.0 - q0) for a in a_vec]
         w = [g_i / b for g_i, b in zip(g, b_vec)]
         qd = conjugate_exponent(q1)
-        if _norm_vec(w, qd) <= t * (1.0 + 1e-12):
+        if lq_norm(w, qd) <= t * (1.0 + 1e-12):
             return False
         if qd == INF:
             x = [1.0 if w_i == max(w) else 0.0 for w_i in w]
@@ -514,7 +505,7 @@ def _k_solve(
         value = _multistart_search(t, a_vec, b_vec, q0, q1)
     else:
         value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, s_init)
-    return min(value, _norm_vec(a_vec, q0), t * _norm_vec(b_vec, q1)), s
+    return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
 
 
 def k_functional(
@@ -631,7 +622,7 @@ def _k_herz_endpoint(
     def objective(cs: list[float]) -> float:
         part0 = [wa * cost(i, c) for i, (wa, c) in enumerate(zip(w0, cs))]
         part1 = [wb * c for wb, c in zip(w1, cs)]
-        return _norm_vec(part0, q0) + t * _norm_vec(part1, q1)
+        return lq_norm(part0, q0) + t * lq_norm(part1, q1)
 
     cs = [0.5 * top for top in tops]
     value = objective(cs)
@@ -741,6 +732,10 @@ def _k_evaluator(
     return lambda t: k_functional(t, source, couple, tol)
 
 
+# Samples of K per octave of t when the sup form (q = inf) is taken on the grid.
+_POINTS_PER_OCTAVE = 16
+
+
 def interpolation_norm(
     source: WeightedSeq | RadialStepFunction | AnnulusProfile,
     params: InterpolationParams,
@@ -766,8 +761,8 @@ def interpolation_norm(
 
     if q == INF:
         best = 0.0
-        for j in range(-T * params.points_per_octave, T * params.points_per_octave + 1):
-            t = 2.0 ** (j / params.points_per_octave)
+        for j in range(-T * _POINTS_PER_OCTAVE, T * _POINTS_PER_OCTAVE + 1):
+            t = 2.0 ** (j / _POINTS_PER_OCTAVE)
             best = max(best, k_of(t) / t**theta)
         if theta == 0.0:
             best = max(best, n0)  # K increases to the side-0 norm
@@ -860,12 +855,14 @@ class SuiteReport:
     notes: str = ""
 
 
+# Largest spread max/min of a suite's ratios that still passes.
+_STABILITY_FACTOR = 50.0
+
+
 def _band_verdict(
     suite: str,
     ratios: Sequence[float],
     scale_drifts: Sequence[float],
-    stability_factor: float,
-    notes: str = "",
 ) -> SuiteReport:
     finite = [r for r in ratios if math.isfinite(r) and r > 0]
     if not finite:
@@ -875,10 +872,10 @@ def _band_verdict(
     drift = max(scale_drifts) if scale_drifts else 0.0
     passed = (
         len(finite) == len(ratios)
-        and stability <= stability_factor
+        and stability <= _STABILITY_FACTOR
         and drift <= 1e-9
     )
-    return SuiteReport(suite, tuple(ratios), (lo, hi), stability, drift, passed, notes)
+    return SuiteReport(suite, tuple(ratios), (lo, hi), stability, drift, passed)
 
 
 def _scale_drift(value_f: float, value_2f: float) -> float:
@@ -890,7 +887,6 @@ def _scale_drift(value_f: float, value_2f: float) -> float:
 def verify_interpolation(
     suite: str,
     corpus: Sequence[WeightedSeq] | Sequence[RadialStepFunction],
-    stability_factor: float = 50.0,
     theta: float = 0.5,
     q: float | None = None,
     a0: float = 0.0,
@@ -904,9 +900,10 @@ def verify_interpolation(
     """Ratio-band verification of one interpolation identity.
 
     Each nonzero corpus member contributes interpolation_norm / target_norm
-    (a zero member has 0/0 and is skipped in every suite); the suite passes when the ratios stay within a band of spread at most
-    `stability_factor` and are scale-stable (the ratio for 2f matches the
-    ratio for f to 1e-9, reflecting homogeneity).
+    (a zero member has 0/0 and is skipped in every suite); the suite passes
+    when the ratios stay within a band of spread at most 50 and are
+    scale-stable (the ratio for 2f matches the ratio for f to 1e-9,
+    reflecting homogeneity).
 
     Suites: ``seq-a`` interpolates the weight (a0 != a1, common q0 = q1),
     ``seq-q`` the outer exponent (common a), ``lorentz`` the endpoint couple
@@ -972,7 +969,7 @@ def verify_interpolation(
                 return lorentz_star_norm(prof.merged_rearrangement(), lorentz_target)
             return hl_norm(prof, hl_target, starred=suite == "hl-3")
 
-    return _ratio_suite(suite, pairs, params, couple, target, stability_factor)
+    return _ratio_suite(suite, pairs, params, couple, target)
 
 
 def _ratio_suite(
@@ -981,7 +978,6 @@ def _ratio_suite(
     params: InterpolationParams,
     couple: CoupleSpec,
     target: Callable[[Any], float],
-    stability_factor: float,
 ) -> SuiteReport:
     """Band of interpolation_norm / target over (x, 2x) pairs, with scale drifts."""
     ratios, drifts = [], []
@@ -991,4 +987,4 @@ def _ratio_suite(
         ratios.append(val / tgt if tgt > 0 else INF)
         val2 = interpolation_norm(doubled, params, couple).value
         drifts.append(_scale_drift(val, val2))
-    return _band_verdict(suite, ratios, drifts, stability_factor)
+    return _band_verdict(suite, ratios, drifts)

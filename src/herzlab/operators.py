@@ -270,11 +270,14 @@ class SizeConditionReport:
     passed: bool
 
 
+# A ratio passes when one grid refinement moves it by at most this fraction.
+_DRIFT_TOL = 0.05
+
+
 def size_condition_check(
     operator: str,
     f: GridFunction1D,
     margin: int = 4,
-    drift_tol: float = 0.05,
 ) -> SizeConditionReport:
     """Pointwise kernel bound |Tf(x)| <= C int |f(y)|/|x-y| dy off the support.
 
@@ -306,7 +309,7 @@ def size_condition_check(
     base, n_pts = max_ratio(f)
     refined, _ = max_ratio(f.refine())
     drift = abs(refined - base) / base if base > 0 else 0.0
-    passed = math.isfinite(base) and drift <= drift_tol
+    passed = math.isfinite(base) and drift <= _DRIFT_TOL
     return SizeConditionReport(base, refined, drift, n_pts, passed)
 
 
@@ -458,7 +461,6 @@ def _sweep_ratios(
     operator: str,
     corpus: Sequence[GridFunction1D],
     cells: Sequence[tuple[float, float, float, float]],
-    drift_tol: float,
 ) -> list[SweepCell]:
     # each profile caches its per-annulus scores per (p, r), so the cells
     # sharing (p, r) differ only in the weighted_lq aggregation
@@ -485,7 +487,7 @@ def _sweep_ratios(
             base_ratio = max(base_ratio, n_tf / n_f)
             fine_ratio = max(fine_ratio, n_tfr / n_fr)
         drift = abs(fine_ratio - base_ratio) / base_ratio if base_ratio > 0 else 0.0
-        passed = math.isfinite(base_ratio) and drift <= drift_tol
+        passed = math.isfinite(base_ratio) and drift <= _DRIFT_TOL
         rows.append(SweepCell(operator, a, p, q, r, base_ratio, fine_ratio, drift, passed))
     return rows
 
@@ -498,7 +500,6 @@ def boundedness_sweep(
     rs: Sequence[float] = (1.0, 2.0, INF),
     weight_count: int = 5,
     dim: int = 1,
-    drift_tol: float = 0.05,
 ) -> BoundednessReport:
     """Operator-norm ratios over the admissible parameter grid.
 
@@ -506,7 +507,7 @@ def boundedness_sweep(
     endpoint Lorentz boundedness is not available) are excluded with a
     reason, never failed.  Each admitted cell reports the corpus-max ratio
     at the given grid and after one refinement doubling; passing requires
-    drift at most `drift_tol`.
+    drift at most 5%.
     """
     if operator not in _OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
@@ -529,7 +530,7 @@ def boundedness_sweep(
                     continue
                 for a in in_window_weights(p, dim, weight_count):
                     cells.append((a, p, q, r))
-    rows = _sweep_ratios(operator, corpus, cells, drift_tol)
+    rows = _sweep_ratios(operator, corpus, cells)
     max_ratio = max((row.ratio for row in rows), default=0.0)
     passed = all(row.passed for row in rows)
     return BoundednessReport(tuple(rows), tuple(excluded), max_ratio, passed)
@@ -595,7 +596,6 @@ def interpolated_boundedness_check(
     q: float,
     a: float,
     corpus: Sequence[GridFunction1D],
-    drift_tol: float = 0.05,
 ) -> InterpolatedBoundednessReport:
     """Boundedness on the r = q diagonal, where only Lebesgue bounds enter.
 
@@ -617,7 +617,7 @@ def interpolated_boundedness_check(
         if denom == 0.0:
             continue
         ratio = max(ratio, grid_hl_norm(hilbert_transform(f), params) / denom)
-    rows = _sweep_ratios("hilbert", corpus, [(a, p, q, q)], drift_tol)
+    rows = _sweep_ratios("hilbert", corpus, [(a, p, q, q)])
     sweep_ratio = rows[0].ratio
     agreement = abs(ratio - sweep_ratio) / ratio if ratio > 0 else 0.0
     passed = math.isfinite(ratio) and agreement <= 1e-6 and rows[0].passed

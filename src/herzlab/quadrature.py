@@ -12,6 +12,9 @@ from typing import Callable
 
 __all__ = ["adaptive_simpson"]
 
+# Subdivision depth at which an interval is accepted whatever its error.
+_MAX_DEPTH = 48
+
 
 def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -48,14 +51,12 @@ def adaptive_simpson(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    max_depth: int = 48,
 ) -> float:
     """Integrate f over [a, b] by adaptive Simpson subdivision.
 
-    The tolerance used per interval is max(abs_tol, rel_tol * |coarse pass|),
-    so callers controlling relative error on smooth integrands get it without
-    knowing the scale in advance.
+    The tolerance used per interval is rel_tol * |coarse pass|, so callers
+    controlling relative error on smooth integrands get it without knowing
+    the scale in advance.
     """
     if not a < b:
         if a == b:
@@ -70,5 +71,5 @@ def adaptive_simpson(
         scale = max(abs(f(x)) for x in probes) * (b - a)
         if scale == 0.0:
             return 0.0
-    tol = max(abs_tol, rel_tol * scale, 1e-300)
-    return _recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    tol = max(rel_tol * scale, 1e-300)
+    return _recurse(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)

@@ -1,8 +1,11 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from herzlab import cli
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
 from herzlab.corpus import save_corpus
 from herzlab.rearrange import radial_step
@@ -114,6 +117,14 @@ class TestCommands:
           "tail": ["power", 1, math.inf]}, "infinity"),
         ({"type": "radial_step", "dim": 343, "breakpoints": [0, 1], "values": [1]},
          "dimension 343"),
+        # integer fields are never truncated
+        ({"type": "radial_step", "dim": 2.7, "breakpoints": [0, 1], "values": [1]}, "2.7"),
+        ({"type": "radial_step", "dim": True, "breakpoints": [0, 1], "values": [1]}, "True"),
+        ({"type": "grid1d", "half_width": 1.0, "cells": 4.9, "values": [0, 1, 1, 0]}, "4.9"),
+        ({"type": "annulus_measures", "dim": 1, "entries": {"0": 1},
+          "tail": ["power", 1, 2.9]}, "2.9"),
+        ({"type": "radial_step", "dim": 1, "breakpoints": [0, [3.5, 2]], "values": [1]},
+         "3.5"),
     ])
     def test_malformed_record_exit_2(self, tmp_path, capsys, record, field):
         path = tmp_path / "broken.json"
@@ -207,3 +218,11 @@ class TestSuitesViaApi:
         assert main(["report", "--input", str(path)]) == 1
         summary = json.loads(capsys.readouterr().out)
         assert summary["failed"] == 1
+
+
+def test_readme_names_every_config_key():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = text[text.index("`verify --config"):].split("\n\n")[0]
+    named = set(re.findall(r"`([a-z_]+)`", paragraph)) - set(cli.SUITES)
+    extras = {key for keys in cli._SUITE_EXTRAS.values() for key in keys}
+    assert named == set(cli._SETTINGS) | extras

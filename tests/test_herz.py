@@ -72,7 +72,7 @@ class TestAnnuli:
         prof = grid_annulus_profiles(grid_indicator(4.0, 64, -1.0, 1.0))
         assert list(prof.us) == [-1, 0]
         with pytest.raises(ValueError):
-            prof.star_scores(LorentzParams(2.0, 2.0), 1e-10)
+            prof.star_scores(LorentzParams(2.0, 2.0))
 
     def test_disjoint_supports(self, step_corpus):
         f = step_corpus[0]
