@@ -74,7 +74,9 @@ def _is(*kinds: type) -> _Pred:
 
 
 def _list_of(check: _Pred, length: int | None = None) -> _Pred:
-    return lambda v: isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
+    """A nonempty list (of the given length) whose items pass the check."""
+    return lambda v: (isinstance(v, list) and len(v) > 0 and length in (None, len(v))
+                      and all(map(check, v)))
 
 
 def _float(x: str) -> float:
@@ -109,7 +111,7 @@ _SUITE_EXTRAS: dict[str, dict[str, tuple[Any, _Pred]]] = {
     "lemma-bound": {
         "dims": ((1, 2, 3), _list_of(_is(int))),
         "pr": (((1.5, 1.0), (2.0, 2.0), (4.0, INF)), _list_of(_list_of(_is(*_NUM), 2))),
-        "window": ((-1, 60), _list_of(_is(int), 2)),
+        "window": ((-1, 60), lambda v: _list_of(_is(int), 2)(v) and v[0] <= v[1]),
     },
 }
 
@@ -579,6 +581,8 @@ def run_suite(cfg: SuiteConfig) -> tuple[list[CheckRecord], int]:
     else:
         chunks = [c() for c in checks]
     records = [rec for chunk in chunks for rec in chunk]
+    if not records:
+        raise ConfigError(f"suite {cfg.suite} ran no checks")
     code = 0 if all(r.passed for r in records) else 1
     if cfg.out:
         if cfg.format == "tsv":
@@ -758,7 +762,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             else:
                 raise ConfigError(f"--config field {key!r} is not read by suite {args.suite}")
             if not check(value):
-                raise ConfigError(f"--config field {key!r} has the wrong type: {value!r}")
+                raise ConfigError(f"--config field {key!r} has a bad type or value: {value!r}")
             target[key] = value
     cfg = SuiteConfig(args.suite, **settings, extra=extra)
     records, code = run_suite(cfg)

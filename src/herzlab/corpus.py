@@ -51,7 +51,7 @@ def _decode_int(x: Any) -> int:
 
 
 def _decode_rational(x: Any) -> Fraction:
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, list) and len(x) == 2:
         return Fraction(_decode_int(x[0]), _decode_int(x[1]))

@@ -1,12 +1,14 @@
 """Weighted sequence spaces, K-functionals and real-interpolation norms.
 
-K-functionals are computed as finite convex programs.  For a couple of
+K-functionals are computed as finite minimization programs.  For a couple of
 weighted sequence spaces over a common base, both norms are absolute and
 monotone, so an optimal decomposition can be taken coordinatewise aligned:
 y_u = s_u y_u + (1 - s_u) y_u with s in [0,1]^U.  The program is solved in
 closed form for outer exponents (1, 1), by a 1-d minimization over the sup
 level when one side is a sup (exact at its kinks unless the other exponent
-lies strictly between 1 and inf), and otherwise by cyclic exact coordinate
+lies strictly between 1 and inf), for exponents both at most 1 by enumerating
+the vertex splits s in {0,1}^U, where the concave objective attains its
+minimum, and for exponents both at least 1 by cyclic exact coordinate
 minimization, each slice by bisecting its derivative.  The couple whose
 endpoints are the integrable and bounded functions admits the exact formula
 K(t, f) = integral_0^t f*, used both directly and per annulus coordinate.
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Literal, Mapping, Sequence
+
+import numpy as np
 
 from .herz import (
     AnnulusProfile,
@@ -444,54 +448,31 @@ def _coordinate_descent(
     return best_val, best_s
 
 
-def _multistart_search(
-    t: float,
-    a_vec: Sequence[float],
-    b_vec: Sequence[float],
-    q0: float,
-    q1: float,
-) -> float:
-    """Best-effort minimization for sub-one exponents (non-convex objective)."""
-    n = len(a_vec)
-    starts = [[0.5] * n, [0.0] * n, [1.0] * n,
-              [float((i * 7 + 3) % 11) / 10.0 for i in range(n)]]
-    best = INF
-    for start in starts:
-        s = list(start)
-        value = _objective(s, t, a_vec, b_vec, q0, q1)
-        for _ in range(60):
-            moved = 0.0
-            for i in range(n):
+# Largest support that the sub-one branch enumerates: 2**20 vertices.
+_VERTEX_CAP = 20
 
-                def slice_fun(x: float, i: int = i) -> float:
-                    old = s[i]
-                    s[i] = x
-                    v = _objective(s, t, a_vec, b_vec, q0, q1)
-                    s[i] = old
-                    return v
 
-                grid = [k / 24.0 for k in range(25)]
-                x_coarse = min(grid, key=slice_fun)
-                window = (max(0.0, x_coarse - 1.0 / 24), min(1.0, x_coarse + 1.0 / 24))
-                x_new, v_new = _golden_min(slice_fun, window[0], window[1], 1e-12)
-                if v_new < value:
-                    moved = max(moved, abs(x_new - s[i]))
-                    s[i] = x_new
-                    value = v_new
-            if moved < 1e-11:
-                break
-        best = min(best, value)
-    return best
+def _vertex_norms(
+    a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """||a_S||_{q0} and ||b_{S^c}||_{q1} over all subsets S, built by doubling."""
+    if len(a_vec) > _VERTEX_CAP:
+        raise ValueError(f"sub-one K: support {len(a_vec)} exceeds the cap of {_VERTEX_CAP}")
+    s0 = s1 = np.zeros(1)
+    for a, b in zip(a_vec, b_vec):
+        s0, s1 = np.concatenate((s0, s0 + a**q0)), np.concatenate((s1 + b**q1, s1))
+    return s0 ** (1.0 / q0), s1 ** (1.0 / q1)
 
 
 def _k_solve(
     t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float,
-    tol: float, s_init: list[float] | None,
-) -> tuple[float, list[float] | None]:
+    tol: float, carry: Any,
+) -> tuple[float, Any]:
     """K(t) for nonempty side vectors, by the branch the outer exponents select.
 
-    Returns the value and, on the descent branch, the minimizing split,
-    which warm-starts the next solve along a t grid.
+    Returns the value and what the next solve along a t grid reuses: the
+    minimizing split on the descent branch, the vertex norms on the sub-one
+    branch, where K = min over S of ||a_S||_{q0} + t ||b_{S^c}||_{q1}.
     """
     if q0 == 1.0 and q1 == 1.0:
         return math.fsum(min(a, t * b) for a, b in zip(a_vec, b_vec)), None
@@ -500,11 +481,12 @@ def _k_solve(
     if q0 == INF:
         # swap roles: K(t; X0, X1) = t K(1/t; X1, X0)
         return t * _k_sup_side(1.0 / t, b_vec, a_vec, q1, tol), None
-    s = None
+    if q0 <= 1.0 and q1 <= 1.0:
+        norms0, norms1 = carry or _vertex_norms(a_vec, b_vec, q0, q1)
+        return float(np.min(norms0 + t * norms1)), (norms0, norms1)
     if q0 < 1.0 or q1 < 1.0:
-        value = _multistart_search(t, a_vec, b_vec, q0, q1)
-    else:
-        value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, s_init)
+        raise ValueError(f"no certified K for outer exponents ({q0}, {q1}): one below 1, one above")
+    value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, carry)
     return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
 
 
@@ -522,9 +504,10 @@ def k_functional(
     when the other exponent is <= 1 or infinite and finished by a
     golden-section search to `tol` otherwise.  Other exponents >= 1 go
     through cyclic exact coordinate minimization (derivative bisection per
-    slice) with corner escapes; exponents below 1 through a best-effort
-    multistart (the objective is no longer convex), whose value is an upper
-    bound certified only by the brute-force cross-checks in the test suite.
+    slice) with corner escapes.  For exponents both <= 1 the objective is
+    concave (power means of order <= 1 are), so K is exact over the 2^n vertex
+    splits of a support of at most 20 coordinates.  One exponent below 1 with
+    the other finite and above 1 has no certified method: ValueError.
     """
     return k_functional_curve([t], y, couple, tol)[0]
 
@@ -539,7 +522,8 @@ def k_functional_curve(
 
     Equivalent to calling k_functional pointwise; on the descent path the
     minimizer is carried from one grid point to the next, which makes dense
-    curves far cheaper to evaluate.
+    curves far cheaper to evaluate, and on the sub-one path the vertex norms
+    are built once per curve.
     """
     if couple.base == "l1-linf":
         raise ValueError("function-coordinate couples use the endpoint routines")
@@ -547,9 +531,9 @@ def k_functional_curve(
         raise ValueError("t must be positive")
     q0, q1 = couple.side0[1], couple.side1[1]
     a_vec, b_vec = _side_vectors(y, couple)
-    out, s = [], None
+    out, carry = [], None
     for t in ts:
-        value, s = _k_solve(t, a_vec, b_vec, q0, q1, tol, s) if a_vec else (0.0, None)
+        value, carry = _k_solve(t, a_vec, b_vec, q0, q1, tol, carry) if a_vec else (0.0, None)
         out.append(value)
     return out
 
@@ -601,6 +585,9 @@ def _k_herz_endpoint(
 ) -> float:
     a0, q0 = side0
     a1, q1 = side1
+    if q0 < 1.0 or q1 < 1.0:
+        # the slice search below assumes a convex program
+        raise ValueError(f"the endpoint Herz K needs outer exponents >= 1, got ({q0}, {q1})")
     if not prof.us:
         return 0.0
     w0 = [2.0 ** (u * a0) for u in prof.us]
@@ -666,7 +653,8 @@ def k_functional_herz_endpoint(
     base).  The optimal split of each coordinate is a level truncation
     f_u = (f_u - c_u)_+ + min(f_u, c_u), reducing K to a convex program in
     the truncation levels c_u.  Exact for outer exponents (1, 1); general
-    exponents >= 1 go through per-coordinate descent.
+    exponents >= 1 go through per-coordinate descent, and an exponent below 1
+    raises ValueError.
     """
     if t <= 0:
         raise ValueError("t must be positive")

@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herzlab import cli
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
@@ -99,6 +101,18 @@ class TestCommands:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top, q1, message", [
+        (2, "2", "no certified K"),
+        (21, "0.5", "cap of 20"),
+    ])
+    def test_kfunc_uncertified_exit_2(self, tmp_path, capsys, top, q1, message):
+        # annuli -1 .. top - 1: at top = 21 that is 22, above the sub-one cap
+        radii = [0, Fraction(1, 2)] + [Fraction(2) ** k for k in range(top)]
+        path = tmp_path / "steps.json"
+        save_corpus([radial_step(1, radii, [1] * (len(radii) - 1))], path)
+        assert main(["kfunc", "--input", str(path), "--q0", "0.5", "--q1", q1]) == 2
+        assert message in capsys.readouterr().err
+
     def test_kfunc_descending_grid(self, capsys, two_annuli_file):
         code = main(["kfunc", "--input", two_annuli_file, "--l1-linf",
                      "--t-lo", "4", "--t-hi", "0.25", "--points", "3"])
@@ -125,6 +139,9 @@ class TestCommands:
           "tail": ["power", 1, 2.9]}, "2.9"),
         ({"type": "radial_step", "dim": 1, "breakpoints": [0, [3.5, 2]], "values": [1]},
          "3.5"),
+        # a JSON boolean is not a number
+        ({"type": "radial_step", "dim": 1, "breakpoints": [0, True], "values": [True]},
+         "True"),
     ])
     def test_malformed_record_exit_2(self, tmp_path, capsys, record, field):
         path = tmp_path / "broken.json"
@@ -162,6 +179,10 @@ class TestCommands:
         ("verify", {"sise": 3}, "'sise'"),
         ("verify herz-holder", {"a_values": "x"}, "'a_values'"),
         ("verify lemma-bound", {"window": [-1, 60, 2]}, "'window'"),
+        # no vacuous passes: an empty list or a reversed window runs nothing
+        ("verify lemma-bound", {"window": [60, -1]}, "'window'"),
+        ("verify lemma-bound", {"dims": []}, "'dims'"),
+        ("verify herz-holder", {"a_values": []}, "'a_values'"),
     ])
     def test_malformed_config_or_report_exit_2(self, tmp_path, capsys, command,
                                                content, message):
@@ -206,6 +227,10 @@ class TestSuitesViaApi:
             assert code == 0, f"{suite}: {[r for r in records if not r.passed]}"
             assert records
 
+    def test_suite_with_no_checks_exits_2(self):
+        with pytest.raises(ConfigError, match="no checks"):
+            run_suite(SuiteConfig(suite="herz-holder", extra={"a_values": []}))
+
     def test_failing_report_exits_one(self, tmp_path, capsys):
         from herzlab.reporting import CheckRecord, write_report
 
@@ -226,3 +251,24 @@ def test_readme_names_every_config_key():
     named = set(re.findall(r"`([a-z_]+)`", paragraph)) - set(cli.SUITES)
     extras = {key for keys in cli._SUITE_EXTRAS.values() for key in keys}
     assert named == set(cli._SETTINGS) | extras
+
+
+@pytest.fixture(scope="module")
+def five_annuli_file(tmp_path_factory):
+    f = radial_step(1, [0, Fraction(1, 2), 1, 2, 4, 8], [3, 2, 1, 5, Fraction(1, 2)])
+    path = tmp_path_factory.mktemp("kfunc") / "five_annuli.json"
+    save_corpus([f], path)
+    return str(path)
+
+
+_EXPONENTS = st.sampled_from(["-1", "0", "0.3", "0.5", "1", "1.5", "2", "inf"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(q0=_EXPONENTS, q1=_EXPONENTS)
+def test_kfunc_exponents_exit_0_or_2(five_annuli_file, q0, q1):
+    # every exponent pair is either solved (exit 0) or rejected as a
+    # hypothesis violation (exit 2); none may raise or claim a failed check
+    code = main(["kfunc", "--input", five_annuli_file, "--q0", q0, "--q1", q1,
+                 "--points", "8"])
+    assert code in (0, 2)

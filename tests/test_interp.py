@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -282,13 +283,51 @@ class TestKFunctional:
         n1 = ell_norm(y, 1.0, 1.5)
         check_k_curve(ts, [k_functional(t, y, couple) for t in ts], n0, n1)
 
-    def test_subunit_exponent_best_effort(self):
-        y = WeightedSeq.from_dict({0: 1.0, 1: 1.0})
+    @pytest.mark.parametrize("q_pair", [
+        (q0, q1) for q0 in (0.3, 0.5, 0.7, 1.0) for q1 in (0.3, 0.5, 0.7, 1.0)
+        if (q0, q1) != (1.0, 1.0)
+    ])
+    def test_subunit_matches_subset_oracle(self, q_pair):
+        # for exponents <= 1 the split objective is concave, so K is the
+        # minimum over the vertex splits: one subset S on side 0, the rest
+        # on side 1
+        q0, q1 = q_pair
+        couple = CoupleSpec((0.0, q0), (0.5, q1))
+        rng = random.Random(str(q_pair))
+        ts = [10.0 ** (k / 4.0) for k in range(-12, 13)]
+        for n in [n for n in range(1, 9) for _ in range(3)]:
+            us = rng.sample(range(-1, 12), n)
+            y = WeightedSeq.from_dict({u: rng.uniform(0.05, 3.0) for u in us})
+            a, b = _side_vectors(y, couple)
+            vertices = [
+                (math.fsum(a[i] ** q0 for i in S) ** (1.0 / q0),
+                 math.fsum(b[i] ** q1 for i in range(n) if i not in S) ** (1.0 / q1))
+                for k in range(n + 1)
+                for S in itertools.combinations(range(n), k)
+            ]
+            for t, got in zip(ts, k_functional_curve(ts, y, couple)):
+                oracle = min(n0 + t * n1 for n0, n1 in vertices)
+                assert got == pytest.approx(oracle, rel=1e-13, abs=0.0), (n, t)
+
+    def test_subunit_five_coordinate_values(self):
+        # exact vertex minima; a slice search stops up to 1.5e-6 above them
+        y = WeightedSeq.from_dict({-1: 1.0, 0: 0.2, 1: 3.0, 2: 0.05, 3: 1.5})
         couple = CoupleSpec((0.0, 0.5), (1.0, 0.5))
-        val = k_functional(1.0, y, couple)
-        n0 = ell_norm(y, 0.0, 0.5)
-        n1 = ell_norm(y, 1.0, 0.5)
-        assert 0.0 < val <= min(n0, n1) + 1e-12
+        expected = [3.1410793139246436, 11.307551751186637, 18.159598367359234]
+        for t, k in zip((0.1, 1.0, 10.0), expected):
+            assert k_functional(t, y, couple) == pytest.approx(k, rel=1e-14)
+
+    @pytest.mark.parametrize("q_pair", [(0.5, 2.0), (1.5, 0.3), (0.99, 1.01)])
+    def test_mixed_subunit_couple_rejected(self, q_pair):
+        couple = CoupleSpec((0.0, q_pair[0]), (1.0, q_pair[1]))
+        with pytest.raises(ValueError, match="no certified K"):
+            k_functional(1.0, random_seq(), couple)
+
+    def test_subunit_support_cap(self):
+        couple = CoupleSpec((0.0, 0.5), (0.1, 0.7))
+        y = WeightedSeq.from_dict({u: 1.0 + u / 50.0 for u in range(-1, 20)})
+        with pytest.raises(ValueError, match="cap of 20"):
+            k_functional(1.0, y, couple)
 
 
 class TestKL1Linf:
@@ -344,6 +383,12 @@ class TestHerzEndpointK:
         k_outer = min(1.0, t * 1.0)
         got = k_functional_herz_endpoint(t, f, couple)
         assert got == pytest.approx(k_inner + k_outer, rel=1e-12)
+
+    @pytest.mark.parametrize("q_pair", [(0.5, 1.0), (1.0, 0.7)])
+    def test_subunit_exponent_rejected(self, q_pair):
+        couple = CoupleSpec((0.0, q_pair[0]), (0.0, q_pair[1]), base="l1-linf")
+        with pytest.raises(ValueError, match="exponents >= 1"):
+            k_functional_herz_endpoint(1.0, ball(1, 1), couple)
 
     def test_descent_matches_separable_case(self, nonneg_corpus):
         # outer exponents (1,1) have an exact separable solution; the descent
