@@ -50,6 +50,13 @@ def _decode_int(x: Any) -> int:
     return int(x)
 
 
+def _decode_float(x: Any) -> float:
+    """A real field: a JSON number, not a boolean or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def _decode_rational(x: Any) -> Fraction:
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         return Fraction(x)
@@ -110,10 +117,10 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
         unit_ball_volume(dim)  # rejects a dimension whose measures overflow floats
         return radial_step(dim, bp, [_decode_rational(v) for v in rec["values"]])
     if kind == "grid1d":
-        values = [float(v) for v in rec["values"]]
+        values = [_decode_float(v) for v in rec["values"]]
         if "cells" in rec and _decode_int(rec["cells"]) != len(values):
             raise ValueError("declared cell count does not match values")
-        return GridFunction1D.from_array(float(rec["half_width"]), values)
+        return GridFunction1D.from_array(_decode_float(rec["half_width"]), values)
     entries = {int(u): _decode_rational(m) for u, m in rec["entries"].items()}
     tail = rec.get("tail")
     tail_t = None if tail is None else (tail[0], _decode_rational(tail[1]), _decode_int(tail[2]))

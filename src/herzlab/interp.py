@@ -232,24 +232,21 @@ def _golden_min(
     return x, fun(x)
 
 
-def _k_sup_side(
-    t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, tol: float
-) -> float:
-    """K when the second side is a sup, as a 1-d minimization over its level.
+def _sup_cost(
+    a_vec: Sequence[float], b_vec: Sequence[float], q0: float
+) -> tuple[Callable[[float], float], list[float]]:
+    """The capped cost N(beta) of a sup second side, and its kinks in [0, max b].
 
     Capping the second part at level beta forces s_u >= 1 - beta/b_u, so
-    K = min over 0 <= beta <= max b of ||(a_u (1 - beta/b_u))_+||_{q0} + t beta.
-    The cost has kinks at 0 and at each b_u and, for q0 = inf, where two
-    capped parts cross (the vertices of the equivalent linear program).
-    Between kinks it is concave for q0 <= 1 and linear for q0 = inf, so the
-    best kink is the exact minimum; for 1 < q0 < inf it is convex, and a
-    golden-section search over the two kink intervals around the best kink
-    finishes.
+    K = min over 0 <= beta <= max b of N(beta) + t beta with
+    N(beta) = ||(a_u (1 - beta/b_u))_+||_{q0}.  N has kinks at 0 and at each
+    b_u and, for q0 = inf, where two capped parts cross (the vertices of the
+    equivalent linear program).  Between kinks it is concave for q0 <= 1 and
+    linear for q0 = inf; it is convex on [0, max b] for q0 >= 1.
     """
 
     def cost(beta: float) -> float:
-        rest = [max(0.0, a * (1.0 - beta / b)) for a, b in zip(a_vec, b_vec)]
-        return lq_norm(rest, q0) + t * beta
+        return lq_norm([max(0.0, a * (1.0 - beta / b)) for a, b in zip(a_vec, b_vec)], q0)
 
     kinks, top = {0.0, *b_vec}, max(b_vec)
     if q0 == INF:
@@ -259,12 +256,43 @@ def _k_sup_side(
                 denom = a2 * b1 - a1 * b2  # a1 (1 - beta/b1) = a2 (1 - beta/b2)
                 if denom != 0.0:
                     kinks.add(b1 * b2 * (a2 - a1) / denom)
-    grid = sorted(beta for beta in kinks if 0.0 <= beta <= top)
-    best, i = min((cost(beta), i) for i, beta in enumerate(grid))
+    return cost, sorted(beta for beta in kinks if 0.0 <= beta <= top)
+
+
+def _k_sup_side(
+    t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, tol: float
+) -> float:
+    """K when the second side is a sup, as a 1-d minimization over its level.
+
+    Where N(beta) + t beta is concave or linear between kinks (q0 <= 1 or
+    q0 = inf) the best kink is the exact minimum; for 1 < q0 < inf it is
+    convex, and a golden-section search over the two kink intervals around
+    the best kink finishes.
+    """
+    cost, grid = _sup_cost(a_vec, b_vec, q0)
+    best, i = min((cost(beta) + t * beta, i) for i, beta in enumerate(grid))
     if 1.0 < q0 < INF:
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        best = min(best, _golden_min(cost, lo, hi, tol * top)[1])
+        best = min(best, _golden_min(lambda beta: cost(beta) + t * beta, lo, hi, tol * grid[-1])[1])
     return best
+
+
+def _sup_side_corners(
+    a_vec: Sequence[float], b_vec: Sequence[float], q0: float
+) -> tuple[float, float]:
+    """Corner range of K when the second side is a sup (see _k_corners).
+
+    K(t) = t max b exactly while the cap beta = max b beats every kink, and
+    K(t) = N0 while beta = 0 does; between kinks the cost is concave or
+    linear, so the kinks decide.  For 1 < q0 < inf, N is convex and smooth
+    at 0, so the upper corner is the slope -N'(0) = ||h/b||_1.
+    """
+    cost, grid = _sup_cost(a_vec, b_vec, q0)
+    top, n0 = grid[-1], cost(0.0)
+    t_lo = min(cost(beta) / (top - beta) for beta in grid[:-1])
+    if 1.0 < q0 < INF:
+        return t_lo, _corner_dual(b_vec, a_vec, INF, q0)[1]
+    return t_lo, max((n0 - cost(beta)) / beta for beta in grid[1:])
 
 
 def _objective(
@@ -350,6 +378,22 @@ def _cd_sweeps(
     return _objective(s, t, a_vec, b_vec, q0, q1)
 
 
+def _corner_dual(
+    a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
+) -> tuple[list[float], float]:
+    """Dual-norm test of the corner s = 0, where all of y sits on side 1.
+
+    The side-1 norm is smooth there, with gradient g_u = b_u^{q1} N1^{1-q1};
+    z = t g certifies K(t) >= sum z = t N1 (the K-J duality) as long as
+    t ||g/a||_{q0'} <= 1.  So K(t) = t N1 exactly for t <= 1/||g/a||_{q0'},
+    and with the sides swapped K(t) = N0 for t >= ||h/b||_{q1'}, where
+    h_u = a_u^{q0} N0^{1-q0}.  Returns w = g/a and ||w||_{q0'}.
+    """
+    norm_b = lq_norm(b_vec, q1)
+    w = [(b**q1) * norm_b ** (1.0 - q1) / a for a, b in zip(a_vec, b_vec)]
+    return w, lq_norm(w, conjugate_exponent(q0))
+
+
 def _corner_escape(
     s: list[float],
     t: float,
@@ -364,39 +408,28 @@ def _corner_escape(
     all-one corners (one of the two part vectors vanishes there), and
     coordinatewise moves cannot always leave them: for exponents above 1 a
     joint move grows the norm sublinearly compared to the sum of single
-    moves.  Corner optimality has a closed dual-norm test; when it fails,
-    the dual maximizer supplies a strictly descending direction, along which
-    a line search restarts the descent.  Returns True when s moved.
+    moves.  Corner optimality is the dual-norm test of _corner_dual; when it
+    fails, the dual maximizer supplies a strictly descending direction, along
+    which a line search restarts the descent.  Returns True when s moved.
     """
     n = len(a_vec)
     if all(x == 0.0 for x in s):
-        # the b-side norm is smooth at the corner; its gradient there is
-        # g_j = b_j^{q1} ||b||^{1-q1}
-        norm_b = lq_norm(b_vec, q1)
-        g = [(b**q1) * norm_b ** (1.0 - q1) for b in b_vec]
-        w = [g_i / a for g_i, a in zip(g, a_vec)]
-        qd = conjugate_exponent(q0)
-        if t * lq_norm(w, qd) <= 1.0 + 1e-12:
+        w, norm = _corner_dual(a_vec, b_vec, q0, q1)
+        if t * norm <= 1.0 + 1e-12:
             return False
-        if qd == INF:
-            x = [1.0 if w_i == max(w) else 0.0 for w_i in w]
-        else:
-            x = [w_i ** (qd - 1.0) for w_i in w]
-        d = [x_i / a for x_i, a in zip(x, a_vec)]
+        qd, sign, sides = conjugate_exponent(q0), 1.0, a_vec
     elif all(x == 1.0 for x in s):
-        norm_a = lq_norm(a_vec, q0)
-        g = [(a**q0) * norm_a ** (1.0 - q0) for a in a_vec]
-        w = [g_i / b for g_i, b in zip(g, b_vec)]
-        qd = conjugate_exponent(q1)
-        if lq_norm(w, qd) <= t * (1.0 + 1e-12):
+        w, norm = _corner_dual(b_vec, a_vec, q1, q0)
+        if norm <= t * (1.0 + 1e-12):
             return False
-        if qd == INF:
-            x = [1.0 if w_i == max(w) else 0.0 for w_i in w]
-        else:
-            x = [w_i ** (qd - 1.0) for w_i in w]
-        d = [-x_i / b for x_i, b in zip(x, b_vec)]
+        qd, sign, sides = conjugate_exponent(q1), -1.0, b_vec
     else:
         return False
+    if qd == INF:
+        x = [1.0 if w_i == max(w) else 0.0 for w_i in w]
+    else:
+        x = [w_i ** (qd - 1.0) for w_i in w]
+    d = [sign * x_i / c for x_i, c in zip(x, sides)]
     scale = max(abs(di) for di in d)
     d = [di / scale for di in d]
 
@@ -464,6 +497,46 @@ def _vertex_norms(
     return s0 ** (1.0 / q0), s1 ** (1.0 / q1)
 
 
+def _dual_bound(
+    s: Sequence[float],
+    t: float,
+    a_vec: Sequence[float],
+    b_vec: Sequence[float],
+    q0: float,
+    q1: float,
+) -> float:
+    """K-J dual lower bound on K(t) built from a split s (exponents in [1, inf)).
+
+    Any z >= 0 with ||z/a||_{q0'} <= 1 and ||z/b||_{q1'} <= t gives
+    K(t) >= sum z, by Hoelder on each part of every split.  The candidates
+    are the side-0 gradient z0_u = a_u^{q0} s_u^{q0-1} N0^{1-q0}, t times the
+    side-1 gradient z1_u = b_u^{q1} (1-s_u)^{q1-1} N1^{1-q1}, and their
+    maximum; at a minimizer z0 and z1 agree on the coordinates that matter.
+    Each is rescaled to feasibility and the best bound is kept.
+    """
+    n0 = lq_norm([a * x for a, x in zip(a_vec, s)], q0)
+    n1 = lq_norm([b * (1.0 - x) for b, x in zip(b_vec, s)], q1)
+    grads = []
+    if n0 > 0.0:
+        grads.append([a**q0 * x ** (q0 - 1.0) * n0 ** (1.0 - q0) for a, x in zip(a_vec, s)])
+    if n1 > 0.0:
+        grads.append(
+            [t * b**q1 * (1.0 - x) ** (q1 - 1.0) * n1 ** (1.0 - q1) for b, x in zip(b_vec, s)]
+        )
+    if len(grads) == 2:
+        grads.append([max(z0, z1) for z0, z1 in zip(*grads)])
+    qd0, qd1 = conjugate_exponent(q0), conjugate_exponent(q1)
+    best = 0.0
+    for z in grads:
+        scale = max(
+            lq_norm([zi / a for zi, a in zip(z, a_vec)], qd0),
+            lq_norm([zi / b for zi, b in zip(z, b_vec)], qd1) / t,
+        )
+        if scale > 0.0:
+            best = max(best, math.fsum(z) / scale)
+    return best
+
+
 def _k_solve(
     t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float,
     tol: float, carry: Any,
@@ -472,7 +545,10 @@ def _k_solve(
 
     Returns the value and what the next solve along a t grid reuses: the
     minimizing split on the descent branch, the vertex norms on the sub-one
-    branch, where K = min over S of ||a_S||_{q0} + t ||b_{S^c}||_{q1}.
+    branch, where K = min over S of ||a_S||_{q0} + t ||b_{S^c}||_{q1}.  A
+    descent from a carried split can stall above the minimum; when its dual
+    gap exceeds 1e-12 relative, the cold start is solved too and the lower
+    value kept.
     """
     if q0 == 1.0 and q1 == 1.0:
         return math.fsum(min(a, t * b) for a, b in zip(a_vec, b_vec)), None
@@ -487,7 +563,41 @@ def _k_solve(
     if q0 < 1.0 or q1 < 1.0:
         raise ValueError(f"no certified K for outer exponents ({q0}, {q1}): one below 1, one above")
     value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, carry)
+    if carry is not None and _dual_bound(s, t, a_vec, b_vec, q0, q1) < value * (1.0 - 1e-12):
+        cold_value, cold_s = _coordinate_descent(t, a_vec, b_vec, q0, q1)
+        if cold_value < value:
+            value, s = cold_value, cold_s
     return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
+
+
+def _k_corners(
+    a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
+) -> tuple[float, float]:
+    """Corner range (t_lo, t_hi) of K for nonempty side vectors.
+
+    K(t) = t N1 exactly for t <= t_lo and K(t) = N0 for t >= t_hi, where the
+    optimal split puts all of y on one side.  Exponents in [1, inf) read both
+    corners off the dual-norm test; a sup side off the kinks of its capped
+    cost; exponents at most 1 off the vertex norms, where K is the minimum of
+    the lines ||a_S||_{q0} + t ||b_{S^c}||_{q1}.  The couple with one exponent
+    below 1 and the other above has no corners (k_functional rejects it).
+    """
+    if q1 == INF:
+        return _sup_side_corners(a_vec, b_vec, q0)
+    if q0 == INF:
+        # K(t) = t K'(1/t) with the sides swapped, so the corners swap and invert
+        lo, hi = _sup_side_corners(b_vec, a_vec, q1)
+        return 1.0 / hi, 1.0 / lo
+    if q0 >= 1.0 and q1 >= 1.0:
+        return 1.0 / _corner_dual(a_vec, b_vec, q0, q1)[1], _corner_dual(b_vec, a_vec, q1, q0)[1]
+    if q0 <= 1.0 and q1 <= 1.0:
+        norms0, norms1 = _vertex_norms(a_vec, b_vec, q0, q1)
+        # index 0 is S = {} (the line t N1), the last index S = all (N0)
+        with np.errstate(divide="ignore"):
+            t_lo = np.min(norms0[1:] / (norms1[0] - norms1[1:]))
+            t_hi = np.max((norms0[-1] - norms0[:-1]) / norms1[:-1])
+        return float(t_lo), float(t_hi)
+    return 0.0, INF
 
 
 def k_functional(
@@ -522,8 +632,9 @@ def k_functional_curve(
 
     Equivalent to calling k_functional pointwise; on the descent path the
     minimizer is carried from one grid point to the next, which makes dense
-    curves far cheaper to evaluate, and on the sub-one path the vertex norms
-    are built once per curve.
+    curves far cheaper to evaluate (a carried start whose dual gap stays
+    above 1e-12 is solved again from the cold start), and on the sub-one path
+    the vertex norms are built once per curve.
     """
     if couple.base == "l1-linf":
         raise ValueError("function-coordinate couples use the endpoint routines")
@@ -710,14 +821,46 @@ def _float_profile_integral(g: StepRearrangement) -> Callable[[float], float]:
     return evaluate
 
 
+def _herz_endpoint_corners(
+    prof: AnnulusProfile, side0: tuple[float, float], side1: tuple[float, float]
+) -> tuple[float, float]:
+    """Corner range of the (1, 1) endpoint Herz K, from the truncation kinks.
+
+    Per annulus K_u(t) is the minimum of the lines w0 cost(c) + t w1 c over
+    c in {0} and the levels of f* there; K = sum K_u equals t N1 when every
+    annulus truncates at its top level, and N0 when every one at 0.
+    """
+    t_lo, t_hi = INF, 0.0
+    for i, u in enumerate(prof.us):
+        w0, w1 = 2.0 ** (u * side0[0]), 2.0 ** (u * side1[0])
+        top, full = prof.tops[i], prof.truncation_cost(i, 0.0)
+        for c in [0.0, *prof.levels[i][1:]]:
+            t_lo = min(t_lo, w0 * prof.truncation_cost(i, c) / (w1 * (top - c)))
+        for c in prof.levels[i]:
+            t_hi = max(t_hi, w0 * (full - prof.truncation_cost(i, c)) / (w1 * c))
+    return t_lo, t_hi
+
+
 def _k_evaluator(
     source: WeightedSeq | AnnulusProfile, couple: CoupleSpec, tol: float
-) -> Callable[[float], float]:
+) -> tuple[Callable[[float], float], float, float]:
+    """t -> K(t), with its corner range (t_lo, t_hi): K(t) = t N1 exactly for
+    t <= t_lo and K(t) = N0 for t >= t_hi.  (0, inf) where no corner is known."""
     if isinstance(source, AnnulusProfile):
         if couple.side0 == (0.0, 1.0) and couple.side1 == (0.0, INF):
-            return _float_profile_integral(source.merged_rearrangement())
-        return lambda t: _k_herz_endpoint(t, source, couple.side0, couple.side1)
-    return lambda t: k_functional(t, source, couple, tol)
+            # K = integral_0^t f*: linear up to the first knot, constant past
+            # the measure of the support
+            g = source.merged_rearrangement()
+            knots = g.float_steps()[1]
+            return _float_profile_integral(g), knots[0], knots[-1]
+        if couple.side0[1] == 1.0 and couple.side1[1] == 1.0:
+            corners = _herz_endpoint_corners(source, couple.side0, couple.side1)
+        else:
+            corners = (0.0, INF)
+        return lambda t: _k_herz_endpoint(t, source, couple.side0, couple.side1), *corners
+    a_vec, b_vec = _side_vectors(source, couple)
+    corners = _k_corners(a_vec, b_vec, couple.side0[1], couple.side1[1])
+    return lambda t: k_functional(t, source, couple, tol), *corners
 
 
 # Samples of K per octave of t when the sup form (q = inf) is taken on the grid.
@@ -731,9 +874,14 @@ def interpolation_norm(
 ) -> InterpNormResult:
     """Real-interpolation norm (integral of (t^{-theta} K)^q dt/t)^{1/q}.
 
-    The K integral runs over t in [2^-T, 2^T] by per-octave adaptive
-    quadrature in log t; the two truncated tails are bracketed analytically
-    from K(t) <= min(N0, t N1) together with monotonicity of K and K(t)/t.
+    K(t) = t N1 exactly below the lower corner of K and K(t) = N0 above the
+    upper one, so those two ranges are integrated in closed form and
+    per-octave adaptive quadrature in log t runs only between the corners,
+    clipped to [2^-T, 2^T].  A truncated tail beyond a window end that no
+    corner covers is bracketed analytically from K(t) <= min(N0, t N1)
+    together with monotonicity of K and K(t)/t.  The endpoint Herz couple
+    with exponents other than (1, 1) has no corners and keeps the full
+    window, as does the sup form (q = inf), which samples K on the log grid.
     The reported value is the midpoint of the rigorous bracket.  Functions
     (endpoint couple) are read through their annulus profile, built once.
     """
@@ -743,9 +891,8 @@ def interpolation_norm(
     n0, n1 = _endpoint_norms(source, couple)
     if n0 == 0.0 and n1 == 0.0:
         return InterpNormResult(0.0, 0.0, 0.0)
-    k_of = _k_evaluator(source, couple, params.rel_tol)
+    k_of, corner_lo, corner_hi = _k_evaluator(source, couple, params.rel_tol)
     T = params.t_exponent_bound
-    t_lo, t_hi = 2.0**-T, 2.0**T
 
     if q == INF:
         best = 0.0
@@ -758,33 +905,34 @@ def interpolation_norm(
             best = max(best, n1)  # K(t)/t increases to the side-1 norm as t -> 0
         return InterpNormResult(best, best, best)
 
+    t_lo = min(max(corner_lo, 2.0**-T), 2.0**T)
+    t_hi = min(max(corner_hi, t_lo), 2.0**T)
     ln2 = math.log(2.0)
 
     def integrand(x: float) -> float:
         t = math.exp(x)
         return (k_of(t) / t**theta) ** q
 
+    x_lo, x_hi = math.log(t_lo), math.log(t_hi)
+    cuts = [x_lo, *(j * ln2 for j in range(-T + 1, T) if x_lo < j * ln2 < x_hi), x_hi]
     main = 0.0
-    for j in range(-T, T):
-        main += adaptive_simpson(
-            integrand, j * ln2, (j + 1) * ln2, rel_tol=params.rel_tol
-        )
+    for x, x_next in zip(cuts, cuts[1:]):
+        if x < x_next:
+            main += adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
 
-    # upper tail  t >= 2^T:  K(2^T) <= K(t) <= min(n0, t n1)
-    k_hi = k_of(t_hi)
+    # upper tail t >= t_hi: K = N0 past the corner, else K(t_hi) <= K(t) <= min(n0, t n1)
     hi_upper = _tail_upper_high(n0, n1, t_hi, theta, q)
-    hi_lower = k_hi**q * t_hi ** (-theta * q) / (theta * q) if theta > 0 else INF
-    hi_lower = min(hi_lower, hi_upper)
-    # lower tail  t <= 2^-T:  (t/t_lo) K(t_lo) <= K(t) <= min(n0, t n1)
-    k_lo = k_of(t_lo)
+    if t_hi >= corner_hi:
+        hi_lower = hi_upper
+    else:
+        hi_lower = min(k_of(t_hi) ** q * t_hi ** (-theta * q) / (theta * q), hi_upper)
+    # lower tail t <= t_lo: K = t N1 below the corner, else (t/t_lo) K(t_lo) <= K(t)
     lo_upper = _tail_upper_low(n0, n1, t_lo, theta, q)
-    slope = k_lo / t_lo
-    lo_lower = (
-        slope**q * t_lo ** ((1.0 - theta) * q) / ((1.0 - theta) * q)
-        if theta < 1
-        else INF
-    )
-    lo_lower = min(lo_lower, lo_upper)
+    if t_lo <= corner_lo:
+        lo_lower = lo_upper
+    else:
+        slope = k_of(t_lo) / t_lo
+        lo_lower = min(slope**q * t_lo ** ((1.0 - theta) * q) / ((1.0 - theta) * q), lo_upper)
 
     lower_q = main + hi_lower + lo_lower
     upper_q = main + hi_upper + lo_upper

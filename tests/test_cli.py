@@ -142,6 +142,8 @@ class TestCommands:
         # a JSON boolean is not a number
         ({"type": "radial_step", "dim": 1, "breakpoints": [0, True], "values": [True]},
          "True"),
+        ({"type": "grid1d", "half_width": True, "values": [False, True]}, "False"),
+        ({"type": "grid1d", "half_width": True, "values": [0.0, 1.0]}, "True"),
     ])
     def test_malformed_record_exit_2(self, tmp_path, capsys, record, field):
         path = tmp_path / "broken.json"

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from herzlab import cli, interp
 from herzlab.corpus import random_step_functions
-from herzlab.herz import HerzParams, annuli_decompose, hl_norm
+from herzlab.herz import HerzParams, annuli_decompose, annulus_profile, hl_norm, weighted_lq
 from herzlab.interp import (
     CoupleSpec,
     InterpolationParams,
@@ -122,6 +123,22 @@ def truncation_scan_oracle(t, y: WeightedSeq, couple: CoupleSpec, points=20001):
     if hi > lo:
         best = min(best, float(value(np.linspace(lo, hi, 4001)).min()))
     return best
+
+
+def subset_oracle(y: WeightedSeq, couple: CoupleSpec):
+    """Exact K for exponents <= 1: the split objective is concave, so K is
+    the minimum over the vertex splits, one subset S on side 0 and the rest
+    on side 1."""
+    (_, q0), (_, q1) = couple.side0, couple.side1
+    a, b = _side_vectors(y, couple)
+    n = len(a)
+    lines = [
+        (math.fsum(a[i] ** q0 for i in S) ** (1.0 / q0),
+         math.fsum(b[i] ** q1 for i in range(n) if i not in S) ** (1.0 / q1))
+        for k in range(n + 1)
+        for S in itertools.combinations(range(n), k)
+    ]
+    return lambda t: min(n0 + t * n1 for n0, n1 in lines)
 
 
 def random_seq(n_coords=3):
@@ -265,6 +282,17 @@ class TestKFunctional:
         ts = [0.25, 1.0, 3.0]
         assert k_functional_curve(ts, y, couple) == [k_functional(t, y, couple) for t in ts]
 
+    def test_curve_warm_start_does_not_stall(self):
+        # carried from the first t, the descent stopped 9.7e-4 relative above
+        # the minimum at the second; the dual gap now sends it to a cold start
+        y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
+        couple = CoupleSpec((0.5, 1.0), (0.5, 2.0))
+        ts = [1.7467673861991688, 1.7232789477462738]
+        curve = k_functional_curve(ts, y, couple)
+        for t, k in zip(ts, curve):
+            assert k == pytest.approx(k_functional(t, y, couple), rel=1e-12, abs=0.0)
+        assert curve[1] == pytest.approx(3.8836880262130933, rel=1e-12)
+
     def test_sup_first_side_by_symmetry(self):
         couple = CoupleSpec((0.3, INF), (0.0, 2.0))
         swapped = CoupleSpec((0.0, 2.0), (0.3, INF))
@@ -288,9 +316,6 @@ class TestKFunctional:
         if (q0, q1) != (1.0, 1.0)
     ])
     def test_subunit_matches_subset_oracle(self, q_pair):
-        # for exponents <= 1 the split objective is concave, so K is the
-        # minimum over the vertex splits: one subset S on side 0, the rest
-        # on side 1
         q0, q1 = q_pair
         couple = CoupleSpec((0.0, q0), (0.5, q1))
         rng = random.Random(str(q_pair))
@@ -298,16 +323,9 @@ class TestKFunctional:
         for n in [n for n in range(1, 9) for _ in range(3)]:
             us = rng.sample(range(-1, 12), n)
             y = WeightedSeq.from_dict({u: rng.uniform(0.05, 3.0) for u in us})
-            a, b = _side_vectors(y, couple)
-            vertices = [
-                (math.fsum(a[i] ** q0 for i in S) ** (1.0 / q0),
-                 math.fsum(b[i] ** q1 for i in range(n) if i not in S) ** (1.0 / q1))
-                for k in range(n + 1)
-                for S in itertools.combinations(range(n), k)
-            ]
+            oracle = subset_oracle(y, couple)
             for t, got in zip(ts, k_functional_curve(ts, y, couple)):
-                oracle = min(n0 + t * n1 for n0, n1 in vertices)
-                assert got == pytest.approx(oracle, rel=1e-13, abs=0.0), (n, t)
+                assert got == pytest.approx(oracle(t), rel=1e-13, abs=0.0), (n, t)
 
     def test_subunit_five_coordinate_values(self):
         # exact vertex minima; a slice search stops up to 1.5e-6 above them
@@ -402,6 +420,110 @@ class TestHerzEndpointK:
                 assert cd == pytest.approx(exact, rel=1e-6)
 
 
+def _herz_endpoint_oracle(f, couple: CoupleSpec):
+    """Exact (1, 1) endpoint Herz K: per annulus, the best truncation level
+    c in {0} and the levels of f*, costs summed in exact rationals."""
+    (a0, _), (a1, _) = couple.side0, couple.side1
+    pieces = [(u, rearrangement(g)) for u, g in annuli_decompose(f)]
+
+    def oracle(t: float) -> float:
+        total = Fraction(0)
+        for u, g in pieces:
+            w0, w1 = Fraction(2.0 ** (u * a0)), Fraction(2.0 ** (u * a1))
+            total += min(
+                w0 * sum((w - c) * m for w, m in zip(g.levels, g.segment_masses()) if w > c)
+                + Fraction(t) * w1 * c
+                for c in [Fraction(0), *g.levels]
+            )
+        return float(total)
+
+    return oracle
+
+
+class TestCornerRange:
+    """K(t) = t N1 exactly up to the lower corner and N0 from the upper one,
+    and both corners are tight: K leaves each line within 5% past it."""
+
+    @staticmethod
+    def check(source, couple, oracle, n0, n1):
+        k_of, t_lo, t_hi = interp._k_evaluator(source, couple, 1e-8)
+        assert 0.0 < t_lo <= t_hi < INF
+        for t in (t_lo / 10.0, t_lo / 1.5, t_lo):
+            for k in (k_of(t), oracle(t)):
+                assert k == pytest.approx(t * n1, rel=1e-12, abs=0.0), t
+        for t in (t_hi, 1.5 * t_hi, 10.0 * t_hi):
+            for k in (k_of(t), oracle(t)):
+                assert k == pytest.approx(n0, rel=1e-12, abs=0.0), t
+        # both values are objective values of some split, so either one
+        # below a line shows that K has left it
+        t = 1.05 * t_lo
+        assert min(k_of(t), oracle(t)) < t * n1 * (1.0 - 1e-12)
+        t = t_hi / 1.05
+        assert min(k_of(t), oracle(t)) < n0 * (1.0 - 1e-12)
+
+    def check_seq(self, y, couple, oracle):
+        n0 = ell_norm(y, *couple.side0)
+        n1 = ell_norm(y, *couple.side1)
+        self.check(y, couple, oracle, n0, n1)
+
+    @pytest.mark.parametrize("q_pair", [
+        (1.0, 1.0), (1.0, 2.0), (1.5, 2.0), (2.0, 2.0), (3.0, 2.0), (2.0, 1.0), (1.5, 3.0)
+    ])
+    def test_linear_and_descent(self, q_pair):
+        couple = CoupleSpec((0.0, q_pair[0]), (1.0, q_pair[1]))
+        rng = random.Random(str(q_pair))
+        for n in (2, 3):
+            us = rng.sample(range(-1, 5), n)
+            y = WeightedSeq.from_dict({u: rng.uniform(0.1, 2.0) for u in us})
+            self.check_seq(y, couple, lambda t: brute_force_k(t, y, couple))
+
+    @pytest.mark.parametrize("q0", [0.5, 1.0, 1.5, 2.0, INF])
+    @pytest.mark.parametrize("sup_first", [False, True])
+    def test_sup_side(self, q0, sup_first):
+        sup_side = CoupleSpec((0.0, q0), (1.0, INF))
+        rng = random.Random(str((q0, sup_first)))
+        for n in (2, 4):
+            us = rng.sample(range(-1, 5), n)
+            y = WeightedSeq.from_dict({u: rng.uniform(0.1, 2.0) for u in us})
+            if sup_first:
+                # K(t; X0, X1) = t K(1/t; X1, X0)
+                couple = CoupleSpec(sup_side.side1, sup_side.side0)
+                self.check_seq(
+                    y, couple, lambda t: t * truncation_scan_oracle(1.0 / t, y, sup_side)
+                )
+            else:
+                self.check_seq(y, sup_side, lambda t: truncation_scan_oracle(t, y, sup_side))
+
+    @pytest.mark.parametrize("q_pair", [(0.5, 0.7), (1.0, 0.5), (0.3, 1.0)])
+    def test_vertex(self, q_pair):
+        couple = CoupleSpec((0.0, q_pair[0]), (0.5, q_pair[1]))
+        rng = random.Random(str(q_pair))
+        for n in (2, 5):
+            us = rng.sample(range(-1, 8), n)
+            y = WeightedSeq.from_dict({u: rng.uniform(0.05, 3.0) for u in us})
+            self.check_seq(y, couple, subset_oracle(y, couple))
+
+    def test_herz_endpoint_one_one(self, nonneg_corpus):
+        couple = CoupleSpec((0.2, 1.0), (0.5, 1.0), base="l1-linf")
+        for f in nonneg_corpus[:4]:
+            prof = annulus_profile(f)
+            n0 = weighted_lq(dict(zip(prof.us, prof.integrals)), 0.2, 1.0)
+            n1 = weighted_lq(dict(zip(prof.us, prof.tops)), 0.5, 1.0)
+            self.check(prof, couple, _herz_endpoint_oracle(f, couple), n0, n1)
+
+    def test_lorentz_endpoint(self, nonneg_corpus):
+        couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
+        for f in nonneg_corpus[:4]:
+            g = rearrangement(f)
+            n0, n1 = float(g.total_mass()), float(g.levels[0])
+            self.check(annulus_profile(f), couple, lambda t: k_functional_l1_linf(g, t), n0, n1)
+
+    def test_other_endpoint_herz_exponents_keep_the_full_window(self, nonneg_corpus):
+        couple = CoupleSpec((0.2, 1.0), (0.5, 2.0), base="l1-linf")
+        _, t_lo, t_hi = interp._k_evaluator(annulus_profile(nonneg_corpus[0]), couple, 1e-8)
+        assert (t_lo, t_hi) == (0.0, INF)
+
+
 class TestInterpolationNorm:
     def test_unit_vector_closed_form(self):
         couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
@@ -410,6 +532,37 @@ class TestInterpolationNorm:
             res = interpolation_norm(WeightedSeq.unit(u), params, couple)
             assert res.value == pytest.approx(4.0 * 2.0 ** (u / 2.0), rel=1e-9)
             assert res.lower <= res.value <= res.upper
+
+    @pytest.mark.parametrize("couple", [
+        CoupleSpec((0.0, 1.0), (1.0, 1.0)),
+        CoupleSpec((0.5, 1.0), (0.5, 2.0)),
+        CoupleSpec((0.3, 1.0), (0.3, INF)),
+        CoupleSpec((0.3, INF), (0.0, 2.0)),
+        CoupleSpec((0.0, 0.5), (1.0, 0.7)),
+    ])
+    def test_unit_vector_needs_no_k_solve(self, monkeypatch, couple):
+        # both corners of K sit at a/b, so the whole integral is closed form
+        calls = []
+        monkeypatch.setattr(interp, "k_functional", lambda *args: calls.append(args))
+        params = InterpolationParams(0.5, 1.5, t_exponent_bound=28, rel_tol=1e-8)
+        for u in (-1, 0, 3):
+            res = interpolation_norm(WeightedSeq.unit(u), params, couple)
+            assert res.lower == res.upper == res.value > 0.0
+        assert calls == []
+
+    def test_interp_seq_k_solve_count(self, monkeypatch, tmp_path):
+        # the corner ranges leave 456 K solves of the 34,696 that a
+        # full [2^-28, 2^28] window takes
+        calls = []
+        solve = interp.k_functional
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(interp, "k_functional", counted)
+        assert cli.main(["verify", "interp-seq", "--out", str(tmp_path / "r.json")]) == 0
+        assert 0 < len(calls) < 2500
 
     def test_indicator_endpoint_couple(self):
         couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
