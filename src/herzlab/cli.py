@@ -719,8 +719,8 @@ def _cmd_rearrange(args: argparse.Namespace) -> int:
 def _cmd_kfunc(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
-    if not (args.t_lo > 0 and args.t_hi > 0):
-        raise ConfigError("--t-lo and --t-hi must be positive")
+    if not (0 < args.t_lo < INF and 0 < args.t_hi < INF):
+        raise ConfigError("--t-lo and --t-hi must be positive and finite")
     obj = _load_record(args.input, args.index)
     ts = [
         args.t_lo * (args.t_hi / args.t_lo) ** (i / (args.points - 1))

@@ -73,6 +73,8 @@ class HerzParams:
     r: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.a):
+            raise ValueError(f"weight exponent a must be finite, got {self.a}")
         if not self.q > 0:
             raise ValueError("outer exponent q must be positive")
         LorentzParams(self.p, self.r)  # validates p, r and rejects (inf, r<inf)

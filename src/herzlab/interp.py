@@ -3,15 +3,19 @@
 K-functionals are computed as finite minimization programs.  For a couple of
 weighted sequence spaces over a common base, both norms are absolute and
 monotone, so an optimal decomposition can be taken coordinatewise aligned:
-y_u = s_u y_u + (1 - s_u) y_u with s in [0,1]^U.  The program is solved in
-closed form for outer exponents (1, 1), by a 1-d minimization over the sup
-level when one side is a sup (exact at its kinks unless the other exponent
-lies strictly between 1 and inf), for exponents both at most 1 by enumerating
-the vertex splits s in {0,1}^U, where the concave objective attains its
-minimum, and for exponents both at least 1 by cyclic exact coordinate
+y_u = s_u y_u + (1 - s_u) y_u with s in [0,1]^U.  Wherever K is piecewise
+linear in t it is a sum of lower envelopes of lines,
+K(t) = sum_g min_i (c_gi + t d_gi), one evaluator and one corner formula for
+all of them: outer exponents (1, 1) (the lines a_u and t b_u per coordinate),
+a sup side against an exponent <= 1 or inf (one line per kink of its capped
+cost), exponents both at most 1 (one line per vertex split s in {0,1}^U,
+where the concave objective attains its minimum), and the endpoint Herz
+couples with exponents (1, 1) and (1, inf) (one line per level cap).  A sup
+side against 1 < q < inf finishes its best kink by a golden-section search,
+and other exponents both at least 1 go through cyclic exact coordinate
 minimization, each slice by bisecting its derivative.  The couple whose
-endpoints are the integrable and bounded functions admits the exact formula
-K(t, f) = integral_0^t f*, used both directly and per annulus coordinate.
+endpoints are the integrable and bounded functions has
+K(t, f) = integral_0^t f*, the (1, inf) endpoint couple at zero weights.
 """
 
 from __future__ import annotations
@@ -109,21 +113,25 @@ class WeightedSeq:
 class CoupleSpec:
     """Compatible couple of weighted sequence spaces over a shared base.
 
-    ``base`` selects the coordinate norm: None for scalar coordinates,
-    LorentzParams for sequences produced by the annulus retract (the scalar
-    reduction is exact for a shared base), or the tag ``"l1-linf"`` for
-    function coordinates paired between the integrable and bounded endpoint
-    norms (split by level truncation).
+    ``base`` selects the coordinate norm: None for scalar coordinates (which
+    covers sequences produced by the annulus retract: the scalar reduction
+    is exact for a shared base), or the tag ``"l1-linf"`` for function
+    coordinates paired between the integrable and bounded endpoint norms
+    (split by level truncation).
     """
 
     side0: tuple[float, float]  # (a0, q0)
     side1: tuple[float, float]  # (a1, q1)
-    base: LorentzParams | Literal["l1-linf"] | None = None
+    base: Literal["l1-linf"] | None = None
 
     def __post_init__(self) -> None:
-        for _, q in (self.side0, self.side1):
+        for a, q in (self.side0, self.side1):
+            if not math.isfinite(a):
+                raise ValueError(f"weights must be finite, got {a}")
             if not q > 0:
                 raise ValueError("outer exponents must be positive")
+        if self.base not in (None, "l1-linf"):
+            raise ValueError(f"base must be None or 'l1-linf', got {self.base!r}")
 
 
 @dataclass(frozen=True)
@@ -259,40 +267,49 @@ def _sup_cost(
     return cost, sorted(beta for beta in kinks if 0.0 <= beta <= top)
 
 
-def _k_sup_side(
-    t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, tol: float
-) -> float:
-    """K when the second side is a sup, as a 1-d minimization over its level.
+# K on a piecewise-linear branch: sum over groups g of min_i (c_gi + t d_gi),
+# intercepts c and slopes d in two arrays with one row per group
+Lines = tuple[np.ndarray, np.ndarray]
 
-    Where N(beta) + t beta is concave or linear between kinks (q0 <= 1 or
-    q0 = inf) the best kink is the exact minimum; for 1 < q0 < inf it is
-    convex, and a golden-section search over the two kink intervals around
-    the best kink finishes.
+
+def _lines(groups: Sequence[tuple[Sequence[float], Sequence[float]]]) -> Lines:
+    """Pack groups of lines (intercepts, slopes) into equal rows, padding a
+    group with repeats of its own lines (its minimum and corners stay)."""
+    width = max((len(c) for c, _ in groups), default=1)
+    rows = [g if len(g[0]) == width else [np.resize(v, width) for v in g] for g in groups]
+    packed = np.array(rows, dtype=float).reshape(len(groups), 2, width)
+    return packed[:, 0], packed[:, 1]
+
+
+def _envelope(lines: Lines, t: float) -> float:
+    c, d = lines
+    return math.fsum(np.min(c + t * d, axis=1))
+
+
+def _envelope_corners(lines: Lines) -> tuple[float, float]:
+    """Corner range (t_lo, t_hi) of a sum of line envelopes (see _k_corners).
+
+    Group g holds the lines t N1_g (N1_g = max d) and N0_g (N0_g = max c);
+    it follows the first up to t_lo = min c / (N1_g - d) over lines with
+    c > 0, and the second from t_hi = max (N0_g - c) / d over lines with d > 0.
     """
-    cost, grid = _sup_cost(a_vec, b_vec, q0)
-    best, i = min((cost(beta) + t * beta, i) for i, beta in enumerate(grid))
-    if 1.0 < q0 < INF:
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        best = min(best, _golden_min(lambda beta: cost(beta) + t * beta, lo, hi, tol * grid[-1])[1])
-    return best
+    c, d = lines
+    n0, n1 = c.max(axis=1, keepdims=True), d.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = np.min(c / (n1 - d), where=c > 0.0, initial=INF)
+        t_hi = np.max((n0 - c) / d, where=d > 0.0, initial=0.0)
+    return float(t_lo), float(t_hi)
 
 
-def _sup_side_corners(
-    a_vec: Sequence[float], b_vec: Sequence[float], q0: float
-) -> tuple[float, float]:
-    """Corner range of K when the second side is a sup (see _k_corners).
-
-    K(t) = t max b exactly while the cap beta = max b beats every kink, and
-    K(t) = N0 while beta = 0 does; between kinks the cost is concave or
-    linear, so the kinks decide.  For 1 < q0 < inf, N is convex and smooth
-    at 0, so the upper corner is the slope -N'(0) = ||h/b||_1.
-    """
-    cost, grid = _sup_cost(a_vec, b_vec, q0)
-    top, n0 = grid[-1], cost(0.0)
-    t_lo = min(cost(beta) / (top - beta) for beta in grid[:-1])
-    if 1.0 < q0 < INF:
-        return t_lo, _corner_dual(b_vec, a_vec, INF, q0)[1]
-    return t_lo, max((n0 - cost(beta)) / beta for beta in grid[1:])
+def _sup_finish(t: float, lines: Lines, cost: Callable[[float], float], tol: float) -> float:
+    """K of a sup side whose capped cost N is convex (1 < q0 < inf): the best
+    kink line N(beta) + t beta, finished by a golden-section search over the
+    two kink intervals around it."""
+    c, kinks = lines[0][0], lines[1][0]
+    i = int(np.argmin(c + t * kinks))
+    lo, hi = kinks[max(i - 1, 0)], kinks[min(i + 1, len(kinks) - 1)]
+    line = _golden_min(lambda beta: cost(beta) + t * beta, lo, hi, tol * kinks[-1])[1]
+    return min(float(c[i] + t * kinks[i]), line)
 
 
 def _objective(
@@ -537,34 +554,45 @@ def _dual_bound(
     return best
 
 
-def _k_solve(
-    t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float,
-    tol: float, carry: Any,
-) -> tuple[float, Any]:
-    """K(t) for nonempty side vectors, by the branch the outer exponents select.
+def _k_lines(
+    a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
+) -> Lines | None:
+    """The lines of K for nonempty side vectors; None on the descent branch.
 
-    Returns the value and what the next solve along a t grid reuses: the
-    minimizing split on the descent branch, the vertex norms on the sub-one
-    branch, where K = min over S of ||a_S||_{q0} + t ||b_{S^c}||_{q1}.  A
-    descent from a carried split can stall above the minimum; when its dual
-    gap exceeds 1e-12 relative, the cold start is solved too and the lower
-    value kept.
+    Exponents (1, 1): per coordinate, the lines a_u and t b_u.  A sup second
+    side: one line N(beta) + t beta per kink of its capped cost (exact when
+    the other exponent is <= 1 or inf; a sup first side is swapped by the
+    callers).  Exponents both <= 1: one line ||a_S||_{q0} + t ||b_{S^c}||_{q1}
+    per vertex split S.
     """
     if q0 == 1.0 and q1 == 1.0:
-        return math.fsum(min(a, t * b) for a, b in zip(a_vec, b_vec)), None
+        return _lines([((a, 0.0), (0.0, b)) for a, b in zip(a_vec, b_vec)])
     if q1 == INF:
-        return _k_sup_side(t, a_vec, b_vec, q0, tol), None
-    if q0 == INF:
-        # swap roles: K(t; X0, X1) = t K(1/t; X1, X0)
-        return t * _k_sup_side(1.0 / t, b_vec, a_vec, q1, tol), None
+        cost, kinks = _sup_cost(a_vec, b_vec, q0)
+        return _lines([([cost(beta) for beta in kinks], kinks)])
     if q0 <= 1.0 and q1 <= 1.0:
-        norms0, norms1 = carry or _vertex_norms(a_vec, b_vec, q0, q1)
-        return float(np.min(norms0 + t * norms1)), (norms0, norms1)
+        return _lines([_vertex_norms(a_vec, b_vec, q0, q1)])
     if q0 < 1.0 or q1 < 1.0:
         raise ValueError(f"no certified K for outer exponents ({q0}, {q1}): one below 1, one above")
-    value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, carry)
-    if carry is not None and _dual_bound(s, t, a_vec, b_vec, q0, q1) < value * (1.0 - 1e-12):
-        cold_value, cold_s = _coordinate_descent(t, a_vec, b_vec, q0, q1)
+    return None
+
+
+def _k_descent(
+    t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float,
+    s_init: list[float] | None,
+) -> tuple[float, list[float]]:
+    """K(t) and its split by coordinate descent (exponents >= 1), checked by
+    the dual bound: from a carried split with a relative gap above 1e-12 the
+    cold start is solved too, the lower value kept; a cold descent with a
+    gap above 1e-6 resumes its sweeps, for at most 20 more rounds."""
+    value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, s_init)
+    if s_init is None:
+        for _ in range(20):
+            if _dual_bound(s, t, a_vec, b_vec, q0, q1) >= value * (1.0 - 1e-6):
+                break
+            value = _cd_sweeps(s, t, a_vec, b_vec, q0, q1)
+    elif _dual_bound(s, t, a_vec, b_vec, q0, q1) < value * (1.0 - 1e-12):
+        cold_value, cold_s = _k_descent(t, a_vec, b_vec, q0, q1, None)
         if cold_value < value:
             value, s = cold_value, cold_s
     return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
@@ -575,29 +603,21 @@ def _k_corners(
 ) -> tuple[float, float]:
     """Corner range (t_lo, t_hi) of K for nonempty side vectors.
 
-    K(t) = t N1 exactly for t <= t_lo and K(t) = N0 for t >= t_hi, where the
-    optimal split puts all of y on one side.  Exponents in [1, inf) read both
-    corners off the dual-norm test; a sup side off the kinks of its capped
-    cost; exponents at most 1 off the vertex norms, where K is the minimum of
-    the lines ||a_S||_{q0} + t ||b_{S^c}||_{q1}.  The couple with one exponent
-    below 1 and the other above has no corners (k_functional rejects it).
+    K(t) = t N1 exactly for t <= t_lo and K(t) = N0 for t >= t_hi.  The
+    descent branch reads both off the dual-norm test, the others off their
+    lines; a sup side against 1 < q0 < inf takes the upper corner from the
+    dual-norm test (its cost is convex and smooth at 0) and the lower one
+    from its kink lines (the cost is linear on the last kink interval).
     """
-    if q1 == INF:
-        return _sup_side_corners(a_vec, b_vec, q0)
-    if q0 == INF:
+    if q0 == INF and q1 != INF:
         # K(t) = t K'(1/t) with the sides swapped, so the corners swap and invert
-        lo, hi = _sup_side_corners(b_vec, a_vec, q1)
+        lo, hi = _k_corners(b_vec, a_vec, q1, q0)
         return 1.0 / hi, 1.0 / lo
-    if q0 >= 1.0 and q1 >= 1.0:
+    lines = _k_lines(a_vec, b_vec, q0, q1)
+    if lines is None:
         return 1.0 / _corner_dual(a_vec, b_vec, q0, q1)[1], _corner_dual(b_vec, a_vec, q1, q0)[1]
-    if q0 <= 1.0 and q1 <= 1.0:
-        norms0, norms1 = _vertex_norms(a_vec, b_vec, q0, q1)
-        # index 0 is S = {} (the line t N1), the last index S = all (N0)
-        with np.errstate(divide="ignore"):
-            t_lo = np.min(norms0[1:] / (norms1[0] - norms1[1:]))
-            t_hi = np.max((norms0[-1] - norms0[:-1]) / norms1[:-1])
-        return float(t_lo), float(t_hi)
-    return 0.0, INF
+    t_lo, t_hi = _envelope_corners(lines)
+    return t_lo, _corner_dual(b_vec, a_vec, q1, q0)[1] if 1.0 < q0 < INF else t_hi
 
 
 def k_functional(
@@ -609,15 +629,15 @@ def k_functional(
     """K(t, y) between the two weighted sequence norms of the couple.
 
     Restricting to coordinatewise scalar splits is lossless because both
-    lattice norms are absolute and monotone.  Exponents (1, 1) have a closed
-    form.  A sup side reduces K to a 1-d minimization over its level, exact
-    when the other exponent is <= 1 or infinite and finished by a
-    golden-section search to `tol` otherwise.  Other exponents >= 1 go
-    through cyclic exact coordinate minimization (derivative bisection per
-    slice) with corner escapes.  For exponents both <= 1 the objective is
-    concave (power means of order <= 1 are), so K is exact over the 2^n vertex
-    splits of a support of at most 20 coordinates.  One exponent below 1 with
-    the other finite and above 1 has no certified method: ValueError.
+    lattice norms are absolute and monotone.  Exponents (1, 1), a sup side
+    against an exponent <= 1 or inf, and exponents both <= 1 (a concave
+    objective, exact over the 2^n vertex splits of at most 20 coordinates)
+    give K as a sum of lower envelopes of lines, evaluated exactly.  A sup
+    side against 1 < q < inf finishes its best kink line by a golden-section
+    search to `tol`.  Other exponents >= 1 go through cyclic exact
+    coordinate minimization with corner escapes, resumed while the K-J dual
+    gap exceeds 1e-6.  One exponent below 1 with the other finite and above
+    1 has no certified method: ValueError.
     """
     return k_functional_curve([t], y, couple, tol)[0]
 
@@ -630,23 +650,36 @@ def k_functional_curve(
 ) -> list[float]:
     """K(t, y) along a t grid.
 
-    Equivalent to calling k_functional pointwise; on the descent path the
-    minimizer is carried from one grid point to the next, which makes dense
-    curves far cheaper to evaluate (a carried start whose dual gap stays
-    above 1e-12 is solved again from the cold start), and on the sub-one path
-    the vertex norms are built once per curve.
+    Equivalent to calling k_functional pointwise; the lines of a
+    piecewise-linear branch are built once per curve, and on the descent
+    path the minimizer is carried from one grid point to the next, which
+    makes dense curves far cheaper to evaluate (a carried start whose dual
+    gap stays above 1e-12 is solved again from the cold start).
     """
     if couple.base == "l1-linf":
         raise ValueError("function-coordinate couples use the endpoint routines")
     if any(t <= 0 for t in ts):
         raise ValueError("t must be positive")
     q0, q1 = couple.side0[1], couple.side1[1]
+    if q0 == INF and q1 != INF:
+        # swap roles: K(t; X0, X1) = t K(1/t; X1, X0)
+        swapped = CoupleSpec(couple.side1, couple.side0)
+        ks = k_functional_curve([1.0 / t for t in ts], y, swapped, tol)
+        return [t * k for t, k in zip(ts, ks)]
     a_vec, b_vec = _side_vectors(y, couple)
-    out, carry = [], None
-    for t in ts:
-        value, carry = _k_solve(t, a_vec, b_vec, q0, q1, tol, carry) if a_vec else (0.0, None)
-        out.append(value)
-    return out
+    if not a_vec:
+        return [0.0] * len(ts)
+    lines = _k_lines(a_vec, b_vec, q0, q1)
+    if lines is None:
+        out, s = [], None
+        for t in ts:
+            value, s = _k_descent(t, a_vec, b_vec, q0, q1, s)
+            out.append(value)
+        return out
+    if 1.0 < q0 < INF:
+        cost = _sup_cost(a_vec, b_vec, q0)[0]
+        return [_sup_finish(t, lines, cost, tol) for t in ts]
+    return [_envelope(lines, t) for t in ts]
 
 
 def check_k_curve(
@@ -689,33 +722,20 @@ def k_functional_l1_linf(f: RadialStepFunction | StepRearrangement, t: float) ->
 
 
 def _k_herz_endpoint(
-    t: float,
-    prof: AnnulusProfile,
-    side0: tuple[float, float],
-    side1: tuple[float, float],
+    t: float, prof: AnnulusProfile, side0: tuple[float, float], side1: tuple[float, float]
 ) -> float:
-    a0, q0 = side0
-    a1, q1 = side1
-    if q0 < 1.0 or q1 < 1.0:
-        # the slice search below assumes a convex program
-        raise ValueError(f"the endpoint Herz K needs outer exponents >= 1, got ({q0}, {q1})")
+    """Endpoint Herz K by a slice descent over the truncation levels c_u."""
+    (a0, q0), (a1, q1) = side0, side1
+    if not (1.0 <= q0 < INF and 1.0 <= q1 < INF):
+        # the slice search below assumes a convex program of finite norms
+        raise ValueError(f"the endpoint Herz K needs finite outer exponents >= 1 or (1, inf), "
+                         f"got ({q0}, {q1})")
     if not prof.us:
         return 0.0
     w0 = [2.0 ** (u * a0) for u in prof.us]
     w1 = [2.0 ** (u * a1) for u in prof.us]
     tops = prof.tops
     cost = prof.truncation_cost
-
-    if q0 == 1.0 and q1 == 1.0:
-        # separable: per coordinate the cost is piecewise linear in c, so
-        # the minimum sits at a kink
-        total = 0.0
-        for i, (wa, wb) in enumerate(zip(w0, w1)):
-            total += min(
-                wa * cost(i, c) + t * wb * c
-                for c in [0.0] + prof.levels[i]
-            )
-        return total
 
     def objective(cs: list[float]) -> float:
         part0 = [wa * cost(i, c) for i, (wa, c) in enumerate(zip(w0, cs))]
@@ -751,6 +771,33 @@ def _k_herz_endpoint(
     return value
 
 
+def _endpoint_lines(
+    prof: AnnulusProfile, side0: tuple[float, float], side1: tuple[float, float]
+) -> Lines | None:
+    """The lines of the endpoint Herz K for outer exponents (1, 1) and (1, inf).
+
+    Capping the bounded part of annulus u at beta / w1_u leaves
+    (w0_u / w1_u) integral (w1_u f* - beta)_+, convex and piecewise linear in
+    beta with kinks at the level caps beta = w1_u c (c a level of f* there),
+    so K is attained at a cap: per annulus for (1, 1), shared for (1, inf).
+    """
+    (a0, q0), (a1, q1) = side0, side1
+    if q0 != 1.0 or q1 not in (1.0, INF):
+        return None
+    pieces = [
+        (2.0 ** (u * a0) / 2.0 ** (u * a1), 2.0 ** (u * a1) * np.array(levels), np.array(m))
+        for u, levels, m in zip(prof.us, prof.levels, prof.masses)
+    ]
+
+    def group(part: list[tuple[float, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+        caps = np.concatenate([[0.0], *(c for _, c, _ in part)])
+        cost = sum((r * np.maximum(c - caps[:, None], 0.0) @ m for r, c, m in part),
+                   np.zeros_like(caps))
+        return cost, caps
+
+    return _lines([group([p]) for p in pieces] if q1 == 1.0 else [group(pieces)])
+
+
 def k_functional_herz_endpoint(
     t: float,
     f: RadialStepFunction,
@@ -762,16 +809,17 @@ def k_functional_herz_endpoint(
     Coordinates are the annulus pieces; the side-0 norm aggregates their
     integrals (integrable base), the side-1 norm their sup levels (bounded
     base).  The optimal split of each coordinate is a level truncation
-    f_u = (f_u - c_u)_+ + min(f_u, c_u), reducing K to a convex program in
-    the truncation levels c_u.  Exact for outer exponents (1, 1); general
-    exponents >= 1 go through per-coordinate descent, and an exponent below 1
-    raises ValueError.
+    f_u = (f_u - c_u)_+ + min(f_u, c_u).  K is read through the evaluator of
+    interpolation_norm: exact over the level caps for outer exponents (1, 1)
+    and (1, inf) (at zero weights (L^1, L^inf), K = integral_0^t f*), by a
+    per-coordinate descent for other finite exponents >= 1; an exponent
+    below 1 or another infinite one raises ValueError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if couple.base != "l1-linf":
         raise ValueError("this routine is for the endpoint base couple")
-    return _k_herz_endpoint(t, annulus_profile(f), couple.side0, couple.side1)
+    return _k_evaluator(annulus_profile(f), couple, tol)[0](t)
 
 
 # ---------------------------------------------------------------------------
@@ -799,65 +847,16 @@ def _endpoint_norms(
     return ell_norm(source, a0, q0), ell_norm(source, a1, q1)
 
 
-def _float_profile_integral(g: StepRearrangement) -> Callable[[float], float]:
-    """Float evaluator of t -> integral_0^t of the profile."""
-    levels, knots = g.float_steps()
-    cumulative = []
-    acc = 0.0
-    prev = 0.0
-    for w, t in zip(levels, knots):
-        acc += w * (t - prev)
-        cumulative.append(acc)
-        prev = t
-
-    def evaluate(t: float) -> float:
-        prev_t, prev_c = 0.0, 0.0
-        for w, knot, c in zip(levels, knots, cumulative):
-            if t <= knot:
-                return prev_c + w * (t - prev_t)
-            prev_t, prev_c = knot, c
-        return cumulative[-1] if cumulative else 0.0
-
-    return evaluate
-
-
-def _herz_endpoint_corners(
-    prof: AnnulusProfile, side0: tuple[float, float], side1: tuple[float, float]
-) -> tuple[float, float]:
-    """Corner range of the (1, 1) endpoint Herz K, from the truncation kinks.
-
-    Per annulus K_u(t) is the minimum of the lines w0 cost(c) + t w1 c over
-    c in {0} and the levels of f* there; K = sum K_u equals t N1 when every
-    annulus truncates at its top level, and N0 when every one at 0.
-    """
-    t_lo, t_hi = INF, 0.0
-    for i, u in enumerate(prof.us):
-        w0, w1 = 2.0 ** (u * side0[0]), 2.0 ** (u * side1[0])
-        top, full = prof.tops[i], prof.truncation_cost(i, 0.0)
-        for c in [0.0, *prof.levels[i][1:]]:
-            t_lo = min(t_lo, w0 * prof.truncation_cost(i, c) / (w1 * (top - c)))
-        for c in prof.levels[i]:
-            t_hi = max(t_hi, w0 * (full - prof.truncation_cost(i, c)) / (w1 * c))
-    return t_lo, t_hi
-
-
 def _k_evaluator(
     source: WeightedSeq | AnnulusProfile, couple: CoupleSpec, tol: float
 ) -> tuple[Callable[[float], float], float, float]:
     """t -> K(t), with its corner range (t_lo, t_hi): K(t) = t N1 exactly for
     t <= t_lo and K(t) = N0 for t >= t_hi.  (0, inf) where no corner is known."""
     if isinstance(source, AnnulusProfile):
-        if couple.side0 == (0.0, 1.0) and couple.side1 == (0.0, INF):
-            # K = integral_0^t f*: linear up to the first knot, constant past
-            # the measure of the support
-            g = source.merged_rearrangement()
-            knots = g.float_steps()[1]
-            return _float_profile_integral(g), knots[0], knots[-1]
-        if couple.side0[1] == 1.0 and couple.side1[1] == 1.0:
-            corners = _herz_endpoint_corners(source, couple.side0, couple.side1)
-        else:
-            corners = (0.0, INF)
-        return lambda t: _k_herz_endpoint(t, source, couple.side0, couple.side1), *corners
+        lines = _endpoint_lines(source, couple.side0, couple.side1)
+        if lines is None:
+            return lambda t: _k_herz_endpoint(t, source, couple.side0, couple.side1), 0.0, INF
+        return lambda t: _envelope(lines, t), *_envelope_corners(lines)
     a_vec, b_vec = _side_vectors(source, couple)
     corners = _k_corners(a_vec, b_vec, couple.side0[1], couple.side1[1])
     return lambda t: k_functional(t, source, couple, tol), *corners
@@ -880,8 +879,9 @@ def interpolation_norm(
     clipped to [2^-T, 2^T].  A truncated tail beyond a window end that no
     corner covers is bracketed analytically from K(t) <= min(N0, t N1)
     together with monotonicity of K and K(t)/t.  The endpoint Herz couple
-    with exponents other than (1, 1) has no corners and keeps the full
-    window, as does the sup form (q = inf), which samples K on the log grid.
+    with exponents other than (1, 1) and (1, inf) has no corners and keeps
+    the full window, as does the sup form (q = inf), which samples K on the
+    log grid.
     The reported value is the midpoint of the rigorous bracket.  Functions
     (endpoint couple) are read through their annulus profile, built once.
     """

@@ -95,11 +95,25 @@ class TestCommands:
         (["--points", "1"], "--points"),
         (["--t-lo", "0"], "--t-lo"),
         (["--t-hi", "-1"], "--t-hi"),
+        (["--t-hi", "inf"], "--t-hi"),
+        (["--t-lo", "nan"], "--t-lo"),
     ])
     def test_kfunc_bad_grid_exit_2(self, capsys, two_annuli_file, flags, message):
         code = main(["kfunc", "--input", two_annuli_file, "--l1-linf", *flags])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "bfs", "--a", "nan"],
+        ["verify", "witness", "--a", "nan"],
+        ["norm", "--space", "hl", "--a", "nan", "--p", "2", "--input", "{record}"],
+        ["kfunc", "--a0", "nan", "--input", "{record}"],
+        ["kfunc", "--a1", "inf", "--input", "{record}"],
+    ])
+    def test_non_finite_weight_exit_2(self, capsys, two_annuli_file, argv):
+        # a nan weight used to run to nan values or vacuous passes
+        assert main([arg.format(record=two_annuli_file) for arg in argv]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("top, q1, message", [
         (2, "2", "no certified K"),

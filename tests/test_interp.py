@@ -293,6 +293,27 @@ class TestKFunctional:
             assert k == pytest.approx(k_functional(t, y, couple), rel=1e-12, abs=0.0)
         assert curve[1] == pytest.approx(3.8836880262130933, rel=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"side0": (math.nan, 1.0), "side1": (0.0, 1.0)},
+        {"side0": (0.0, 1.0), "side1": (INF, 1.0)},
+        {"side0": (0.0, 1.0), "side1": (0.0, 1.0), "base": LorentzParams(2.0, 2.0)},
+    ])
+    def test_couple_spec_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            CoupleSpec(**kwargs)
+
+    def test_cold_descent_does_not_stall(self):
+        # the sweeps stopped on stagnation 1.6e-4 relative above the minimum;
+        # the dual gap now resumes them
+        y = WeightedSeq.from_dict({
+            -1: 1.450107072626387, 0: 0.11419386099289482, 1: 1.8522097266988595,
+            3: 0.8313159135559351, 4: 0.8829038246587034, 5: 2.5754675623642673,
+            6: 2.80263721924572,
+        })
+        couple = CoupleSpec((0.0, 3.0), (0.5, 1.0))
+        got = k_functional(0.07230071540063591, y, couple)
+        assert got == pytest.approx(3.36716443877377, rel=1e-12)
+
     def test_sup_first_side_by_symmetry(self):
         couple = CoupleSpec((0.3, INF), (0.0, 2.0))
         swapped = CoupleSpec((0.0, 2.0), (0.3, INF))
@@ -408,6 +429,31 @@ class TestHerzEndpointK:
         with pytest.raises(ValueError, match="exponents >= 1"):
             k_functional_herz_endpoint(1.0, ball(1, 1), couple)
 
+    @pytest.mark.parametrize("weights", [(0.2, 0.5), (-0.3, 0.4)])
+    def test_one_inf_matches_level_cap_scan(self, nonneg_corpus, weights):
+        couple = CoupleSpec((weights[0], 1.0), (weights[1], INF), base="l1-linf")
+        for f in nonneg_corpus[:5]:
+            oracle = _herz_endpoint_oracle(f, couple)
+            for t in (0.05, 0.5, 2.0, 7.0):
+                got = k_functional_herz_endpoint(t, f, couple)
+                assert got == pytest.approx(oracle(t), rel=1e-12, abs=0.0)
+
+    def test_weightless_one_inf_is_l1_linf(self, nonneg_corpus):
+        # the slice descent returned up to 31% more than integral_0^t f*
+        couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
+        for f in nonneg_corpus[:6]:
+            for t in (0.1, 0.5, 1.0, 3.0, 10.0, 40.0):
+                expected = k_functional_l1_linf(f, t)
+                assert k_functional_herz_endpoint(t, f, couple) == pytest.approx(
+                    expected, rel=1e-13, abs=0.0
+                )
+
+    @pytest.mark.parametrize("q_pair", [(2.0, INF), (INF, 1.0), (INF, 2.0), (INF, INF)])
+    def test_other_infinite_exponents_rejected(self, nonneg_corpus, q_pair):
+        couple = CoupleSpec((0.2, q_pair[0]), (0.5, q_pair[1]), base="l1-linf")
+        with pytest.raises(ValueError, match=r"\(1, inf\)"):
+            k_functional_herz_endpoint(1.0, nonneg_corpus[0], couple)
+
     def test_descent_matches_separable_case(self, nonneg_corpus):
         # outer exponents (1,1) have an exact separable solution; the descent
         # path must reproduce it when entered with q1 slightly above 1
@@ -421,21 +467,34 @@ class TestHerzEndpointK:
 
 
 def _herz_endpoint_oracle(f, couple: CoupleSpec):
-    """Exact (1, 1) endpoint Herz K: per annulus, the best truncation level
-    c in {0} and the levels of f*, costs summed in exact rationals."""
-    (a0, _), (a1, _) = couple.side0, couple.side1
-    pieces = [(u, rearrangement(g)) for u, g in annuli_decompose(f)]
+    """Exact endpoint Herz K for outer exponents (1, 1) and (1, inf), costs
+    summed in exact rationals.  Capping the bounded part of annulus u at
+    beta / w1_u costs w0_u integral (f* - beta / w1_u)_+ there, convex and
+    piecewise linear in beta; the best cap is 0 or w1_u times a level of f*,
+    chosen per annulus for (1, 1) and shared by all annuli for (1, inf)."""
+    (a0, _), (a1, q1) = couple.side0, couple.side1
+    pieces = [
+        (Fraction(2.0 ** (u * a0)), Fraction(2.0 ** (u * a1)), rearrangement(g))
+        for u, g in annuli_decompose(f)
+    ]
+
+    def best(part, t):
+        caps = [Fraction(0), *(w1 * w for _, w1, g in part for w in g.levels)]
+        return min(
+            sum(
+                w0 * sum(((w - beta / w1) * m
+                          for w, m in zip(g.levels, g.segment_masses()) if w > beta / w1),
+                         Fraction(0))
+                for w0, w1, g in part
+            )
+            + t * beta
+            for beta in caps
+        )
 
     def oracle(t: float) -> float:
-        total = Fraction(0)
-        for u, g in pieces:
-            w0, w1 = Fraction(2.0 ** (u * a0)), Fraction(2.0 ** (u * a1))
-            total += min(
-                w0 * sum((w - c) * m for w, m in zip(g.levels, g.segment_masses()) if w > c)
-                + Fraction(t) * w1 * c
-                for c in [Fraction(0), *g.levels]
-            )
-        return float(total)
+        if q1 == INF:
+            return float(best(pieces, Fraction(t)))
+        return float(sum(best([p], Fraction(t)) for p in pieces))
 
     return oracle
 
@@ -509,6 +568,14 @@ class TestCornerRange:
             prof = annulus_profile(f)
             n0 = weighted_lq(dict(zip(prof.us, prof.integrals)), 0.2, 1.0)
             n1 = weighted_lq(dict(zip(prof.us, prof.tops)), 0.5, 1.0)
+            self.check(prof, couple, _herz_endpoint_oracle(f, couple), n0, n1)
+
+    def test_herz_endpoint_one_inf(self, nonneg_corpus):
+        couple = CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf")
+        for f in nonneg_corpus[:4]:
+            prof = annulus_profile(f)
+            n0 = weighted_lq(dict(zip(prof.us, prof.integrals)), 0.2, 1.0)
+            n1 = weighted_lq(dict(zip(prof.us, prof.tops)), 0.5, INF)
             self.check(prof, couple, _herz_endpoint_oracle(f, couple), n0, n1)
 
     def test_lorentz_endpoint(self, nonneg_corpus):
