@@ -21,6 +21,7 @@ from typing import Any, Callable, Sequence
 from . import corpus as corpus_mod
 from .herz import (
     AnnulusMeasureSequence,
+    AnnulusProfile,
     HerzParams,
     annulus_profile,
     bfs_condition_check,
@@ -267,11 +268,21 @@ def _suite_herz_holder(cfg: SuiteConfig) -> list[Check]:
     if not (1 < cfg.p < INF and cfg.q >= 1 and cfg.r >= 1):
         raise ConfigError("pairing requires 1 < p < inf and q, r >= 1")
     fns = _load_objects(cfg, RadialStepFunction)
+    # corpus index -> annulus profile, built when a pair first needs it and
+    # shared by every weight (a profile caches its per-(p, r) scores)
+    profiles: dict[int, AnnulusProfile] = {}
+
+    def profile(k: int) -> AnnulusProfile:
+        # with --jobs > 1 two threads may both build one; setdefault keeps the first
+        if k not in profiles:
+            profiles.setdefault(k, annulus_profile(fns[k]))
+        return profiles[k]
 
     def pair(i: int, a: float) -> list[CheckRecord]:
-        f = fns[i % len(fns)]
-        g = fns[(i * 7 + 3) % len(fns)]
-        rep = hl_holder_check(f, g, HerzParams(a, cfg.p, cfg.q, cfg.r))
+        k, m = i % len(fns), (i * 7 + 3) % len(fns)
+        rep = hl_holder_check(
+            fns[k], fns[m], HerzParams(a, cfg.p, cfg.q, cfg.r), profiles=(profile(k), profile(m))
+        )
         return [
             CheckRecord(
                 "herz-holder",

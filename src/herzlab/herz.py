@@ -460,12 +460,19 @@ def hl_holder_check(
     g: RadialStepFunction,
     params: HerzParams,
     slack: float = 1e-12,
+    *,
+    profiles: tuple[AnnulusProfile, AnnulusProfile] | None = None,
 ) -> HolderReport:
-    """int |fg| <= ||f||_{HL(a,p,q,r)} ||g||_{HL(-a,p',q',r')}, constant-free."""
+    """int |fg| <= ||f||_{HL(a,p,q,r)} ||g||_{HL(-a,p',q',r')}, constant-free.
+
+    ``profiles`` are the annulus profiles of f and g when the caller already
+    holds them; the pairing integral always comes from f and g.
+    """
     if not (1 < params.p < INF and params.q >= 1 and params.r >= 1):
         raise ValueError("pairing needs 1 < p < inf and 1 <= q, r <= inf")
     integral = float(integrate_abs_product(f, g))
-    bound = hl_norm(f, params) * hl_norm(g, params.conjugate())
+    pf, pg = (f, g) if profiles is None else profiles
+    bound = hl_norm(pf, params) * hl_norm(pg, params.conjugate())
     ratio = integral / bound if bound > 0 else (0.0 if integral == 0.0 else INF)
     return HolderReport(integral, bound, ratio, integral <= bound * (1.0 + slack) + slack)
 

@@ -225,8 +225,9 @@ def equivalence_check(
         raise ValueError(
             "equivalence holds for 1 < p < inf, 1 <= r <= inf, or p = r = inf"
         )
-    q_norm = lorentz_quasi_norm(f, params)
-    s_norm = lorentz_star_norm(f, params)
+    g = _profile(f)
+    q_norm = lorentz_quasi_norm(g, params)
+    s_norm = lorentz_star_norm(g, params)
     factor = 1.0 if params.p == INF else params.p / (params.p - 1.0)
     if q_norm == 0.0:
         return EquivalenceReport(q_norm, s_norm, 1.0, factor, s_norm == 0.0)

@@ -336,12 +336,17 @@ def annulus_interaction_bound(
     if not (1 < params.p < INF and params.r >= 1):
         raise ValueError("need 1 < p < inf and 1 <= r <= inf")
     conj = params.conjugate()
-    lhs = (
-        2.0 ** (-u * dim)
-        * _char_lorentz_norm(u, dim, params)
-        * _char_lorentz_norm(v, dim, conj)
-    )
-    rhs = 2.0 ** ((dim / conj.p) * (v - u))
+    try:
+        lhs = (
+            2.0 ** (-u * dim)
+            * _char_lorentz_norm(u, dim, params)
+            * _char_lorentz_norm(v, dim, conj)
+        )
+        rhs = 2.0 ** ((dim / conj.p) * (v - u))
+    except OverflowError:
+        raise ValueError(
+            f"annulus pair (u, v) = ({u}, {v}) in dimension N = {dim} overflows a float"
+        ) from None
     return lhs, rhs
 
 

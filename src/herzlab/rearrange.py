@@ -14,10 +14,10 @@ function, obtained by sorting shells by |value| and accumulating measures.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 Number = int | float | Fraction
@@ -103,11 +103,18 @@ class RadialStepFunction:
         return self.breakpoints[-1]
 
     def shell_measures(self) -> tuple[Fraction, ...]:
-        """Lebesgue measure of each shell, omega_N (rho_i^N - rho_{i-1}^N)."""
+        """Lebesgue measure of each shell, omega_N (rho_i^N - rho_{i-1}^N).
+
+        Computed on first use and kept on the instance; the same tuple is
+        returned on every call.
+        """
+        return self._shell_measures
+
+    @cached_property
+    def _shell_measures(self) -> tuple[Fraction, ...]:
         w = unit_ball_volume(self.dim)
-        bp = self.breakpoints
-        n = self.dim
-        return tuple(w * (bp[i + 1] ** n - bp[i] ** n) for i in range(len(self.values)))
+        powers = [b**self.dim for b in self.breakpoints]
+        return tuple(w * (b - a) for a, b in zip(powers, powers[1:]))
 
     def support_measure(self) -> Fraction:
         return sum(
@@ -193,9 +200,9 @@ def ball(dim: int, measure: Number, value: Number = 1) -> RadialStepFunction:
     if dim == 1:
         rho = ratio
     else:
+        # no refinement: omega * rho^N matches `measure` only to float
+        # precision; the radius is exact only for dim = 1
         rho = Fraction(float(ratio) ** (1.0 / dim))
-        # refine so that omega * rho^N reproduces the requested measure to
-        # float precision; exactness is only available for dim = 1
     return radial_step(dim, [0, rho], [value])
 
 
@@ -367,11 +374,17 @@ def restrict_radii(
     lo_f, hi_f = _as_fraction(lo), _as_fraction(hi)
     if not 0 <= lo_f < hi_f:
         raise ValueError("need 0 <= lo < hi")
-    cuts = sorted({lo_f, hi_f, *f.breakpoints, Fraction(0)})
-    vals = []
-    for a, b in zip(cuts, cuts[1:]):
-        inside = lo_f <= a and b <= hi_f
-        vals.append(f.value_at_radius(a) if inside else Fraction(0))
+    bp, n = f.breakpoints, len(f.values)
+    # shells i-1 .. j-1 meet [lo, hi): bp[i-1] <= lo < bp[i], bp[j-1] < hi <= bp[j]
+    i = bisect_right(bp, lo_f)
+    j = bisect_left(bp, hi_f, i)
+    cuts = [lo_f, *bp[i:j]]
+    vals = list(f.values[i - 1 : j])
+    if j <= n:  # hi falls inside the support and closes the last shell
+        cuts.append(hi_f)
+    if lo_f > 0:
+        cuts.insert(0, Fraction(0))
+        vals.insert(0, Fraction(0))
     return radial_step(f.dim, cuts, vals)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -23,9 +23,17 @@ class CheckRecord:
     notes: str = ""
 
     def row(self) -> dict[str, Any]:
-        d = asdict(self)
+        d = _as_dict(self)
         d["params"] = json.dumps(_clean(self.params), sort_keys=True)
         return d
+
+
+_FIELDS = tuple(f.name for f in fields(CheckRecord))
+
+
+def _as_dict(r: CheckRecord) -> dict[str, Any]:
+    # shares the field values: `dataclasses.asdict` would deep-copy params
+    return {name: getattr(r, name) for name in _FIELDS}
 
 
 def _clean(x: Any) -> Any:
@@ -40,7 +48,7 @@ def _clean(x: Any) -> Any:
 
 def write_report(records: Sequence[CheckRecord], path: str | Path) -> None:
     doc = {
-        "records": [_clean(asdict(r)) for r in records],
+        "records": [_clean(_as_dict(r)) for r in records],
         "summary": summarize(records),
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -55,7 +63,7 @@ def read_report(path: str | Path) -> tuple[list[CheckRecord], dict[str, Any]]:
     raw, summary = doc.get("records", []), doc.get("summary", {})
     if not isinstance(raw, list) or not isinstance(summary, dict):
         raise ValueError(f"{path}: 'records' must be a list and 'summary' an object")
-    names = {f.name for f in fields(CheckRecord)}
+    names = set(_FIELDS)
     for i, rec in enumerate(raw):
         if not (isinstance(rec, dict) and {"suite", "check_id"} <= rec.keys() <= names):
             raise ValueError(

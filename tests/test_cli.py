@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from herzlab import cli
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
 from herzlab.corpus import save_corpus
 from herzlab.rearrange import radial_step
+from herzlab.reporting import CheckRecord, _clean, summarize, write_report
 from fractions import Fraction
 
 
@@ -199,6 +201,10 @@ class TestCommands:
         ("verify lemma-bound", {"window": [60, -1]}, "'window'"),
         ("verify lemma-bound", {"dims": []}, "'dims'"),
         ("verify herz-holder", {"a_values": []}, "'a_values'"),
+        # the measure of annulus 341 in R^3 is above the largest float
+        ("verify lemma-bound", {"window": [-1, 341]}, "(u, v) = (-1, 341) in dimension N = 3"),
+        ("verify lemma-bound", {"dims": [10], "pr": [[1000, 2]], "window": [-1, 102]},
+         "dimension N = 10 overflows"),
     ])
     def test_malformed_config_or_report_exit_2(self, tmp_path, capsys, command,
                                                content, message):
@@ -211,6 +217,25 @@ class TestCommands:
             argv = ["report", "--input", str(path), "--format", command]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    def test_lemma_bound_largest_float_window_exit_0(self, tmp_path):
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps({"window": [-1, 340]}))
+        assert main(["verify", "lemma-bound", "--config", str(path)]) == 0
+
+    def test_report_matches_asdict_rendering(self, tmp_path):
+        # records are written from their fields without a deep copy; the
+        # bytes are those of the dataclasses.asdict rendering
+        records = [
+            CheckRecord("s", "a", {"w": (1, 2), "q": math.inf, "n": {"b": [0.5, -math.inf]}},
+                        lhs=1.5, rhs=math.nan, ratio=None, passed=False, notes="x"),
+            CheckRecord("s", "b"),
+        ]
+        path = tmp_path / "rep.json"
+        write_report(records, path)
+        doc = {"records": [_clean(asdict(r)) for r in records], "summary": summarize(records)}
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert records[0].params["w"] == (1, 2)
 
     def test_report_determinism(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -242,6 +267,18 @@ class TestSuitesViaApi:
             records, code = run_suite(cfg)
             assert code == 0, f"{suite}: {[r for r in records if not r.passed]}"
             assert records
+
+    def test_herz_holder_builds_one_profile_per_function(self, monkeypatch):
+        from herzlab import herz
+
+        built = []
+        decompose = herz.annuli_decompose
+        monkeypatch.setattr(herz, "annuli_decompose", lambda f: built.append(f) or decompose(f))
+        assert main(["verify", "herz-holder"]) == 0
+        # 20 pairs at 3 weights read each of the 20 default functions, once
+        # per pair and weight before: 120 builds
+        assert len(built) == 20
+        assert len({id(f) for f in built}) == 20
 
     def test_suite_with_no_checks_exits_2(self):
         with pytest.raises(ConfigError, match="no checks"):

@@ -232,6 +232,19 @@ class TestHolder:
         assert rep.integral == 0.0
         assert rep.passed
 
+    def test_profiles_give_the_same_report(self, step_corpus):
+        n = len(step_corpus)
+        profiles = [annulus_profile(f) for f in step_corpus]
+        for a in (-0.4, 0.0, 0.4):
+            for i in range(n):
+                j = (3 * i + 1) % n
+                params = HerzParams(a, 2, 1.5, 3)
+                direct = hl_holder_check(step_corpus[i], step_corpus[j], params)
+                shared = hl_holder_check(
+                    step_corpus[i], step_corpus[j], params, profiles=(profiles[i], profiles[j])
+                )
+                assert shared == direct
+
     def test_random_sweep(self, step_corpus):
         n = len(step_corpus)
         count = 0

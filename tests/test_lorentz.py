@@ -265,6 +265,24 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             equivalence_check(two_shell, LorentzParams(1, 1))
 
+    def test_rearranges_once(self, monkeypatch, two_shell):
+        from herzlab import lorentz
+
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return rearrangement(f)
+
+        monkeypatch.setattr(lorentz, "rearrangement", counting)
+        for params in (LorentzParams(2, 1), LorentzParams(3, INF), LorentzParams(INF, INF)):
+            rep = equivalence_check(two_shell, params)
+            assert rep.quasi == lorentz_quasi_norm(rearrangement(two_shell), params)
+            assert rep.star == lorentz_star_norm(rearrangement(two_shell), params)
+        assert calls == [two_shell] * 3
+        equivalence_check(rearrangement(two_shell), LorentzParams(2, 1))
+        assert len(calls) == 3
+
 
 class TestHolderPairing:
     def test_annulus_indicator_equality(self):

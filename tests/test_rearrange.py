@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herzlab.herz import annuli_decompose
 from herzlab.rearrange import (
     average_rearrangement,
     ball,
@@ -32,7 +33,7 @@ def small_fraction(num_range=32, den_choices=(1, 2, 4, 8, 16)):
 
 
 @st.composite
-def step_functions(draw, signed=True):
+def step_functions(draw, signed=True, dims=(1, 2, 3)):
     n = draw(st.integers(min_value=1, max_value=5))
     cuts = draw(
         st.lists(
@@ -51,7 +52,7 @@ def step_functions(draw, signed=True):
         if draw(st.integers(0, 9)) == 0:
             v = Fraction(0)
         values.append(v)
-    return radial_step(draw(st.sampled_from([1, 2, 3])), bp, values)
+    return radial_step(draw(st.sampled_from(dims)), bp, values)
 
 
 class TestUnitBallVolume:
@@ -67,6 +68,15 @@ class TestUnitBallVolume:
 class TestRadialStepFunction:
     def test_shell_measures(self, two_shell):
         assert two_shell.shell_measures() == (Fraction(1, 2), Fraction(2))
+
+    def test_shell_measures_computed_once(self):
+        f = radial_step(3, [0, Fraction(1, 3), 2], [1, -4])
+        assert f.shell_measures() is f.shell_measures()
+        w = unit_ball_volume(3)
+        assert f.shell_measures() == (w / 27, w * (8 - Fraction(1, 27)))
+        # the cache is not a field: equality and hashing ignore it
+        g = radial_step(3, [0, Fraction(1, 3), 2], [1, -4])
+        assert f == g and hash(f) == hash(g)
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
@@ -234,6 +244,75 @@ class TestAlgebra:
 
     def test_scale(self, two_shell):
         assert scale(two_shell, Fraction(-1, 2)).abs_integral() == two_shell.abs_integral() / 2
+
+
+def restrict_radii_oracle(f, lo, hi):
+    """The sort-the-union definition: cut at every breakpoint, lo and hi."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    cuts = sorted({lo, hi, *f.breakpoints, Fraction(0)})
+    vals = [
+        f.value_at_radius(a) if lo <= a and b <= hi else Fraction(0)
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    return radial_step(f.dim, cuts, vals)
+
+
+@st.composite
+def restriction_cases(draw):
+    """(f, lo, hi) in dims 1 and 3, with lo and hi on or off the breakpoints."""
+    f = draw(step_functions(dims=(1, 3)))
+    top = f.support_radius
+    radii = st.one_of(
+        st.sampled_from(f.breakpoints),
+        st.integers(1, 80).map(lambda k: Fraction(k, 16)),  # mostly off the breakpoints
+        st.integers(1, 8).map(lambda k: top + Fraction(k, 7)),  # past the support
+    )
+    kind = draw(st.sampled_from(["zero", "past-support", "any"]))
+    if kind == "zero":
+        lo = Fraction(0)
+    elif kind == "past-support":
+        lo = top + draw(st.sampled_from([Fraction(0), Fraction(1, 3)]))
+    else:
+        lo = draw(radii)
+    hi = draw(radii.filter(lambda r: r > lo) | st.just(lo + Fraction(1, 5)))
+    return f, lo, hi
+
+
+class TestRestrictRadii:
+    @settings(max_examples=300, deadline=None)
+    @given(restriction_cases())
+    def test_matches_sort_the_union_oracle(self, case):
+        f, lo, hi = case
+        piece = restrict_radii(f, lo, hi)
+        assert piece == restrict_radii_oracle(f, lo, hi)
+        assert piece.dim == f.dim
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_functions(dims=(1, 3)))
+    def test_annulus_pieces_sum_back(self, f):
+        pieces = [piece for _, piece in annuli_decompose(f)]
+        if f.is_zero():
+            assert pieces == []
+        else:
+            assert pointwise_sum(pieces) == f
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, Fraction(1, 2)),  # lo = 0, hi inside a shell
+        (Fraction(1, 2), 1),  # on breakpoints
+        (Fraction(3, 4), 3),  # hi past the support
+        (1, 2),  # lo at the support radius
+        (Fraction(5, 4), 7),  # lo beyond the support
+        (0, 9),  # the whole function
+    ])
+    def test_edge_windows(self, lo, hi):
+        f = radial_step(3, [0, Fraction(1, 2), 1], [2, -1])
+        assert restrict_radii(f, lo, hi) == restrict_radii_oracle(f, lo, hi)
+
+    def test_rejects_empty_window(self, two_shell):
+        with pytest.raises(ValueError):
+            restrict_radii(two_shell, 1, 1)
+        with pytest.raises(ValueError):
+            restrict_radii(two_shell, -1, 1)
 
 
 class TestSumBound:
