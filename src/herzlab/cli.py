@@ -837,6 +837,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # an exact input quantity (a radius, a shell measure) too large for a float
+        print(f"configuration error: the input overflows a float ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

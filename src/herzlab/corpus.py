@@ -78,7 +78,7 @@ def object_to_record(obj: CorpusObject) -> dict[str, Any]:
             "type": "grid1d",
             "half_width": obj.half_width,
             "cells": obj.n_cells,
-            "values": list(obj.values),
+            "values": obj.values.tolist(),
         }
     if isinstance(obj, AnnulusMeasureSequence):
         rec: dict[str, Any] = {

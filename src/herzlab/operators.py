@@ -4,18 +4,18 @@ The uncentered maximal operator is evaluated exactly over the family of
 intervals with endpoints on the grid (plus the evaluation point itself): for
 grid step functions an optimal interval can always be slid to that family,
 so the values are exact, and they converge to the true maximal function from
-below under refinement.  The sup over that family is taken from a chord
-table whose columns are the nodes where |f| changes level, so its cost is
-O(n * K) for n cells and K level changes.  The Hilbert transform uses the
-exact log primitive of the kernel against piecewise-constant data, assembled
-with an FFT.
+below under refinement.  The sup over that family is a tangent search on the
+upper hull of the cumulative integral at the nodes where |f| changes level,
+so its cost is O(K + n log K) for n cells and K level changes.  The Hilbert
+transform uses the exact log primitive of the kernel against
+piecewise-constant data, assembled with an FFT.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,24 +46,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction1D:
-    """Uniformly sampled function on [-R, R]: one value per cell."""
+    """Uniformly sampled function on [-R, R]: one value per cell.
+
+    The cells are a read-only float64 array, copied from the input once.
+    """
 
     half_width: float
-    values: tuple[float, ...]
+    values: np.ndarray  # any flat sequence of numbers on input
 
     def __post_init__(self) -> None:
         if self.half_width <= 0:
             raise ValueError("half width must be positive")
-        if len(self.values) < 2 or len(self.values) % 2:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError("cell values must be a flat sequence")
+        if len(values) < 2 or len(values) % 2:
             raise ValueError("cell count must be even and at least 2")
-        if any(not math.isfinite(v) for v in self.values):
+        if not np.isfinite(values).all():
             raise ValueError("cell values must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_array(cls, half_width: float, values: Iterable[float]) -> "GridFunction1D":
-        return cls(half_width, tuple(float(v) for v in values))
+    def from_array(
+        cls, half_width: float, values: np.ndarray | Sequence[float]
+    ) -> "GridFunction1D":
+        return cls(half_width, values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridFunction1D):
+            return NotImplemented
+        return self.half_width == other.half_width and np.array_equal(self.values, other.values)
 
     @property
     def n_cells(self) -> int:
@@ -80,19 +95,19 @@ class GridFunction1D:
         return -self.half_width + self.h * (np.arange(self.n_cells) + 0.5)
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
     def refine(self) -> "GridFunction1D":
         """Same function on a doubled grid (each cell split in two)."""
         return GridFunction1D.from_array(
-            self.half_width, np.repeat(self.array(), 2)
+            self.half_width, np.repeat(self.values, 2)
         )
 
     def value_at(self, x: float) -> float:
         if not -self.half_width <= x < self.half_width:
             return 0.0
         i = int((x + self.half_width) / self.h)
-        return self.values[min(i, self.n_cells - 1)]
+        return float(self.values[min(i, self.n_cells - 1)])
 
 
 def grid_indicator(
@@ -113,22 +128,67 @@ def grid_indicator(
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_abs(f: GridFunction1D) -> np.ndarray:
+def _cumulative_abs(absolute: np.ndarray, h: float) -> np.ndarray:
     """Integral of |f| from the left edge, at every node."""
-    out = np.empty(f.n_cells + 1)
-    out[0] = 0.0
-    np.cumsum(np.abs(f.array()) * f.h, out=out[1:])
-    return out
-
-
-# Entries per row block of the chord table, so memory stays flat in n * K.
-_TABLE_BLOCK = 1 << 15
+    return np.concatenate(([0.0], np.cumsum(absolute * h)))
 
 
 def _candidate_nodes(absolute: np.ndarray) -> np.ndarray:
     """Grid edges plus the interior nodes where |f| changes level."""
     kinks = np.flatnonzero(absolute[1:] != absolute[:-1]) + 1
     return np.concatenate(([0], kinks, [len(absolute)]))
+
+
+def _hull_parents(t_c: np.ndarray, f_c: np.ndarray) -> np.ndarray:
+    """parent[k]: the vertex after k on the upper hull of the points k, k+1, ...
+
+    One right-to-left monotone-chain pass; a vertex that is not strictly
+    above the line from the new point to the vertex after it is popped, so
+    collinear points are skipped.  The last point is its own parent.
+    """
+    t, F = t_c.tolist(), f_c.tolist()
+    last = len(t) - 1
+    parent = [last] * len(t)
+    chain = [last]
+    for k in range(last - 1, -1, -1):
+        while len(chain) > 1:
+            a, b = chain[-1], chain[-2]
+            if (F[a] - F[k]) * (t[b] - t[a]) > (F[b] - F[a]) * (t[a] - t[k]):
+                break
+            chain.pop()
+        parent[k] = chain[-1]
+        chain.append(k)
+    return np.array(parent)
+
+
+def _right_sup(
+    t_c: np.ndarray, f_c: np.ndarray, x: np.ndarray, fx: np.ndarray, nxt: np.ndarray
+) -> np.ndarray:
+    """Sup of the chords (f_c - fx) / (t_c - x) over the candidates c >= nxt.
+
+    Each x lies left of its first candidate nxt, and the sup over the
+    candidates from nxt on sits at a vertex of their upper hull: the path
+    nxt, parent[nxt], ...  Along that path a chord to the next vertex is
+    larger exactly up to the tangent vertex, so binary lifting over `parent`
+    finds the tangent for every x at once in log2 K vectorized steps.
+    """
+
+    def chord(c: np.ndarray) -> np.ndarray:
+        return (f_c[c] - fx) / (t_c[c] - x)
+
+    parent = _hull_parents(t_c, f_c)
+    jumps = [parent]  # jumps[k][c]: the vertex 2^k steps after c
+    for _ in range((len(parent) - 1).bit_length() - 1):
+        jumps.append(jumps[-1][jumps[-1]])
+    # v stays on the rising part of the path, so the tangent is v or
+    # parent[v]; cells whose path falls from nxt on keep v = nxt, even where
+    # rounding makes a later chord pair rise again
+    v = nxt
+    rising = chord(parent[v]) > chord(v)
+    for up in reversed(jumps):
+        w = up[v]
+        v = np.where(rising & (chord(parent[w]) > chord(w)), w, v)
+    return np.maximum(chord(v), chord(parent[v]))
 
 
 def maximal_operator(f: GridFunction1D) -> GridFunction1D:
@@ -139,30 +199,32 @@ def maximal_operator(f: GridFunction1D) -> GridFunction1D:
     left-sided sup).  Between consecutive candidate nodes the cumulative
     integral F is linear, so the chord slope from (x, F(x)) is monotone in
     the far end b there, and its sup over grid nodes sits at a candidate or
-    at a node next to x, where the average is |f(x)| itself.  A chord to a
-    node on the left has negative numerator and denominator, so one table of
-    (F(b) - F(x)) / (b - x), built in row blocks, serves both sides.
+    at a node next to x, where the average is |f(x)| itself.  The one-sided
+    sups come from a hull tree over the candidates, in O(K + n log K) for n
+    cells and K candidates.  The left side is the right side of the
+    coordinates negated and reversed; negation is exact, so every chord is
+    the same float (F(b) - F(x)) / (b - x) on either side.
     """
     absolute = np.abs(f.array())
     n, h = f.n_cells, f.h
-    cum = np.concatenate(([0.0], np.cumsum(absolute * h)))
+    cum = _cumulative_abs(absolute, h)
     t = h * np.arange(n + 1)
     nodes = _candidate_nodes(absolute)
     t_c, f_c = t[nodes], cum[nodes]
     x = t[:-1] + 0.5 * h
     fx = cum[:-1] + 0.5 * h * absolute
-    out = np.empty(n)
-    rows = max(1, _TABLE_BLOCK // len(nodes))
-    for lo in range(0, n, rows):
-        chords = np.subtract(f_c, fx[lo : lo + rows, None])
-        chords /= t_c - x[lo : lo + rows, None]
-        out[lo : lo + rows] = chords.max(axis=1)
-    return GridFunction1D.from_array(f.half_width, np.maximum(absolute, out))
+    nxt = np.searchsorted(nodes, np.arange(n), side="right")
+    right = _right_sup(t_c, f_c, x, fx, nxt)
+    left = _right_sup(-t_c[::-1], -f_c[::-1], -x[::-1], -fx[::-1], len(nodes) - nxt[::-1])
+    return GridFunction1D.from_array(
+        f.half_width, np.maximum(absolute, np.maximum(right, left[::-1]))
+    )
 
 
 def maximal_at_points(f: GridFunction1D, xs: Sequence[float]) -> np.ndarray:
     """Uncentered maximal function at arbitrary points (direct evaluation)."""
-    cum = _cumulative_abs(f)
+    absolute = np.abs(f.array())
+    cum = _cumulative_abs(absolute, f.h)
     nodes = f.nodes()
     total = cum[-1]
     out = np.empty(len(xs))
@@ -173,7 +235,7 @@ def maximal_at_points(f: GridFunction1D, xs: Sequence[float]) -> np.ndarray:
             fx = total
         else:
             i = min(int((x - nodes[0]) / f.h), f.n_cells - 1)
-            fx = cum[i] + abs(f.values[i]) * (x - nodes[i])
+            fx = cum[i] + absolute[i] * (x - nodes[i])
         best = abs(f.value_at(x))
         right = nodes > x
         if right.any():

@@ -160,6 +160,7 @@ class TestCommands:
          "True"),
         ({"type": "grid1d", "half_width": True, "values": [False, True]}, "False"),
         ({"type": "grid1d", "half_width": True, "values": [0.0, 1.0]}, "True"),
+        ({"type": "grid1d", "half_width": 1.0, "values": [0.0, math.inf]}, "finite"),
     ])
     def test_malformed_record_exit_2(self, tmp_path, capsys, record, field):
         path = tmp_path / "broken.json"
@@ -168,6 +169,24 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert "record 0" in err and field in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "embeddings", "--corpus", "{record}"],
+        ["verify", "rearrange", "--corpus", "{record}"],
+        ["norm", "--space", "lorentz", "--p", "2", "--r", "2", "--input", "{record}"],
+        ["norm", "--space", "hl", "--a", "0", "--p", "2", "--input", "{record}"],
+        ["norm", "--space", "lp", "--p", "2", "--input", "{record}"],
+    ])
+    def test_radius_beyond_float_range_exit_2(self, tmp_path, capsys, argv):
+        # a valid JSON integer radius whose shell measure no float can hold
+        path = tmp_path / "huge.json"
+        record = {"type": "radial_step", "dim": 3, "breakpoints": [0, 2**400], "values": [1]}
+        path.write_text(json.dumps({"records": [record]}))
+        assert main([arg.format(record=path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert "overflows a float" in err and "Traceback" not in err
+        # the exact rearrangement needs no float and still runs
+        assert main(["rearrange", "--input", str(path), "--points", "1"]) == 0
 
     def test_verify_tsv_output(self, tmp_path):
         report = tmp_path / "rep.tsv"

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from herzlab.corpus import random_grid_functions
+from herzlab.corpus import load_corpus, random_grid_functions, save_corpus
 from herzlab.herz import HerzParams
 from herzlab.lorentz import INF, LorentzParams
 from herzlab import operators
@@ -35,6 +37,26 @@ def small_grid(n=64, half=2.0, seed=0):
     return GridFunction1D.from_array(half, rng.uniform(-1.0, 1.0, n))
 
 
+def chord_table_maximal(f):
+    """Reference maximal function: every chord from each cell center to every
+    candidate node, O(n * K), in row blocks so memory stays flat."""
+    absolute = np.abs(f.array())
+    n, h = f.n_cells, f.h
+    cum = np.concatenate(([0.0], np.cumsum(absolute * h)))
+    t = h * np.arange(n + 1)
+    nodes = operators._candidate_nodes(absolute)
+    t_c, f_c = t[nodes], cum[nodes]
+    x = t[:-1] + 0.5 * h
+    fx = cum[:-1] + 0.5 * h * absolute
+    out = np.empty(n)
+    rows = max(1, (1 << 15) // len(nodes))
+    for lo in range(0, n, rows):
+        chords = np.subtract(f_c, fx[lo : lo + rows, None])
+        chords /= t_c - x[lo : lo + rows, None]
+        out[lo : lo + rows] = chords.max(axis=1)
+    return np.maximum(absolute, out)
+
+
 class TestGridFunction:
     def test_geometry(self):
         f = grid_indicator(4.0, 16, -1.0, 1.0)
@@ -53,6 +75,46 @@ class TestGridFunction:
     def test_cell_count_must_be_even(self):
         with pytest.raises(ValueError):
             GridFunction1D.from_array(1.0, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("values", [
+        [0.0, math.inf],
+        [math.nan, 1.0],
+        [[1.0, 2.0], [3.0, 4.0]],
+        [1.0],
+        [],
+    ])
+    def test_rejects_non_finite_odd_and_2d_cells(self, values):
+        with pytest.raises(ValueError):
+            GridFunction1D.from_array(1.0, values)
+
+    def test_cells_are_read_only(self):
+        f = small_grid(n=8)
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+        with pytest.raises(ValueError):
+            f.array()[1] = 1.0
+        assert f.values.dtype == np.float64
+
+    def test_from_array_copies_its_input(self):
+        src = np.array([0.0, 1.0, 2.0, 3.0])
+        f = GridFunction1D.from_array(1.0, src)
+        src[0] = 9.0
+        assert f.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_equality_compares_width_and_cells(self):
+        f = small_grid(n=8)
+        assert f == GridFunction1D.from_array(f.half_width, f.values.tolist())
+        assert f != GridFunction1D.from_array(2.0 * f.half_width, f.values)
+        assert f != f.refine()
+        assert f != f.values.tolist()
+
+    def test_corpus_round_trip_is_equal(self, tmp_path):
+        fs = [small_grid(n=48, seed=1), grid_indicator(8.0, 64, -1.0, 1.0)]
+        path = tmp_path / "grids.json"
+        save_corpus(fs, path)
+        back = load_corpus(path)
+        assert back == fs
+        assert not back[0].values.flags.writeable
 
 
 class TestMaximal:
@@ -82,7 +144,7 @@ class TestMaximal:
     def test_hull_matches_direct_evaluation(self):
         fs = [small_grid(n=48, seed=seed) for seed in range(4)] + [
             random_grid_functions(1, seed=3, n_cells=512)[0],
-            # a new level in every cell: the chord table takes many row blocks
+            # a new level in every cell: every node is a hull-tree candidate
             small_grid(n=1024, seed=7),
             # sign flips at equal |f|, then zero cells at both edges
             GridFunction1D.from_array(2.0, [0.5, -0.5, 0.5, -0.5, 1.5, -1.5, -1.5, 1.5] * 4),
@@ -92,6 +154,68 @@ class TestMaximal:
             m_full = maximal_operator(f).array()
             m_direct = maximal_at_points(f, f.centers())
             assert np.max(np.abs(m_full - m_direct)) < 1e-12
+
+    @pytest.mark.parametrize("f", [
+        GridFunction1D.from_array(1.0, [0.0, 1.0]),
+        GridFunction1D.from_array(1.0, [1.0, -2.0]),
+        GridFunction1D.from_array(1.0, [0.7] * 32),
+        grid_indicator(8.0, 4096, -1.0, 1.0),
+        grid_indicator(8.0, 512, 2.0, 5.0),
+        grid_indicator(4.0, 1024, 0.5, 2.0, two_sided=True),
+        GridFunction1D.from_array(2.0, [0.5, -0.5, 0.5, -0.5, 1.5, -1.5, -1.5, 1.5] * 4),
+        GridFunction1D.from_array(2.0, [0.0] * 10 + [0.3, 1.2, 1.2, -0.7] * 3 + [0.0] * 10),
+        small_grid(n=1024, seed=7),
+        small_grid(n=16384, half=8.0, seed=11),
+        # every other node of F lies on one line: collinear hull vertices
+        GridFunction1D.from_array(2.0, [1.0, 3.0] * 16),
+        # up to eight candidates tie for the sup at one cell center
+        GridFunction1D.from_array(1.0, [1.0, 2.0, 3.0] * 4 + [0.0, 2.0, 1.0, 2.0]),
+        *[small_grid(n=48, seed=seed) for seed in range(4)],
+        *random_grid_functions(2, seed=3, n_cells=512, blocks=256),
+    ], ids=lambda f: f"n{f.n_cells}")
+    def test_hull_tree_equals_chord_table(self, f):
+        got = maximal_operator(f).array()
+        assert got.tobytes() == chord_table_maximal(f).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, -0.5, 1.0, 2.0, -3.0]) | st.floats(-4.0, 4.0),
+                st.integers(1, 6),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from([0.5, 1.0, 8.0]),
+    )
+    def test_hull_tree_equals_chord_table_on_random_blocks(self, blocks, half):
+        # zero-padded to a power-of-two cell count, so the cell width is a
+        # power of two and tied chords from dyadic levels are exact floats
+        vals = [level for level, length in blocks for _ in range(length)]
+        n = max(2, 1 << (len(vals) - 1).bit_length())
+        f = GridFunction1D.from_array(half, vals + [0.0] * (n - len(vals)))
+        got = maximal_operator(f).array()
+        assert got.tobytes() == chord_table_maximal(f).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0, -3.0]), st.integers(1, 6)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(0.3, 9.0),
+    )
+    def test_hull_tree_within_rounding_on_any_cell_width(self, blocks, half):
+        # With a cell width that is not a power of two, chords that tie in
+        # exact arithmetic round apart, and the table keeps the largest
+        # rounding; the hull tree returns the chord of one maximizer.
+        vals = [level for level, length in blocks for _ in range(length)]
+        f = GridFunction1D.from_array(half, vals + [0.0] * (len(vals) % 2))
+        np.testing.assert_allclose(
+            maximal_operator(f).array(), chord_table_maximal(f), rtol=1e-13, atol=0.0
+        )
 
     def test_sign_flip_at_equal_level_is_not_a_candidate(self):
         f = GridFunction1D.from_array(1.0, [0.0, 0.5, -0.5, 0.5, -0.5, 0.0])
