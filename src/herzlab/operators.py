@@ -57,8 +57,8 @@ class GridFunction1D:
     values: np.ndarray  # any flat sequence of numbers on input
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError("half width must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError("half width must be positive and finite")
         values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("cell values must be a flat sequence")

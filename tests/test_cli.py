@@ -161,6 +161,8 @@ class TestCommands:
         ({"type": "grid1d", "half_width": True, "values": [False, True]}, "False"),
         ({"type": "grid1d", "half_width": True, "values": [0.0, 1.0]}, "True"),
         ({"type": "grid1d", "half_width": 1.0, "values": [0.0, math.inf]}, "finite"),
+        ({"type": "grid1d", "half_width": math.nan, "values": [0.0, 1.0]}, "finite"),
+        ({"type": "grid1d", "half_width": math.inf, "values": [0.0, 1.0]}, "finite"),
     ])
     def test_malformed_record_exit_2(self, tmp_path, capsys, record, field):
         path = tmp_path / "broken.json"

@@ -170,6 +170,15 @@ class TestMaximal:
         GridFunction1D.from_array(2.0, [1.0, 3.0] * 16),
         # up to eight candidates tie for the sup at one cell center
         GridFunction1D.from_array(1.0, [1.0, 2.0, 3.0] * 4 + [0.0, 2.0, 1.0, 2.0]),
+        # a zero run, then 257 falling levels: from the leftmost cells the
+        # tangent is the last of 258 hull vertices, the longest lift for K
+        GridFunction1D.from_array(8.0, [0.0] * 255 + np.linspace(2.0, 1.0, 257).tolist()),
+        # rounded chords rise again along the path after falling at the next
+        # candidate, which holds the sup; the lift must not start there
+        GridFunction1D.from_array(
+            1.9595770141756232,
+            [1.0] * 5 + [2.0] * 5 + [0.0] * 5 + [2.0] * 10 + [3.0] * 10 + [2.0] * 5,
+        ),
         *[small_grid(n=48, seed=seed) for seed in range(4)],
         *random_grid_functions(2, seed=3, n_cells=512, blocks=256),
     ], ids=lambda f: f"n{f.n_cells}")
