@@ -215,15 +215,6 @@ class AnnulusProfile:
         """Measure of each level set of f* on each annulus."""
         return [[float(m) for m in g.segment_masses()] for g in self._exact()]
 
-    def truncation_cost(self, i: int, c: float) -> float:
-        """Integral of (f* - c)_+ on annulus us[i]; piecewise linear in c."""
-        total = 0.0
-        for w, m in zip(self.levels[i], self.masses[i]):
-            if w <= c:
-                break
-            total += (w - c) * m
-        return total
-
     def merged_rearrangement(self) -> StepRearrangement:
         """f* of the whole function, merged exactly from the annulus pieces."""
         return rearrangement_from_pairs(
@@ -398,27 +389,20 @@ def bfs_condition_check(
     us = range(-1, cutoff + 1)
     measures = [float(m.measure(u)) for u in us]
 
-    def term(u: int, mu: float, weight_exp: float, meas_exp: float) -> float:
-        return 2.0 ** (u * weight_exp) * _power_with_conventions(mu, meas_exp)
+    def condition(
+        weight: float, p_: float, q_: float
+    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        # terms 2^{u weight q_} m_u^{q_/p_} and their partial sums; at q_ = inf
+        # the terms drop q_ and the running supremum replaces the sum
+        e = 1.0 if q_ == INF else q_
+        terms = tuple(
+            2.0 ** (u * (weight * e)) * _power_with_conventions(mu, e / p_)
+            for u, mu in zip(us, measures)
+        )
+        return terms, tuple(_running_max(terms) if q_ == INF else _running_sums(terms))
 
-    if q != INF:
-        terms_a = tuple(term(u, mu, a * q, q / p) for u, mu in zip(us, measures))
-        partial_a = tuple(_running_sums(terms_a))
-    else:
-        terms_a = tuple(term(u, mu, a, 1.0 / p) for u, mu in zip(us, measures))
-        partial_a = tuple(_running_max(terms_a))
-    if q_c != INF:
-        terms_b = tuple(
-            term(u, mu, -a * q_c, q_c / p_c if p_c != INF else 0.0)
-            for u, mu in zip(us, measures)
-        )
-        partial_b = tuple(_running_sums(terms_b))
-    else:
-        terms_b = tuple(
-            term(u, mu, -a, 1.0 / p_c if p_c != INF else 0.0)
-            for u, mu in zip(us, measures)
-        )
-        partial_b = tuple(_running_max(terms_b))
+    terms_a, partial_a = condition(a, p, q)
+    terms_b, partial_b = condition(-a, p_c, q_c)
 
     if m.finitely_supported():
         verdict = "finite"

@@ -721,69 +721,26 @@ def k_functional_l1_linf(f: RadialStepFunction | StepRearrangement, t: float) ->
     return float(g.integral_up_to(Fraction(t)))
 
 
-def _k_herz_endpoint(
-    t: float, prof: AnnulusProfile, side0: tuple[float, float], side1: tuple[float, float]
-) -> float:
-    """Endpoint Herz K by a slice descent over the truncation levels c_u."""
-    (a0, q0), (a1, q1) = side0, side1
-    if not (1.0 <= q0 < INF and 1.0 <= q1 < INF):
-        # the slice search below assumes a convex program of finite norms
-        raise ValueError(f"the endpoint Herz K needs finite outer exponents >= 1 or (1, inf), "
-                         f"got ({q0}, {q1})")
-    if not prof.us:
-        return 0.0
-    w0 = [2.0 ** (u * a0) for u in prof.us]
-    w1 = [2.0 ** (u * a1) for u in prof.us]
-    tops = prof.tops
-    cost = prof.truncation_cost
-
-    def objective(cs: list[float]) -> float:
-        part0 = [wa * cost(i, c) for i, (wa, c) in enumerate(zip(w0, cs))]
-        part1 = [wb * c for wb, c in zip(w1, cs)]
-        return lq_norm(part0, q0) + t * lq_norm(part1, q1)
-
-    cs = [0.5 * top for top in tops]
-    value = objective(cs)
-    top_scale = max(max(tops), 1e-300)
-    for sweep in range(200):
-        moved = 0.0
-        gtol = max(1e-12, 1e-4 * 0.1**sweep) * top_scale
-        for i, top in enumerate(tops):
-
-            def slice_fun(x: float, i: int = i) -> float:
-                old = cs[i]
-                cs[i] = x
-                v = objective(cs)
-                cs[i] = old
-                return v
-
-            x_new, v_new = _golden_min(slice_fun, 0.0, top, gtol)
-            for cand in (0.0, top):
-                v_c = slice_fun(cand)
-                if v_c < v_new:
-                    x_new, v_new = cand, v_c
-            if v_new < value:
-                moved = max(moved, abs(x_new - cs[i]))
-                cs[i] = x_new
-                value = v_new
-        if moved < 1e-11 * top_scale:
-            break
-    return value
+def _check_endpoint_exponents(q0: float, q1: float) -> None:
+    """ValueError unless the endpoint Herz K of outer exponents (q0, q1) is exact."""
+    if q0 != 1.0 or q1 not in (1.0, INF):
+        raise ValueError(f"no certified endpoint Herz K for outer exponents ({q0}, {q1}): "
+                         "only (1, 1) and (1, inf)")
 
 
 def _endpoint_lines(
     prof: AnnulusProfile, side0: tuple[float, float], side1: tuple[float, float]
-) -> Lines | None:
+) -> Lines:
     """The lines of the endpoint Herz K for outer exponents (1, 1) and (1, inf).
 
     Capping the bounded part of annulus u at beta / w1_u leaves
     (w0_u / w1_u) integral (w1_u f* - beta)_+, convex and piecewise linear in
     beta with kinks at the level caps beta = w1_u c (c a level of f* there),
     so K is attained at a cap: per annulus for (1, 1), shared for (1, inf).
+    Other exponents raise ValueError.
     """
     (a0, q0), (a1, q1) = side0, side1
-    if q0 != 1.0 or q1 not in (1.0, INF):
-        return None
+    _check_endpoint_exponents(q0, q1)
     pieces = [
         (2.0 ** (u * a0) / 2.0 ** (u * a1), 2.0 ** (u * a1) * np.array(levels), np.array(m))
         for u, levels, m in zip(prof.us, prof.levels, prof.masses)
@@ -802,24 +759,22 @@ def k_functional_herz_endpoint(
     t: float,
     f: RadialStepFunction,
     couple: CoupleSpec,
-    tol: float = 1e-8,
 ) -> float:
     """K(t, f) for couples of Herz-type spaces over the endpoint base pair.
 
     Coordinates are the annulus pieces; the side-0 norm aggregates their
     integrals (integrable base), the side-1 norm their sup levels (bounded
     base).  The optimal split of each coordinate is a level truncation
-    f_u = (f_u - c_u)_+ + min(f_u, c_u).  K is read through the evaluator of
-    interpolation_norm: exact over the level caps for outer exponents (1, 1)
-    and (1, inf) (at zero weights (L^1, L^inf), K = integral_0^t f*), by a
-    per-coordinate descent for other finite exponents >= 1; an exponent
-    below 1 or another infinite one raises ValueError.
+    f_u = (f_u - c_u)_+ + min(f_u, c_u).  K is exact over the level caps for
+    outer exponents (1, 1) and (1, inf) (at zero weights (L^1, L^inf),
+    K = integral_0^t f*); no other exponents have a certified method, and
+    they raise ValueError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if couple.base != "l1-linf":
         raise ValueError("this routine is for the endpoint base couple")
-    return _k_evaluator(annulus_profile(f), couple, tol)[0](t)
+    return _envelope(_endpoint_lines(annulus_profile(f), couple.side0, couple.side1), t)
 
 
 # ---------------------------------------------------------------------------
@@ -851,11 +806,9 @@ def _k_evaluator(
     source: WeightedSeq | AnnulusProfile, couple: CoupleSpec, tol: float
 ) -> tuple[Callable[[float], float], float, float]:
     """t -> K(t), with its corner range (t_lo, t_hi): K(t) = t N1 exactly for
-    t <= t_lo and K(t) = N0 for t >= t_hi.  (0, inf) where no corner is known."""
+    t <= t_lo and K(t) = N0 for t >= t_hi."""
     if isinstance(source, AnnulusProfile):
         lines = _endpoint_lines(source, couple.side0, couple.side1)
-        if lines is None:
-            return lambda t: _k_herz_endpoint(t, source, couple.side0, couple.side1), 0.0, INF
         return lambda t: _envelope(lines, t), *_envelope_corners(lines)
     a_vec, b_vec = _side_vectors(source, couple)
     corners = _k_corners(a_vec, b_vec, couple.side0[1], couple.side1[1])
@@ -878,15 +831,14 @@ def interpolation_norm(
     per-octave adaptive quadrature in log t runs only between the corners,
     clipped to [2^-T, 2^T].  A truncated tail beyond a window end that no
     corner covers is bracketed analytically from K(t) <= min(N0, t N1)
-    together with monotonicity of K and K(t)/t.  The endpoint Herz couple
-    with exponents other than (1, 1) and (1, inf) has no corners and keeps
-    the full window, as does the sup form (q = inf), which samples K on the
-    log grid.
+    together with monotonicity of K and K(t)/t.  The sup form (q = inf)
+    samples K on the log grid over the full window.
     The reported value is the midpoint of the rigorous bracket.  Functions
     (endpoint couple) are read through their annulus profile, built once.
     """
     theta, q = params.theta, params.q
     if couple.base == "l1-linf":
+        _check_endpoint_exponents(couple.side0[1], couple.side1[1])  # zero f included
         source = annulus_profile(source)
     n0, n1 = _endpoint_norms(source, couple)
     if n0 == 0.0 and n1 == 0.0:
@@ -1074,8 +1026,10 @@ def verify_interpolation(
     elif suite in ("hl-3", "hl-4"):
         # both interpolate the endpoint base pair: hl-3 against the weighted
         # aggregation of interpolated (averaged-profile) coordinate norms,
-        # hl-4 against the HL norm with p = 1/(1-theta) and r = q
-        if q0 == INF or q1 == INF:
+        # hl-4 against the HL norm with p = 1/(1-theta) and r = q; (1, 1) is
+        # the one finite pair with a certified K
+        _check_endpoint_exponents(q0, q1)
+        if q1 == INF:
             raise ValueError(f"{suite} requires finite outer exponents")
         q_target = 1.0 / ((1.0 - theta) / q0 + theta / q1)
         a = (1.0 - theta) * a0 + theta * a1

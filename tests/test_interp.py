@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herzlab import cli, interp
 from herzlab.corpus import random_step_functions
@@ -25,7 +27,7 @@ from herzlab.interp import (
     verify_interpolation,
 )
 from herzlab.lorentz import INF, LorentzParams, lorentz_star_norm
-from herzlab.rearrange import ball, radial_step, rearrangement
+from herzlab.rearrange import ball, radial_step, rearrangement, scale
 
 RNG = random.Random(20240811)
 
@@ -423,12 +425,6 @@ class TestHerzEndpointK:
         got = k_functional_herz_endpoint(t, f, couple)
         assert got == pytest.approx(k_inner + k_outer, rel=1e-12)
 
-    @pytest.mark.parametrize("q_pair", [(0.5, 1.0), (1.0, 0.7)])
-    def test_subunit_exponent_rejected(self, q_pair):
-        couple = CoupleSpec((0.0, q_pair[0]), (0.0, q_pair[1]), base="l1-linf")
-        with pytest.raises(ValueError, match="exponents >= 1"):
-            k_functional_herz_endpoint(1.0, ball(1, 1), couple)
-
     @pytest.mark.parametrize("weights", [(0.2, 0.5), (-0.3, 0.4)])
     def test_one_inf_matches_level_cap_scan(self, nonneg_corpus, weights):
         couple = CoupleSpec((weights[0], 1.0), (weights[1], INF), base="l1-linf")
@@ -439,7 +435,6 @@ class TestHerzEndpointK:
                 assert got == pytest.approx(oracle(t), rel=1e-12, abs=0.0)
 
     def test_weightless_one_inf_is_l1_linf(self, nonneg_corpus):
-        # the slice descent returned up to 31% more than integral_0^t f*
         couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
         for f in nonneg_corpus[:6]:
             for t in (0.1, 0.5, 1.0, 3.0, 10.0, 40.0):
@@ -448,22 +443,59 @@ class TestHerzEndpointK:
                     expected, rel=1e-13, abs=0.0
                 )
 
-    @pytest.mark.parametrize("q_pair", [(2.0, INF), (INF, 1.0), (INF, 2.0), (INF, INF)])
-    def test_other_infinite_exponents_rejected(self, nonneg_corpus, q_pair):
+    @pytest.mark.parametrize("entry", ["k_functional_herz_endpoint", "interpolation_norm",
+                                       "verify_interpolation"])
+    @pytest.mark.parametrize("q_pair", [
+        (0.5, 1.0), (1.0, 0.7), (1.0, 2.0), (2.0, 2.0), (1.5, 3.0), (2.0, 1.0), (2.0, INF),
+        (INF, 1.0), (INF, 2.0), (INF, INF),
+    ], ids=lambda pair: "-".join(f"{q:g}" for q in pair))
+    def test_uncertified_exponents_rejected(self, nonneg_corpus, q_pair, entry):
+        # only the level-cap lines of (1, 1) and (1, inf) are certified
+        f = nonneg_corpus[0]
         couple = CoupleSpec((0.2, q_pair[0]), (0.5, q_pair[1]), base="l1-linf")
-        with pytest.raises(ValueError, match=r"\(1, inf\)"):
-            k_functional_herz_endpoint(1.0, nonneg_corpus[0], couple)
+        match = r"\(1, 1\) and \(1, inf\)"
+        if entry == "k_functional_herz_endpoint":
+            with pytest.raises(ValueError, match=match):
+                k_functional_herz_endpoint(1.0, f, couple)
+        elif entry == "interpolation_norm":
+            for g in (f, scale(f, 0)):
+                with pytest.raises(ValueError, match=match):
+                    interpolation_norm(g, InterpolationParams(0.5, 1.0), couple)
+        else:
+            # an empty corpus evaluates no K: the gate alone must reject
+            for suite in ("hl-3", "hl-4"):
+                with pytest.raises(ValueError, match=match):
+                    verify_interpolation(suite, [], theta=0.5, a0=0.2, a1=0.5,
+                                         q0=q_pair[0], q1=q_pair[1])
 
-    def test_descent_matches_separable_case(self, nonneg_corpus):
-        # outer exponents (1,1) have an exact separable solution; the descent
-        # path must reproduce it when entered with q1 slightly above 1
-        couple_exact = CoupleSpec((0.2, 1.0), (0.4, 1.0), base="l1-linf")
-        couple_cd = CoupleSpec((0.2, 1.0), (0.4, 1.0 + 1e-12), base="l1-linf")
-        for f in nonneg_corpus[:5]:
-            for t in (0.5, 2.0):
-                exact = k_functional_herz_endpoint(t, f, couple_exact)
-                cd = k_functional_herz_endpoint(t, f, couple_cd)
-                assert cd == pytest.approx(exact, rel=1e-6)
+
+_ENDPOINT_FUNCTIONS = [
+    radial_step(1, [0, Fraction(1, 2), 1, 2, 4, 8], [3, 2, 1, 5, Fraction(1, 2)]),
+    radial_step(2, [0, Fraction(1, 3), 3, 5], [Fraction(7, 4), 4, 1]),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=st.sampled_from(_ENDPOINT_FUNCTIONS),
+    q0=st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.0, INF]),
+    q1=st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.0, INF]),
+    a0=st.floats(-1.0, 1.0),
+    a1=st.floats(-1.0, 1.0),
+    t=st.floats(1e-3, 1e3),
+)
+def test_endpoint_k_rejected_or_within_bounds(f, q0, q1, a0, a1, t):
+    # every endpoint couple is either rejected as uncertified or gives a K
+    # between 0 and min(N0, t N1)
+    couple = CoupleSpec((a0, q0), (a1, q1), base="l1-linf")
+    try:
+        k = k_functional_herz_endpoint(t, f, couple)
+    except ValueError:
+        return
+    prof = annulus_profile(f)
+    n0 = weighted_lq(dict(zip(prof.us, prof.integrals)), a0, q0)
+    n1 = weighted_lq(dict(zip(prof.us, prof.tops)), a1, q1)
+    assert 0.0 <= k <= min(n0, t * n1) * (1.0 + 1e-12)
 
 
 def _herz_endpoint_oracle(f, couple: CoupleSpec):
@@ -584,11 +616,6 @@ class TestCornerRange:
             g = rearrangement(f)
             n0, n1 = float(g.total_mass()), float(g.levels[0])
             self.check(annulus_profile(f), couple, lambda t: k_functional_l1_linf(g, t), n0, n1)
-
-    def test_other_endpoint_herz_exponents_keep_the_full_window(self, nonneg_corpus):
-        couple = CoupleSpec((0.2, 1.0), (0.5, 2.0), base="l1-linf")
-        _, t_lo, t_hi = interp._k_evaluator(annulus_profile(nonneg_corpus[0]), couple, 1e-8)
-        assert (t_lo, t_hi) == (0.0, INF)
 
 
 class TestInterpolationNorm:
