@@ -24,7 +24,7 @@ from .interp import (
     ell_norm,
     interpolation_norm,
     k_functional,
-    k_functional_herz_endpoint,
+    k_functional_curve,
     k_functional_l1_linf,
     retract_L,
     verify_interpolation,

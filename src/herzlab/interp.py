@@ -16,14 +16,20 @@ and other exponents both at least 1 go through cyclic exact coordinate
 minimization, each slice by bisecting its derivative.  The couple whose
 endpoints are the integrable and bounded functions has
 K(t, f) = integral_0^t f*, the (1, inf) endpoint couple at zero weights.
+
+k_functional and k_functional_curve are the only K entry points, for
+sequence and endpoint couples alike.  Each source and couple builds one
+memoized plan (_k_plan), which decides the branch, swaps a sup first side
+once and yields K along any t list and, on demand, its corner range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Literal, Mapping, Sequence
+from typing import Any, Callable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,7 +70,6 @@ __all__ = [
     "k_functional_curve",
     "check_k_curve",
     "k_functional_l1_linf",
-    "k_functional_herz_endpoint",
     "interpolation_norm",
     "verify_interpolation",
     "SuiteReport",
@@ -287,7 +292,7 @@ def _envelope(lines: Lines, t: float) -> float:
 
 
 def _envelope_corners(lines: Lines) -> tuple[float, float]:
-    """Corner range (t_lo, t_hi) of a sum of line envelopes (see _k_corners).
+    """Corner range (t_lo, t_hi) of a sum of line envelopes (see _KPlan).
 
     Group g holds the lines t N1_g (N1_g = max d) and N0_g (N0_g = max c);
     it follows the first up to t_lo = min c / (N1_g - d) over lines with
@@ -554,29 +559,6 @@ def _dual_bound(
     return best
 
 
-def _k_lines(
-    a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
-) -> Lines | None:
-    """The lines of K for nonempty side vectors; None on the descent branch.
-
-    Exponents (1, 1): per coordinate, the lines a_u and t b_u.  A sup second
-    side: one line N(beta) + t beta per kink of its capped cost (exact when
-    the other exponent is <= 1 or inf; a sup first side is swapped by the
-    callers).  Exponents both <= 1: one line ||a_S||_{q0} + t ||b_{S^c}||_{q1}
-    per vertex split S.
-    """
-    if q0 == 1.0 and q1 == 1.0:
-        return _lines([((a, 0.0), (0.0, b)) for a, b in zip(a_vec, b_vec)])
-    if q1 == INF:
-        cost, kinks = _sup_cost(a_vec, b_vec, q0)
-        return _lines([([cost(beta) for beta in kinks], kinks)])
-    if q0 <= 1.0 and q1 <= 1.0:
-        return _lines([_vertex_norms(a_vec, b_vec, q0, q1)])
-    if q0 < 1.0 or q1 < 1.0:
-        raise ValueError(f"no certified K for outer exponents ({q0}, {q1}): one below 1, one above")
-    return None
-
-
 def _k_descent(
     t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float,
     s_init: list[float] | None,
@@ -598,88 +580,131 @@ def _k_descent(
     return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
 
 
-def _k_corners(
-    a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
-) -> tuple[float, float]:
-    """Corner range (t_lo, t_hi) of K for nonempty side vectors.
+class _KPlan(NamedTuple):
+    """K of one source and couple: `curve(ts, tol)` evaluates it along ts,
+    `corners()` computes its corner range (t_lo, t_hi) on demand: K(t) = t N1
+    exactly for t <= t_lo and K(t) = N0 for t >= t_hi."""
 
-    K(t) = t N1 exactly for t <= t_lo and K(t) = N0 for t >= t_hi.  The
-    descent branch reads both off the dual-norm test, the others off their
-    lines; a sup side against 1 < q0 < inf takes the upper corner from the
-    dual-norm test (its cost is convex and smooth at 0) and the lower one
-    from its kink lines (the cost is linear on the last kink interval).
+    curve: Callable[[Sequence[float], float], list[float]]
+    corners: Callable[[], tuple[float, float]]
+
+
+def _line_plan(lines: Lines) -> _KPlan:
+    return _KPlan(lambda ts, tol: [_envelope(lines, t) for t in ts],
+                  lambda: _envelope_corners(lines))
+
+
+# a few plans suffice: interpolation_norm reads one per call, and a sup first
+# side one more for the swapped couple
+@functools.lru_cache(maxsize=8)
+def _k_plan(
+    source: WeightedSeq | RadialStepFunction | AnnulusProfile, couple: CoupleSpec
+) -> _KPlan:
+    """The K plan of a source and couple, built once (a pure function, so
+    memoized): side vectors, lines and capped cost of a sequence, or the
+    level-cap lines of a function's annulus profile for an endpoint couple.
+
+    Sequence couples: exponents (1, 1) give the lines a_u and t b_u per
+    coordinate, a sup second side one line N(beta) + t beta per kink of its
+    capped cost, exponents both <= 1 one line ||a_S||_{q0} + t ||b_{S^c}||_{q1}
+    per vertex split S; a sup first side goes through
+    K(t; X0, X1) = t K(1/t; X1, X0).  The corners come off the lines, except
+    that the descent branch reads both from the dual-norm test and a sup side
+    against 1 < q0 < inf its upper one (its cost is convex and smooth at 0).
+    Uncertified exponents raise ValueError, on an empty support too.
     """
+    if isinstance(source, WeightedSeq) != (couple.base is None):
+        raise ValueError("a sequence couple takes a WeightedSeq, an l1-linf couple "
+                         "a function or its AnnulusProfile")
+    if couple.base == "l1-linf":
+        return _line_plan(_endpoint_lines(annulus_profile(source), couple.side0, couple.side1))
+    q0, q1 = couple.side0[1], couple.side1[1]
+    if min(q0, q1) < 1.0 < max(q0, q1) < INF:
+        raise ValueError(f"no certified K for outer exponents ({q0}, {q1}): one below 1, one above")
     if q0 == INF and q1 != INF:
-        # K(t) = t K'(1/t) with the sides swapped, so the corners swap and invert
-        lo, hi = _k_corners(b_vec, a_vec, q1, q0)
-        return 1.0 / hi, 1.0 / lo
-    lines = _k_lines(a_vec, b_vec, q0, q1)
-    if lines is None:
-        return 1.0 / _corner_dual(a_vec, b_vec, q0, q1)[1], _corner_dual(b_vec, a_vec, q1, q0)[1]
-    t_lo, t_hi = _envelope_corners(lines)
-    return t_lo, _corner_dual(b_vec, a_vec, q1, q0)[1] if 1.0 < q0 < INF else t_hi
+        swapped = _k_plan(source, CoupleSpec(couple.side1, couple.side0))
+
+        def swapped_corners() -> tuple[float, float]:
+            lo, hi = swapped.corners()
+            return 1.0 / hi, 1.0 / lo
+
+        return _KPlan(
+            lambda ts, tol: [t * k for t, k in zip(ts, swapped.curve([1.0 / t for t in ts], tol))],
+            swapped_corners,
+        )
+    a_vec, b_vec = _side_vectors(source, couple)
+    if not a_vec or q0 == 1.0 and q1 == 1.0:  # no lines at all on an empty support: K = 0
+        return _line_plan(_lines([((a, 0.0), (0.0, b)) for a, b in zip(a_vec, b_vec)]))
+    if q0 <= 1.0 and q1 <= 1.0:
+        return _line_plan(_lines([_vertex_norms(a_vec, b_vec, q0, q1)]))
+    if q1 != INF:
+
+        def descent(ts: Sequence[float], tol: float) -> list[float]:
+            out, s = [], None
+            for t in ts:
+                value, s = _k_descent(t, a_vec, b_vec, q0, q1, s)
+                out.append(value)
+            return out
+
+        return _KPlan(descent, lambda: (1.0 / _corner_dual(a_vec, b_vec, q0, q1)[1],
+                                        _corner_dual(b_vec, a_vec, q1, q0)[1]))
+    cost, kinks = _sup_cost(a_vec, b_vec, q0)
+    lines = _lines([([cost(beta) for beta in kinks], kinks)])
+    if not 1.0 < q0 < INF:
+        return _line_plan(lines)
+    return _KPlan(lambda ts, tol: [_sup_finish(t, lines, cost, tol) for t in ts],
+                  lambda: (_envelope_corners(lines)[0], _corner_dual(b_vec, a_vec, q1, q0)[1]))
 
 
 def k_functional(
     t: float,
-    y: WeightedSeq,
+    y: WeightedSeq | RadialStepFunction | AnnulusProfile,
     couple: CoupleSpec,
     tol: float = 1e-8,
 ) -> float:
-    """K(t, y) between the two weighted sequence norms of the couple.
+    """K(t, y) between the two norms of the couple.
 
-    Restricting to coordinatewise scalar splits is lossless because both
-    lattice norms are absolute and monotone.  Exponents (1, 1), a sup side
-    against an exponent <= 1 or inf, and exponents both <= 1 (a concave
-    objective, exact over the 2^n vertex splits of at most 20 coordinates)
-    give K as a sum of lower envelopes of lines, evaluated exactly.  A sup
-    side against 1 < q < inf finishes its best kink line by a golden-section
-    search to `tol`.  Other exponents >= 1 go through cyclic exact
-    coordinate minimization with corner escapes, resumed while the K-J dual
-    gap exceeds 1e-6.  One exponent below 1 with the other finite and above
-    1 has no certified method: ValueError.
+    Sequence couples take a WeightedSeq.  Restricting to coordinatewise
+    scalar splits is lossless because both lattice norms are absolute and
+    monotone.  Exponents (1, 1), a sup side against an exponent <= 1 or inf,
+    and exponents both <= 1 (a concave objective, exact over the 2^n vertex
+    splits of at most 20 coordinates) give K as a sum of lower envelopes of
+    lines, evaluated exactly.  A sup side against 1 < q < inf finishes its
+    best kink line by a golden-section search to `tol`.  Other exponents
+    >= 1 go through cyclic exact coordinate minimization with corner escapes,
+    resumed while the K-J dual gap exceeds 1e-6.  One exponent below 1 with
+    the other finite and above 1 has no certified method: ValueError.
+
+    The endpoint couple (base "l1-linf") takes a radial step function or its
+    AnnulusProfile.  Coordinates are the annulus pieces; the side-0 norm
+    aggregates their integrals (integrable base), the side-1 norm their sup
+    levels (bounded base).  The optimal split of each coordinate is a level
+    truncation f_u = (f_u - c_u)_+ + min(f_u, c_u), and K is exact over the
+    level caps for outer exponents (1, 1) and (1, inf) (at zero weights
+    (L^1, L^inf), K = integral_0^t f*); other exponents raise ValueError.
+
+    Each source and couple builds one plan (see _k_plan), shared by every
+    t; a source of the wrong kind for the couple raises ValueError.
     """
     return k_functional_curve([t], y, couple, tol)[0]
 
 
 def k_functional_curve(
     ts: Sequence[float],
-    y: WeightedSeq,
+    y: WeightedSeq | RadialStepFunction | AnnulusProfile,
     couple: CoupleSpec,
     tol: float = 1e-8,
 ) -> list[float]:
     """K(t, y) along a t grid.
 
-    Equivalent to calling k_functional pointwise; the lines of a
-    piecewise-linear branch are built once per curve, and on the descent
-    path the minimizer is carried from one grid point to the next, which
-    makes dense curves far cheaper to evaluate (a carried start whose dual
-    gap stays above 1e-12 is solved again from the cold start).
+    Equivalent to calling k_functional pointwise; on the descent path the
+    minimizer is carried from one grid point to the next, which makes dense
+    curves far cheaper to evaluate (a carried start whose dual gap stays
+    above 1e-12 is solved again from the cold start).
     """
-    if couple.base == "l1-linf":
-        raise ValueError("function-coordinate couples use the endpoint routines")
     if any(t <= 0 for t in ts):
         raise ValueError("t must be positive")
-    q0, q1 = couple.side0[1], couple.side1[1]
-    if q0 == INF and q1 != INF:
-        # swap roles: K(t; X0, X1) = t K(1/t; X1, X0)
-        swapped = CoupleSpec(couple.side1, couple.side0)
-        ks = k_functional_curve([1.0 / t for t in ts], y, swapped, tol)
-        return [t * k for t, k in zip(ts, ks)]
-    a_vec, b_vec = _side_vectors(y, couple)
-    if not a_vec:
-        return [0.0] * len(ts)
-    lines = _k_lines(a_vec, b_vec, q0, q1)
-    if lines is None:
-        out, s = [], None
-        for t in ts:
-            value, s = _k_descent(t, a_vec, b_vec, q0, q1, s)
-            out.append(value)
-        return out
-    if 1.0 < q0 < INF:
-        cost = _sup_cost(a_vec, b_vec, q0)[0]
-        return [_sup_finish(t, lines, cost, tol) for t in ts]
-    return [_envelope(lines, t) for t in ts]
+    return _k_plan(y, couple).curve(ts, tol)
 
 
 def check_k_curve(
@@ -755,28 +780,6 @@ def _endpoint_lines(
     return _lines([group([p]) for p in pieces] if q1 == 1.0 else [group(pieces)])
 
 
-def k_functional_herz_endpoint(
-    t: float,
-    f: RadialStepFunction,
-    couple: CoupleSpec,
-) -> float:
-    """K(t, f) for couples of Herz-type spaces over the endpoint base pair.
-
-    Coordinates are the annulus pieces; the side-0 norm aggregates their
-    integrals (integrable base), the side-1 norm their sup levels (bounded
-    base).  The optimal split of each coordinate is a level truncation
-    f_u = (f_u - c_u)_+ + min(f_u, c_u).  K is exact over the level caps for
-    outer exponents (1, 1) and (1, inf) (at zero weights (L^1, L^inf),
-    K = integral_0^t f*); no other exponents have a certified method, and
-    they raise ValueError.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if couple.base != "l1-linf":
-        raise ValueError("this routine is for the endpoint base couple")
-    return _envelope(_endpoint_lines(annulus_profile(f), couple.side0, couple.side1), t)
-
-
 # ---------------------------------------------------------------------------
 # interpolation norm
 # ---------------------------------------------------------------------------
@@ -802,19 +805,6 @@ def _endpoint_norms(
     return ell_norm(source, a0, q0), ell_norm(source, a1, q1)
 
 
-def _k_evaluator(
-    source: WeightedSeq | AnnulusProfile, couple: CoupleSpec, tol: float
-) -> tuple[Callable[[float], float], float, float]:
-    """t -> K(t), with its corner range (t_lo, t_hi): K(t) = t N1 exactly for
-    t <= t_lo and K(t) = N0 for t >= t_hi."""
-    if isinstance(source, AnnulusProfile):
-        lines = _endpoint_lines(source, couple.side0, couple.side1)
-        return lambda t: _envelope(lines, t), *_envelope_corners(lines)
-    a_vec, b_vec = _side_vectors(source, couple)
-    corners = _k_corners(a_vec, b_vec, couple.side0[1], couple.side1[1])
-    return lambda t: k_functional(t, source, couple, tol), *corners
-
-
 # Samples of K per octave of t when the sup form (q = inf) is taken on the grid.
 _POINTS_PER_OCTAVE = 16
 
@@ -835,16 +825,20 @@ def interpolation_norm(
     samples K on the log grid over the full window.
     The reported value is the midpoint of the rigorous bracket.  Functions
     (endpoint couple) are read through their annulus profile, built once.
+    The corners come from the plan of the source and couple (_k_plan), and K
+    from one k_functional call per t, each reading that same plan.
     """
     theta, q = params.theta, params.q
-    if couple.base == "l1-linf":
-        _check_endpoint_exponents(couple.side0[1], couple.side1[1])  # zero f included
+    if couple.base == "l1-linf" and not isinstance(source, WeightedSeq):
         source = annulus_profile(source)
+    plan = _k_plan(source, couple)  # raises for an uncertified couple, zero source included
     n0, n1 = _endpoint_norms(source, couple)
     if n0 == 0.0 and n1 == 0.0:
         return InterpNormResult(0.0, 0.0, 0.0)
-    k_of, corner_lo, corner_hi = _k_evaluator(source, couple, params.rel_tol)
     T = params.t_exponent_bound
+
+    def k_of(t: float) -> float:
+        return k_functional(t, source, couple, params.rel_tol)
 
     if q == INF:
         best = 0.0
@@ -857,6 +851,7 @@ def interpolation_norm(
             best = max(best, n1)  # K(t)/t increases to the side-1 norm as t -> 0
         return InterpNormResult(best, best, best)
 
+    corner_lo, corner_hi = plan.corners()
     t_lo = min(max(corner_lo, 2.0**-T), 2.0**T)
     t_hi = min(max(corner_hi, t_lo), 2.0**T)
     ln2 = math.log(2.0)

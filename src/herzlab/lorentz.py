@@ -173,12 +173,9 @@ def lorentz_star_norm(
         prev_t, prev_c = 0.0, 0.0
         for w, t, c in zip(levels, knots, cumulative):
             for point, c0, t0 in ((prev_t, prev_c, prev_t), (t, prev_c, prev_t)):
-                if point == 0.0:
-                    cand = 0.0 if 1.0 / p > 0 else w
-                else:
+                if point > 0.0:  # t^{1/p} f**(t) -> 0 as t -> 0 for finite p
                     avg = (c0 + w * (point - t0)) / point
-                    cand = point ** (1.0 / p) * avg
-                best = max(best, cand)
+                    best = max(best, point ** (1.0 / p) * avg)
             prev_t, prev_c = t, c
         best = max(best, knots[-1] ** (1.0 / p - 1.0) * total_mass)
         return best
@@ -228,7 +225,7 @@ def equivalence_check(
     g = _profile(f)
     q_norm = lorentz_quasi_norm(g, params)
     s_norm = lorentz_star_norm(g, params)
-    factor = 1.0 if params.p == INF else params.p / (params.p - 1.0)
+    factor = conjugate_exponent(params.p)
     if q_norm == 0.0:
         return EquivalenceReport(q_norm, s_norm, 1.0, factor, s_norm == 0.0)
     ratio = s_norm / q_norm

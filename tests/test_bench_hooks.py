@@ -3,6 +3,8 @@
 `benchmarks/tracer.py` wraps each function in its LAYERS table by name, and
 `benchmarks/run.py` reads the default `SuiteConfig.jobs` for its metadata,
 so a rename there would otherwise first show as a crashed benchmark run.
+The tracer names K spans by the branch of `interp.k_functional`, so the
+interpolation norm must keep reaching K through that module attribute.
 """
 
 import importlib.util
@@ -11,6 +13,11 @@ from pathlib import Path
 import pytest
 
 import herzlab.cli
+from herzlab import interp
+from herzlab.herz import annulus_profile
+from herzlab.interp import CoupleSpec, InterpolationParams, WeightedSeq, interpolation_norm
+from herzlab.lorentz import INF
+from herzlab.rearrange import radial_step
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -30,3 +37,23 @@ def test_traced_names_are_callables(layer, names):
 
 def test_default_jobs_setting_exists():
     assert herzlab.cli.SuiteConfig("").jobs >= 1
+
+
+@pytest.mark.parametrize("kind", ["sequence", "endpoint-profile"])
+def test_interpolation_norm_calls_k_functional(monkeypatch, kind):
+    calls = []
+    solve = interp.k_functional
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(interp, "k_functional", counted)
+    if kind == "sequence":
+        source = WeightedSeq.from_dict({0: 1.0, 1: 0.5, 3: 2.0})
+        couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
+    else:
+        source = annulus_profile(radial_step(1, [0, 1, 2, 5], [3, 1, 2]))
+        couple = CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf")
+    assert interpolation_norm(source, InterpolationParams(0.5, 1.5), couple).value > 0.0
+    assert len(calls) >= 1

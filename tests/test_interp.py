@@ -21,7 +21,6 @@ from herzlab.interp import (
     interpolation_norm,
     k_functional,
     k_functional_curve,
-    k_functional_herz_endpoint,
     k_functional_l1_linf,
     retract_L,
     verify_interpolation,
@@ -411,7 +410,7 @@ class TestHerzEndpointK:
         # (3 - c) mu(A_2) + t c, the exact endpoint K of the piece
         mu = 4.0
         for t in (0.5, 2.0, 10.0):
-            got = k_functional_herz_endpoint(t, f, couple)
+            got = k_functional(t, f, couple)
             expected = min((3.0 - c) * mu + t * c for c in (0.0, 3.0))
             assert got == pytest.approx(expected, rel=1e-12)
 
@@ -422,7 +421,7 @@ class TestHerzEndpointK:
         # coordinates A_{-1} (value 2, measure 1) and A_0 (value 1, measure 1)
         k_inner = min(2.0 * 1.0, t * 2.0 ** (-1) * 2.0, 1.0 + t * 2.0 ** (-1) * 1.0)
         k_outer = min(1.0, t * 1.0)
-        got = k_functional_herz_endpoint(t, f, couple)
+        got = k_functional(t, f, couple)
         assert got == pytest.approx(k_inner + k_outer, rel=1e-12)
 
     @pytest.mark.parametrize("weights", [(0.2, 0.5), (-0.3, 0.4)])
@@ -431,7 +430,7 @@ class TestHerzEndpointK:
         for f in nonneg_corpus[:5]:
             oracle = _herz_endpoint_oracle(f, couple)
             for t in (0.05, 0.5, 2.0, 7.0):
-                got = k_functional_herz_endpoint(t, f, couple)
+                got = k_functional(t, f, couple)
                 assert got == pytest.approx(oracle(t), rel=1e-12, abs=0.0)
 
     def test_weightless_one_inf_is_l1_linf(self, nonneg_corpus):
@@ -439,11 +438,11 @@ class TestHerzEndpointK:
         for f in nonneg_corpus[:6]:
             for t in (0.1, 0.5, 1.0, 3.0, 10.0, 40.0):
                 expected = k_functional_l1_linf(f, t)
-                assert k_functional_herz_endpoint(t, f, couple) == pytest.approx(
+                assert k_functional(t, f, couple) == pytest.approx(
                     expected, rel=1e-13, abs=0.0
                 )
 
-    @pytest.mark.parametrize("entry", ["k_functional_herz_endpoint", "interpolation_norm",
+    @pytest.mark.parametrize("entry", ["k_functional", "interpolation_norm",
                                        "verify_interpolation"])
     @pytest.mark.parametrize("q_pair", [
         (0.5, 1.0), (1.0, 0.7), (1.0, 2.0), (2.0, 2.0), (1.5, 3.0), (2.0, 1.0), (2.0, INF),
@@ -454,9 +453,9 @@ class TestHerzEndpointK:
         f = nonneg_corpus[0]
         couple = CoupleSpec((0.2, q_pair[0]), (0.5, q_pair[1]), base="l1-linf")
         match = r"\(1, 1\) and \(1, inf\)"
-        if entry == "k_functional_herz_endpoint":
+        if entry == "k_functional":
             with pytest.raises(ValueError, match=match):
-                k_functional_herz_endpoint(1.0, f, couple)
+                k_functional(1.0, f, couple)
         elif entry == "interpolation_norm":
             for g in (f, scale(f, 0)):
                 with pytest.raises(ValueError, match=match):
@@ -489,7 +488,7 @@ def test_endpoint_k_rejected_or_within_bounds(f, q0, q1, a0, a1, t):
     # between 0 and min(N0, t N1)
     couple = CoupleSpec((a0, q0), (a1, q1), base="l1-linf")
     try:
-        k = k_functional_herz_endpoint(t, f, couple)
+        k = k_functional(t, f, couple)
     except ValueError:
         return
     prof = annulus_profile(f)
@@ -537,7 +536,11 @@ class TestCornerRange:
 
     @staticmethod
     def check(source, couple, oracle, n0, n1):
-        k_of, t_lo, t_hi = interp._k_evaluator(source, couple, 1e-8)
+        t_lo, t_hi = interp._k_plan(source, couple).corners()
+
+        def k_of(t):
+            return k_functional(t, source, couple)
+
         assert 0.0 < t_lo <= t_hi < INF
         for t in (t_lo / 10.0, t_lo / 1.5, t_lo):
             for k in (k_of(t), oracle(t)):
@@ -616,6 +619,62 @@ class TestCornerRange:
             g = rearrangement(f)
             n0, n1 = float(g.total_mass()), float(g.levels[0])
             self.check(annulus_profile(f), couple, lambda t: k_functional_l1_linf(g, t), n0, n1)
+
+
+class TestKPlan:
+    """One plan per source and couple, shared by every K entry point."""
+
+    @pytest.mark.parametrize("entry", ["k_functional", "k_functional_curve", "interpolation_norm"])
+    @pytest.mark.parametrize("y", [WeightedSeq(()), WeightedSeq(((0, 0.0),))],
+                             ids=["empty", "zero"])
+    @pytest.mark.parametrize("q_pair", [(0.5, 2.0), (2.0, 0.5)],
+                             ids=lambda pair: "-".join(f"{q:g}" for q in pair))
+    def test_zero_source_uncertified_rejected(self, entry, y, q_pair):
+        couple = CoupleSpec((0.0, q_pair[0]), (1.0, q_pair[1]))
+        with pytest.raises(ValueError, match="no certified K"):
+            if entry == "k_functional":
+                k_functional(1.0, y, couple)
+            elif entry == "k_functional_curve":
+                k_functional_curve([0.5, 2.0], y, couple)
+            else:
+                interpolation_norm(y, InterpolationParams(0.5, 1.0), couple)
+
+    def test_mismatched_source_rejected(self):
+        with pytest.raises(ValueError, match="l1-linf couple"):
+            k_functional(1.0, WeightedSeq.unit(0), CoupleSpec((0.0, 1.0), (0.0, INF), "l1-linf"))
+        with pytest.raises(ValueError, match="sequence couple"):
+            k_functional(1.0, ball(1, 1), CoupleSpec((0.0, 1.0), (1.0, 1.0)))
+
+    def test_interpolation_norm_builds_one_plan(self, monkeypatch):
+        # every per-t K of the descent branch reads the same plan
+        calls = []
+        side_vectors = interp._side_vectors
+
+        def counted(*args):
+            calls.append(None)
+            return side_vectors(*args)
+
+        monkeypatch.setattr(interp, "_side_vectors", counted)
+        interp._k_plan.cache_clear()
+        y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
+        params = InterpolationParams(0.5, 1.5, t_exponent_bound=20, rel_tol=1e-8)
+        assert interpolation_norm(y, params, CoupleSpec((0.5, 1.0), (0.5, 2.0))).value > 0.0
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("couple", [
+        CoupleSpec((0.0, 1.0), (1.0, 1.0)),
+        CoupleSpec((0.0, 2.0), (1.0, INF)),
+        CoupleSpec((0.0, 0.5), (0.5, 0.7)),
+        CoupleSpec((0.0, 2.0), (1.0, 1.5)),
+        CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf"),
+    ], ids=["linear", "sup-finish", "vertex", "descent", "endpoint"])
+    def test_cache_is_transparent(self, nonneg_corpus, couple):
+        source = nonneg_corpus[0] if couple.base else random_seq()
+        ts = [0.1, 0.7, 3.0, 20.0]
+        cached = k_functional_curve(ts, source, couple)
+        assert k_functional_curve(ts, source, couple) == cached
+        interp._k_plan.cache_clear()
+        assert k_functional_curve(ts, source, couple) == cached
 
 
 class TestInterpolationNorm:
