@@ -25,7 +25,6 @@ from .interp import (
     interpolation_norm,
     k_functional,
     k_functional_curve,
-    k_functional_l1_linf,
     retract_L,
     verify_interpolation,
 )

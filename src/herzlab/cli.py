@@ -32,8 +32,7 @@ from .herz import (
 from .interp import (
     CoupleSpec,
     WeightedSeq,
-    k_functional,
-    k_functional_l1_linf,
+    k_functional_curve,
     retract_L,
     verify_interpolation,
 )
@@ -737,17 +736,14 @@ def _cmd_kfunc(args: argparse.Namespace) -> int:
         args.t_lo * (args.t_hi / args.t_lo) ** (i / (args.points - 1))
         for i in range(args.points)
     ]
+    if not isinstance(obj, RadialStepFunction):
+        raise ConfigError("kfunc needs a radial step record")
     if args.l1_linf:
-        if not isinstance(obj, RadialStepFunction):
-            raise ConfigError("the endpoint couple needs a radial step record")
-        ks = [k_functional_l1_linf(obj, t) for t in ts]
+        source, couple = obj, CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
     else:
-        if isinstance(obj, RadialStepFunction):
-            y = retract_L(obj, LorentzParams(args.base_p, args.base_r))
-        else:
-            raise ConfigError("kfunc needs a radial step record")
+        source = retract_L(obj, LorentzParams(args.base_p, args.base_r))
         couple = CoupleSpec((args.a0, args.q0), (args.a1, args.q1))
-        ks = [k_functional(t, y, couple) for t in ts]
+    ks = k_functional_curve(ts, source, couple)
     lines = [f"{t!r}\t{k!r}" for t, k in zip(ts, ks)]
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from .herz import AnnulusMeasureSequence
+from .herz import AnnulusMeasureSequence, annulus_indicator
 from .operators import GridFunction1D
 from .rearrange import RadialStepFunction, ball, radial_step, unit_ball_volume
 
@@ -249,16 +249,7 @@ def generate_corpus(
                 shell_trace_sequence(max(size, 5)),
             ]
         rng = random.Random(seed)
-        out: list[CorpusObject] = []
-        for _ in range(size):
-            u = rng.randint(-1, 6)
-            lo = Fraction(0) if u == -1 else Fraction(2) ** (u - 1)
-            hi = Fraction(2) ** u if u >= 0 else Fraction(1, 2)
-            out.append(
-                radial_step(dim, [Fraction(0), lo, hi] if u >= 0 else [Fraction(0), hi],
-                            [Fraction(0), Fraction(1)] if u >= 0 else [Fraction(1)])
-            )
-        return out
+        return [annulus_indicator(rng.randint(-1, 6), dim) for _ in range(size)]
     if kind == "random-step":
         return list(random_step_functions(size, seed, dim))
     if kind == "grid":

@@ -20,7 +20,8 @@ K(t, f) = integral_0^t f*, the (1, inf) endpoint couple at zero weights.
 k_functional and k_functional_curve are the only K entry points, for
 sequence and endpoint couples alike.  Each source and couple builds one
 memoized plan (_k_plan), which decides the branch, swaps a sup first side
-once and yields K along any t list and, on demand, its corner range.
+once and yields K along any t list, the couple's norms (N0, N1) of the
+source and, on demand, its corner range.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ from .lorentz import (
 from .quadrature import adaptive_simpson
 from .rearrange import (
     RadialStepFunction,
-    StepRearrangement,
     pointwise_sum,
-    rearrangement,
     scale,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "k_functional",
     "k_functional_curve",
     "check_k_curve",
-    "k_functional_l1_linf",
     "interpolation_norm",
     "verify_interpolation",
     "SuiteReport",
@@ -141,7 +139,8 @@ class CoupleSpec:
 
 @dataclass(frozen=True)
 class InterpolationParams:
-    """Parameters (theta, q) plus the truncated log grid for the K integral."""
+    """Parameters (theta, q) plus the truncated log grid for the K integral;
+    rel_tol is the tolerance of the adaptive Simpson rule between the corners."""
 
     theta: float
     q: float
@@ -306,15 +305,19 @@ def _envelope_corners(lines: Lines) -> tuple[float, float]:
     return float(t_lo), float(t_hi)
 
 
-def _sup_finish(t: float, lines: Lines, cost: Callable[[float], float], tol: float) -> float:
+# Width of the golden-section bracket of _sup_finish, relative to the largest kink.
+_SUP_FINISH_TOL = 1e-8
+
+
+def _sup_finish(t: float, lines: Lines, cost: Callable[[float], float]) -> float:
     """K of a sup side whose capped cost N is convex (1 < q0 < inf): the best
     kink line N(beta) + t beta, finished by a golden-section search over the
-    two kink intervals around it."""
+    two kink intervals around it (a Python float, not a numpy scalar)."""
     c, kinks = lines[0][0], lines[1][0]
     i = int(np.argmin(c + t * kinks))
     lo, hi = kinks[max(i - 1, 0)], kinks[min(i + 1, len(kinks) - 1)]
-    line = _golden_min(lambda beta: cost(beta) + t * beta, lo, hi, tol * kinks[-1])[1]
-    return min(float(c[i] + t * kinks[i]), line)
+    line = _golden_min(lambda beta: cost(beta) + t * beta, lo, hi, _SUP_FINISH_TOL * kinks[-1])[1]
+    return float(min(c[i] + t * kinks[i], line))
 
 
 def _objective(
@@ -561,12 +564,13 @@ def _dual_bound(
 
 def _k_descent(
     t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float,
-    s_init: list[float] | None,
+    s_init: list[float] | None, norms: tuple[float, float],
 ) -> tuple[float, list[float]]:
     """K(t) and its split by coordinate descent (exponents >= 1), checked by
     the dual bound: from a carried split with a relative gap above 1e-12 the
     cold start is solved too, the lower value kept; a cold descent with a
-    gap above 1e-6 resumes its sweeps, for at most 20 more rounds."""
+    gap above 1e-6 resumes its sweeps, for at most 20 more rounds, and the
+    value after the last round stands.  Capped by min(N0, t N1) of norms."""
     value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, s_init)
     if s_init is None:
         for _ in range(20):
@@ -574,24 +578,26 @@ def _k_descent(
                 break
             value = _cd_sweeps(s, t, a_vec, b_vec, q0, q1)
     elif _dual_bound(s, t, a_vec, b_vec, q0, q1) < value * (1.0 - 1e-12):
-        cold_value, cold_s = _k_descent(t, a_vec, b_vec, q0, q1, None)
+        cold_value, cold_s = _k_descent(t, a_vec, b_vec, q0, q1, None, norms)
         if cold_value < value:
             value, s = cold_value, cold_s
-    return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
+    return min(value, norms[0], t * norms[1]), s
 
 
 class _KPlan(NamedTuple):
-    """K of one source and couple: `curve(ts, tol)` evaluates it along ts,
-    `corners()` computes its corner range (t_lo, t_hi) on demand: K(t) = t N1
-    exactly for t <= t_lo and K(t) = N0 for t >= t_hi."""
+    """K of one source and couple: `curve(ts)` evaluates it along ts, `norms`
+    holds the source's couple norms (N0, N1), and `corners()` computes the
+    corner range (t_lo, t_hi) on demand: K(t) = t N1 exactly for t <= t_lo
+    and K(t) = N0 for t >= t_hi."""
 
-    curve: Callable[[Sequence[float], float], list[float]]
+    curve: Callable[[Sequence[float]], list[float]]
     corners: Callable[[], tuple[float, float]]
+    norms: tuple[float, float]
 
 
-def _line_plan(lines: Lines) -> _KPlan:
-    return _KPlan(lambda ts, tol: [_envelope(lines, t) for t in ts],
-                  lambda: _envelope_corners(lines))
+def _line_plan(lines: Lines, norms: tuple[float, float]) -> _KPlan:
+    return _KPlan(lambda ts: [_envelope(lines, t) for t in ts],
+                  lambda: _envelope_corners(lines), norms)
 
 
 # a few plans suffice: interpolation_norm reads one per call, and a sup first
@@ -602,7 +608,10 @@ def _k_plan(
 ) -> _KPlan:
     """The K plan of a source and couple, built once (a pure function, so
     memoized): side vectors, lines and capped cost of a sequence, or the
-    level-cap lines of a function's annulus profile for an endpoint couple.
+    level-cap lines of a function's annulus profile for an endpoint couple,
+    and the couple's norms of the source: ell_norm on both sides of a
+    sequence, and for an endpoint couple the weighted aggregations of the
+    profile's annulus integrals (side 0) and top levels (side 1).
 
     Sequence couples: exponents (1, 1) give the lines a_u and t b_u per
     coordinate, a sup second side one line N(beta) + t beta per kink of its
@@ -616,9 +625,12 @@ def _k_plan(
     if isinstance(source, WeightedSeq) != (couple.base is None):
         raise ValueError("a sequence couple takes a WeightedSeq, an l1-linf couple "
                          "a function or its AnnulusProfile")
+    (a0, q0), (a1, q1) = couple.side0, couple.side1
     if couple.base == "l1-linf":
-        return _line_plan(_endpoint_lines(annulus_profile(source), couple.side0, couple.side1))
-    q0, q1 = couple.side0[1], couple.side1[1]
+        prof = annulus_profile(source)
+        lines = _endpoint_lines(prof, couple.side0, couple.side1)
+        return _line_plan(lines, (weighted_lq(dict(zip(prof.us, prof.integrals)), a0, q0),
+                                  weighted_lq(dict(zip(prof.us, prof.tops)), a1, q1)))
     if min(q0, q1) < 1.0 < max(q0, q1) < INF:
         raise ValueError(f"no certified K for outer exponents ({q0}, {q1}): one below 1, one above")
     if q0 == INF and q1 != INF:
@@ -629,38 +641,40 @@ def _k_plan(
             return 1.0 / hi, 1.0 / lo
 
         return _KPlan(
-            lambda ts, tol: [t * k for t, k in zip(ts, swapped.curve([1.0 / t for t in ts], tol))],
+            lambda ts: [t * k for t, k in zip(ts, swapped.curve([1.0 / t for t in ts]))],
             swapped_corners,
+            swapped.norms[::-1],
         )
+    norms = ell_norm(source, a0, q0), ell_norm(source, a1, q1)
     a_vec, b_vec = _side_vectors(source, couple)
     if not a_vec or q0 == 1.0 and q1 == 1.0:  # no lines at all on an empty support: K = 0
-        return _line_plan(_lines([((a, 0.0), (0.0, b)) for a, b in zip(a_vec, b_vec)]))
+        return _line_plan(_lines([((a, 0.0), (0.0, b)) for a, b in zip(a_vec, b_vec)]), norms)
     if q0 <= 1.0 and q1 <= 1.0:
-        return _line_plan(_lines([_vertex_norms(a_vec, b_vec, q0, q1)]))
+        return _line_plan(_lines([_vertex_norms(a_vec, b_vec, q0, q1)]), norms)
     if q1 != INF:
 
-        def descent(ts: Sequence[float], tol: float) -> list[float]:
+        def descent(ts: Sequence[float]) -> list[float]:
             out, s = [], None
             for t in ts:
-                value, s = _k_descent(t, a_vec, b_vec, q0, q1, s)
+                value, s = _k_descent(t, a_vec, b_vec, q0, q1, s, norms)
                 out.append(value)
             return out
 
         return _KPlan(descent, lambda: (1.0 / _corner_dual(a_vec, b_vec, q0, q1)[1],
-                                        _corner_dual(b_vec, a_vec, q1, q0)[1]))
+                                        _corner_dual(b_vec, a_vec, q1, q0)[1]), norms)
     cost, kinks = _sup_cost(a_vec, b_vec, q0)
     lines = _lines([([cost(beta) for beta in kinks], kinks)])
     if not 1.0 < q0 < INF:
-        return _line_plan(lines)
-    return _KPlan(lambda ts, tol: [_sup_finish(t, lines, cost, tol) for t in ts],
-                  lambda: (_envelope_corners(lines)[0], _corner_dual(b_vec, a_vec, q1, q0)[1]))
+        return _line_plan(lines, norms)
+    return _KPlan(lambda ts: [_sup_finish(t, lines, cost) for t in ts],
+                  lambda: (_envelope_corners(lines)[0], _corner_dual(b_vec, a_vec, q1, q0)[1]),
+                  norms)
 
 
 def k_functional(
     t: float,
     y: WeightedSeq | RadialStepFunction | AnnulusProfile,
     couple: CoupleSpec,
-    tol: float = 1e-8,
 ) -> float:
     """K(t, y) between the two norms of the couple.
 
@@ -670,9 +684,10 @@ def k_functional(
     and exponents both <= 1 (a concave objective, exact over the 2^n vertex
     splits of at most 20 coordinates) give K as a sum of lower envelopes of
     lines, evaluated exactly.  A sup side against 1 < q < inf finishes its
-    best kink line by a golden-section search to `tol`.  Other exponents
-    >= 1 go through cyclic exact coordinate minimization with corner escapes,
-    resumed while the K-J dual gap exceeds 1e-6.  One exponent below 1 with
+    best kink line by a golden-section search to 1e-8 of its largest kink.
+    Other exponents >= 1 go through cyclic exact coordinate minimization
+    with corner escapes, resumed while the K-J dual gap exceeds 1e-6 (for
+    at most 20 rounds; the last value stands).  One exponent below 1 with
     the other finite and above 1 has no certified method: ValueError.
 
     The endpoint couple (base "l1-linf") takes a radial step function or its
@@ -686,25 +701,26 @@ def k_functional(
     Each source and couple builds one plan (see _k_plan), shared by every
     t; a source of the wrong kind for the couple raises ValueError.
     """
-    return k_functional_curve([t], y, couple, tol)[0]
+    return k_functional_curve([t], y, couple)[0]
 
 
 def k_functional_curve(
     ts: Sequence[float],
     y: WeightedSeq | RadialStepFunction | AnnulusProfile,
     couple: CoupleSpec,
-    tol: float = 1e-8,
 ) -> list[float]:
-    """K(t, y) along a t grid.
+    """K(t, y) along a t grid, from the one plan of y and the couple.
 
-    Equivalent to calling k_functional pointwise; on the descent path the
-    minimizer is carried from one grid point to the next, which makes dense
-    curves far cheaper to evaluate (a carried start whose dual gap stays
-    above 1e-12 is solved again from the cold start).
+    Every branch but the descent gives k_functional's values bit for bit.
+    The descent carries the minimizer from one grid point to the next, which
+    makes dense curves far cheaper to evaluate; its values agree with cold
+    solves to the descent's accuracy (a carried start whose dual gap stays
+    above 1e-12 is solved again from the cold start).  `herzlab kfunc`
+    prints one such curve.
     """
     if any(t <= 0 for t in ts):
         raise ValueError("t must be positive")
-    return _k_plan(y, couple).curve(ts, tol)
+    return _k_plan(y, couple).curve(ts)
 
 
 def check_k_curve(
@@ -736,14 +752,6 @@ def check_k_curve(
         if s2 > s1 + tol * scale_ref:
             raise AssertionError("K must be concave in t")
     return list(ks)
-
-
-def k_functional_l1_linf(f: RadialStepFunction | StepRearrangement, t: float) -> float:
-    """K(t, f) between the integrable and bounded endpoints: integral_0^t f*."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    g = f if isinstance(f, StepRearrangement) else rearrangement(f)
-    return float(g.integral_up_to(Fraction(t)))
 
 
 def _check_endpoint_exponents(q0: float, q1: float) -> None:
@@ -792,19 +800,6 @@ class InterpNormResult:
     upper: float
 
 
-def _endpoint_norms(
-    source: WeightedSeq | AnnulusProfile, couple: CoupleSpec
-) -> tuple[float, float]:
-    a0, q0 = couple.side0
-    a1, q1 = couple.side1
-    if isinstance(source, AnnulusProfile):
-        return (
-            weighted_lq(dict(zip(source.us, source.integrals)), a0, q0),
-            weighted_lq(dict(zip(source.us, source.tops)), a1, q1),
-        )
-    return ell_norm(source, a0, q0), ell_norm(source, a1, q1)
-
-
 # Samples of K per octave of t when the sup form (q = inf) is taken on the grid.
 _POINTS_PER_OCTAVE = 16
 
@@ -825,20 +820,21 @@ def interpolation_norm(
     samples K on the log grid over the full window.
     The reported value is the midpoint of the rigorous bracket.  Functions
     (endpoint couple) are read through their annulus profile, built once.
-    The corners come from the plan of the source and couple (_k_plan), and K
-    from one k_functional call per t, each reading that same plan.
+    The norms and corners come from the plan of the source and couple
+    (_k_plan), and K from one k_functional call per t, each reading that
+    same plan.
     """
     theta, q = params.theta, params.q
     if couple.base == "l1-linf" and not isinstance(source, WeightedSeq):
         source = annulus_profile(source)
     plan = _k_plan(source, couple)  # raises for an uncertified couple, zero source included
-    n0, n1 = _endpoint_norms(source, couple)
+    n0, n1 = plan.norms
     if n0 == 0.0 and n1 == 0.0:
         return InterpNormResult(0.0, 0.0, 0.0)
     T = params.t_exponent_bound
 
     def k_of(t: float) -> float:
-        return k_functional(t, source, couple, params.rel_tol)
+        return k_functional(t, source, couple)
 
     if q == INF:
         best = 0.0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herzlab import cli, interp
-from herzlab.corpus import random_step_functions
+from herzlab.corpus import random_step_functions, save_corpus
 from herzlab.herz import HerzParams, annuli_decompose, annulus_profile, hl_norm, weighted_lq
 from herzlab.interp import (
     CoupleSpec,
@@ -21,14 +21,22 @@ from herzlab.interp import (
     interpolation_norm,
     k_functional,
     k_functional_curve,
-    k_functional_l1_linf,
     retract_L,
     verify_interpolation,
 )
 from herzlab.lorentz import INF, LorentzParams, lorentz_star_norm
-from herzlab.rearrange import ball, radial_step, rearrangement, scale
+from herzlab.rearrange import StepRearrangement, ball, radial_step, rearrangement, scale
 
 RNG = random.Random(20240811)
+
+L1_LINF = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
+
+
+def exact_l1_linf_k(f, t):
+    """Exact K(t, f) of (L^1, L^inf), integral_0^t f*, of a radial step
+    function or its decreasing rearrangement."""
+    g = f if isinstance(f, StepRearrangement) else rearrangement(f)
+    return float(g.integral_up_to(Fraction(t)))
 
 
 def _side_vectors(y: WeightedSeq, couple: CoupleSpec):
@@ -315,6 +323,19 @@ class TestKFunctional:
         got = k_functional(0.07230071540063591, y, couple)
         assert got == pytest.approx(3.36716443877377, rel=1e-12)
 
+    def test_corner_escape_reaches_the_minimum(self):
+        # t lies inside the corner range (1.4801, 2.2461); the sweeps settle
+        # on the corner s = 0, whose value 77.30108753142962 is 0.42% above
+        # the minimum, and only the escape along the dual maximizer leaves it
+        y = WeightedSeq.from_dict(
+            {3: 67.95021961636041, 6: 0.3993068738410339, 8: 0.28525231060188194}
+        )
+        couple = CoupleSpec((0.06474590349398635, 8.0), (-0.3244040896987568, 1.0))
+        t = 2.223681878548065
+        got = k_functional(t, y, couple)
+        oracle = brute_force_k(t, y, couple)
+        assert abs(got - oracle) <= 1e-6 * max(1.0, oracle), (got, oracle)
+
     def test_sup_first_side_by_symmetry(self):
         couple = CoupleSpec((0.3, INF), (0.0, 2.0))
         swapped = CoupleSpec((0.0, 2.0), (0.3, INF))
@@ -371,13 +392,18 @@ class TestKFunctional:
 
 
 class TestKL1Linf:
+    """The level-cap lines of the weightless (1, inf) endpoint couple and the
+    exact oracle integral_0^t f* against closed forms."""
+
     def test_indicator_min_form(self):
         chi = ball(1, 1)
-        assert k_functional_l1_linf(chi, 0.25) == pytest.approx(0.25)
-        assert k_functional_l1_linf(chi, 7.0) == pytest.approx(1.0)
+        for k_of in (exact_l1_linf_k, lambda f, t: k_functional(t, f, L1_LINF)):
+            assert k_of(chi, 0.25) == pytest.approx(0.25)
+            assert k_of(chi, 7.0) == pytest.approx(1.0)
 
     def test_two_shell_value(self, two_shell):
-        assert k_functional_l1_linf(two_shell, 1.0) == pytest.approx(2.0)
+        assert exact_l1_linf_k(two_shell, 1.0) == pytest.approx(2.0)
+        assert k_functional(1.0, two_shell, L1_LINF) == pytest.approx(2.0)
 
     def test_truncation_oracle_agreement(self, step_corpus):
         # independent oracle: K(t) = min over levels c of (integral of
@@ -396,8 +422,8 @@ class TestKL1Linf:
                     + t * c
                     for c in candidates
                 )
-                got = k_functional_l1_linf(f, float(t))
-                assert abs(got - float(oracle)) <= 1e-9 * max(1.0, float(oracle))
+                for got in (exact_l1_linf_k(f, t), k_functional(float(t), f, L1_LINF)):
+                    assert abs(got - float(oracle)) <= 1e-9 * max(1.0, float(oracle))
 
 
 class TestHerzEndpointK:
@@ -434,11 +460,10 @@ class TestHerzEndpointK:
                 assert got == pytest.approx(oracle(t), rel=1e-12, abs=0.0)
 
     def test_weightless_one_inf_is_l1_linf(self, nonneg_corpus):
-        couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
         for f in nonneg_corpus[:6]:
             for t in (0.1, 0.5, 1.0, 3.0, 10.0, 40.0):
-                expected = k_functional_l1_linf(f, t)
-                assert k_functional(t, f, couple) == pytest.approx(
+                expected = exact_l1_linf_k(f, t)
+                assert k_functional(t, f, L1_LINF) == pytest.approx(
                     expected, rel=1e-13, abs=0.0
                 )
 
@@ -614,11 +639,10 @@ class TestCornerRange:
             self.check(prof, couple, _herz_endpoint_oracle(f, couple), n0, n1)
 
     def test_lorentz_endpoint(self, nonneg_corpus):
-        couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
         for f in nonneg_corpus[:4]:
             g = rearrangement(f)
             n0, n1 = float(g.total_mass()), float(g.levels[0])
-            self.check(annulus_profile(f), couple, lambda t: k_functional_l1_linf(g, t), n0, n1)
+            self.check(annulus_profile(f), L1_LINF, lambda t: exact_l1_linf_k(g, t), n0, n1)
 
 
 class TestKPlan:
@@ -638,6 +662,30 @@ class TestKPlan:
                 k_functional_curve([0.5, 2.0], y, couple)
             else:
                 interpolation_norm(y, InterpolationParams(0.5, 1.0), couple)
+
+    @pytest.mark.parametrize("couple", [
+        CoupleSpec((0.0, 1.0), (1.0, 1.0)),
+        CoupleSpec((0.0, 0.5), (0.5, 0.7)),
+        CoupleSpec((0.2, 0.5), (1.0, INF)),
+        CoupleSpec((0.3, INF), (0.0, 2.0)),
+        CoupleSpec((0.0, 2.0), (1.0, INF)),
+        CoupleSpec((0.0, 2.0), (1.0, 1.5)),
+        CoupleSpec((0.2, 1.0), (0.5, 1.0), base="l1-linf"),
+        CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf"),
+    ], ids=["linear", "vertex", "sup-second", "sup-first", "sup-finish", "descent",
+            "endpoint-1-1", "endpoint-1-inf"])
+    def test_norms(self, nonneg_corpus, couple):
+        # the plan's (N0, N1) are the couple's norms of the source, bit for bit
+        if couple.base:
+            for source in (nonneg_corpus[2], annulus_profile(nonneg_corpus[2])):
+                prof = annulus_profile(source)
+                expected = (weighted_lq(dict(zip(prof.us, prof.integrals)), *couple.side0),
+                            weighted_lq(dict(zip(prof.us, prof.tops)), *couple.side1))
+                assert interp._k_plan(source, couple).norms == expected
+        else:
+            for y in (WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25}), WeightedSeq(())):
+                expected = (ell_norm(y, *couple.side0), ell_norm(y, *couple.side1))
+                assert interp._k_plan(y, couple).norms == expected
 
     def test_mismatched_source_rejected(self):
         with pytest.raises(ValueError, match="l1-linf couple"):
@@ -675,6 +723,49 @@ class TestKPlan:
         assert k_functional_curve(ts, source, couple) == cached
         interp._k_plan.cache_clear()
         assert k_functional_curve(ts, source, couple) == cached
+
+
+_FIVE_ANNULI = radial_step(1, [0, Fraction(1, 2), 1, 2, 4, 8], [3, 2, 1, 5, Fraction(1, 2)])
+
+
+class TestKfunc:
+    """`herzlab kfunc` prints one K curve of the record's plan."""
+
+    def test_l1_linf_matches_exact_oracle(self, tmp_path, capsys, nonneg_corpus):
+        fns = [_FIVE_ANNULI, *nonneg_corpus[:4]]
+        path = tmp_path / "steps.json"
+        save_corpus(fns, path)
+        for i, f in enumerate(fns):
+            assert cli.main(["kfunc", "--input", str(path), "--index", str(i), "--l1-linf",
+                             "--t-lo", "1e-3", "--t-hi", "1e3", "--points", "33"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 33
+            for line in lines:
+                t, k = map(float, line.split("\t"))
+                assert k == pytest.approx(exact_l1_linf_k(f, t), rel=1e-13, abs=0.0), (i, t)
+
+    def test_descent_couple_prints_the_retract_curve(self, tmp_path, capsys):
+        path = tmp_path / "steps.json"
+        save_corpus([_FIVE_ANNULI], path)
+        assert cli.main(["kfunc", "--input", str(path), "--q0", "1", "--q1", "2",
+                         "--points", "17"]) == 0
+        out = capsys.readouterr().out
+        ts = [float(line.split("\t")[0]) for line in out.splitlines()]
+        y = retract_L(_FIVE_ANNULI, LorentzParams(2.0, 2.0))
+        ks = k_functional_curve(ts, y, CoupleSpec((0.0, 1.0), (1.0, 2.0)))
+        assert out == "".join(f"{t!r}\t{k!r}\n" for t, k in zip(ts, ks))
+
+    @pytest.mark.parametrize("q_pair", [("2", "inf"), ("inf", "2")])
+    def test_sup_finish_prints_plain_floats(self, tmp_path, capsys, q_pair):
+        # the golden-section value reaches the output as a plain float, never as
+        # np.float64(...), which no float parser reads
+        path = tmp_path / "steps.json"
+        save_corpus([_FIVE_ANNULI], path)
+        assert cli.main(["kfunc", "--input", str(path), "--q0", q_pair[0], "--q1", q_pair[1],
+                         "--points", "17"]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            t, k = map(float, line.split("\t"))
+            assert 0.0 < k < INF
 
 
 class TestInterpolationNorm:
