@@ -13,7 +13,7 @@ where the concave objective attains its minimum), and the endpoint Herz
 couples with exponents (1, 1) and (1, inf) (one line per level cap).  A sup
 side against 1 < q < inf finishes its best kink by a golden-section search,
 and other exponents both at least 1 go through cyclic exact coordinate
-minimization, each slice by bisecting its derivative.  The couple whose
+minimization, each slice by regula falsi on its derivative.  The couple whose
 endpoints are the integrable and bounded functions has
 K(t, f) = integral_0^t f*, the (1, inf) endpoint couple at zero weights.
 
@@ -21,7 +21,9 @@ k_functional and k_functional_curve are the only K entry points, for
 sequence and endpoint couples alike.  Each source and couple builds one
 memoized plan (_k_plan), which decides the branch, swaps a sup first side
 once and yields K along any t list, the couple's norms (N0, N1) of the
-source and, on demand, its corner range.
+source and, on demand, its corner range and, on a line branch, the
+breakpoints between which K is linear.  There the interpolation integral is
+exact chord by chord (quadrature.power_integral) with a certified bracket.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .lorentz import (
     lorentz_quasi_norm,
     lorentz_star_norm,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, power_integral
 from .rearrange import (
     RadialStepFunction,
     pointwise_sum,
@@ -140,7 +142,9 @@ class CoupleSpec:
 @dataclass(frozen=True)
 class InterpolationParams:
     """Parameters (theta, q) plus the truncated log grid for the K integral;
-    rel_tol is the tolerance of the adaptive Simpson rule between the corners."""
+    rel_tol is the tolerance of the adaptive Simpson rule between the corners,
+    which runs only where K has no piecewise-linear form (the descent and
+    sup-finish K branches)."""
 
     theta: float
     q: float
@@ -305,6 +309,36 @@ def _envelope_corners(lines: Lines) -> tuple[float, float]:
     return float(t_lo), float(t_hi)
 
 
+def _envelope_breaks(lines: Lines) -> list[float]:
+    """Sorted breakpoints t > 0 of a sum of line envelopes, where K is linear
+    between consecutive ones.
+
+    Per group the lines are sorted by slope descending; a line that one of
+    smaller or equal slope matches at t = 0 lies above it for every t > 0 and
+    goes, leaving intercepts that rise as slopes fall.  One monotone-chain
+    pass (the hull idea of operators._hull_parents) then pops each line whose
+    crossings with its neighbours come in the wrong order, and the crossings
+    of the lines that remain are the group's breakpoints.
+    """
+    out = set()
+    for c, d in zip(*lines):
+        order = np.lexsort((c, -d))  # slope descending, intercept ascending
+        c, d = c[order], d[order]
+        first = np.append(True, d[1:] != d[:-1])  # the lowest line of each slope
+        c, d = c[first], d[first]
+        keep = c < np.append(np.minimum.accumulate(c[::-1])[::-1][1:], INF)
+        chain: list[tuple[float, float]] = []
+        for ci, di in zip(c[keep].tolist(), d[keep].tolist()):
+            while len(chain) > 1:
+                (c1, d1), (c2, d2) = chain[-2], chain[-1]
+                if (ci - c1) * (d1 - d2) > (c2 - c1) * (d1 - di):
+                    break
+                chain.pop()
+            chain.append((ci, di))
+        out.update((c2 - c1) / (d1 - d2) for (c1, d1), (c2, d2) in zip(chain, chain[1:]))
+    return sorted(out)
+
+
 # Width of the golden-section bracket of _sup_finish, relative to the largest kink.
 _SUP_FINISH_TOL = 1e-8
 
@@ -333,6 +367,63 @@ def _objective(
     return lq_norm(part0, q0) + t * lq_norm(part1, q1)
 
 
+def _slice_deriv(
+    t: float, a: float, b: float, c0: float, c1: float, q0: float, q1: float
+) -> Callable[[float], float]:
+    """Derivative in x of one coordinate slice of the split objective,
+    (c0 + (a x)^q0)^(1/q0) + t (c1 + (b (1 - x))^q1)^(1/q1), where c0 and c1
+    are the other coordinates' power sums; increasing on [0, 1] (convex slice)."""
+    e0 = (1.0 - q0) / q0
+    e1 = (1.0 - q1) / q1
+
+    def deriv(x: float) -> float:
+        g0 = c0 + (a * x) ** q0
+        d0 = a if g0 == 0.0 else (a**q0) * x ** (q0 - 1.0) * g0**e0
+        g1 = c1 + (b * (1.0 - x)) ** q1
+        d1 = b if g1 == 0.0 else (b**q1) * (1.0 - x) ** (q1 - 1.0) * g1**e1
+        return d0 - t * d1
+
+    return deriv
+
+
+# Cap on the steps of one slice solve; bisection alone reaches the width in 47.
+_SLICE_STEPS = 100
+_SLICE_WIDTH = 2.0**-47
+
+
+def _slice_root(deriv: Callable[[float], float], f_lo: float, f_hi: float) -> float:
+    """Root in [0, 1] of an increasing function with deriv(0) = f_lo < 0 < f_hi =
+    deriv(1), by Illinois regula falsi.
+
+    The bracket [lo, hi] keeps deriv(lo) < 0 <= deriv(hi); a secant point
+    outside its interior is replaced by the midpoint, and the value at an end
+    that stays twice in a row is halved, so both ends close in.  Returns an
+    exact zero as soon as one is hit, and otherwise the midpoint once the
+    width is at most 2^-47 or after _SLICE_STEPS steps.
+    """
+    lo, hi, kept = 0.0, 1.0, 0
+    for _ in range(_SLICE_STEPS):
+        if hi - lo <= _SLICE_WIDTH:
+            break
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = deriv(x)
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
+        elif fx > 0.0:
+            hi, f_hi = x, fx
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
+        else:
+            return x
+    return 0.5 * (lo + hi)
+
+
 def _cd_sweeps(
     s: list[float],
     t: float,
@@ -343,17 +434,15 @@ def _cd_sweeps(
 ) -> float:
     """Cyclic exact coordinate minimization, mutating s in place.
 
-    Each coordinate slice of the convex objective is minimized by bisecting
-    its derivative, with the two power sums maintained incrementally so a
-    derivative evaluation costs O(1).
+    Each coordinate slice of the convex objective is minimized at the root of
+    its increasing derivative (_slice_root), with the two power sums
+    maintained incrementally so a derivative evaluation costs O(1).
     """
     n = len(a_vec)
     p0 = [(a * x) ** q0 for a, x in zip(a_vec, s)]
     p1 = [(b * (1.0 - x)) ** q1 for b, x in zip(b_vec, s)]
     sum0 = math.fsum(p0)
     sum1 = math.fsum(p1)
-    e0 = (1.0 - q0) / q0
-    e1 = (1.0 - q1) / q1
 
     prev_value = INF
     for sweep in range(120):
@@ -362,31 +451,13 @@ def _cd_sweeps(
             a, b = a_vec[i], b_vec[i]
             c0 = max(0.0, sum0 - p0[i])
             c1 = max(0.0, sum1 - p1[i])
-
-            def deriv(x: float) -> float:
-                g0 = c0 + (a * x) ** q0
-                d0 = a if g0 == 0.0 else (a**q0) * x ** (q0 - 1.0) * g0**e0
-                g1 = c1 + (b * (1.0 - x)) ** q1
-                d1 = (
-                    b
-                    if g1 == 0.0
-                    else (b**q1) * (1.0 - x) ** (q1 - 1.0) * g1**e1
-                )
-                return d0 - t * d1
-
-            if deriv(0.0) >= 0.0:
+            deriv = _slice_deriv(t, a, b, c0, c1, q0, q1)
+            f_lo = deriv(0.0)
+            if f_lo >= 0.0:
                 x_new = 0.0
-            elif deriv(1.0) <= 0.0:
-                x_new = 1.0
             else:
-                lo, hi = 0.0, 1.0
-                for _ in range(47):
-                    mid = 0.5 * (lo + hi)
-                    if deriv(mid) < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                x_new = 0.5 * (lo + hi)
+                f_hi = deriv(1.0)
+                x_new = 1.0 if f_hi <= 0.0 else _slice_root(deriv, f_lo, f_hi)
             moved = max(moved, abs(x_new - s[i]))
             s[i] = x_new
             p0[i] = (a * x_new) ** q0
@@ -588,16 +659,20 @@ class _KPlan(NamedTuple):
     """K of one source and couple: `curve(ts)` evaluates it along ts, `norms`
     holds the source's couple norms (N0, N1), and `corners()` computes the
     corner range (t_lo, t_hi) on demand: K(t) = t N1 exactly for t <= t_lo
-    and K(t) = N0 for t >= t_hi."""
+    and K(t) = N0 for t >= t_hi.  On a line branch `breaks(lo, hi)` lists
+    the sorted breakpoints of K inside (lo, hi), between which K is linear;
+    it is None where K has no known piecewise-linear form."""
 
     curve: Callable[[Sequence[float]], list[float]]
     corners: Callable[[], tuple[float, float]]
+    breaks: Callable[[float, float], list[float]] | None
     norms: tuple[float, float]
 
 
 def _line_plan(lines: Lines, norms: tuple[float, float]) -> _KPlan:
     return _KPlan(lambda ts: [_envelope(lines, t) for t in ts],
-                  lambda: _envelope_corners(lines), norms)
+                  lambda: _envelope_corners(lines),
+                  lambda lo, hi: [b for b in _envelope_breaks(lines) if lo < b < hi], norms)
 
 
 # a few plans suffice: interpolation_norm reads one per call, and a sup first
@@ -640,9 +715,14 @@ def _k_plan(
             lo, hi = swapped.corners()
             return 1.0 / hi, 1.0 / lo
 
+        def swapped_breaks(lo: float, hi: float) -> list[float]:
+            # 1/b can round onto an end of (lo, hi)
+            return sorted(t for b in swapped.breaks(1.0 / hi, 1.0 / lo) if lo < (t := 1.0 / b) < hi)
+
         return _KPlan(
             lambda ts: [t * k for t, k in zip(ts, swapped.curve([1.0 / t for t in ts]))],
             swapped_corners,
+            None if swapped.breaks is None else swapped_breaks,
             swapped.norms[::-1],
         )
     norms = ell_norm(source, a0, q0), ell_norm(source, a1, q1)
@@ -661,14 +741,14 @@ def _k_plan(
             return out
 
         return _KPlan(descent, lambda: (1.0 / _corner_dual(a_vec, b_vec, q0, q1)[1],
-                                        _corner_dual(b_vec, a_vec, q1, q0)[1]), norms)
+                                        _corner_dual(b_vec, a_vec, q1, q0)[1]), None, norms)
     cost, kinks = _sup_cost(a_vec, b_vec, q0)
     lines = _lines([([cost(beta) for beta in kinks], kinks)])
     if not 1.0 < q0 < INF:
         return _line_plan(lines, norms)
     return _KPlan(lambda ts: [_sup_finish(t, lines, cost) for t in ts],
                   lambda: (_envelope_corners(lines)[0], _corner_dual(b_vec, a_vec, q1, q0)[1]),
-                  norms)
+                  None, norms)
 
 
 def k_functional(
@@ -812,17 +892,22 @@ def interpolation_norm(
     """Real-interpolation norm (integral of (t^{-theta} K)^q dt/t)^{1/q}.
 
     K(t) = t N1 exactly below the lower corner of K and K(t) = N0 above the
-    upper one, so those two ranges are integrated in closed form and
-    per-octave adaptive quadrature in log t runs only between the corners,
-    clipped to [2^-T, 2^T].  A truncated tail beyond a window end that no
+    upper one, so those two ranges are integrated in closed form; between
+    the corners, clipped to [2^-T, 2^T], K is integrated in one of two ways.
+    On a line branch K is linear between its breakpoints, so K is read there
+    and at both ends, and each chord is integrated by
+    quadrature.power_integral, whose certified brackets add up to the
+    bracket of the main part.  On the descent and sup-finish branches a
+    per-octave adaptive Simpson rule in log t (params.rel_tol) gives a value
+    with no certificate.  A truncated tail beyond a window end that no
     corner covers is bracketed analytically from K(t) <= min(N0, t N1)
     together with monotonicity of K and K(t)/t.  The sup form (q = inf)
     samples K on the log grid over the full window.
-    The reported value is the midpoint of the rigorous bracket.  Functions
+    The reported value is the midpoint of the bracket.  Functions
     (endpoint couple) are read through their annulus profile, built once.
-    The norms and corners come from the plan of the source and couple
-    (_k_plan), and K from one k_functional call per t, each reading that
-    same plan.
+    The norms, corners and breakpoints come from the plan of the source and
+    couple (_k_plan), and K from one k_functional call per t, each reading
+    that same plan.
     """
     theta, q = params.theta, params.q
     if couple.base == "l1-linf" and not isinstance(source, WeightedSeq):
@@ -833,6 +918,7 @@ def interpolation_norm(
         return InterpNormResult(0.0, 0.0, 0.0)
     T = params.t_exponent_bound
 
+    @functools.cache
     def k_of(t: float) -> float:
         return k_functional(t, source, couple)
 
@@ -850,18 +936,23 @@ def interpolation_norm(
     corner_lo, corner_hi = plan.corners()
     t_lo = min(max(corner_lo, 2.0**-T), 2.0**T)
     t_hi = min(max(corner_hi, t_lo), 2.0**T)
-    ln2 = math.log(2.0)
+    if plan.breaks is not None:
+        ts = [t_lo, *plan.breaks(t_lo, t_hi), t_hi] if t_lo < t_hi else []
+        ks = [k_of(t) for t in ts]
+        pieces = [power_integral(t0, t1, k0, k1, -theta * q, q)
+                  for t0, t1, k0, k1 in zip(ts, ts[1:], ks, ks[1:])]
+        main_lo, main_hi = (math.fsum(piece[i] for piece in pieces) for i in (0, 1))
+    else:
+        ln2 = math.log(2.0)
 
-    def integrand(x: float) -> float:
-        t = math.exp(x)
-        return (k_of(t) / t**theta) ** q
+        def integrand(x: float) -> float:
+            t = math.exp(x)
+            return (k_of(t) / t**theta) ** q
 
-    x_lo, x_hi = math.log(t_lo), math.log(t_hi)
-    cuts = [x_lo, *(j * ln2 for j in range(-T + 1, T) if x_lo < j * ln2 < x_hi), x_hi]
-    main = 0.0
-    for x, x_next in zip(cuts, cuts[1:]):
-        if x < x_next:
-            main += adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
+        x_lo, x_hi = math.log(t_lo), math.log(t_hi)
+        cuts = [x_lo, *(j * ln2 for j in range(-T + 1, T) if x_lo < j * ln2 < x_hi), x_hi]
+        main_lo = main_hi = sum(adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
+                                for x, x_next in zip(cuts, cuts[1:]) if x < x_next)
 
     # upper tail t >= t_hi: K = N0 past the corner, else K(t_hi) <= K(t) <= min(n0, t n1)
     hi_upper = _tail_upper_high(n0, n1, t_hi, theta, q)
@@ -877,8 +968,8 @@ def interpolation_norm(
         slope = k_of(t_lo) / t_lo
         lo_lower = min(slope**q * t_lo ** ((1.0 - theta) * q) / ((1.0 - theta) * q), lo_upper)
 
-    lower_q = main + hi_lower + lo_lower
-    upper_q = main + hi_upper + lo_upper
+    lower_q = main_lo + hi_lower + lo_lower
+    upper_q = main_hi + hi_upper + lo_upper
     mid_q = 0.5 * (lower_q + upper_q)
     return InterpNormResult(
         mid_q ** (1.0 / q), lower_q ** (1.0 / q), upper_q ** (1.0 / q)

@@ -57,3 +57,27 @@ def test_interpolation_norm_calls_k_functional(monkeypatch, kind):
         couple = CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf")
     assert interpolation_norm(source, InterpolationParams(0.5, 1.5), couple).value > 0.0
     assert len(calls) >= 1
+
+
+@pytest.mark.parametrize("kind", ["sequence", "endpoint-profile"])
+def test_line_branch_norm_calls_k_functional_at_breakpoints(monkeypatch, kind):
+    # on a line branch K is read at the corners and the breakpoints between
+    # them, once each; the tracer's K counts of the benchmark see these calls
+    calls = []
+    solve = interp.k_functional
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(interp, "k_functional", counted)
+    if kind == "sequence":
+        source = WeightedSeq.from_dict({0: 1.0, 1: 0.5, 3: 2.0})
+        couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
+    else:
+        source = annulus_profile(radial_step(1, [0, 1, 2, 5], [3, 1, 2]))
+        couple = CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf")
+    plan = interp._k_plan(source, couple)
+    breaks = plan.breaks(*plan.corners())
+    assert interpolation_norm(source, InterpolationParams(0.5, 1.5), couple).value > 0.0
+    assert 2 <= len(calls) <= len(breaks) + 2

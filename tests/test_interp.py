@@ -1,4 +1,6 @@
+import ast
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -687,6 +689,41 @@ class TestKPlan:
                 expected = (ell_norm(y, *couple.side0), ell_norm(y, *couple.side1))
                 assert interp._k_plan(y, couple).norms == expected
 
+    @pytest.mark.parametrize("couple", [
+        CoupleSpec((0.0, 1.0), (1.0, 1.0)),
+        CoupleSpec((0.0, 0.5), (0.5, 0.7)),
+        CoupleSpec((0.2, 0.5), (1.0, INF)),
+        CoupleSpec((0.3, INF), (0.0, 0.5)),
+        CoupleSpec((0.2, 1.0), (0.5, 1.0), base="l1-linf"),
+        CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf"),
+    ], ids=["linear", "vertex", "sup-second", "sup-first", "endpoint-1-1", "endpoint-1-inf"])
+    def test_breaks_bound_linear_pieces(self, nonneg_corpus, couple):
+        # K (the plan's _envelope, or t times the swapped one) is the chord
+        # between consecutive breakpoints at their midpoints; a missing kink
+        # would leave the concave K above its chord there
+        sources = nonneg_corpus[:4] if couple.base else [
+            WeightedSeq.from_dict({u: RNG.uniform(0.05, 3.0) for u in RNG.sample(range(-1, 8), n)})
+            for n in (2, 3, 5)
+        ]
+        for source in sources:
+            plan = interp._k_plan(source, couple)
+            lo, hi = plan.corners()
+            breaks = plan.breaks(lo, hi)
+            assert breaks == sorted(breaks) and all(lo < b < hi for b in breaks)
+            ts = [lo, *breaks, hi]
+            ks = plan.curve(ts)
+            mids = [0.5 * (t0 + t1) for t0, t1 in zip(ts, ts[1:])]
+            for mid, t0, t1, k0, k1, k in zip(mids, ts, ts[1:], ks, ks[1:], plan.curve(mids)):
+                chord = ((t1 - mid) * k0 + (mid - t0) * k1) / (t1 - t0)
+                assert k == pytest.approx(chord, rel=1e-13, abs=0.0), (source, mid)
+
+    @pytest.mark.parametrize("couple", [CoupleSpec((0.0, 2.0), (1.0, INF)),
+                                        CoupleSpec((0.0, INF), (1.0, 2.0)),
+                                        CoupleSpec((0.0, 2.0), (1.0, 1.5))],
+                             ids=["sup-finish", "swapped-sup-finish", "descent"])
+    def test_no_breaks_off_the_line_branches(self, couple):
+        assert interp._k_plan(random_seq(), couple).breaks is None
+
     def test_mismatched_source_rejected(self):
         with pytest.raises(ValueError, match="l1-linf couple"):
             k_functional(1.0, WeightedSeq.unit(0), CoupleSpec((0.0, 1.0), (0.0, INF), "l1-linf"))
@@ -768,6 +805,76 @@ class TestKfunc:
             assert 0.0 < k < INF
 
 
+def bisect_slice_root(deriv):
+    """The 47-step bisection that the regula falsi slice solver replaced."""
+    lo, hi = 0.0, 1.0
+    for _ in range(47):
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def random_slice(rng, q0, q1, t):
+    a, b = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2)
+    c0 = rng.choice([0.0, rng.uniform(0.0, 3.0) * a**q0])
+    c1 = rng.choice([0.0, rng.uniform(0.0, 3.0) * b**q1])
+    return interp._slice_deriv(t, a, b, c0, c1, q0, q1)
+
+
+class TestSliceRoot:
+    """Illinois regula falsi on the increasing derivative of a descent slice."""
+
+    @staticmethod
+    def solve(deriv):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return deriv(x)
+
+        f_lo, f_hi = deriv(0.0), deriv(1.0)
+        assert f_lo < 0.0 < f_hi
+        return interp._slice_root(counted, f_lo, f_hi), calls
+
+    def test_agrees_with_bisection(self):
+        rng = random.Random(47)
+        solved = 0
+        while solved < 300:
+            q0, q1 = rng.choice([1.0, 1.5, 2.0, 3.0, 8.0]), rng.choice([1.5, 2.0, 4.0])
+            deriv = random_slice(rng, q0, q1, 10.0 ** rng.uniform(-3, 3))
+            if not deriv(0.0) < 0.0 < deriv(1.0):
+                continue
+            x, _ = self.solve(deriv)
+            assert x == pytest.approx(bisect_slice_root(deriv), rel=0.0, abs=1e-12)
+            solved += 1
+
+    @pytest.mark.parametrize("q", [1.5, 8.0])
+    @pytest.mark.parametrize("t", [1e-6, 1e6])
+    def test_terminates_within_cap(self, q, t):
+        rng = random.Random(str((q, t)))
+        solved = 0
+        for _ in range(2000):
+            deriv = random_slice(rng, q, q, t)
+            if deriv(0.0) < 0.0 < deriv(1.0):
+                x, calls = self.solve(deriv)
+                assert len(calls) <= interp._SLICE_STEPS
+                assert x == pytest.approx(bisect_slice_root(deriv), rel=0.0, abs=1e-12)
+                solved += 1
+        assert solved > 0
+
+    @pytest.mark.parametrize("deriv, root", [
+        (lambda x: x - 0.5, 0.5),  # the first secant point is the root
+        (lambda x: max(x - 0.5, 0.0) - max(0.25 - x, 0.0), None),  # zero on [0.25, 0.5]
+    ], ids=["secant-node", "flat"])
+    def test_exact_zero_at_a_node(self, deriv, root):
+        x, calls = self.solve(deriv)
+        assert deriv(x) == 0.0 and len(calls) <= interp._SLICE_STEPS
+        assert root is None or x == root
+
+
 class TestInterpolationNorm:
     def test_unit_vector_closed_form(self):
         couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
@@ -793,6 +900,47 @@ class TestInterpolationNorm:
             res = interpolation_norm(WeightedSeq.unit(u), params, couple)
             assert res.lower == res.upper == res.value > 0.0
         assert calls == []
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_l1_linf_equals_star_norm(self, nonneg_corpus, q):
+        # (L^1, L^inf)_{theta,q} has K = t f**(t): both sides integrate the
+        # same chords of the same primitive
+        for i, f in enumerate(nonneg_corpus[:8]):
+            if f.is_zero():
+                continue
+            theta = (0.3, 0.5, 0.7)[i % 3]
+            got = interpolation_norm(f, InterpolationParams(theta, q), L1_LINF).value
+            star = lorentz_star_norm(f, LorentzParams(1.0 / (1.0 - theta), q))
+            assert got == pytest.approx(star, rel=1e-12, abs=0.0), (i, theta)
+
+    @pytest.mark.parametrize("couple", [
+        CoupleSpec((0.0, 1.0), (1.0, 1.0)),
+        CoupleSpec((0.0, 0.5), (0.5, 0.7)),
+        CoupleSpec((0.2, 0.5), (1.0, INF)),
+        CoupleSpec((0.3, INF), (0.0, 0.5)),
+        CoupleSpec((0.2, 1.0), (0.5, 1.0), base="l1-linf"),
+        CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf"),
+    ], ids=["linear", "vertex", "sup-second", "sup-first", "endpoint-1-1", "endpoint-1-inf"])
+    def test_line_branch_bracket(self, nonneg_corpus, couple):
+        sources = nonneg_corpus[:4] if couple.base else [random_seq(n) for n in (2, 3, 5)]
+        for source in sources:
+            for theta, q in ((0.5, 1.5), (0.3, 1.0), (0.7, 4.0)):
+                res = interpolation_norm(source, InterpolationParams(theta, q), couple)
+                assert res.lower <= res.value <= res.upper
+                assert res.upper - res.lower <= 1e-10 * res.value
+
+    def test_identity_bands_pinned(self, tmp_path):
+        # the default weight-interpolation, hl-3 and hl-4 bands sit on their
+        # exact values 4, 1 and 2
+        def bands(suite):
+            out = tmp_path / f"{suite}.json"
+            assert cli.main(["verify", suite, "--out", str(out)]) == 0
+            records = json.loads(out.read_text())["records"]
+            return {r["check_id"]: ast.literal_eval(r["notes"].removeprefix("band=")) for r in records}
+
+        seq, hl = bands("interp-seq"), bands("interp-hl")
+        for band, exact in ((seq["weight-interpolation"], 4.0), (hl["hl-3"], 1.0), (hl["hl-4"], 2.0)):
+            assert band == pytest.approx((exact, exact), rel=1e-13, abs=0.0)
 
     def test_interp_seq_k_solve_count(self, monkeypatch, tmp_path):
         # the corner ranges leave 456 K solves of the 34,696 that a

@@ -211,7 +211,7 @@ class TestStarNorm:
             if f.is_zero():
                 continue
             for p, r in ((2.0, 1.0), (1.5, 2.0), (4.0, 3.0)):
-                got = lorentz_star_norm(f, LorentzParams(p, r), tol=1e-12)
+                got = lorentz_star_norm(f, LorentzParams(p, r))
                 assert got == pytest.approx(quad_star_norm(f, p, r), rel=1e-8)
 
     def test_weak_form_against_dense_grid(self, step_corpus):
