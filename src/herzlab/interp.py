@@ -901,7 +901,9 @@ def interpolation_norm(
     per-octave adaptive Simpson rule in log t (params.rel_tol) gives a value
     with no certificate.  A truncated tail beyond a window end that no
     corner covers is bracketed analytically from K(t) <= min(N0, t N1)
-    together with monotonicity of K and K(t)/t.  The sup form (q = inf)
+    together with monotonicity of K and K(t)/t.  The sup form (q = inf) is
+    exact on a line branch, the largest of t^-theta K(t) at the clipped
+    corners and the breakpoints between them; on the other branches it
     samples K on the log grid over the full window.
     The reported value is the midpoint of the bracket.  Functions
     (endpoint couple) are read through their annulus profile, built once.
@@ -923,19 +925,24 @@ def interpolation_norm(
         return k_functional(t, source, couple)
 
     if q == INF:
-        best = 0.0
-        for j in range(-T * _POINTS_PER_OCTAVE, T * _POINTS_PER_OCTAVE + 1):
-            t = 2.0 ** (j / _POINTS_PER_OCTAVE)
-            best = max(best, k_of(t) / t**theta)
+        if plan.breaks is None:
+            ts = [2.0 ** (j / _POINTS_PER_OCTAVE)
+                  for j in range(-T * _POINTS_PER_OCTAVE, T * _POINTS_PER_OCTAVE + 1)]
+        else:
+            # t^-theta K(t) rises below the lower corner and falls above the
+            # upper one, and on each chord t^-theta (A + B t), A, B >= 0, its
+            # only critical point is a minimum: the sup over the window sits
+            # at a clipped corner or a breakpoint
+            _, _, t_lo, t_hi = _clipped_corners(plan, T)
+            ts = [t_lo, *plan.breaks(t_lo, t_hi), t_hi]
+        best = max([0.0, *(k_of(t) / t**theta for t in ts)])
         if theta == 0.0:
             best = max(best, n0)  # K increases to the side-0 norm
         if theta == 1.0:
             best = max(best, n1)  # K(t)/t increases to the side-1 norm as t -> 0
         return InterpNormResult(best, best, best)
 
-    corner_lo, corner_hi = plan.corners()
-    t_lo = min(max(corner_lo, 2.0**-T), 2.0**T)
-    t_hi = min(max(corner_hi, t_lo), 2.0**T)
+    corner_lo, corner_hi, t_lo, t_hi = _clipped_corners(plan, T)
     if plan.breaks is not None:
         ts = [t_lo, *plan.breaks(t_lo, t_hi), t_hi] if t_lo < t_hi else []
         ks = [k_of(t) for t in ts]
@@ -974,6 +981,14 @@ def interpolation_norm(
     return InterpNormResult(
         mid_q ** (1.0 / q), lower_q ** (1.0 / q), upper_q ** (1.0 / q)
     )
+
+
+def _clipped_corners(plan: _KPlan, T: int) -> tuple[float, float, float, float]:
+    """The corners of K, and the same two clipped to [2^-T, 2^T] in order."""
+    corner_lo, corner_hi = plan.corners()
+    t_lo = min(max(corner_lo, 2.0**-T), 2.0**T)
+    t_hi = min(max(corner_hi, t_lo), 2.0**T)
+    return corner_lo, corner_hi, t_lo, t_hi
 
 
 def _tail_upper_high(n0: float, n1: float, t_hi: float, theta: float, q: float) -> float:

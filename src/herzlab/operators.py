@@ -425,13 +425,32 @@ def annulus_interaction_scan(
     params: LorentzParams,
     window: tuple[int, int] = (-1, 60),
 ) -> InteractionScanReport:
-    """Tightest single constant over the scanned (u, v) window."""
+    """Tightest single constant over the scanned (u, v) window.
+
+    Row u = lo goes pair by pair through annulus_interaction_bound, so an
+    overflowing window names its first (u, v).  Once it passes, every
+    measure and every decay with v - u >= 0 has been formed, and 2^{-uN}
+    <= 1 for the later rows u >= 0, so no later factor overflows: the rest
+    of the window multiplies factors built once per u, per v and per
+    v - u, in the same order as annulus_interaction_bound, so every ratio
+    and the first strict maximum in row-major order are unchanged.
+    """
     lo, hi = window
     best, arg = 0.0, (lo, lo)
-    for u in range(lo, hi + 1):
-        for v in range(lo, hi + 1):
-            lhs, rhs = annulus_interaction_bound(u, v, dim, params)
-            ratio = lhs / rhs
+    for v in range(lo, hi + 1):
+        lhs, rhs = annulus_interaction_bound(lo, v, dim, params)
+        ratio = lhs / rhs
+        if ratio > best:
+            best, arg = ratio, (lo, v)
+    conj = params.conjugate()
+    right = [_char_lorentz_norm(v, dim, conj) for v in range(lo, hi + 1)]
+    rate, width = dim / conj.p, hi - lo
+    decay = [2.0 ** (rate * d) for d in range(-width, width + 1)]  # d = v - u at d + width
+    for u in range(lo + 1, hi + 1):
+        left = 2.0 ** (-u * dim) * _char_lorentz_norm(u, dim, params)
+        start = lo - u + width
+        for v, (right_v, decay_d) in enumerate(zip(right, decay[start : start + width + 1]), lo):
+            ratio = left * right_v / decay_d
             if ratio > best:
                 best, arg = ratio, (u, v)
     return InteractionScanReport(best, arg, window, math.isfinite(best))

@@ -18,6 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Number = int | float | Fraction
@@ -115,6 +116,20 @@ class RadialStepFunction:
         w = unit_ball_volume(self.dim)
         powers = [b**self.dim for b in self.breakpoints]
         return tuple(w * (b - a) for a, b in zip(powers, powers[1:]))
+
+    @cached_property
+    def _distribution_table(self) -> tuple[list[Fraction], list[Fraction]]:
+        """The nonzero |values| in ascending order, and at each index i the
+        measure of the shells from i on (one more entry, 0, at the end)."""
+        pieces = sorted(
+            ((abs(v), m) for v, m in zip(self.values, self.shell_measures()) if v != 0),
+            key=itemgetter(0),
+        )
+        tails = [Fraction(0)]
+        for _, m in reversed(pieces):
+            tails.append(tails[-1] + m)
+        tails.reverse()
+        return [w for w, _ in pieces], tails
 
     def support_measure(self) -> Fraction:
         return sum(
@@ -279,8 +294,9 @@ class StepRearrangement:
             raise ValueError("level must be nonnegative")
         out = Fraction(0)
         for knot, level in zip(self.knots, self.levels):
-            if level > a:
-                out = knot
+            if level <= a:  # levels decrease, so no later one exceeds a
+                break
+            out = knot
         return out
 
     def float_steps(self) -> tuple[list[float], list[float]]:
@@ -291,33 +307,42 @@ class StepRearrangement:
 def rearrangement_from_pairs(
     pairs: Iterable[tuple[Fraction, Fraction]],
 ) -> StepRearrangement:
-    """Rearrangement of a step function given as (measure, |value|) pieces."""
-    groups: dict[Fraction, Fraction] = {}
+    """Rearrangement of a step function given as (measure, |value|) pieces.
+
+    One sort by |value|, descending, brings equal levels next to each other,
+    and one pass merges them while it accumulates the knots.
+    """
+    pieces: list[tuple[Fraction, Fraction]] = []
     for measure, value in pairs:
         if measure < 0:
             raise ValueError("piece measures must be nonnegative")
-        if measure == 0 or value == 0:
-            continue
-        v = abs(value)
-        groups[v] = groups.get(v, Fraction(0)) + measure
-    levels = sorted(groups, reverse=True)
+        if measure != 0 and value != 0:
+            pieces.append((abs(value), measure))
+    pieces.sort(key=itemgetter(0), reverse=True)
+    levels: list[Fraction] = []
     knots: list[Fraction] = []
     acc = Fraction(0)
-    for w in levels:
-        acc += groups[w]
-        knots.append(acc)
+    for w, measure in pieces:
+        acc += measure
+        if levels and levels[-1] == w:
+            knots[-1] = acc
+        else:
+            levels.append(w)
+            knots.append(acc)
     return StepRearrangement(tuple(knots), tuple(levels))
 
 
 def distribution(f: RadialStepFunction, alpha: Number) -> Fraction:
-    """Measure of the superlevel set {|f| > alpha}."""
+    """Measure of the superlevel set {|f| > alpha}.
+
+    Read off a table of f's own shells, built once per function: the sorted
+    |values| and the measures of their tails, so each call is one bisection.
+    """
     a = _as_fraction(alpha)
     if a < 0:
         raise ValueError("alpha must be nonnegative")
-    return sum(
-        (m for m, v in zip(f.shell_measures(), f.values) if abs(v) > a),
-        Fraction(0),
-    )
+    levels, tails = f._distribution_table
+    return tails[bisect_right(levels, a)]
 
 
 def rearrangement(f: RadialStepFunction) -> StepRearrangement:

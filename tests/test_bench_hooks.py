@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import herzlab.cli
-from herzlab import interp
+from herzlab import interp, operators
 from herzlab.herz import annulus_profile
 from herzlab.interp import CoupleSpec, InterpolationParams, WeightedSeq, interpolation_norm
-from herzlab.lorentz import INF
+from herzlab.lorentz import INF, LorentzParams
 from herzlab.rearrange import radial_step
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -81,3 +81,18 @@ def test_line_branch_norm_calls_k_functional_at_breakpoints(monkeypatch, kind):
     breaks = plan.breaks(*plan.corners())
     assert interpolation_norm(source, InterpolationParams(0.5, 1.5), couple).value > 0.0
     assert 2 <= len(calls) <= len(breaks) + 2
+
+
+def test_interaction_scan_calls_annulus_interaction_bound(monkeypatch):
+    # the benchmark requires annulus_interaction_bound calls on exact-radial,
+    # which reach it only through the scan's first row
+    calls = []
+    bound = operators.annulus_interaction_bound
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "annulus_interaction_bound", counted)
+    assert operators.annulus_interaction_scan(2, LorentzParams(2.0, 2.0), (-1, 8)).passed
+    assert len(calls) >= 1

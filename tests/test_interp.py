@@ -991,6 +991,20 @@ class TestInterpolationNorm:
             res = interpolation_norm(WeightedSeq.unit(u), params, couple)
             assert res.value == pytest.approx(2.0 ** (u / 2.0), rel=1e-12)
 
+    def test_sup_form_on_a_line_branch_reads_the_breakpoints(self):
+        # the log grid missed this sup by 0.59% (1.8927462306496876)
+        f = random_step_functions(3, seed=7, nonnegative=True)[1]
+        params = InterpolationParams(0.5, INF)
+        res = interpolation_norm(f, params, L1_LINF)
+        plan = interp._k_plan(annulus_profile(f), L1_LINF)
+        t_lo, t_hi = plan.corners()  # inside [2^-40, 2^40]
+        ts = [t_lo, *plan.breaks(t_lo, t_hi), t_hi]
+        best = max(k_functional(t, f, L1_LINF) / t**0.5 for t in ts)
+        assert res.value == res.lower == res.upper == best == 1.903943276465977
+        # no sample of t^-theta K(t) on a fine log grid exceeds it
+        grid = np.geomspace(2.0**-20, 2.0**20, 4001)
+        assert max(k_functional(t, f, L1_LINF) / t**0.5 for t in grid) <= best * (1 + 1e-12)
+
     def test_theta_bounds_enforced(self):
         with pytest.raises(ValueError):
             InterpolationParams(0.0, 2.0)

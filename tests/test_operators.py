@@ -339,6 +339,36 @@ class TestAnnulusInteraction:
                 assert math.isfinite(rep.constant)
                 assert rep.constant > 0
 
+    @staticmethod
+    def pairwise_scan(dim, params, window):
+        """The scan as one annulus_interaction_bound call per pair."""
+        lo, hi = window
+        best, arg = 0.0, (lo, lo)
+        for u in range(lo, hi + 1):
+            for v in range(lo, hi + 1):
+                lhs, rhs = annulus_interaction_bound(u, v, dim, params)
+                ratio = lhs / rhs
+                if ratio > best:
+                    best, arg = ratio, (u, v)
+        return best, arg
+
+    @pytest.mark.parametrize("window", [(-1, 60), (-1, -1), (5, 5), (0, 40)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p, r", [(1.5, 1.0), (2.0, 2.0), (4.0, INF)])
+    def test_scan_equals_pairwise_loop(self, dim, p, r, window):
+        # on (0, 40) every ratio is one constant up to rounding, so the
+        # argmax checks that the first strict maximum in row-major order wins
+        params = LorentzParams(p, r)
+        rep = annulus_interaction_scan(dim, params, window)
+        assert (rep.constant, rep.argmax) == self.pairwise_scan(dim, params, window)
+
+    def test_scan_keeps_the_first_of_tied_maxima(self):
+        params = LorentzParams(2.0, 2.0)
+        ratios = [annulus_interaction_bound(u, v, 1, params) for u in range(41) for v in range(41)]
+        ratios = [lhs / rhs for lhs, rhs in ratios]
+        assert ratios.count(max(ratios)) > 1
+        assert annulus_interaction_scan(1, params, (0, 40)).argmax == (1, 1)
+
 
 class TestGridNorms:
     def test_annulus_split_preserves_measure(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from herzlab.herz import annuli_decompose
 from herzlab.rearrange import (
+    StepRearrangement,
     average_rearrangement,
     ball,
     distribution,
@@ -172,6 +173,94 @@ class TestRearrangement:
         )
         assert g.levels == (5, 2)
         assert g.knots == (1, 5)
+
+
+# the direct definitions that distribution, rearrangement_from_pairs and
+# superlevel_measure replace with a bisected table, a sort and an early stop
+
+
+def distribution_oracle(f, alpha):
+    return sum((m for m, v in zip(f.shell_measures(), f.values) if abs(v) > alpha), Fraction(0))
+
+
+def from_pairs_oracle(pairs):
+    groups = {}
+    for measure, value in pairs:
+        if measure == 0 or value == 0:
+            continue
+        groups[abs(value)] = groups.get(abs(value), Fraction(0)) + measure
+    levels = sorted(groups, reverse=True)
+    knots, acc = [], Fraction(0)
+    for w in levels:
+        acc += groups[w]
+        knots.append(acc)
+    return StepRearrangement(tuple(knots), tuple(levels))
+
+
+def superlevel_oracle(g, alpha):
+    out = Fraction(0)
+    for knot, level in zip(g.knots, g.levels):
+        if level > alpha:
+            out = knot
+    return out
+
+
+# few magnitudes, both signs and zeros, so levels repeat across shells
+REPEATING_VALUES = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def repeating_step_functions(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    cuts = draw(st.lists(st.integers(1, 64), min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(REPEATING_VALUES, min_size=n, max_size=n))
+    dim = draw(st.sampled_from((1, 2, 3)))
+    return radial_step(dim, [0] + [Fraction(c, 8) for c in sorted(cuts)], values)
+
+
+PIECES = st.lists(
+    st.tuples(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)]),
+              REPEATING_VALUES),
+    max_size=10,
+)
+
+
+def probe_levels(levels):
+    """Each level, each half level, 0 and a point above the largest."""
+    top = max(levels, default=Fraction(0))
+    return {Fraction(0), top + 1, *levels, *(w / 2 for w in levels)}
+
+
+class TestExactKernelOracles:
+    @given(repeating_step_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_distribution_equals_shell_sum(self, f):
+        for alpha in probe_levels([abs(v) for v in f.values]):
+            assert distribution(f, alpha) == distribution_oracle(f, alpha)
+
+    @given(PIECES)
+    @settings(max_examples=80, deadline=None)
+    def test_from_pairs_equals_dict_grouping(self, pairs):
+        g = rearrangement_from_pairs(pairs)
+        assert g == from_pairs_oracle(pairs)
+
+    @given(PIECES)
+    @settings(max_examples=80, deadline=None)
+    def test_superlevel_measure_equals_full_scan(self, pairs):
+        g = rearrangement_from_pairs(pairs)
+        for alpha in probe_levels(g.levels):
+            assert g.superlevel_measure(alpha) == superlevel_oracle(g, alpha)
+
+    @given(repeating_step_functions())
+    @settings(max_examples=40, deadline=None)
+    def test_rearrangement_equals_dict_grouping(self, f):
+        assert rearrangement(f) == from_pairs_oracle(zip(f.shell_measures(), f.values))
+
+    def test_from_pairs_rejects_a_negative_measure(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rearrangement_from_pairs([(Fraction(1), Fraction(2)), (Fraction(-1), Fraction(1))])
 
 
 class TestAverageRearrangement:
