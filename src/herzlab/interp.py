@@ -10,11 +10,12 @@ all of them: outer exponents (1, 1) (the lines a_u and t b_u per coordinate),
 a sup side against an exponent <= 1 or inf (one line per kink of its capped
 cost), exponents both at most 1 (one line per vertex split s in {0,1}^U,
 where the concave objective attains its minimum), and the endpoint Herz
-couples with exponents (1, 1) and (1, inf) (one line per level cap).  A sup
-side against 1 < q < inf finishes its best kink by a golden-section search,
-and other exponents both at least 1 go through cyclic exact coordinate
-minimization, each slice by regula falsi on its derivative.  The couple whose
-endpoints are the integrable and bounded functions has
+couples with exponents (1, 1) and (1, inf) (one line per level cap).  Every
+other K is one monotone root (_root): a sup side against 1 < q < inf at the
+root of N'(beta) = -t of its convex capped cost, and other exponents both at
+least 1 on the Pareto front of the two side norms, at the root in log rho of
+t(rho) = t (_front_k), each front split itself a closed form or a root.  The
+couple whose endpoints are the integrable and bounded functions has
 K(t, f) = integral_0^t f*, the (1, inf) endpoint couple at zero weights.
 
 k_functional and k_functional_curve are the only K entry points, for
@@ -143,7 +144,7 @@ class CoupleSpec:
 class InterpolationParams:
     """Parameters (theta, q) plus the truncated log grid for the K integral;
     rel_tol is the tolerance of the adaptive Simpson rule between the corners,
-    which runs only where K has no piecewise-linear form (the descent and
+    which runs only where K has no piecewise-linear form (the front and
     sup-finish K branches)."""
 
     theta: float
@@ -226,28 +227,6 @@ def _side_vectors(y: WeightedSeq, couple: CoupleSpec) -> list[list[float]]:
     ]
 
 
-def _golden_min(
-    fun: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
 def _sup_cost(
     a_vec: Sequence[float], b_vec: Sequence[float], q0: float
 ) -> tuple[Callable[[float], float], list[float]]:
@@ -273,6 +252,17 @@ def _sup_cost(
                 if denom != 0.0:
                     kinks.add(b1 * b2 * (a2 - a1) / denom)
     return cost, sorted(beta for beta in kinks if 0.0 <= beta <= top)
+
+
+def _sup_slope(a_vec: Sequence[float], b_vec: Sequence[float], q0: float, beta: float) -> float:
+    """N'(beta) of the capped cost for 1 < q0 < inf and 0 <= beta < max b:
+    -sum (a_u / b_u) (x_u / N)^(q0-1) over the parts x_u = a_u (1 - beta/b_u) > 0,
+    with x_u / N formed as a ratio of norms scaled by the largest part, so
+    no power of a side weight is formed."""
+    parts = [(a * (1.0 - beta / b), a / b) for a, b in zip(a_vec, b_vec) if beta < b]
+    top = max(x for x, _ in parts)
+    norm = lq_norm([x / top for x, _ in parts], q0)
+    return -math.fsum(d * (x / top / norm) ** (q0 - 1.0) for x, d in parts)
 
 
 # K on a piecewise-linear branch: sum over groups g of min_i (c_gi + t d_gi),
@@ -339,242 +329,161 @@ def _envelope_breaks(lines: Lines) -> list[float]:
     return sorted(out)
 
 
-# Width of the golden-section bracket of _sup_finish, relative to the largest kink.
-_SUP_FINISH_TOL = 1e-8
-
-
-def _sup_finish(t: float, lines: Lines, cost: Callable[[float], float]) -> float:
-    """K of a sup side whose capped cost N is convex (1 < q0 < inf): the best
-    kink line N(beta) + t beta, finished by a golden-section search over the
-    two kink intervals around it (a Python float, not a numpy scalar)."""
-    c, kinks = lines[0][0], lines[1][0]
-    i = int(np.argmin(c + t * kinks))
-    lo, hi = kinks[max(i - 1, 0)], kinks[min(i + 1, len(kinks) - 1)]
-    line = _golden_min(lambda beta: cost(beta) + t * beta, lo, hi, _SUP_FINISH_TOL * kinks[-1])[1]
-    return float(min(c[i] + t * kinks[i], line))
-
-
-def _objective(
-    s: Sequence[float],
-    t: float,
-    a_vec: Sequence[float],
-    b_vec: Sequence[float],
-    q0: float,
-    q1: float,
-) -> float:
-    part0 = [a * x for a, x in zip(a_vec, s)]
-    part1 = [b * (1.0 - x) for b, x in zip(b_vec, s)]
-    return lq_norm(part0, q0) + t * lq_norm(part1, q1)
-
-
-def _slice_deriv(
-    t: float, a: float, b: float, c0: float, c1: float, q0: float, q1: float
-) -> Callable[[float], float]:
-    """Derivative in x of one coordinate slice of the split objective,
-    (c0 + (a x)^q0)^(1/q0) + t (c1 + (b (1 - x))^q1)^(1/q1), where c0 and c1
-    are the other coordinates' power sums; increasing on [0, 1] (convex slice)."""
-    e0 = (1.0 - q0) / q0
-    e1 = (1.0 - q1) / q1
-
-    def deriv(x: float) -> float:
-        g0 = c0 + (a * x) ** q0
-        d0 = a if g0 == 0.0 else (a**q0) * x ** (q0 - 1.0) * g0**e0
-        g1 = c1 + (b * (1.0 - x)) ** q1
-        d1 = b if g1 == 0.0 else (b**q1) * (1.0 - x) ** (q1 - 1.0) * g1**e1
-        return d0 - t * d1
-
-    return deriv
-
-
-# Cap on the steps of one slice solve; bisection alone reaches the width in 47.
-_SLICE_STEPS = 100
+# Caps of one monotone root (_root): its steps, and its bracket width relative
+# to max(1, |lo|, |hi|).  Bisection alone narrows [0, 1] to the width in 47
+# steps, and the safeguard keeps Illinois within 4 steps per halving.
+_SLICE_STEPS = 200
 _SLICE_WIDTH = 2.0**-47
 
 
-def _slice_root(deriv: Callable[[float], float], f_lo: float, f_hi: float) -> float:
-    """Root in [0, 1] of an increasing function with deriv(0) = f_lo < 0 < f_hi =
-    deriv(1), by Illinois regula falsi.
+def _root(
+    fun: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
+) -> float:
+    """Root in [lo, hi] of a nondecreasing function with fun(lo) = f_lo and
+    fun(hi) = f_hi, by Illinois regula falsi with a bisection safeguard; lo
+    itself when f_lo >= 0, and hi when f_hi <= 0.
 
-    The bracket [lo, hi] keeps deriv(lo) < 0 <= deriv(hi); a secant point
-    outside its interior is replaced by the midpoint, and the value at an end
-    that stays twice in a row is halved, so both ends close in.  Returns an
+    The bracket [lo, hi] keeps fun(lo) < 0 < fun(hi); a secant point outside
+    its interior is replaced by the midpoint, the value at an end that stays
+    twice in a row is halved, and a bracket that has not halved in three steps
+    is bisected (a secant can crawl where fun has a Hoelder kink).  Returns an
     exact zero as soon as one is hit, and otherwise the midpoint once the
-    width is at most 2^-47 or after _SLICE_STEPS steps.
+    width is at most _SLICE_WIDTH max(1, |lo|, |hi|) or after _SLICE_STEPS steps.
     """
-    lo, hi, kept = 0.0, 1.0, 0
+    if not f_lo < 0.0 < f_hi:
+        return lo if f_lo >= 0.0 else hi
+    kept, stalled, mark = 0, 0, hi - lo
     for _ in range(_SLICE_STEPS):
-        if hi - lo <= _SLICE_WIDTH:
+        if hi - lo <= _SLICE_WIDTH * max(1.0, -lo, hi):
             break
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = deriv(x)
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            if kept < 0:
-                f_hi *= 0.5
-            kept = -1
-        elif fx > 0.0:
-            hi, f_hi = x, fx
-            if kept > 0:
-                f_lo *= 0.5
-            kept = 1
-        else:
+        x = 0.5 * (lo + hi)
+        if stalled < 3:
+            secant = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if lo < secant < hi:
+                x = secant
+        fx = fun(x)
+        if fx == 0.0:
             return x
+        if fx < 0.0:
+            lo, f_lo, f_hi = x, fx, 0.5 * f_hi if kept < 0 else f_hi
+        else:
+            hi, f_hi, f_lo = x, fx, 0.5 * f_lo if kept > 0 else f_lo
+        kept = -1 if fx < 0.0 else 1
+        stalled += 1
+        if hi - lo <= 0.5 * mark:
+            mark, stalled = hi - lo, 0
     return 0.5 * (lo + hi)
 
 
-def _cd_sweeps(
-    s: list[float],
-    t: float,
-    a_vec: Sequence[float],
-    b_vec: Sequence[float],
-    q0: float,
-    q1: float,
-) -> float:
-    """Cyclic exact coordinate minimization, mutating s in place.
+def _log_sigmoid(w: float) -> float:
+    """log(1 / (1 + e^-w)), the log of s at w = log(s / (1 - s)), without overflow."""
+    return min(w, 0.0) - math.log1p(math.exp(-abs(w)))
 
-    Each coordinate slice of the convex objective is minimized at the root of
-    its increasing derivative (_slice_root), with the two power sums
-    maintained incrementally so a derivative evaluation costs O(1).
+
+def _front_split(
+    x: float, logs: Sequence[tuple[float, float]], q0: float, q1: float
+) -> tuple[list[float], list[float]]:
+    """The split s at log rho = x of the Pareto front of the side norms, and 1 - s.
+
+    Coordinate u minimizes a^q0 s^q0 / q0 + rho b^q1 (1 - s)^q1 / q1 over
+    [0, 1] at a^q0 s^(q0-1) = rho b^q1 (1 - s)^(q1-1), which reads
+    (q0 - 1) log s - (q1 - 1) log(1 - s) = c with c = log(rho b^q1 / a^q0),
+    formed from logs (a pair (log a, log b) per coordinate) so that no power
+    of a side weight can overflow.  Closed forms when q0 or q1 is 1;
+    otherwise the left side increases in w = log(s / (1 - s)), from about
+    (q0 - 1) w to about (q1 - 1) w, and its root comes from _root.
     """
-    n = len(a_vec)
-    p0 = [(a * x) ** q0 for a, x in zip(a_vec, s)]
-    p1 = [(b * (1.0 - x)) ** q1 for b, x in zip(b_vec, s)]
-    sum0 = math.fsum(p0)
-    sum1 = math.fsum(p1)
+    s, r = [], []
+    for la, lb in logs:
+        c = x + q1 * lb - q0 * la
+        if q0 == 1.0:
+            e = min(0.0, -c / (q1 - 1.0))  # log(1 - s)
+            s_u, r_u = -math.expm1(e), math.exp(e)
+        elif q1 == 1.0:
+            e = min(0.0, c / (q0 - 1.0))  # log s
+            s_u, r_u = math.exp(e), -math.expm1(e)
+        else:
 
-    prev_value = INF
-    for sweep in range(120):
-        moved = 0.0
-        for i in range(n):
-            a, b = a_vec[i], b_vec[i]
-            c0 = max(0.0, sum0 - p0[i])
-            c1 = max(0.0, sum1 - p1[i])
-            deriv = _slice_deriv(t, a, b, c0, c1, q0, q1)
-            f_lo = deriv(0.0)
-            if f_lo >= 0.0:
-                x_new = 0.0
-            else:
-                f_hi = deriv(1.0)
-                x_new = 1.0 if f_hi <= 0.0 else _slice_root(deriv, f_lo, f_hi)
-            moved = max(moved, abs(x_new - s[i]))
-            s[i] = x_new
-            p0[i] = (a * x_new) ** q0
-            p1[i] = (b * (1.0 - x_new)) ** q1
-            sum0 = c0 + p0[i]
-            sum1 = c1 + p1[i]
-        if moved < 1e-13:
+            def excess(w: float) -> float:
+                return (q0 - 1.0) * _log_sigmoid(w) - (q1 - 1.0) * _log_sigmoid(-w) - c
+
+            # log s lies in [min(w, 0) - log 2, min(w, 0)], log(1 - s) likewise at -w
+            lo = min(0.0, (c - (q1 - 1.0) * math.log(2.0)) / (q0 - 1.0))
+            hi = max(0.0, (c + (q0 - 1.0) * math.log(2.0)) / (q1 - 1.0))
+            w = _root(excess, lo, hi, excess(lo), excess(hi))
+            s_u, r_u = math.exp(_log_sigmoid(w)), math.exp(_log_sigmoid(-w))
+        s.append(s_u)
+        r.append(r_u)
+    return s, r
+
+
+# Cap on the doublings that bracket log rho; the last step, 2^63, spans any
+# log rho that a float weight and exponent can call for.
+_DOUBLINGS = 64
+
+
+def _front_k(
+    t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
+) -> tuple[float, list[float]]:
+    """K(t) and its split for finite exponents >= 1, not both 1, traced on the
+    Pareto front of the side norms.
+
+    The split s(rho) of _front_split minimizes N0^q0 / q0 + rho N1^q1 / q1,
+    so it is optimal for K at t(rho) = rho N1^(q1-1) / N0^(q0-1) (N0 and N1
+    the side norms of the split), which never decreases in rho.  So K(t)
+    comes from one monotone root of log t(rho) - log t in log rho, bracketed
+    by at most _DOUBLINGS doubling steps from a guess; without a bracket the
+    end nearest the root stands.  The value is that split's N0 + t N1, capped by
+    min(||a||_q0, t ||b||_q1), and the split is returned with it.
+    """
+    logs = [(math.log(a), math.log(b)) for a, b in zip(a_vec, b_vec)]
+
+    def log_power(vals: Sequence[float], q: float) -> float:
+        # (q - 1) log ||vals||_q, the norm scaled by its largest value so that
+        # no power underflows
+        if q == 1.0:
+            return 0.0
+        top = max(vals)
+        if top == 0.0:
+            return -INF
+        return (q - 1.0) * (math.log(top) + math.log(lq_norm([v / top for v in vals], q)))
+
+    def excess(x: float) -> float:  # log t(rho) - log t at log rho = x
+        s, r = _front_split(x, logs, q0, q1)
+        return (x + log_power([b * v for b, v in zip(b_vec, r)], q1)
+                - log_power([a * v for a, v in zip(a_vec, s)], q0) - math.log(t))
+
+    lo = hi = math.log(t) + log_power(a_vec, q0) - log_power(b_vec, q1)
+    f_lo = f_hi = excess(lo)
+    for k in range(_DOUBLINGS):
+        if f_lo > 0.0:
+            lo, hi, f_hi = lo - 2.0**k, lo, f_lo
+            f_lo = excess(lo)
+        elif f_hi < 0.0:
+            lo, hi, f_lo = hi, hi + 2.0**k, f_hi
+            f_hi = excess(hi)
+        else:
             break
-        if sweep % 2 == 1:
-            value = _objective(s, t, a_vec, b_vec, q0, q1)
-            if value >= prev_value * (1.0 - 1e-14):
-                break
-            prev_value = value
-    return _objective(s, t, a_vec, b_vec, q0, q1)
+    s, r = _front_split(_root(excess, lo, hi, f_lo, f_hi), logs, q0, q1)
+    value = lq_norm([a * v for a, v in zip(a_vec, s)], q0) + t * lq_norm(
+        [b * v for b, v in zip(b_vec, r)], q1)
+    return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
 
 
 def _corner_dual(
     a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
-) -> tuple[list[float], float]:
+) -> float:
     """Dual-norm test of the corner s = 0, where all of y sits on side 1.
 
     The side-1 norm is smooth there, with gradient g_u = b_u^{q1} N1^{1-q1};
     z = t g certifies K(t) >= sum z = t N1 (the K-J duality) as long as
     t ||g/a||_{q0'} <= 1.  So K(t) = t N1 exactly for t <= 1/||g/a||_{q0'},
     and with the sides swapped K(t) = N0 for t >= ||h/b||_{q1'}, where
-    h_u = a_u^{q0} N0^{1-q0}.  Returns w = g/a and ||w||_{q0'}.
+    h_u = a_u^{q0} N0^{1-q0}.  Returns ||g/a||_{q0'}.
     """
     norm_b = lq_norm(b_vec, q1)
     w = [(b**q1) * norm_b ** (1.0 - q1) / a for a, b in zip(a_vec, b_vec)]
-    return w, lq_norm(w, conjugate_exponent(q0))
-
-
-def _corner_escape(
-    s: list[float],
-    t: float,
-    a_vec: Sequence[float],
-    b_vec: Sequence[float],
-    q0: float,
-    q1: float,
-) -> bool:
-    """Escape a suboptimal box corner, where the objective is nonsmooth.
-
-    The only nondifferentiable points of the objective are the all-zero and
-    all-one corners (one of the two part vectors vanishes there), and
-    coordinatewise moves cannot always leave them: for exponents above 1 a
-    joint move grows the norm sublinearly compared to the sum of single
-    moves.  Corner optimality is the dual-norm test of _corner_dual; when it
-    fails, the dual maximizer supplies a strictly descending direction, along
-    which a line search restarts the descent.  Returns True when s moved.
-    """
-    n = len(a_vec)
-    if all(x == 0.0 for x in s):
-        w, norm = _corner_dual(a_vec, b_vec, q0, q1)
-        if t * norm <= 1.0 + 1e-12:
-            return False
-        qd, sign, sides = conjugate_exponent(q0), 1.0, a_vec
-    elif all(x == 1.0 for x in s):
-        w, norm = _corner_dual(b_vec, a_vec, q1, q0)
-        if norm <= t * (1.0 + 1e-12):
-            return False
-        qd, sign, sides = conjugate_exponent(q1), -1.0, b_vec
-    else:
-        return False
-    if qd == INF:
-        x = [1.0 if w_i == max(w) else 0.0 for w_i in w]
-    else:
-        x = [w_i ** (qd - 1.0) for w_i in w]
-    d = [sign * x_i / c for x_i, c in zip(x, sides)]
-    scale = max(abs(di) for di in d)
-    d = [di / scale for di in d]
-
-    def along(eps: float) -> float:
-        trial = [min(1.0, max(0.0, x + eps * di)) for x, di in zip(s, d)]
-        return _objective(trial, t, a_vec, b_vec, q0, q1)
-
-    eps_best, val_best = _golden_min(along, 0.0, 1.0, 1e-12)
-    if val_best >= _objective(s, t, a_vec, b_vec, q0, q1):
-        return False
-    for i in range(n):
-        s[i] = min(1.0, max(0.0, s[i] + eps_best * d[i]))
-    return True
-
-
-def _coordinate_descent(
-    t: float,
-    a_vec: Sequence[float],
-    b_vec: Sequence[float],
-    q0: float,
-    q1: float,
-    s_init: list[float] | None = None,
-) -> tuple[float, list[float]]:
-    """Descent with corner snapping and escape; returns (value, minimizer).
-
-    Near a box corner the per-coordinate steps contract without arriving,
-    so iterates within 1e-4 of a corner are snapped onto it; the corner is
-    then either certified optimal by the dual-norm test or left along the
-    dual maximizer direction before resuming the sweeps.
-    """
-    n = len(a_vec)
-    s = list(s_init) if s_init is not None else [0.5] * n
-    value = _cd_sweeps(s, t, a_vec, b_vec, q0, q1)
-    best_val, best_s = value, list(s)
-    for _ in range(3):
-        near_zero = max(s) <= 1e-4
-        near_one = min(s) >= 1.0 - 1e-4
-        if not (near_zero or near_one):
-            break
-        s = [0.0] * n if near_zero else [1.0] * n
-        corner_val = _objective(s, t, a_vec, b_vec, q0, q1)
-        if corner_val < best_val:
-            best_val, best_s = corner_val, list(s)
-        if not _corner_escape(s, t, a_vec, b_vec, q0, q1):
-            break  # the corner passed its optimality test
-        value = _cd_sweeps(s, t, a_vec, b_vec, q0, q1)
-        if value < best_val:
-            best_val, best_s = value, list(s)
-    return best_val, best_s
+    return lq_norm(w, conjugate_exponent(q0))
 
 
 # Largest support that the sub-one branch enumerates: 2**20 vertices.
@@ -633,44 +542,22 @@ def _dual_bound(
     return best
 
 
-def _k_descent(
-    t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float,
-    s_init: list[float] | None, norms: tuple[float, float],
-) -> tuple[float, list[float]]:
-    """K(t) and its split by coordinate descent (exponents >= 1), checked by
-    the dual bound: from a carried split with a relative gap above 1e-12 the
-    cold start is solved too, the lower value kept; a cold descent with a
-    gap above 1e-6 resumes its sweeps, for at most 20 more rounds, and the
-    value after the last round stands.  Capped by min(N0, t N1) of norms."""
-    value, s = _coordinate_descent(t, a_vec, b_vec, q0, q1, s_init)
-    if s_init is None:
-        for _ in range(20):
-            if _dual_bound(s, t, a_vec, b_vec, q0, q1) >= value * (1.0 - 1e-6):
-                break
-            value = _cd_sweeps(s, t, a_vec, b_vec, q0, q1)
-    elif _dual_bound(s, t, a_vec, b_vec, q0, q1) < value * (1.0 - 1e-12):
-        cold_value, cold_s = _k_descent(t, a_vec, b_vec, q0, q1, None, norms)
-        if cold_value < value:
-            value, s = cold_value, cold_s
-    return min(value, norms[0], t * norms[1]), s
-
-
 class _KPlan(NamedTuple):
-    """K of one source and couple: `curve(ts)` evaluates it along ts, `norms`
+    """K of one source and couple: `k(t)` evaluates it at one t, `norms`
     holds the source's couple norms (N0, N1), and `corners()` computes the
     corner range (t_lo, t_hi) on demand: K(t) = t N1 exactly for t <= t_lo
     and K(t) = N0 for t >= t_hi.  On a line branch `breaks(lo, hi)` lists
     the sorted breakpoints of K inside (lo, hi), between which K is linear;
     it is None where K has no known piecewise-linear form."""
 
-    curve: Callable[[Sequence[float]], list[float]]
+    k: Callable[[float], float]
     corners: Callable[[], tuple[float, float]]
     breaks: Callable[[float, float], list[float]] | None
     norms: tuple[float, float]
 
 
 def _line_plan(lines: Lines, norms: tuple[float, float]) -> _KPlan:
-    return _KPlan(lambda ts: [_envelope(lines, t) for t in ts],
+    return _KPlan(functools.partial(_envelope, lines),
                   lambda: _envelope_corners(lines),
                   lambda lo, hi: [b for b in _envelope_breaks(lines) if lo < b < hi], norms)
 
@@ -693,8 +580,10 @@ def _k_plan(
     capped cost, exponents both <= 1 one line ||a_S||_{q0} + t ||b_{S^c}||_{q1}
     per vertex split S; a sup first side goes through
     K(t; X0, X1) = t K(1/t; X1, X0).  The corners come off the lines, except
-    that the descent branch reads both from the dual-norm test and a sup side
-    against 1 < q0 < inf its upper one (its cost is convex and smooth at 0).
+    on the front branch (other exponents >= 1), which reads both from the
+    dual-norm test and answers t outside them from the norms, and for a sup
+    side against 1 < q0 < inf, whose convex capped cost N gives them as
+    -N'(max b) and -N'(0).
     Uncertified exponents raise ValueError, on an empty support too.
     """
     if isinstance(source, WeightedSeq) != (couple.base is None):
@@ -720,7 +609,7 @@ def _k_plan(
             return sorted(t for b in swapped.breaks(1.0 / hi, 1.0 / lo) if lo < (t := 1.0 / b) < hi)
 
         return _KPlan(
-            lambda ts: [t * k for t, k in zip(ts, swapped.curve([1.0 / t for t in ts]))],
+            lambda t: t * swapped.k(1.0 / t),
             swapped_corners,
             None if swapped.breaks is None else swapped_breaks,
             swapped.norms[::-1],
@@ -732,23 +621,31 @@ def _k_plan(
     if q0 <= 1.0 and q1 <= 1.0:
         return _line_plan(_lines([_vertex_norms(a_vec, b_vec, q0, q1)]), norms)
     if q1 != INF:
+        corners = functools.cache(lambda: (1.0 / _corner_dual(a_vec, b_vec, q0, q1),
+                                           _corner_dual(b_vec, a_vec, q1, q0)))
 
-        def descent(ts: Sequence[float]) -> list[float]:
-            out, s = [], None
-            for t in ts:
-                value, s = _k_descent(t, a_vec, b_vec, q0, q1, s, norms)
-                out.append(value)
-            return out
+        def front(t: float) -> float:
+            t_lo, t_hi = corners()
+            if t <= t_lo:
+                return t * norms[1]
+            return norms[0] if t >= t_hi else _front_k(t, a_vec, b_vec, q0, q1)[0]
 
-        return _KPlan(descent, lambda: (1.0 / _corner_dual(a_vec, b_vec, q0, q1)[1],
-                                        _corner_dual(b_vec, a_vec, q1, q0)[1]), None, norms)
+        return _KPlan(front, corners, None, norms)
     cost, kinks = _sup_cost(a_vec, b_vec, q0)
     lines = _lines([([cost(beta) for beta in kinks], kinks)])
     if not 1.0 < q0 < INF:
         return _line_plan(lines, norms)
-    return _KPlan(lambda ts: [_sup_finish(t, lines, cost) for t in ts],
-                  lambda: (_envelope_corners(lines)[0], _corner_dual(b_vec, a_vec, q1, q0)[1]),
-                  None, norms)
+    # N is linear on its last kink interval, so its slope there is N'(max b)
+    top, slope_lo = kinks[-1], _sup_slope(a_vec, b_vec, q0, 0.0)
+    slope_hi = _sup_slope(a_vec, b_vec, q0, 0.5 * (kinks[-2] + top))
+
+    def sup_finish(t: float) -> float:
+        beta = top * _root(lambda v: t + _sup_slope(a_vec, b_vec, q0, top * v),
+                           0.0, 1.0, t + slope_lo, t + slope_hi)
+        return min(_envelope(lines, t), cost(beta) + t * beta)
+
+    # K = N(0) from t = -N'(0) on, and t max b up to t = -N'(max b)
+    return _KPlan(sup_finish, lambda: (-slope_hi, -slope_lo), None, norms)
 
 
 def k_functional(
@@ -763,12 +660,13 @@ def k_functional(
     monotone.  Exponents (1, 1), a sup side against an exponent <= 1 or inf,
     and exponents both <= 1 (a concave objective, exact over the 2^n vertex
     splits of at most 20 coordinates) give K as a sum of lower envelopes of
-    lines, evaluated exactly.  A sup side against 1 < q < inf finishes its
-    best kink line by a golden-section search to 1e-8 of its largest kink.
-    Other exponents >= 1 go through cyclic exact coordinate minimization
-    with corner escapes, resumed while the K-J dual gap exceeds 1e-6 (for
-    at most 20 rounds; the last value stands).  One exponent below 1 with
-    the other finite and above 1 has no certified method: ValueError.
+    lines, evaluated exactly.  A sup side against 1 < q < inf takes the
+    minimum of its convex N(beta) + t beta at the root of N'(beta) = -t,
+    never above its kink lines.  Other exponents >= 1 trace the Pareto front
+    of the two side norms: the split minimizing N0^q0 / q0 + rho N1^q1 / q1 is
+    optimal at a t(rho) that never decreases in rho, so K(t) is one monotone
+    root in log rho (see _front_k).  One exponent below 1 with the other
+    finite and above 1 has no certified method: ValueError.
 
     The endpoint couple (base "l1-linf") takes a radial step function or its
     AnnulusProfile.  Coordinates are the annulus pieces; the side-0 norm
@@ -791,16 +689,13 @@ def k_functional_curve(
 ) -> list[float]:
     """K(t, y) along a t grid, from the one plan of y and the couple.
 
-    Every branch but the descent gives k_functional's values bit for bit.
-    The descent carries the minimizer from one grid point to the next, which
-    makes dense curves far cheaper to evaluate; its values agree with cold
-    solves to the descent's accuracy (a carried start whose dual gap stays
-    above 1e-12 is solved again from the cold start).  `herzlab kfunc`
+    Each t is solved on its own, with no state carried along the grid, so
+    every branch gives k_functional's values bit for bit.  `herzlab kfunc`
     prints one such curve.
     """
     if any(t <= 0 for t in ts):
         raise ValueError("t must be positive")
-    return _k_plan(y, couple).curve(ts)
+    return list(map(_k_plan(y, couple).k, ts))
 
 
 def check_k_curve(
@@ -897,7 +792,7 @@ def interpolation_norm(
     On a line branch K is linear between its breakpoints, so K is read there
     and at both ends, and each chord is integrated by
     quadrature.power_integral, whose certified brackets add up to the
-    bracket of the main part.  On the descent and sup-finish branches a
+    bracket of the main part.  On the front and sup-finish branches a
     per-octave adaptive Simpson rule in log t (params.rel_tol) gives a value
     with no certificate.  A truncated tail beyond a window end that no
     corner covers is bracketed analytically from K(t) <= min(N0, t N1)

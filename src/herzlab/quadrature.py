@@ -10,7 +10,7 @@ certificate, not an estimate.
 
 `adaptive_simpson` is the small in-house integrator that remains for
 interpolation integrals of K without a known piecewise-linear form (the
-descent and sup-finish K branches); it certifies nothing and accepts an
+front and sup-finish K branches); it certifies nothing and accepts an
 interval silently at its depth cap.
 """
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -284,24 +285,25 @@ class TestKFunctional:
                     costs.append(norm + float(Fraction(t) * beta))
                 assert k_functional(t, y, couple) == pytest.approx(min(costs), rel=1e-13)
 
-    @pytest.mark.parametrize("q_pair", [(1.0, 1.0), (2.0, INF), (INF, 2.0), (0.5, 0.7)])
+    @pytest.mark.parametrize("q_pair", [
+        (1.0, 1.0), (2.0, INF), (INF, 2.0), (0.5, 0.7), (1.0, 2.0), (3.0, 1.5), (1.2, INF)
+    ])
     def test_curve_matches_pointwise(self, q_pair):
-        # only the descent branch warm-starts along the curve; every other
-        # branch solves each t afresh and must agree bit for bit
+        # every branch, front and sup-finish included, solves each t afresh
+        # and must agree bit for bit
         couple = CoupleSpec((0.0, q_pair[0]), (1.0, q_pair[1]))
         y = random_seq()
         ts = [0.25, 1.0, 3.0]
         assert k_functional_curve(ts, y, couple) == [k_functional(t, y, couple) for t in ts]
 
     def test_curve_warm_start_does_not_stall(self):
-        # carried from the first t, the descent stopped 9.7e-4 relative above
-        # the minimum at the second; the dual gap now sends it to a cold start
+        # a split carried from the first t once stopped 9.7e-4 relative above
+        # the minimum at the second; no K solve carries state along a curve
         y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
         couple = CoupleSpec((0.5, 1.0), (0.5, 2.0))
         ts = [1.7467673861991688, 1.7232789477462738]
         curve = k_functional_curve(ts, y, couple)
-        for t, k in zip(ts, curve):
-            assert k == pytest.approx(k_functional(t, y, couple), rel=1e-12, abs=0.0)
+        assert curve == [k_functional(t, y, couple) for t in ts]
         assert curve[1] == pytest.approx(3.8836880262130933, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
@@ -314,8 +316,8 @@ class TestKFunctional:
             CoupleSpec(**kwargs)
 
     def test_cold_descent_does_not_stall(self):
-        # the sweeps stopped on stagnation 1.6e-4 relative above the minimum;
-        # the dual gap now resumes them
+        # coordinate descent once stopped on stagnation 1.6e-4 relative above
+        # the minimum here
         y = WeightedSeq.from_dict({
             -1: 1.450107072626387, 0: 0.11419386099289482, 1: 1.8522097266988595,
             3: 0.8313159135559351, 4: 0.8829038246587034, 5: 2.5754675623642673,
@@ -326,9 +328,9 @@ class TestKFunctional:
         assert got == pytest.approx(3.36716443877377, rel=1e-12)
 
     def test_corner_escape_reaches_the_minimum(self):
-        # t lies inside the corner range (1.4801, 2.2461); the sweeps settle
-        # on the corner s = 0, whose value 77.30108753142962 is 0.42% above
-        # the minimum, and only the escape along the dual maximizer leaves it
+        # t lies inside the corner range (1.4801, 2.2461); coordinate descent
+        # once settled on the corner s = 0, whose value 77.30108753142962 is
+        # 0.42% above the minimum
         y = WeightedSeq.from_dict(
             {3: 67.95021961636041, 6: 0.3993068738410339, 8: 0.28525231060188194}
         )
@@ -337,6 +339,125 @@ class TestKFunctional:
         got = k_functional(t, y, couple)
         oracle = brute_force_k(t, y, couple)
         assert abs(got - oracle) <= 1e-6 * max(1.0, oracle), (got, oracle)
+
+    @pytest.mark.parametrize("entries, couple, t, expected", [
+        ({5: 1.4153069700839203, 7: 1.7755359293806887},
+         CoupleSpec((0.7480978247149341, 1.0), (-0.12755047348919657, 8.0)),
+         85.08433773640735, 85.85515848258886),
+        ({-1: 2.26461420365204, 1: 0.5408647896742476},
+         CoupleSpec((-0.5552200855378344, 8.0), (0.5553816918568073, 1.0)),
+         0.40305898372813465, 0.9414476701491478),
+    ], ids=["one-eight", "eight-one"])
+    def test_cold_descent_dual_gap_closes(self, entries, couple, t, expected):
+        # coordinate descent ended its resume rounds 3.6e-5 and 1.3e-5 high,
+        # with dual gaps of 3.9e-5 and 7.3e-5
+        y = WeightedSeq.from_dict(entries)
+        got = k_functional(t, y, couple)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        (_, q0), (_, q1) = couple.side0, couple.side1
+        a, b = interp._side_vectors(y, couple)
+        value, s = interp._front_k(t, a, b, q0, q1)
+        assert value == got
+        assert got - interp._dual_bound(s, t, a, b, q0, q1) <= 1e-9 * got
+
+    def test_front_finds_the_one_coordinate_split(self):
+        # the split (0, 1) costs exactly 1.0; coordinate descent returned 2.0
+        y = WeightedSeq.from_dict({-1: 1.0, 200: 1.0})
+        got = k_functional(1.1156177909894717e-30, y, CoupleSpec((0.0, 1.0), (1.0, 2.0)))
+        assert got == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+    def test_front_split_in_log_form(self):
+        # side weights 2^-3 and 2^600 against 2^3 and 2^-600: a power of a
+        # side weight under- or overflows, the logs do not
+        y = WeightedSeq.from_dict({-1: 1.0, 200: 1.0})
+        got = k_functional(1.0, y, CoupleSpec((3.0, 1.5), (-3.0, 4.0)))
+        assert got == pytest.approx(0.125, rel=1e-12, abs=0.0)
+
+    def test_front_dual_gap_on_the_oracle_grid(self):
+        # test_07's instances (seed 97), each on its 64-point grid: the front
+        # split certifies its own value through the K-J dual bound
+        rng = random.Random(97)
+        ts = [2.0 ** (-8 + 16 * k / 63.0) for k in range(64)]
+        inside = 0
+        for _ in range(100):
+            us = rng.sample(range(-1, 5), 3)
+            y = WeightedSeq.from_dict({u: rng.uniform(0.1, 2.0) for u in us})
+            q0, q1 = rng.choice([1.0, 1.5, 2.0, 4.0]), rng.choice([1.0, 1.5, 2.0, 4.0])
+            couple = CoupleSpec((0.0, q0), (rng.choice([0.5, 1.0]), q1))
+            rng.choice([0.3, 1.0, 4.0])  # test_07's own t, drawn to keep the stream aligned
+            if q0 == q1 == 1.0:
+                continue
+            t_lo, t_hi = interp._k_plan(y, couple).corners()
+            a, b = interp._side_vectors(y, couple)
+            for t, k in zip(ts, k_functional_curve(ts, y, couple)):
+                if t_lo < t < t_hi:
+                    value, s = interp._front_k(t, a, b, q0, q1)
+                    assert value == k
+                    assert k - interp._dual_bound(s, t, a, b, q0, q1) <= 1e-9 * k, (y, couple, t)
+                    inside += 1
+        assert inside > 500
+
+    def test_seq_q_closed_form(self):
+        # the default seq-q instance on the couple (1, 2): with
+        # S = {u : rho > a_u / b_u^2}, A = sum_S a_u^2 / b_u^2 and
+        # B = sum over the rest of b_u^2, K(t) = sum_S a_u + sqrt(B (t^2 - A)),
+        # where rho = sqrt((t^2 - A) / B) must give back the same S
+        y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
+        couple = CoupleSpec((0.5, 1.0), (0.5, 2.0))
+        a, b = interp._side_vectors(y, couple)
+        cut = sorted(range(len(a)), key=lambda u: a[u] / b[u] ** 2)
+
+        def closed(t):
+            for k in range(len(cut)):
+                S, rest = cut[:k], cut[k:]
+                A = math.fsum(a[u] ** 2 / b[u] ** 2 for u in S)
+                B = math.fsum(b[u] ** 2 for u in rest)
+                if t * t > A:
+                    rho = math.sqrt((t * t - A) / B)
+                    if all(a[u] / b[u] ** 2 < rho for u in S) and all(
+                        rho <= a[u] / b[u] ** 2 for u in rest
+                    ):
+                        return math.fsum(a[u] for u in S) + math.sqrt(B * (t * t - A))
+            return math.fsum(a)  # S holds every coordinate: K = N0
+
+        ts = [2.0 ** (j / 8.0 - 5.0) for j in range(81)]
+        for t, k in zip(ts, k_functional_curve(ts, y, couple)):
+            assert k == pytest.approx(closed(t), rel=1e-13, abs=0.0), t
+
+    @pytest.mark.parametrize("q0", [1.2, 1.5, 2.0, 4.0])
+    def test_sup_finish_below_kink_envelope(self, q0):
+        couple = CoupleSpec((0.0, q0), (1.0, INF))
+        rng = random.Random(str(q0))
+        ts = [2.0 ** (k / 4.0) for k in range(-24, 25)]
+        for n in (1, 3, 6):
+            us = rng.sample(range(-1, 10), n)
+            y = WeightedSeq.from_dict({u: rng.uniform(0.05, 3.0) for u in us})
+            a, b = interp._side_vectors(y, couple)
+            cost, kinks = interp._sup_cost(a, b, q0)
+            lines = interp._lines([([cost(beta) for beta in kinks], kinks)])
+            for t, k in zip(ts, k_functional_curve(ts, y, couple)):
+                assert k <= interp._envelope(lines, t), (n, t)
+
+    @pytest.mark.parametrize("side0, side1", [
+        ((3.0, 1.01), (-3.0, 64.0)), ((-3.0, 64.0), (3.0, 1.01)), ((3.0, 1.01), (-3.0, 1.01)),
+        ((0.075, 64.0), (-3.0, 64.0)), ((-3.0, 1.01), (3.0, INF)), ((-3.0, 64.0), (3.0, INF)),
+    ])
+    def test_bounded_bracketing_at_the_corners(self, side0, side1):
+        # side weights from 2^-600 to 2^600, wherever the couple's norms stay
+        # finite, and t one ulp inside each finite nonzero corner
+        y = WeightedSeq.from_dict({-1: 1.0, 200: 1.0})
+        couple = CoupleSpec(side0, side1)
+        plan = interp._k_plan(y, couple)
+        n0, n1 = plan.norms
+        t_lo, t_hi = plan.corners()
+        ts = [math.nextafter(c, toward)
+              for c, toward in ((t_lo, INF), (t_hi, 0.0)) if 0.0 < c < INF]
+        assert ts
+        for t in ts:
+            start = time.perf_counter()
+            k = k_functional(t, y, couple)
+            assert time.perf_counter() - start < 1.0
+            assert math.isfinite(k) and k <= min(n0, t * n1), t
 
     def test_sup_first_side_by_symmetry(self):
         couple = CoupleSpec((0.3, INF), (0.0, 2.0))
@@ -711,9 +832,9 @@ class TestKPlan:
             breaks = plan.breaks(lo, hi)
             assert breaks == sorted(breaks) and all(lo < b < hi for b in breaks)
             ts = [lo, *breaks, hi]
-            ks = plan.curve(ts)
+            ks = list(map(plan.k, ts))
             mids = [0.5 * (t0 + t1) for t0, t1 in zip(ts, ts[1:])]
-            for mid, t0, t1, k0, k1, k in zip(mids, ts, ts[1:], ks, ks[1:], plan.curve(mids)):
+            for mid, t0, t1, k0, k1, k in zip(mids, ts, ts[1:], ks, ks[1:], map(plan.k, mids)):
                 chord = ((t1 - mid) * k0 + (mid - t0) * k1) / (t1 - t0)
                 assert k == pytest.approx(chord, rel=1e-13, abs=0.0), (source, mid)
 
@@ -806,7 +927,7 @@ class TestKfunc:
 
 
 def bisect_slice_root(deriv):
-    """The 47-step bisection that the regula falsi slice solver replaced."""
+    """47-step bisection on [0, 1], the reference for _root."""
     lo, hi = 0.0, 1.0
     for _ in range(47):
         mid = 0.5 * (lo + hi)
@@ -817,15 +938,33 @@ def bisect_slice_root(deriv):
     return 0.5 * (lo + hi)
 
 
+def slice_deriv(t, a, b, c0, c1, q0, q1):
+    """Derivative in x of (c0 + (a x)^q0)^(1/q0) + t (c1 + (b (1 - x))^q1)^(1/q1),
+    one coordinate slice of the split objective (c0 and c1 the other
+    coordinates' power sums); increasing on [0, 1]."""
+    e0 = (1.0 - q0) / q0
+    e1 = (1.0 - q1) / q1
+
+    def deriv(x):
+        g0 = c0 + (a * x) ** q0
+        d0 = a if g0 == 0.0 else (a**q0) * x ** (q0 - 1.0) * g0**e0
+        g1 = c1 + (b * (1.0 - x)) ** q1
+        d1 = b if g1 == 0.0 else (b**q1) * (1.0 - x) ** (q1 - 1.0) * g1**e1
+        return d0 - t * d1
+
+    return deriv
+
+
 def random_slice(rng, q0, q1, t):
     a, b = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2)
     c0 = rng.choice([0.0, rng.uniform(0.0, 3.0) * a**q0])
     c1 = rng.choice([0.0, rng.uniform(0.0, 3.0) * b**q1])
-    return interp._slice_deriv(t, a, b, c0, c1, q0, q1)
+    return slice_deriv(t, a, b, c0, c1, q0, q1)
 
 
 class TestSliceRoot:
-    """Illinois regula falsi on the increasing derivative of a descent slice."""
+    """_root, the one monotone root of every non-line K branch: Illinois regula
+    falsi with a bisection safeguard, here on increasing slice derivatives."""
 
     @staticmethod
     def solve(deriv):
@@ -837,7 +976,7 @@ class TestSliceRoot:
 
         f_lo, f_hi = deriv(0.0), deriv(1.0)
         assert f_lo < 0.0 < f_hi
-        return interp._slice_root(counted, f_lo, f_hi), calls
+        return interp._root(counted, 0.0, 1.0, f_lo, f_hi), calls
 
     def test_agrees_with_bisection(self):
         rng = random.Random(47)
@@ -873,6 +1012,29 @@ class TestSliceRoot:
         x, calls = self.solve(deriv)
         assert deriv(x) == 0.0 and len(calls) <= interp._SLICE_STEPS
         assert root is None or x == root
+
+    def test_hoelder_kink_of_the_sup_slope(self):
+        # N' of the capped cost has a Hoelder kink (exponent q0 - 1 = 0.2)
+        # next to the root; plain Illinois spent 100 steps there and stopped
+        # 6.7e-9 high, the bisection safeguard reaches the minimum
+        y = WeightedSeq.from_dict({
+            -1: 2.1115805079328163, 7: 0.482551632750576, 9: 1.4853204590006261,
+            11: 1.8655745104273793, 12: 2.8774313839523957,
+        })
+        couple = CoupleSpec((0.4597868372954297, 1.2), (-0.6096015603914711, INF))
+        t = 0.4787141203418233
+        assert k_functional(t, y, couple) == pytest.approx(1.5353895075056272, rel=1e-14, abs=0.0)
+        # the minimum sits on the kink b_u = 0.0331...; plain Illinois stops
+        # 3.5e-10 relative short of it after all its steps
+        a, b = interp._side_vectors(y, couple)
+        _, kinks = interp._sup_cost(a, b, 1.2)
+        top = kinks[-1]
+
+        def slope(v):  # t + N'(v max b); N is linear on its last kink interval
+            return t + interp._sup_slope(a, b, 1.2, v * top if v < 1.0 else 0.5 * (kinks[-2] + top))
+
+        x, _ = self.solve(slope)
+        assert top * x == pytest.approx(kinks[-2], rel=1e-12, abs=0.0)
 
 
 class TestInterpolationNorm:
