@@ -117,7 +117,11 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
         unit_ball_volume(dim)  # rejects a dimension whose measures overflow floats
         return radial_step(dim, bp, [_decode_rational(v) for v in rec["values"]])
     if kind == "grid1d":
-        values = [_decode_float(v) for v in rec["values"]]
+        values = rec["values"]
+        # a list of JSON numbers goes to the array whole; anything else is
+        # decoded one value at a time, so a bad entry is named
+        if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
+            values = [_decode_float(v) for v in values]
         if "cells" in rec and _decode_int(rec["cells"]) != len(values):
             raise ValueError("declared cell count does not match values")
         return GridFunction1D.from_array(_decode_float(rec["half_width"]), values)

@@ -293,7 +293,7 @@ def _envelope_corners(lines: Lines) -> tuple[float, float]:
     """
     c, d = lines
     n0, n1 = c.max(axis=1, keepdims=True), d.max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_lo = np.min(c / (n1 - d), where=c > 0.0, initial=INF)
         t_hi = np.max((n0 - c) / d, where=d > 0.0, initial=0.0)
     return float(t_lo), float(t_hi)

@@ -114,7 +114,9 @@ def lorentz_norm_from_steps(
     if r == INF:
         return float(np.max(w * t ** (1.0 / p)))
     t_pow = t ** (r / p)
-    total = (p / r) * float(np.sum(w**r * np.diff(t_pow, prepend=0.0)))
+    dt = t_pow.copy()
+    dt[1:] -= t_pow[:-1]
+    total = (p / r) * float(np.sum(w**r * dt))
     return total ** (1.0 / r)
 
 

@@ -59,6 +59,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             record_to_object({"type": "mystery"})
 
+    def test_grid_values_mixing_ints_and_floats(self):
+        rec = {"type": "grid1d", "half_width": 2, "values": [0, 1.5, -2, 2**60 + 1]}
+        expected = GridFunction1D(2.0, [0.0, 1.5, -2.0, float(2**60 + 1)])
+        assert record_to_object(rec).values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("bad", [True, None, "1.0", [1.0]])
+    def test_grid_values_name_a_non_number(self, bad):
+        rec = {"type": "grid1d", "half_width": 1.0, "values": [0.0, 1.0, bad, 2.0]}
+        with pytest.raises(ValueError, match="expected a number"):
+            record_to_object(rec)
+
     def test_grid_cell_count_must_match(self):
         rec = {"type": "grid1d", "half_width": 1.0, "cells": 4, "values": [1.0, 2.0]}
         with pytest.raises(ValueError):

@@ -185,6 +185,11 @@ class TestEllNorm:
         y = WeightedSeq.from_dict({0: 3.0, 2: 1.0})
         assert ell_norm(y, 1.0, INF) == pytest.approx(4.0)
 
+    def test_power_overflow_is_scaled_away(self):
+        # 2^600 is a float, its 64th power is not
+        y = WeightedSeq.from_dict({200: 1.0})
+        assert ell_norm(y, 3.0, 64.0) == pytest.approx(2.0**600, rel=1e-15)
+
 
 class TestRetract:
     def test_annulus_indicator_score(self):
@@ -702,6 +707,13 @@ class TestCornerRange:
         assert min(k_of(t), oracle(t)) < t * n1 * (1.0 - 1e-12)
         t = t_hi / 1.05
         assert min(k_of(t), oracle(t)) < n0 * (1.0 - 1e-12)
+
+    def test_infinite_upper_corner_does_not_warn(self):
+        # a slope near zero sends t_hi to +inf without an overflow warning,
+        # which the suite's error::RuntimeWarning filter would raise
+        y = WeightedSeq.from_dict({-1: 1.0, 200: 1.0})
+        corners = interp._k_plan(y, CoupleSpec((3.0, 1.0), (-3.0, INF))).corners()
+        assert corners == (0.015625, INF)
 
     def check_seq(self, y, couple, oracle):
         n0 = ell_norm(y, *couple.side0)

@@ -1,10 +1,14 @@
 import math
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herzlab import cli
 from herzlab.corpus import load_corpus, random_grid_functions, save_corpus
 from herzlab.herz import HerzParams
 from herzlab.lorentz import INF, LorentzParams
@@ -55,6 +59,63 @@ def chord_table_maximal(f):
         chords /= t_c - x[lo : lo + rows, None]
         out[lo : lo + rows] = chords.max(axis=1)
     return np.maximum(absolute, out)
+
+
+def whole_window_profiles(f):
+    """Reference annulus profile: every cell of the window is split against
+    every annulus, as (us, levels, knots)."""
+    vals = f.array()
+    el = f.nodes()[:-1]
+    er = f.nodes()[1:]
+    u_max = max(0, math.ceil(math.log2(f.half_width)))
+    us, levels, knots = [], [], []
+    for u in range(-1, u_max + 1):
+        if u == -1:
+            lo, hi = 0.0, 0.5
+        else:
+            lo, hi = 2.0 ** (u - 1), 2.0**u
+        pos = np.clip(np.minimum(er, hi) - np.maximum(el, lo), 0.0, None)
+        neg = np.clip(np.minimum(er, -lo) - np.maximum(el, -hi), 0.0, None)
+        widths = pos + neg
+        mask = (widths > 0.0) & (vals != 0.0)
+        if not mask.any():
+            continue
+        w = np.abs(vals[mask])
+        m = widths[mask]
+        order = np.argsort(-w, kind="stable")
+        us.append(u)
+        levels.append(w[order])
+        knots.append(np.cumsum(m[order]))
+    return us, levels, knots
+
+
+def profile_bytes(us, levels, knots):
+    return list(us), [w.tobytes() for w in levels], [t.tobytes() for t in knots]
+
+
+def linear_convolve(a, b):
+    """Reference linear convolution by FFT, both spectra taken per call."""
+    n_out = len(a) + len(b) - 1
+    size = 1
+    while size < n_out:
+        size <<= 1
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n_out]
+
+
+def direct_hilbert(f):
+    """Reference Hilbert transform: node jumps against the log kernel built
+    for this call."""
+    n = f.n_cells
+    jumps = np.diff(f.array(), prepend=0.0, append=0.0)
+    kernel = np.log(np.abs((np.arange(-n, n) + 0.5) * f.h))
+    return linear_convolve(jumps, kernel)[n : 2 * n] / math.pi
+
+
+def grid_corpus(seed, blocks, count=3, n_cells=4096):
+    """The benchmark's kind of corpus: an indicator plus block-constant grids."""
+    return [grid_indicator(8.0, n_cells, -1.0, 1.0)] + random_grid_functions(
+        count, seed, half_width=8.0, n_cells=n_cells, blocks=blocks
+    )
 
 
 class TestGridFunction:
@@ -115,6 +176,15 @@ class TestGridFunction:
         back = load_corpus(path)
         assert back == fs
         assert not back[0].values.flags.writeable
+
+    def test_profile_and_refinement_are_built_once(self):
+        f = small_grid(n=64)
+        assert f.refine() is f.refine()
+        assert f.profile is f.profile
+        assert f.refine().profile is f.refine().profile
+        assert profile_bytes(f.profile.us, f.profile.levels, f.profile.knots) == profile_bytes(
+            *whole_window_profiles(f)
+        )
 
 
 class TestMaximal:
@@ -281,6 +351,16 @@ class TestHilbert:
             right = math.log(abs((-m + 0.5) / (-m - 0.5)))
             assert left == pytest.approx(-right, rel=1e-15)
 
+    def test_cached_kernel_spectrum_on_alternating_shapes(self):
+        # six shapes, two of which share n and differ in h, cycle through a
+        # four-entry cache, so spectra are evicted and built again
+        shapes = [(4.0, 64), (2.0, 128), (4.0, 64), (3.0, 64), (1.0, 32), (5.0, 16),
+                  (2.0, 128), (0.5, 8), (4.0, 64), (3.0, 64)]
+        for k, (half, n) in enumerate(shapes):
+            f = small_grid(n, half, seed=k)
+            assert hilbert_transform(f).array().tobytes() == direct_hilbert(f).tobytes()
+        assert not operators._log_kernel_spectrum(64, 0.125).flags.writeable
+
     def test_fft_matches_direct_sum(self):
         f = small_grid(n=32, seed=9)
         h_fft = hilbert_transform(f).array()
@@ -392,6 +472,44 @@ class TestGridNorms:
         assert got == pytest.approx(2.0, rel=1e-12)  # (p/r)^{1/r} mu^{1/2} = 2
 
 
+class TestGridProfiles:
+    """grid_annulus_profiles reads only each annulus's cells; the levels and
+    knots must be the bytes of the whole-window split."""
+
+    @staticmethod
+    def check(f):
+        prof = grid_annulus_profiles(f)
+        assert profile_bytes(prof.us, prof.levels, prof.knots) == profile_bytes(
+            *whole_window_profiles(f)
+        )
+
+    @pytest.mark.parametrize("half, n", [
+        (0.3, 2), (3.7, 10), (100.0, 1000),
+        (8.0, 4),  # each cell spans several annuli
+        (0.9, 6), (0.9, 14),  # the middle node rounds to -/+1.1e-16: one cell holds 0
+    ])
+    def test_equals_whole_window(self, half, n):
+        rng = np.random.default_rng(n)
+        vals = rng.uniform(-2.0, 2.0, n) * (rng.random(n) < 0.8)
+        self.check(GridFunction1D.from_array(half, vals))
+
+    @pytest.mark.parametrize("blocks", [16, 2048])
+    def test_equals_whole_window_on_benchmark_grids(self, blocks):
+        for f in grid_corpus(20240801, blocks):
+            for g in (f, maximal_operator(f), hilbert_transform(f)):
+                self.check(g)
+
+    @given(
+        st.floats(0.05, 300.0),
+        st.integers(1, 300),
+        st.lists(st.sampled_from([0.0, -1.5, 0.25, 3.0]), min_size=1, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_whole_window_on_any_width(self, half, pairs, pattern):
+        vals = np.resize(pattern, 2 * pairs)
+        self.check(GridFunction1D.from_array(half, vals))
+
+
 class TestWindow:
     def test_weights_strictly_inside(self):
         for p in (1.5, 2.0, 4.0):
@@ -454,6 +572,82 @@ def test_sweep_rows_equal_cell_by_cell_ratios(operator):
             fr = f.refine()
             fine = max(fine, grid_hl_norm(op(fr), params) / grid_hl_norm(fr, params))
         assert (row.ratio, row.refined_ratio) == (base, fine)
+
+
+def test_sweeps_sharing_a_corpus_equal_fresh_sweeps():
+    # the maximal sweep fills the grids' cached profiles and scores; the
+    # Hilbert sweep after it reads them
+    corpus = grid_corpus(5, 16, count=2, n_cells=512)
+    kw = dict(ps=(1.5, 4.0), qs=(1.0, 2.0), rs=(1.0, 2.0), weight_count=2)
+    shared = [boundedness_sweep(op, corpus, **kw) for op in ("maximal", "hilbert")]
+    fresh = [
+        boundedness_sweep(
+            op, [GridFunction1D.from_array(f.half_width, f.values) for f in corpus], **kw
+        )
+        for op in ("maximal", "hilbert")
+    ]
+    assert shared == fresh
+
+
+def test_threads_sharing_a_corpus_equal_one_thread():
+    # verify --jobs runs the two sweeps of one corpus on threads, which then
+    # build and read the same cached profiles and scores
+    corpus = grid_corpus(9, 16, count=2, n_cells=256)
+    kw = dict(ps=(2.0,), qs=(1.0, INF), rs=(1.0, 2.0), weight_count=2)
+    ops = ("maximal", "hilbert") * 3
+    expected = [
+        boundedness_sweep(op, [GridFunction1D.from_array(f.half_width, f.values) for f in corpus],
+                          **kw)
+        for op in ops
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(ops)) as pool:
+            futures = [pool.submit(boundedness_sweep, op, corpus, **kw) for op in ops]
+            results = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+class TestWorkCounts:
+    """Each grid's profile and refinement are built once per corpus, so the
+    operator images are all that a second sweep adds."""
+
+    K = 3
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            operators, "grid_annulus_profiles", counted("profile", grid_annulus_profiles)
+        )
+        for name, fn in list(operators._OPERATORS.items()):
+            monkeypatch.setitem(operators._OPERATORS, name, counted(name, fn))
+        return calls
+
+    def test_verify_boundedness(self, calls, tmp_path):
+        path = tmp_path / "grids.json"
+        save_corpus(random_grid_functions(self.K, 3, half_width=4.0, n_cells=256), path)
+        code = cli.main(["verify", "boundedness", "--corpus", str(path),
+                         "--out", str(tmp_path / "report.json")])
+        assert code in (0, 1)
+        # f, its refinement, and Mf, Hf at both sizes
+        assert calls == {"profile": 6 * self.K, "maximal": 2 * self.K, "hilbert": 2 * self.K}
+
+    def test_interpolated_boundedness_check(self, calls):
+        corpus = random_grid_functions(self.K, 3, half_width=4.0, n_cells=256)
+        interpolated_boundedness_check("hilbert", 2.0, 1.5, 0.2, corpus)
+        assert calls == {"profile": 4 * self.K, "hilbert": 2 * self.K}
 
 
 class TestWitness:
