@@ -423,9 +423,7 @@ def _suite_interp_lorentz(cfg: SuiteConfig) -> list[Check]:
     fns = [ball(1, Fraction(m)) for m in cfg.extra["measures"]]
 
     def run() -> list[CheckRecord]:
-        rep = verify_interpolation(
-            "lorentz", fns, theta=cfg.theta, q=cfg.q, t_exponent_bound=40, rel_tol=1e-10
-        )
+        rep = verify_interpolation("lorentz", fns, theta=cfg.theta, q=cfg.q, t_exponent_bound=40)
         return [
             CheckRecord(
                 "interp-lorentz",

@@ -143,16 +143,17 @@ def lq_norm(vals: Sequence[float], q: float) -> float:
     """(sum_i v_i^q)^{1/q} of nonnegative values, max at q = inf; zeros are skipped.
 
     Where a power or the sum overflows a float, the values are scaled by the
-    largest first, so a norm that a float holds is still returned.
+    largest first, so a norm that a float holds is still returned; an
+    infinite value gives inf.
     """
     if not vals:
         return 0.0
-    if q == INF:
-        return max(vals)
+    top = max(vals)
+    if q == INF or top == INF:
+        return top
     try:
         return math.fsum(v**q for v in vals if v != 0.0) ** (1.0 / q)
     except OverflowError:
-        top = max(vals)
         return top * math.fsum((v / top) ** q for v in vals if v != 0.0) ** (1.0 / q)
 
 

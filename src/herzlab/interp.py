@@ -23,8 +23,12 @@ sequence and endpoint couples alike.  Each source and couple builds one
 memoized plan (_k_plan), which decides the branch, swaps a sup first side
 once and yields K along any t list, the couple's norms (N0, N1) of the
 source and, on demand, its corner range and, on a line branch, the
-breakpoints between which K is linear.  There the interpolation integral is
-exact chord by chord (quadrature.power_integral) with a certified bracket.
+breakpoints between which K is linear.  A line plan runs one hull pass
+(_envelope_breaks), and its first and last breakpoints are the corners.
+There the interpolation integral is exact chord by chord
+(quadrature.power_integral) with a certified bracket.  Both tails of the
+integral are one bracket (_tail): the lower tail is the upper tail of the
+swapped couple, by K(t; X0, X1) = t K(1/t; X1, X0).
 """
 
 from __future__ import annotations
@@ -284,21 +288,6 @@ def _envelope(lines: Lines, t: float) -> float:
     return math.fsum(np.min(c + t * d, axis=1))
 
 
-def _envelope_corners(lines: Lines) -> tuple[float, float]:
-    """Corner range (t_lo, t_hi) of a sum of line envelopes (see _KPlan).
-
-    Group g holds the lines t N1_g (N1_g = max d) and N0_g (N0_g = max c);
-    it follows the first up to t_lo = min c / (N1_g - d) over lines with
-    c > 0, and the second from t_hi = max (N0_g - c) / d over lines with d > 0.
-    """
-    c, d = lines
-    n0, n1 = c.max(axis=1, keepdims=True), d.max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t_lo = np.min(c / (n1 - d), where=c > 0.0, initial=INF)
-        t_hi = np.max((n0 - c) / d, where=d > 0.0, initial=0.0)
-    return float(t_lo), float(t_hi)
-
-
 def _envelope_breaks(lines: Lines) -> list[float]:
     """Sorted breakpoints t > 0 of a sum of line envelopes, where K is linear
     between consecutive ones.
@@ -309,9 +298,21 @@ def _envelope_breaks(lines: Lines) -> list[float]:
     pass (the hull idea of operators._hull_parents) then pops each line whose
     crossings with its neighbours come in the wrong order, and the crossings
     of the lines that remain are the group's breakpoints.
+
+    Every group g must hold the lines t N1_g (intercept 0, N1_g = max d) and
+    N0_g (slope 0, N0_g = max c): the coordinate lines a_u and t b_u, the
+    vertex splits S = all and S empty, the capped cost at beta = 0 and
+    beta = max b, the level caps 0 and the top cap.  Group g then follows
+    t N1_g up to its first breakpoint and N0_g from its last, so the first
+    and last breakpoints of all groups are the corner range (t_lo, t_hi)
+    of K (see _KPlan), and (inf, 0) when there are none.
     """
     out = set()
     for c, d in zip(*lines):
+        # scale intercepts and slopes below 1 by powers of two, which is exact
+        # and keeps the products of the chain test from overflowing
+        ec, ed = math.frexp(c.max())[1], math.frexp(d.max())[1]
+        c, d = np.ldexp(c, -ec), np.ldexp(d, -ed)
         order = np.lexsort((c, -d))  # slope descending, intercept ascending
         c, d = c[order], d[order]
         first = np.append(True, d[1:] != d[:-1])  # the lowest line of each slope
@@ -325,7 +326,9 @@ def _envelope_breaks(lines: Lines) -> list[float]:
                     break
                 chain.pop()
             chain.append((ci, di))
-        out.update((c2 - c1) / (d1 - d2) for (c1, d1), (c2, d2) in zip(chain, chain[1:]))
+        crossings = [(c2 - c1) / (d1 - d2) for (c1, d1), (c2, d2) in zip(chain, chain[1:])]
+        with np.errstate(over="ignore"):
+            out.update(np.ldexp(crossings, ec - ed).tolist())
     return sorted(out)
 
 
@@ -475,14 +478,16 @@ def _corner_dual(
 ) -> float:
     """Dual-norm test of the corner s = 0, where all of y sits on side 1.
 
-    The side-1 norm is smooth there, with gradient g_u = b_u^{q1} N1^{1-q1};
+    The side-1 norm is smooth there, with gradient
+    g_u = b_u^{q1} N1^{1-q1} = (b_u / N1)^{q1-1} b_u, formed in the second
+    way so that no power of a side weight can overflow;
     z = t g certifies K(t) >= sum z = t N1 (the K-J duality) as long as
     t ||g/a||_{q0'} <= 1.  So K(t) = t N1 exactly for t <= 1/||g/a||_{q0'},
     and with the sides swapped K(t) = N0 for t >= ||h/b||_{q1'}, where
     h_u = a_u^{q0} N0^{1-q0}.  Returns ||g/a||_{q0'}.
     """
     norm_b = lq_norm(b_vec, q1)
-    w = [(b**q1) * norm_b ** (1.0 - q1) / a for a, b in zip(a_vec, b_vec)]
+    w = [(b / norm_b) ** (q1 - 1.0) * b / a for a, b in zip(a_vec, b_vec)]
     return lq_norm(w, conjugate_exponent(q0))
 
 
@@ -548,7 +553,9 @@ class _KPlan(NamedTuple):
     corner range (t_lo, t_hi) on demand: K(t) = t N1 exactly for t <= t_lo
     and K(t) = N0 for t >= t_hi.  On a line branch `breaks(lo, hi)` lists
     the sorted breakpoints of K inside (lo, hi), between which K is linear;
-    it is None where K has no known piecewise-linear form."""
+    it is None where K has no known piecewise-linear form.  A line plan runs
+    its hull pass once, on the first call of either, and reads its corners
+    off the first and last breakpoints."""
 
     k: Callable[[float], float]
     corners: Callable[[], tuple[float, float]]
@@ -557,9 +564,14 @@ class _KPlan(NamedTuple):
 
 
 def _line_plan(lines: Lines, norms: tuple[float, float]) -> _KPlan:
-    return _KPlan(functools.partial(_envelope, lines),
-                  lambda: _envelope_corners(lines),
-                  lambda lo, hi: [b for b in _envelope_breaks(lines) if lo < b < hi], norms)
+    breaks = functools.cache(lambda: _envelope_breaks(lines))  # one hull pass per plan
+
+    def corners() -> tuple[float, float]:
+        ts = breaks()
+        return (ts[0], ts[-1]) if ts else (INF, 0.0)
+
+    return _KPlan(functools.partial(_envelope, lines), corners,
+                  lambda lo, hi: [b for b in breaks() if lo < b < hi], norms)
 
 
 # a few plans suffice: interpolation_norm reads one per call, and a sup first
@@ -579,11 +591,11 @@ def _k_plan(
     coordinate, a sup second side one line N(beta) + t beta per kink of its
     capped cost, exponents both <= 1 one line ||a_S||_{q0} + t ||b_{S^c}||_{q1}
     per vertex split S; a sup first side goes through
-    K(t; X0, X1) = t K(1/t; X1, X0).  The corners come off the lines, except
-    on the front branch (other exponents >= 1), which reads both from the
-    dual-norm test and answers t outside them from the norms, and for a sup
-    side against 1 < q0 < inf, whose convex capped cost N gives them as
-    -N'(max b) and -N'(0).
+    K(t; X0, X1) = t K(1/t; X1, X0).  The corners are the first and last
+    breakpoints of the lines, except on the front branch (other exponents
+    >= 1), which reads both from the dual-norm test and answers t outside
+    them from the norms, and for a sup side against 1 < q0 < inf, whose
+    convex capped cost N gives them as -N'(max b) and -N'(0).
     Uncertified exponents raise ValueError, on an empty support too.
     """
     if isinstance(source, WeightedSeq) != (couple.base is None):
@@ -601,8 +613,8 @@ def _k_plan(
         swapped = _k_plan(source, CoupleSpec(couple.side1, couple.side0))
 
         def swapped_corners() -> tuple[float, float]:
-            lo, hi = swapped.corners()
-            return 1.0 / hi, 1.0 / lo
+            lo, hi = swapped.corners()  # 0 where a slope underflows, and then inf here
+            return (1.0 / hi if hi else INF), (1.0 / lo if lo else INF)
 
         def swapped_breaks(lo: float, hi: float) -> list[float]:
             # 1/b can round onto an end of (lo, hi)
@@ -786,6 +798,7 @@ def interpolation_norm(
 ) -> InterpNormResult:
     """Real-interpolation norm (integral of (t^{-theta} K)^q dt/t)^{1/q}.
 
+    A couple norm of 0 gives K = 0 (K(t) <= min(N0, t N1)) and the norm 0.
     K(t) = t N1 exactly below the lower corner of K and K(t) = N0 above the
     upper one, so those two ranges are integrated in closed form; between
     the corners, clipped to [2^-T, 2^T], K is integrated in one of two ways.
@@ -796,14 +809,16 @@ def interpolation_norm(
     per-octave adaptive Simpson rule in log t (params.rel_tol) gives a value
     with no certificate.  A truncated tail beyond a window end that no
     corner covers is bracketed analytically from K(t) <= min(N0, t N1)
-    together with monotonicity of K and K(t)/t.  The sup form (q = inf) is
+    together with monotonicity of K and K(t)/t (_tail); the lower tail is
+    the upper tail of the swapped couple.  The sup form (q = inf) is
     exact on a line branch, the largest of t^-theta K(t) at the clipped
     corners and the breakpoints between them; on the other branches it
     samples K on the log grid over the full window.
     The reported value is the midpoint of the bracket.  Functions
     (endpoint couple) are read through their annulus profile, built once.
     The norms, corners and breakpoints come from the plan of the source and
-    couple (_k_plan), and K from one k_functional call per t, each reading
+    couple (_k_plan), the corners read once and off the plan's one hull pass
+    on a line branch, and K from one k_functional call per t, each reading
     that same plan.
     """
     theta, q = params.theta, params.q
@@ -811,25 +826,27 @@ def interpolation_norm(
         source = annulus_profile(source)
     plan = _k_plan(source, couple)  # raises for an uncertified couple, zero source included
     n0, n1 = plan.norms
-    if n0 == 0.0 and n1 == 0.0:
+    if n0 == 0.0 or n1 == 0.0:  # K <= min(N0, t N1) vanishes
         return InterpNormResult(0.0, 0.0, 0.0)
     T = params.t_exponent_bound
+    corner_lo, corner_hi = plan.corners()
+    t_lo = min(max(corner_lo, 2.0**-T), 2.0**T)
+    t_hi = min(max(corner_hi, t_lo), 2.0**T)
+    nodes = None if plan.breaks is None else [t_lo, *plan.breaks(t_lo, t_hi), t_hi]
 
     @functools.cache
     def k_of(t: float) -> float:
         return k_functional(t, source, couple)
 
     if q == INF:
-        if plan.breaks is None:
+        # on a line branch t^-theta K(t) rises below the lower corner and
+        # falls above the upper one, and on each chord t^-theta (A + B t),
+        # A, B >= 0, its only critical point is a minimum: the sup over the
+        # window sits at a node
+        ts = nodes
+        if ts is None:
             ts = [2.0 ** (j / _POINTS_PER_OCTAVE)
                   for j in range(-T * _POINTS_PER_OCTAVE, T * _POINTS_PER_OCTAVE + 1)]
-        else:
-            # t^-theta K(t) rises below the lower corner and falls above the
-            # upper one, and on each chord t^-theta (A + B t), A, B >= 0, its
-            # only critical point is a minimum: the sup over the window sits
-            # at a clipped corner or a breakpoint
-            _, _, t_lo, t_hi = _clipped_corners(plan, T)
-            ts = [t_lo, *plan.breaks(t_lo, t_hi), t_hi]
         best = max([0.0, *(k_of(t) / t**theta for t in ts)])
         if theta == 0.0:
             best = max(best, n0)  # K increases to the side-0 norm
@@ -837,9 +854,8 @@ def interpolation_norm(
             best = max(best, n1)  # K(t)/t increases to the side-1 norm as t -> 0
         return InterpNormResult(best, best, best)
 
-    corner_lo, corner_hi, t_lo, t_hi = _clipped_corners(plan, T)
-    if plan.breaks is not None:
-        ts = [t_lo, *plan.breaks(t_lo, t_hi), t_hi] if t_lo < t_hi else []
+    if nodes is not None:
+        ts = nodes if t_lo < t_hi else []
         ks = [k_of(t) for t in ts]
         pieces = [power_integral(t0, t1, k0, k1, -theta * q, q)
                   for t0, t1, k0, k1 in zip(ts, ts[1:], ks, ks[1:])]
@@ -856,20 +872,12 @@ def interpolation_norm(
         main_lo = main_hi = sum(adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
                                 for x, x_next in zip(cuts, cuts[1:]) if x < x_next)
 
-    # upper tail t >= t_hi: K = N0 past the corner, else K(t_hi) <= K(t) <= min(n0, t n1)
-    hi_upper = _tail_upper_high(n0, n1, t_hi, theta, q)
-    if t_hi >= corner_hi:
-        hi_lower = hi_upper
-    else:
-        hi_lower = min(k_of(t_hi) ** q * t_hi ** (-theta * q) / (theta * q), hi_upper)
-    # lower tail t <= t_lo: K = t N1 below the corner, else (t/t_lo) K(t_lo) <= K(t)
-    lo_upper = _tail_upper_low(n0, n1, t_lo, theta, q)
-    if t_lo <= corner_lo:
-        lo_lower = lo_upper
-    else:
-        slope = k_of(t_lo) / t_lo
-        lo_lower = min(slope**q * t_lo ** ((1.0 - theta) * q) / ((1.0 - theta) * q), lo_upper)
-
+    # the tail below t_lo is the tail above 1/t_lo of the swapped couple,
+    # whose K at 1/t is K(t)/t
+    hi_lower, hi_upper = _tail(n0, n1, t_hi, theta, q,
+                               None if t_hi >= corner_hi else k_of(t_hi))
+    lo_lower, lo_upper = _tail(n1, n0, 1.0 / t_lo, 1.0 - theta, q,
+                               None if t_lo <= corner_lo else k_of(t_lo) / t_lo)
     lower_q = main_lo + hi_lower + lo_lower
     upper_q = main_hi + hi_upper + lo_upper
     mid_q = 0.5 * (lower_q + upper_q)
@@ -878,45 +886,23 @@ def interpolation_norm(
     )
 
 
-def _clipped_corners(plan: _KPlan, T: int) -> tuple[float, float, float, float]:
-    """The corners of K, and the same two clipped to [2^-T, 2^T] in order."""
-    corner_lo, corner_hi = plan.corners()
-    t_lo = min(max(corner_lo, 2.0**-T), 2.0**T)
-    t_hi = min(max(corner_hi, t_lo), 2.0**T)
-    return corner_lo, corner_hi, t_lo, t_hi
+def _tail(
+    n0: float, n1: float, t0: float, theta: float, q: float, k0: float | None
+) -> tuple[float, float]:
+    """Bracket of the integral of (t^-theta K(t))^q dt/t over [t0, inf), for
+    K of norms n0, n1 > 0.
 
-
-def _tail_upper_high(n0: float, n1: float, t_hi: float, theta: float, q: float) -> float:
-    """Exact integral of (t^-theta min(n0, t n1))^q dt/t over [t_hi, inf)."""
-    if n0 == 0.0:
-        return 0.0
-    cross = n0 / n1 if n1 > 0 else 0.0
-    out = 0.0
-    lo = t_hi
-    if cross > t_hi:
-        # min is t n1 up to the crossover
-        e = (1.0 - theta) * q
-        out += n1**q * (cross**e - lo**e) / e
-        lo = cross
-    e = theta * q
-    out += n0**q * lo ** (-e) / e
-    return out
-
-
-def _tail_upper_low(n0: float, n1: float, t_lo: float, theta: float, q: float) -> float:
-    """Exact integral of (t^-theta min(n0, t n1))^q dt/t over (0, t_lo]."""
-    if n1 == 0.0:
-        return 0.0
-    cross = n0 / n1 if n1 > 0 else INF
-    out = 0.0
-    hi = t_lo
-    if cross < t_lo:
-        e = theta * q
-        out += n0**q * (cross ** (-e) - hi ** (-e)) / e if e > 0 else INF
-        hi = cross
-    e = (1.0 - theta) * q
-    out += n1**q * hi**e / e
-    return out
+    The upper end integrates K(t) <= min(n0, t n1) exactly, and is the value
+    itself when k0 is None (K = n0 on [t0, inf)).  Otherwise k0 = K(t0) <= K(t)
+    gives the lower end k0^q t0^(-theta q) / (theta q).
+    """
+    e0, e1 = theta * q, (1.0 - theta) * q
+    cross = n0 / n1  # where t n1 meets n0
+    upper = n0**q * max(cross, t0) ** -e0 / e0
+    if cross > t0:
+        upper += n1**q * (cross**e1 - t0**e1) / e1
+    lower = upper if k0 is None else min(k0**q * t0**-e0 / e0, upper)
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------

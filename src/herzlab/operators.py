@@ -553,10 +553,10 @@ def grid_lp_norm(f: GridFunction1D, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def in_window_weights(p: float, dim: int = 1, count: int = 5) -> list[float]:
-    """`count` weight exponents strictly inside (-N/p, N/p')."""
-    lo = -dim / p
-    hi = dim / conjugate_exponent(p)
+def in_window_weights(p: float, count: int = 5) -> list[float]:
+    """`count` weight exponents strictly inside (-1/p, 1/p')."""
+    lo = -1.0 / p
+    hi = 1.0 / conjugate_exponent(p)
     return [lo + (hi - lo) * k / (count + 1) for k in range(1, count + 1)]
 
 
@@ -621,7 +621,6 @@ def boundedness_sweep(
     qs: Sequence[float] = (1.0, 2.0, INF),
     rs: Sequence[float] = (1.0, 2.0, INF),
     weight_count: int = 5,
-    dim: int = 1,
 ) -> BoundednessReport:
     """Operator-norm ratios over the admissible parameter grid.
 
@@ -650,7 +649,7 @@ def boundedness_sweep(
                         (label, "singular-kernel route needs r < inf")
                     )
                     continue
-                for a in in_window_weights(p, dim, weight_count):
+                for a in in_window_weights(p, weight_count):
                     cells.append((a, p, q, r))
     rows = _sweep_ratios(operator, corpus, cells)
     max_ratio = max((row.ratio for row in rows), default=0.0)
@@ -675,7 +674,6 @@ def out_of_range_witness(
     r: float = 2.0,
     family_size: int = 8,
     cells_per_side: int = 4096,
-    dim: int = 1,
 ) -> WitnessReport:
     """Ratio family for annulus indicators at a weight beyond the window.
 
@@ -685,8 +683,8 @@ def out_of_range_witness(
     claim is made beyond the scanned family.
     """
     if a is None:
-        a = dim / conjugate_exponent(p) + 0.5
-    if a < dim / conjugate_exponent(p):
+        a = 1.0 / conjugate_exponent(p) + 0.5
+    if a < 1.0 / conjugate_exponent(p):
         raise ValueError("witness weight must sit at or beyond the window edge")
     params = HerzParams(a, p, q, r)
     ratios = []

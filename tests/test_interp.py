@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from herzlab import cli, interp
 from herzlab.corpus import random_step_functions, save_corpus
@@ -189,6 +190,13 @@ class TestEllNorm:
         # 2^600 is a float, its 64th power is not
         y = WeightedSeq.from_dict({200: 1.0})
         assert ell_norm(y, 3.0, 64.0) == pytest.approx(2.0**600, rel=1e-15)
+
+
+    def test_infinite_value_gives_inf(self):
+        # 2^600 overflows its 64th power, and the scaled retry once divided
+        # inf by inf
+        y = WeightedSeq.from_dict({0: INF, 200: 1.0})
+        assert ell_norm(y, 3.0, 64.0) == INF
 
 
 class TestRetract:
@@ -850,6 +858,57 @@ class TestKPlan:
                 chord = ((t1 - mid) * k0 + (mid - t0) * k1) / (t1 - t0)
                 assert k == pytest.approx(chord, rel=1e-13, abs=0.0), (source, mid)
 
+    @pytest.mark.parametrize("couple", [
+        CoupleSpec((0.0, 1.0), (1.0, 1.0)),
+        CoupleSpec((0.0, 0.5), (0.5, 0.7)),
+        CoupleSpec((0.2, 0.5), (1.0, INF)),
+        CoupleSpec((0.3, INF), (0.0, 0.5)),
+        CoupleSpec((0.2, 1.0), (0.5, 1.0), base="l1-linf"),
+        CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf"),
+    ], ids=["linear", "vertex", "sup-second", "sup-first", "endpoint-1-1", "endpoint-1-inf"])
+    def test_one_hull_pass_per_plan(self, monkeypatch, nonneg_corpus, couple):
+        # corners and breakpoints both come off the plan's one hull pass
+        calls = []
+        hull = interp._envelope_breaks
+
+        def counted(lines):
+            calls.append(None)
+            return hull(lines)
+
+        monkeypatch.setattr(interp, "_envelope_breaks", counted)
+        interp._k_plan.cache_clear()
+        source = annulus_profile(nonneg_corpus[2]) if couple.base else random_seq(4)
+        plan = interp._k_plan(source, couple)
+        for _ in range(3):
+            lo, hi = plan.corners()
+            plan.breaks(lo, hi)
+            plan.breaks(2.0**-40, 2.0**40)
+        for q in (1.5, INF):
+            interpolation_norm(source, InterpolationParams(0.5, q), couple)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_breaks_are_scale_invariant(self, power):
+        # scaling every intercept and slope by one power of two moves no
+        # crossing; at 2^+-600 the products of the chain test would overflow
+        # or underflow unless the pass scales them back first
+        y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25, 4: 1.5})
+        a_vec, b_vec = interp._side_vectors(y, CoupleSpec((0.0, 0.5), (0.5, 0.7)))
+        c, d = interp._lines([interp._vertex_norms(a_vec, b_vec, 0.5, 0.7)])
+        breaks = interp._envelope_breaks((c, d))
+        assert len(breaks) >= 3
+        assert interp._envelope_breaks((c * 2.0**power, d * 2.0**power)) == breaks
+
+    def test_swapped_zero_corner_is_infinite(self):
+        # -N'(0) of the swapped couple's capped cost underflows to 0, which
+        # sends the upper corner to inf instead of dividing by zero
+        y = WeightedSeq.from_dict({15: 1.5122299549928249, 18: 2.4677479758835816,
+                                   28: 1.0467721484216457})
+        couple = CoupleSpec((22.303229092392577, INF), (-26.51034745800751, 2.0))
+        assert interp._k_plan(y, couple).corners() == (2.6017230203236085e+220, INF)
+        res = interpolation_norm(y, InterpolationParams(1.0, INF), couple)
+        assert res.value == 2.9748915048601945e-120
+
     @pytest.mark.parametrize("couple", [CoupleSpec((0.0, 2.0), (1.0, INF)),
                                         CoupleSpec((0.0, INF), (1.0, 2.0)),
                                         CoupleSpec((0.0, 2.0), (1.0, 1.5))],
@@ -924,6 +983,24 @@ class TestKfunc:
         y = retract_L(_FIVE_ANNULI, LorentzParams(2.0, 2.0))
         ks = k_functional_curve(ts, y, CoupleSpec((0.0, 1.0), (1.0, 2.0)))
         assert out == "".join(f"{t!r}\t{k!r}\n" for t, k in zip(ts, ks))
+
+    def test_corner_dual_forms_no_power_of_a_side_weight(self, tmp_path, capsys):
+        # a0 = 80 weighs the shell at radius 2048 by 2^880, whose 16th power
+        # overflows; the dual-norm corner test forms (b / N1)^(q1 - 1) b / a
+        f = radial_step(1, [0, 1, 2048], [1, 1])
+        path = tmp_path / "steps.json"
+        save_corpus([f], path)
+        assert cli.main(["kfunc", "--input", str(path), "--a0", "80", "--q0", "16",
+                         "--a1", "0", "--q1", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in lines:
+            t, k = map(float, line.split("\t"))
+            assert 0.0 < k < INF
+        t, k = map(float, lines[-1].split("\t"))
+        assert (t, k) == (1024.0, pytest.approx(65520.9668040209, rel=1e-12))
+        y = retract_L(f, LorentzParams(2.0, 2.0))
+        t_lo, t_hi = interp._k_plan(y, CoupleSpec((80.0, 16.0), (0.0, 2.0))).corners()
+        assert 0.0 < t_lo <= t_hi < INF
 
     @pytest.mark.parametrize("q_pair", [("2", "inf"), ("inf", "2")])
     def test_sup_finish_prints_plain_floats(self, tmp_path, capsys, q_pair):
@@ -1179,11 +1256,80 @@ class TestInterpolationNorm:
         grid = np.geomspace(2.0**-20, 2.0**20, 4001)
         assert max(k_functional(t, f, L1_LINF) / t**0.5 for t in grid) <= best * (1 + 1e-12)
 
+    @pytest.mark.parametrize("couple", [CoupleSpec((-10.0, 1.0), (0.0, 1.0)),
+                                        CoupleSpec((0.0, 1.0), (-10.0, 1.0))],
+                             ids=["n0-underflows", "n1-underflows"])
+    @pytest.mark.parametrize("theta, q", [(0.5, 1.0), (0.5, 2.0), (0.5, INF), (0.0, INF),
+                                          (1.0, INF)])
+    def test_zero_couple_norm_gives_zero(self, couple, theta, q):
+        # 2^(-10 * 200) underflows to 0, so one couple norm is 0 and
+        # K <= min(N0, t N1) vanishes
+        y = WeightedSeq.from_dict({200: 1.0})
+        res = interpolation_norm(y, InterpolationParams(theta, q), couple)
+        assert res.value == res.lower == res.upper == 0.0
+
+    def test_bracket_holds_where_line_products_overflow(self):
+        # lines near 1e166 overflow the hull's products unscaled, and the
+        # hull then reads the upper corner of K too early; the value here
+        # is the integral of the same float lines at 50 digits (mpmath)
+        y = WeightedSeq(((7, 1.5803993183189418), (15, 0.07831519543385147),
+                         (21, 0.16843852268639536), (23, 2.349052267429425),
+                         (35, 1.1928369443549418), (39, 2.7978317118559874)))
+        couple = CoupleSpec((14.127298142488144, INF), (14.127298142488144, 0.7))
+        params = InterpolationParams(0.5982733544544113, 1.5, t_exponent_bound=3)
+        res = interpolation_norm(y, params, couple)
+        assert res.lower <= 3.9727081434711757e166 <= res.upper
+
     def test_theta_bounds_enforced(self):
         with pytest.raises(ValueError):
             InterpolationParams(0.0, 2.0)
         with pytest.raises(ValueError):
             InterpolationParams(1.2, INF)
+
+
+class TestTail:
+    """_tail brackets the integral of (t^-theta K)^q dt/t over [t0, inf), and
+    over (0, t0] as the upper tail of the swapped couple."""
+
+    N0, N1 = 3.0, 0.75  # K = min(N0, t N1) meets N0 at t = 4
+
+    def exact(self, lo, hi, theta, q):
+        # the integral in x = log t, split at the corner, each side formed so
+        # that no exponential grows
+        corner = math.log(4.0)
+
+        def integrand(x):
+            if x >= corner:
+                return (math.exp(-theta * x) * self.N0) ** q
+            return (math.exp((1.0 - theta) * x) * self.N1) ** q
+
+        ends = sorted({lo, hi, min(max(corner, lo), hi)})
+        return math.fsum(quad(integrand, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for x0, x1 in zip(ends, ends[1:]))
+
+    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
+    def test_matches_quadrature(self, theta, q):
+        for t0 in (0.5, 4.0, 20.0):
+            upper_tail = interp._tail(self.N0, self.N1, t0, theta, q, None)
+            lower_tail = interp._tail(self.N1, self.N0, 1.0 / t0, 1.0 - theta, q, None)
+            for (lower, upper), (lo, hi) in ((upper_tail, (math.log(t0), INF)),
+                                             (lower_tail, (-INF, math.log(t0)))):
+                assert lower == upper
+                assert upper == pytest.approx(self.exact(lo, hi, theta, q), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
+    def test_known_value_brackets(self, theta, q):
+        # K(t0) = k0 bounds K below from t0 on (and K(t)/t from t0 down)
+        for t0 in (0.5, 20.0):
+            k0 = min(self.N0, t0 * self.N1)
+            lower, upper = interp._tail(self.N0, self.N1, t0, theta, q, k0)
+            assert lower <= self.exact(math.log(t0), INF, theta, q) * (1 + 1e-12)
+            assert lower <= upper
+            lower, upper = interp._tail(self.N1, self.N0, 1.0 / t0, 1.0 - theta, q, k0 / t0)
+            assert lower <= self.exact(-INF, math.log(t0), theta, q) * (1 + 1e-12)
+            assert lower <= upper
 
 
 class TestVerifySuites:

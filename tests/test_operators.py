@@ -513,7 +513,7 @@ class TestGridProfiles:
 class TestWindow:
     def test_weights_strictly_inside(self):
         for p in (1.5, 2.0, 4.0):
-            ws = in_window_weights(p, 1, 5)
+            ws = in_window_weights(p, 5)
             lo, hi = -1.0 / p, 1.0 - 1.0 / p
             assert len(ws) == 5
             assert all(lo < a < hi for a in ws)
