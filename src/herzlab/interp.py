@@ -25,10 +25,9 @@ once and yields K along any t list, the couple's norms (N0, N1) of the
 source and, on demand, its corner range and, on a line branch, the
 breakpoints between which K is linear.  A line plan runs one hull pass
 (_envelope_breaks), and its first and last breakpoints are the corners.
-There the interpolation integral is exact chord by chord
-(quadrature.power_integral) with a certified bracket.  Both tails of the
-integral are one bracket (_tail): the lower tail is the upper tail of the
-swapped couple, by K(t; X0, X1) = t K(1/t; X1, X0).
+There the interpolation integral is quadrature.k_norm, exact chord by
+chord with a certified bracket; the other branches hand it an adaptive
+Simpson main part, and it brackets both tails of every branch alike.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .lorentz import (
     lorentz_quasi_norm,
     lorentz_star_norm,
 )
-from .quadrature import adaptive_simpson, power_integral
+from .quadrature import adaptive_simpson, k_norm
 from .rearrange import (
     RadialStepFunction,
     pointwise_sum,
@@ -618,7 +617,8 @@ def _k_plan(
 
         def swapped_breaks(lo: float, hi: float) -> list[float]:
             # 1/b can round onto an end of (lo, hi)
-            return sorted(t for b in swapped.breaks(1.0 / hi, 1.0 / lo) if lo < (t := 1.0 / b) < hi)
+            ends = 1.0 / hi, (1.0 / lo if lo else INF)
+            return sorted(t for b in swapped.breaks(*ends) if lo < (t := 1.0 / b) < hi)
 
         return _KPlan(
             lambda t: t * swapped.k(1.0 / t),
@@ -800,66 +800,41 @@ def interpolation_norm(
 
     A couple norm of 0 gives K = 0 (K(t) <= min(N0, t N1)) and the norm 0.
     K(t) = t N1 exactly below the lower corner of K and K(t) = N0 above the
-    upper one, so those two ranges are integrated in closed form; between
-    the corners, clipped to [2^-T, 2^T], K is integrated in one of two ways.
-    On a line branch K is linear between its breakpoints, so K is read there
-    and at both ends, and each chord is integrated by
-    quadrature.power_integral, whose certified brackets add up to the
-    bracket of the main part.  On the front and sup-finish branches a
-    per-octave adaptive Simpson rule in log t (params.rel_tol) gives a value
-    with no certificate.  A truncated tail beyond a window end that no
-    corner covers is bracketed analytically from K(t) <= min(N0, t N1)
-    together with monotonicity of K and K(t)/t (_tail); the lower tail is
-    the upper tail of the swapped couple.  The sup form (q = inf) is
-    exact on a line branch, the largest of t^-theta K(t) at the clipped
-    corners and the breakpoints between them; on the other branches it
-    samples K on the log grid over the full window.
-    The reported value is the midpoint of the bracket.  Functions
-    (endpoint couple) are read through their annulus profile, built once.
-    The norms, corners and breakpoints come from the plan of the source and
-    couple (_k_plan), the corners read once and off the plan's one hull pass
-    on a line branch, and K from one k_functional call per t, each reading
-    that same plan.
+    upper one.  The window is the corner range clipped to [2^-T, 2^T], and
+    quadrature.k_norm integrates over it and brackets the tails beyond it.
+    On a line branch K is linear between its breakpoints, so K is read
+    there and at both window ends, and k_norm takes the certified chord
+    sum, or for q = inf, exactly, the largest t^-theta K at those nodes.
+    On the front and sup-finish branches a per-octave adaptive Simpson rule
+    in log t (params.rel_tol) gives the main part with no certificate, and
+    the sup form samples K on the log grid over the full window.  The
+    reported value is the midpoint of the bracket.  Functions (endpoint
+    couple) are read through their annulus profile, built once.  The norms,
+    corners and breakpoints come from the plan of the source and couple
+    (_k_plan), and K from one k_functional call per t, each reading that
+    same plan.
     """
     theta, q = params.theta, params.q
     if couple.base == "l1-linf" and not isinstance(source, WeightedSeq):
         source = annulus_profile(source)
     plan = _k_plan(source, couple)  # raises for an uncertified couple, zero source included
-    n0, n1 = plan.norms
-    if n0 == 0.0 or n1 == 0.0:  # K <= min(N0, t N1) vanishes
+    if 0.0 in plan.norms:  # K <= min(N0, t N1) vanishes
         return InterpNormResult(0.0, 0.0, 0.0)
     T = params.t_exponent_bound
-    corner_lo, corner_hi = plan.corners()
-    t_lo = min(max(corner_lo, 2.0**-T), 2.0**T)
-    t_hi = min(max(corner_hi, t_lo), 2.0**T)
-    nodes = None if plan.breaks is None else [t_lo, *plan.breaks(t_lo, t_hi), t_hi]
+    corners = plan.corners()
+    t_lo = min(max(corners[0], 2.0**-T), 2.0**T)
+    t_hi = min(max(corners[1], t_lo), 2.0**T)
 
     @functools.cache
     def k_of(t: float) -> float:
         return k_functional(t, source, couple)
 
-    if q == INF:
-        # on a line branch t^-theta K(t) rises below the lower corner and
-        # falls above the upper one, and on each chord t^-theta (A + B t),
-        # A, B >= 0, its only critical point is a minimum: the sup over the
-        # window sits at a node
-        ts = nodes
-        if ts is None:
-            ts = [2.0 ** (j / _POINTS_PER_OCTAVE)
-                  for j in range(-T * _POINTS_PER_OCTAVE, T * _POINTS_PER_OCTAVE + 1)]
-        best = max([0.0, *(k_of(t) / t**theta for t in ts)])
-        if theta == 0.0:
-            best = max(best, n0)  # K increases to the side-0 norm
-        if theta == 1.0:
-            best = max(best, n1)  # K(t)/t increases to the side-1 norm as t -> 0
-        return InterpNormResult(best, best, best)
-
-    if nodes is not None:
-        ts = nodes if t_lo < t_hi else []
-        ks = [k_of(t) for t in ts]
-        pieces = [power_integral(t0, t1, k0, k1, -theta * q, q)
-                  for t0, t1, k0, k1 in zip(ts, ts[1:], ks, ks[1:])]
-        main_lo, main_hi = (math.fsum(piece[i] for piece in pieces) for i in (0, 1))
+    main = None
+    if plan.breaks is not None:
+        ts = [t_lo, *plan.breaks(t_lo, t_hi), t_hi]
+    elif q == INF:
+        ts = [2.0 ** (j / _POINTS_PER_OCTAVE)
+              for j in range(-T * _POINTS_PER_OCTAVE, T * _POINTS_PER_OCTAVE + 1)]
     else:
         ln2 = math.log(2.0)
 
@@ -869,40 +844,10 @@ def interpolation_norm(
 
         x_lo, x_hi = math.log(t_lo), math.log(t_hi)
         cuts = [x_lo, *(j * ln2 for j in range(-T + 1, T) if x_lo < j * ln2 < x_hi), x_hi]
-        main_lo = main_hi = sum(adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
-                                for x, x_next in zip(cuts, cuts[1:]) if x < x_next)
-
-    # the tail below t_lo is the tail above 1/t_lo of the swapped couple,
-    # whose K at 1/t is K(t)/t
-    hi_lower, hi_upper = _tail(n0, n1, t_hi, theta, q,
-                               None if t_hi >= corner_hi else k_of(t_hi))
-    lo_lower, lo_upper = _tail(n1, n0, 1.0 / t_lo, 1.0 - theta, q,
-                               None if t_lo <= corner_lo else k_of(t_lo) / t_lo)
-    lower_q = main_lo + hi_lower + lo_lower
-    upper_q = main_hi + hi_upper + lo_upper
-    mid_q = 0.5 * (lower_q + upper_q)
-    return InterpNormResult(
-        mid_q ** (1.0 / q), lower_q ** (1.0 / q), upper_q ** (1.0 / q)
-    )
-
-
-def _tail(
-    n0: float, n1: float, t0: float, theta: float, q: float, k0: float | None
-) -> tuple[float, float]:
-    """Bracket of the integral of (t^-theta K(t))^q dt/t over [t0, inf), for
-    K of norms n0, n1 > 0.
-
-    The upper end integrates K(t) <= min(n0, t n1) exactly, and is the value
-    itself when k0 is None (K = n0 on [t0, inf)).  Otherwise k0 = K(t0) <= K(t)
-    gives the lower end k0^q t0^(-theta q) / (theta q).
-    """
-    e0, e1 = theta * q, (1.0 - theta) * q
-    cross = n0 / n1  # where t n1 meets n0
-    upper = n0**q * max(cross, t0) ** -e0 / e0
-    if cross > t0:
-        upper += n1**q * (cross**e1 - t0**e1) / e1
-    lower = upper if k0 is None else min(k0**q * t0**-e0 / e0, upper)
-    return lower, upper
+        simpson = sum(adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
+                      for x, x_next in zip(cuts, cuts[1:]) if x < x_next)
+        ts, main = [t_lo, t_hi], (simpson, simpson)
+    return InterpNormResult(*k_norm(k_of, ts, corners, plan.norms, theta, q, main))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Lorentz quasi-norms and average-rearrangement (starred) norms.
 
-The quasi-norm of a step profile has an exact closed form; the starred norm
-is exact on the first segment and the power-law tail, and on each interior
-segment, where t f**(t) is the chord of the integral of f* between two knots,
-it takes the midpoint of the certified bracket of quadrature.power_integral.
+The quasi-norm of a step profile has an exact closed form.  The starred
+norm is the real-interpolation integral of K(t) = t f**(t), which is linear
+between the knots of f*: quadrature.k_norm brackets its chords and its two
+closed-form ends once, and the norm is the midpoint of that bracket.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .quadrature import power_integral
+from .quadrature import k_norm
 from .rearrange import (
     RadialStepFunction,
     StepRearrangement,
@@ -139,12 +140,14 @@ def lorentz_star_norm(
 ) -> float:
     """Lorentz functional with the averaged profile f** in place of f*.
 
-    Piecewise evaluation: the first segment (f** constant) and the tail
-    beyond the last knot (f** = mass/t) are integrated in closed form; on an
-    interior segment t f**(t) is linear, so t^{r/p - 1} f**^r is a power
-    integrand t^gamma (t f**)^r dt/t with gamma = r/p - r, and its integral is
-    the midpoint of the bracket of quadrature.power_integral.
-    Returns +inf when the tail diverges (p <= 1 with nonzero mass, r < inf).
+    The integral of (t^{1/p} f**)^r dt/t is the (theta, r) integral of
+    K(t) = t f**(t), theta = 1 - 1/p: K is the chord of the integral of f*
+    between knots, t times the top level below the first knot and the total
+    mass beyond the last, so quadrature.k_norm takes it with the knots as
+    nodes and both corners on the ends.  The value is the midpoint of its
+    certified bracket, and for r = inf the largest t^{1/p} f**(t) at the
+    knots.  Returns +inf when the tail diverges (p <= 1 with nonzero mass,
+    r < inf).
     """
     if not params.allows_star_norm:
         raise ValueError(
@@ -156,45 +159,13 @@ def lorentz_star_norm(
     p, r = params.p, params.r
     if p == INF:  # p = r = inf: sup f** = f**(0+) = top level
         return float(g.top_level)
-
-    levels, knots = g.float_steps()
-    masses = [float(m) for m in g.segment_masses()]
-    total_mass = math.fsum(w * m for w, m in zip(levels, masses))
-    cumulative = []
-    acc = 0.0
-    for w, m in zip(levels, masses):
-        acc += w * m
-        cumulative.append(acc)
-
-    if r == INF:
-        # each segment's t^{1/p} f**(t) is decreasing-then-increasing, so the
-        # sup over a segment sits at an endpoint; the tail is decreasing
-        best = 0.0
-        prev_t, prev_c = 0.0, 0.0
-        for w, t, c in zip(levels, knots, cumulative):
-            for point, c0, t0 in ((prev_t, prev_c, prev_t), (t, prev_c, prev_t)):
-                if point > 0.0:  # t^{1/p} f**(t) -> 0 as t -> 0 for finite p
-                    avg = (c0 + w * (point - t0)) / point
-                    best = max(best, point ** (1.0 / p) * avg)
-            prev_t, prev_c = t, c
-        best = max(best, knots[-1] ** (1.0 / p - 1.0) * total_mass)
-        return best
-
-    if p <= 1.0 and total_mass > 0.0:
+    if p <= 1.0:  # here p = r = 1, and the tail mass/t has a log divergence
         return INF
-
-    # first segment: f** == top level
-    total = levels[0] ** r * (p / r) * knots[0] ** (r / p)
-    # interior segments: t f**(t) = C + w (t - t0), the chord between knots
-    prev_t, prev_c = knots[0], cumulative[0]
-    for w, t in zip(levels[1:], knots[1:]):
-        c = prev_c + w * (t - prev_t)
-        total += 0.5 * sum(power_integral(prev_t, t, prev_c, c, r / p - r, r))
-        prev_c, prev_t = c, t
-    # tail: f** = mass / t gives an exact power integral, finite since p > 1
-    p_conj = conjugate_exponent(p)
-    total += total_mass**r * (p_conj / r) * knots[-1] ** (r / p - r)
-    return total ** (1.0 / r)
+    levels, knots = g.float_steps()
+    mass = [w * float(m) for w, m in zip(levels, g.segment_masses())]
+    k = dict(zip(knots, itertools.accumulate(mass))).__getitem__
+    norms = math.fsum(mass), levels[0]
+    return k_norm(k, knots, (knots[0], knots[-1]), norms, 1.0 - 1.0 / p, r)[0]
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,28 @@
-"""Quadrature: a certified power integral, and adaptive Simpson.
+"""Quadrature: one certified integral of (t^-theta K)^q dt/t for a
+piecewise-linear K, and adaptive Simpson.
 
 `power_integral` brackets the integral of t^gamma (A + B t)^r dt/t over a
-piece [t0, t1] on which A + B t is the chord through (t0, k0) and (t1, k1).
-That form covers the interior segments of the averaged-profile Lorentz norm
-(t f**(t) is such a chord between knots) and the real-interpolation integral
-wherever K is piecewise linear.  It runs Gauss-Legendre in x = log t with
-the Bernstein-ellipse error bound and a rounding term, so the bracket is a
-certificate, not an estimate.
-
-`adaptive_simpson` is the small in-house integrator that remains for
-interpolation integrals of K without a known piecewise-linear form (the
-front and sup-finish K branches); it certifies nothing and accepts an
-interval silently at its depth cap.
+chord of K by Gauss-Legendre in x = log t with the Bernstein-ellipse error
+bound and a rounding term, so the bracket is a certificate, not an estimate.
+`k_norm` sums those brackets over the chords between K's nodes and adds
+one tail bracket (_tail) beyond each end.  The real-interpolation norm
+takes it on every line branch of K, and the averaged-profile Lorentz norm
+with K(t) = t f**(t), since (L^1, L^inf)_{theta,q} = L^{p,q} for
+1/p = 1 - theta (Bergh-Lofstrom, Interpolation Spaces, 5.2).
+`adaptive_simpson`, which certifies nothing and accepts an interval
+silently at its depth cap, gives `k_norm` the main part on the front and
+sup-finish K branches, where K has no known piecewise-linear form.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+import sys
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["adaptive_simpson", "power_integral"]
+__all__ = ["adaptive_simpson", "k_norm", "power_integral"]
 
 # Subdivision depth at which an interval is accepted whatever its error.
 _MAX_DEPTH = 48
@@ -177,3 +178,72 @@ def power_integral(
     truncation = h * (64.0 / 15.0) * rho ** (-2 * len(_GL_NODES)) / (rho * rho - 1.0)
     err = truncation * math.fsum(top) * (1.0 + 1e-12) + rel * value
     return max(value - err, 0.0), value + err
+
+
+def _tail(
+    n0: float, n1: float, t0: float, theta: float, q: float, k0: float | None
+) -> tuple[float, float]:
+    """Bracket of the integral of (t^-theta K(t))^q dt/t over [t0, inf), for
+    K of norms n0, n1 > 0.  The lower tail is this one of the swapped couple
+    at 1/t0, whose K at 1/t is K(t)/t.
+
+    The upper end integrates K(t) <= min(n0, t n1) exactly, and is the value
+    itself when k0 is None (K = n0 on [t0, inf)).  Otherwise k0 = K(t0) <= K(t)
+    gives the lower end k0^q t0^(-theta q) / (theta q).  Where a factor of
+    the upper end (n0/n1, a power of n0, n1, n0/n1 or t0) leaves the normal
+    float range, both pieces are formed through the value n0^(1-theta)
+    n1^theta of t^-theta min(n0, t n1) at the crossover instead.
+    """
+    e0, e1 = theta * q, (1.0 - theta) * q
+    cross = n0 / n1  # where t n1 meets n0
+    rise = cross > t0  # K <= t n1 on [t0, cross]
+    p0, c0 = n0**q, max(cross, t0) ** -e0
+    p1, c1, d1 = (n1**q, cross**e1, t0**e1) if rise else (1.0, 1.0, 1.0)
+    if all(sys.float_info.min <= x < math.inf for x in (cross, p0, c0, p1, c1, d1)):
+        upper = p0 * c0 / e0 + (p1 * (c1 - d1) / e1 if rise else 0.0)
+    else:
+        v_q, s = (n0 ** (1.0 - theta) * n1**theta) ** q, (t0 / cross if cross else math.inf)
+        upper = v_q * s**-e0 / e0 if s >= 1.0 else v_q / e0 + v_q * (1.0 - s**e1) / e1
+    lower = upper if k0 is None else min(k0**q * t0**-e0 / e0, upper)
+    return lower, upper
+
+
+def k_norm(
+    k: Callable[[float], float],
+    ts: Sequence[float],
+    corners: tuple[float, float],
+    norms: tuple[float, float],
+    theta: float,
+    q: float,
+    main: tuple[float, float] | None = None,
+) -> tuple[float, float, float]:
+    """(value, lower, upper) of (integral of (t^-theta K(t))^q dt/t)^(1/q).
+
+    K, of norms (N0, N1) both > 0, is t N1 up to corners[0] and N0 from
+    corners[1] on, and is read through `k` at the sorted nodes `ts`, whose
+    first and last are the window ends.  For finite q the main part is the
+    `math.fsum` of the `power_integral` brackets of the chords between the
+    nodes, unless `main` is given, and a window of zero width reads no K.
+    Each tail is one bracket, exact where a corner covers its end; the value
+    is the midpoint of the bracket of the q-th power.  For q = inf, with K
+    linear between the nodes, t^-theta (A + B t) has no interior maximum, so
+    the value is the largest t^-theta K at the nodes, or N0 at theta = 0
+    and N1 at theta = 1 if larger, and lower == upper == value.
+    """
+    n0, n1 = norms
+    if q == math.inf:  # K rises to N0, and K(t)/t to N1 as t -> 0
+        best = max(0.0, *(k(t) / t**theta for t in ts),
+                   n0 if theta == 0.0 else 0.0, n1 if theta == 1.0 else 0.0)
+        return best, best, best
+    t_lo, t_hi = ts[0], ts[-1]
+    if main is None:
+        nodes = ts if t_lo < t_hi else []
+        ks = [k(t) for t in nodes]
+        pieces = [power_integral(t0, t1, k0, k1, -theta * q, q)
+                  for t0, t1, k0, k1 in zip(nodes, nodes[1:], ks, ks[1:])]
+        main = tuple(math.fsum(piece[i] for piece in pieces) for i in (0, 1))
+    hi = _tail(n0, n1, t_hi, theta, q, None if t_hi >= corners[1] else k(t_hi))
+    lo = _tail(n1, n0, 1.0 / t_lo, 1.0 - theta, q,
+               None if t_lo <= corners[0] else k(t_lo) / t_lo)
+    lower_q, upper_q = (m + h + l for m, h, l in zip(main, hi, lo))
+    return tuple(x ** (1.0 / q) for x in (0.5 * (lower_q + upper_q), lower_q, upper_q))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from herzlab import cli, interp
+from herzlab import cli, interp, quadrature
 from herzlab.corpus import random_step_functions, save_corpus
 from herzlab.herz import HerzParams, annuli_decompose, annulus_profile, hl_norm, weighted_lq
 from herzlab.interp import (
@@ -909,6 +909,13 @@ class TestKPlan:
         res = interpolation_norm(y, InterpolationParams(1.0, INF), couple)
         assert res.value == 2.9748915048601945e-120
 
+    def test_swapped_breaks_from_zero(self):
+        # a lower end of 0 maps to an upper end of inf for the swapped couple
+        y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
+        plan = interp._k_plan(y, CoupleSpec((0.3, INF), (0.0, 0.5)))
+        expected = [0.08633881801885497, 0.11052723549445952, 1.2311444133449163]
+        assert plan.breaks(0.0, INF) == plan.breaks(1e-300, 1e300) == expected
+
     @pytest.mark.parametrize("couple", [CoupleSpec((0.0, 2.0), (1.0, INF)),
                                         CoupleSpec((0.0, INF), (1.0, 2.0)),
                                         CoupleSpec((0.0, 2.0), (1.0, 1.5))],
@@ -1152,7 +1159,7 @@ class TestInterpolationNorm:
             assert res.lower == res.upper == res.value > 0.0
         assert calls == []
 
-    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0, INF])
     def test_l1_linf_equals_star_norm(self, nonneg_corpus, q):
         # (L^1, L^inf)_{theta,q} has K = t f**(t): both sides integrate the
         # same chords of the same primitive
@@ -1288,8 +1295,8 @@ class TestInterpolationNorm:
 
 
 class TestTail:
-    """_tail brackets the integral of (t^-theta K)^q dt/t over [t0, inf), and
-    over (0, t0] as the upper tail of the swapped couple."""
+    """quadrature._tail brackets the integral of (t^-theta K)^q dt/t over
+    [t0, inf), and over (0, t0] as the upper tail of the swapped couple."""
 
     N0, N1 = 3.0, 0.75  # K = min(N0, t N1) meets N0 at t = 4
 
@@ -1311,8 +1318,8 @@ class TestTail:
     @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
     def test_matches_quadrature(self, theta, q):
         for t0 in (0.5, 4.0, 20.0):
-            upper_tail = interp._tail(self.N0, self.N1, t0, theta, q, None)
-            lower_tail = interp._tail(self.N1, self.N0, 1.0 / t0, 1.0 - theta, q, None)
+            upper_tail = quadrature._tail(self.N0, self.N1, t0, theta, q, None)
+            lower_tail = quadrature._tail(self.N1, self.N0, 1.0 / t0, 1.0 - theta, q, None)
             for (lower, upper), (lo, hi) in ((upper_tail, (math.log(t0), INF)),
                                              (lower_tail, (-INF, math.log(t0)))):
                 assert lower == upper
@@ -1324,12 +1331,35 @@ class TestTail:
         # K(t0) = k0 bounds K below from t0 on (and K(t)/t from t0 down)
         for t0 in (0.5, 20.0):
             k0 = min(self.N0, t0 * self.N1)
-            lower, upper = interp._tail(self.N0, self.N1, t0, theta, q, k0)
+            lower, upper = quadrature._tail(self.N0, self.N1, t0, theta, q, k0)
             assert lower <= self.exact(math.log(t0), INF, theta, q) * (1 + 1e-12)
             assert lower <= upper
-            lower, upper = interp._tail(self.N1, self.N0, 1.0 / t0, 1.0 - theta, q, k0 / t0)
+            lower, upper = quadrature._tail(self.N1, self.N0, 1.0 / t0, 1.0 - theta, q, k0 / t0)
             assert lower <= self.exact(-INF, math.log(t0), theta, q) * (1 + 1e-12)
             assert lower <= upper
+
+    @pytest.mark.parametrize("entry, side0, side1, theta, q", [
+        # N0 / N1 underflows, and the direct form is NaN
+        ((33, 0.5816261232162708), (-29.829831159521813, 1.0), (3.193693066662725, 1.0),
+         0.75, 4.0),
+        # N1^q underflows to 0, and the direct form is 17% low
+        ((32, 2.8619616497828466), (-0.8060105551012242, INF), (-28.292095253887627, 0.5),
+         0.25, 1.5),
+        # (N0 / N1)^(-theta q) underflows, and the direct form is 7% low
+        ((18, 2.2489048313156754), (7.560842912344, 1.0), (-12.930449845423478, 1.0),
+         0.75, 4.0),
+    ], ids=["ratio-underflow", "power-underflow", "crossover-power-underflow"])
+    def test_norms_past_the_float_range(self, entry, side0, side1, theta, q):
+        # both tail pieces go through the crossover value N0^(1-theta) N1^theta,
+        # for K = min(N0, t N1) of one coordinate: the norm is that value
+        # times (theta (1 - theta) q)^(-1/q)
+        y, couple = WeightedSeq.from_dict(dict([entry])), CoupleSpec(side0, side1)
+        n0, n1 = interp._k_plan(y, couple).norms
+        oracle = n0 ** (1.0 - theta) * n1**theta * (theta * (1.0 - theta) * q) ** (-1.0 / q)
+        res = interpolation_norm(y, InterpolationParams(theta, q), couple)
+        # the window clips the corner, so the bracket can be wide
+        assert all(map(math.isfinite, (res.value, res.lower, res.upper)))
+        assert res.lower <= oracle <= res.upper * (1.0 + 1e-12)
 
 
 class TestVerifySuites:
