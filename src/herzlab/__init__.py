@@ -55,7 +55,6 @@ from .rearrange import (
     average_rearrangement,
     ball,
     distribution,
-    radial_step,
     rearrangement,
     sum_bound_check,
 )

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from .herz import AnnulusMeasureSequence, annulus_indicator
 from .operators import GridFunction1D
-from .rearrange import RadialStepFunction, ball, radial_step, unit_ball_volume
+from .rearrange import RadialStepFunction, ball, unit_ball_volume
 
 __all__ = [
     "load_corpus",
@@ -111,11 +111,9 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
             raise ValueError(f"{kind} record has no {name!r} field")
     if kind == "radial_step":
         bp = [_decode_rational(b) for b in rec["breakpoints"]]
-        if any(x >= y for x, y in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
         dim = _decode_int(rec["dim"])
         unit_ball_volume(dim)  # rejects a dimension whose measures overflow floats
-        return radial_step(dim, bp, [_decode_rational(v) for v in rec["values"]])
+        return RadialStepFunction(dim, bp, [_decode_rational(v) for v in rec["values"]])
     if kind == "grid1d":
         values = rec["values"]
         # a list of JSON numbers goes to the array whole; anything else is
@@ -174,7 +172,7 @@ def random_step_functions(
             if not nonnegative and rng.random() < 0.4:
                 mag = -mag
             values.append(mag if rng.random() > 0.1 else Fraction(0))
-        out.append(radial_step(dim, breakpoints, values))
+        out.append(RadialStepFunction(dim, breakpoints, values))
     return out
 
 
@@ -215,7 +213,7 @@ def quadratic_shell_family(count: int = 8) -> RadialStepFunction:
         outer = Fraction(2) ** u
         breakpoints.extend([inner, outer])
         values.extend([Fraction(0), Fraction(1)])
-    return radial_step(1, breakpoints, values)
+    return RadialStepFunction(1, breakpoints, values)
 
 
 def shell_trace_sequence(explicit: int = 8) -> AnnulusMeasureSequence:

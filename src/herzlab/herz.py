@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .lorentz import (
@@ -408,7 +409,7 @@ def bfs_condition_check(
             2.0 ** (u * (weight * e)) * _power_with_conventions(mu, e / p_)
             for u, mu in zip(us, measures)
         )
-        return terms, tuple(_running_max(terms) if q_ == INF else _running_sums(terms))
+        return terms, tuple(accumulate(terms, max) if q_ == INF else accumulate(terms))
 
     terms_a, partial_a = condition(a, p, q)
     terms_b, partial_b = condition(-a, p_c, q_c)
@@ -432,27 +433,10 @@ def bfs_condition_check(
     )
 
 
-def _running_sums(xs: Sequence[float]) -> list[float]:
-    out, acc = [], 0.0
-    for x in xs:
-        acc += x
-        out.append(acc)
-    return out
-
-
-def _running_max(xs: Sequence[float]) -> list[float]:
-    out, acc = [], 0.0
-    for x in xs:
-        acc = max(acc, x)
-        out.append(acc)
-    return out
-
-
 def hl_holder_check(
     f: RadialStepFunction,
     g: RadialStepFunction,
     params: HerzParams,
-    slack: float = 1e-12,
     *,
     profiles: tuple[AnnulusProfile, AnnulusProfile] | None = None,
 ) -> HolderReport:
@@ -467,7 +451,7 @@ def hl_holder_check(
     pf, pg = (f, g) if profiles is None else profiles
     bound = hl_norm(pf, params) * hl_norm(pg, params.conjugate())
     ratio = integral / bound if bound > 0 else (0.0 if integral == 0.0 else INF)
-    return HolderReport(integral, bound, ratio, integral <= bound * (1.0 + slack) + slack)
+    return HolderReport(integral, bound, ratio, integral <= bound * (1.0 + 1e-12) + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -497,9 +481,9 @@ def embedding_check(
     f: RadialStepFunction | AnnulusProfile,
     source: HerzParams,
     target: HerzParams,
-    slack: float = 1e-9,
 ) -> EmbeddingReport:
-    """One of the four embedding directions between HL spaces.
+    """One of the four embedding directions between HL spaces; a bound
+    passes within relative slack 1e-9.
 
     (A) r1 <= r2 at fixed (a, p, q): constant recorded empirically.
     (B) a2 <= a1: exact constant max_u 2^{u(a2-a1)} over occupied annuli
@@ -535,7 +519,7 @@ def embedding_check(
         rhs = hl_norm(f, source)
         constant = _occupied_weight_constant(f.us, source.a, target.a)
         ratio = lhs / rhs if rhs > 0 else 0.0
-        return EmbeddingReport(v, lhs, rhs, constant, ratio, lhs <= constant * rhs * (1 + slack))
+        return EmbeddingReport(v, lhs, rhs, constant, ratio, lhs <= constant * rhs * (1 + 1e-9))
     if v == "C":
         if not (
             source.a == target.a
@@ -554,7 +538,7 @@ def embedding_check(
         }
         rhs = weighted_lq(scores, target.a, target.q)
         ratio = lhs / rhs if rhs > 0 else 0.0
-        passed = lhs <= rhs * (1 + slack)
+        passed = lhs <= rhs * (1 + 1e-9)
         return EmbeddingReport(v, lhs, rhs, factor_const, ratio, passed)
     if v == "D":
         if not (
@@ -567,5 +551,5 @@ def embedding_check(
         lhs = hl_norm(f, target)
         rhs = hl_norm(f, source)
         ratio = lhs / rhs if rhs > 0 else 0.0
-        return EmbeddingReport(v, lhs, rhs, 1.0, ratio, lhs <= rhs * (1 + slack))
+        return EmbeddingReport(v, lhs, rhs, 1.0, ratio, lhs <= rhs * (1 + 1e-9))
     raise ValueError(f"unknown embedding variant {variant!r}")

@@ -27,7 +27,10 @@ breakpoints between which K is linear.  A line plan runs one hull pass
 (_envelope_breaks), and its first and last breakpoints are the corners.
 There the interpolation integral is quadrature.k_norm, exact chord by
 chord with a certified bracket; the other branches hand it an adaptive
-Simpson main part, and it brackets both tails of every branch alike.
+Simpson main part, and it brackets both tails of every branch alike.  Their
+sup form (q = inf) reads K only inside the corner window, and its upper end
+is the sup-form bound of each piece between the nodes, since K rises and
+K(t)/t falls.
 """
 
 from __future__ import annotations
@@ -172,13 +175,9 @@ def ell_norm(y: WeightedSeq, a: float, q: float) -> float:
     return weighted_lq(y.as_dict(), a, q)
 
 
-def retract_L(
-    f: RadialStepFunction, base: LorentzParams, starred: bool = False
-) -> WeightedSeq:
+def retract_L(f: RadialStepFunction, base: LorentzParams) -> WeightedSeq:
     """Annulus score sequence u -> ||f X_{A_u}||; an exact isometry onto l_q^a."""
-    prof = annulus_profile(f)
-    scores = prof.star_scores(base) if starred else prof.scores(base)
-    return WeightedSeq.from_dict(scores)
+    return WeightedSeq.from_dict(annulus_profile(f).scores(base))
 
 
 def coretract_M(
@@ -787,7 +786,8 @@ class InterpNormResult:
     upper: float
 
 
-# Samples of K per octave of t when the sup form (q = inf) is taken on the grid.
+# Samples of K per octave of t between the corners for the sup form (q = inf)
+# on the front and sup-finish branches.
 _POINTS_PER_OCTAVE = 16
 
 
@@ -807,12 +807,15 @@ def interpolation_norm(
     sum, or for q = inf, exactly, the largest t^-theta K at those nodes.
     On the front and sup-finish branches a per-octave adaptive Simpson rule
     in log t (params.rel_tol) gives the main part with no certificate, and
-    the sup form samples K on the log grid over the full window.  The
-    reported value is the midpoint of the bracket.  Functions (endpoint
-    couple) are read through their annulus profile, built once.  The norms,
-    corners and breakpoints come from the plan of the source and couple
-    (_k_plan), and K from one k_functional call per t, each reading that
-    same plan.
+    the sup form reads K at the window ends and the log-grid points strictly
+    between them: the value and lower end are the largest t^-theta K there,
+    and the upper end is the largest K(t1)^(1-theta) (K(t0)/t0)^theta over
+    the pieces [t0, t1] and the two tails, certified because K rises and
+    K(t)/t falls.  Otherwise the reported value is the midpoint of the
+    bracket.  Functions (endpoint couple) are read through their annulus
+    profile, built once.  The norms, corners and breakpoints come from the
+    plan of the source and couple (_k_plan), and K from one k_functional
+    call per t, each reading that same plan.
     """
     theta, q = params.theta, params.q
     if couple.base == "l1-linf" and not isinstance(source, WeightedSeq):
@@ -833,8 +836,9 @@ def interpolation_norm(
     if plan.breaks is not None:
         ts = [t_lo, *plan.breaks(t_lo, t_hi), t_hi]
     elif q == INF:
-        ts = [2.0 ** (j / _POINTS_PER_OCTAVE)
-              for j in range(-T * _POINTS_PER_OCTAVE, T * _POINTS_PER_OCTAVE + 1)]
+        grid = (2.0 ** (j / _POINTS_PER_OCTAVE)
+                for j in range(-T * _POINTS_PER_OCTAVE, T * _POINTS_PER_OCTAVE + 1))
+        ts = [t_lo, *(t for t in grid if t_lo < t < t_hi), t_hi]
     else:
         ln2 = math.log(2.0)
 
@@ -847,7 +851,15 @@ def interpolation_norm(
         simpson = sum(adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
                       for x, x_next in zip(cuts, cuts[1:]) if x < x_next)
         ts, main = [t_lo, t_hi], (simpson, simpson)
-    return InterpNormResult(*k_norm(k_of, ts, corners, plan.norms, theta, q, main))
+    value, lower, upper = k_norm(k_of, ts, corners, plan.norms, theta, q, main)
+    if q == INF and plan.breaks is None:
+        # K rises and K(t)/t falls, so t^-theta K = K^(1-theta) (K/t)^theta is
+        # at most K(t1)^(1-theta) (K(t0)/t0)^theta on a piece [t0, t1], the
+        # tails beyond the nodes taking K(inf) = N0 and K(t)/t -> N1 at 0
+        ks, (n0, n1) = [k_of(t) for t in ts], plan.norms
+        slopes = [n1, *(k / t for k, t in zip(ks, ts))]
+        upper = max(upper, *(k ** (1.0 - theta) * s**theta for k, s in zip([*ks, n0], slopes)))
+    return InterpNormResult(value, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +918,6 @@ def verify_interpolation(
     q1: float = 1.0,
     base: LorentzParams | None = None,
     t_exponent_bound: int = 28,
-    rel_tol: float = 1e-8,
 ) -> SuiteReport:
     """Ratio-band verification of one interpolation identity.
 
@@ -960,7 +971,7 @@ def verify_interpolation(
         hl_target = HerzParams(a, 1.0 / (1.0 - theta), q_target, q_target)
     else:
         raise ValueError(f"unknown interpolation suite {suite!r}")
-    params = InterpolationParams(theta, q_target, t_exponent_bound, rel_tol)
+    params = InterpolationParams(theta, q_target, t_exponent_bound, 1e-8)
 
     if couple.base is None:
         if suite.startswith("hl"):

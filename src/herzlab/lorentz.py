@@ -180,9 +180,8 @@ class EquivalenceReport:
 def equivalence_check(
     f: RadialStepFunction | StepRearrangement,
     params: LorentzParams,
-    slack: float = 1e-9,
 ) -> EquivalenceReport:
-    """Sandwich quasi <= star <= (p/(p-1)) quasi, within relative `slack`."""
+    """Sandwich quasi <= star <= (p/(p-1)) quasi, within relative slack 1e-9."""
     if not params.in_sandwich_range:
         raise ValueError(
             "equivalence holds for 1 < p < inf, 1 <= r <= inf, or p = r = inf"
@@ -194,7 +193,7 @@ def equivalence_check(
     if q_norm == 0.0:
         return EquivalenceReport(q_norm, s_norm, 1.0, factor, s_norm == 0.0)
     ratio = s_norm / q_norm
-    ok = q_norm <= s_norm * (1.0 + slack) and s_norm <= factor * q_norm * (1.0 + slack)
+    ok = q_norm <= s_norm * (1.0 + 1e-9) and s_norm <= factor * q_norm * (1.0 + 1e-9)
     return EquivalenceReport(q_norm, s_norm, ratio, factor, ok)
 
 
@@ -210,7 +209,6 @@ def lorentz_holder_pairing(
     f: RadialStepFunction,
     g: RadialStepFunction,
     params: LorentzParams,
-    slack: float = 1e-12,
 ) -> HolderReport:
     """Pairing bound int |fg| <= ||f||_{p,r} ||g||_{p',r'}, constant-free.
 
@@ -222,7 +220,7 @@ def lorentz_holder_pairing(
     integral = float(integrate_abs_product(f, g))
     bound = lorentz_quasi_norm(f, params) * lorentz_quasi_norm(g, params.conjugate())
     ratio = integral / bound if bound > 0 else (0.0 if integral == 0.0 else INF)
-    passed = integral <= bound * (1.0 + slack) + slack
+    passed = integral <= bound * (1.0 + 1e-12) + 1e-12
     return HolderReport(integral, bound, ratio, passed)
 
 

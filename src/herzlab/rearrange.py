@@ -7,8 +7,12 @@ up to rounding.  Floats enter only when a caller converts a measure or level
 for norm evaluation.
 
 A radial step function on R^N is piecewise constant in |x| with finitely many
-shells and bounded support.  Its decreasing rearrangement is again a step
-function, obtained by sorting shells by |value| and accumulating measures.
+shells and bounded support.  `RadialStepFunction` is its one constructor: it
+takes any numbers, validates them once and stores the canonical shells, so
+equal functions compare and hash equal however their shells were listed.
+Its decreasing rearrangement is again a step function, obtained by sorting
+shells by |value| and accumulating measures.  Shell measures
+omega_N (b^N - a^N) are formed only by `RadialStepFunction.shell_measures`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "RadialStepFunction",
     "StepRearrangement",
     "SumBoundReport",
-    "radial_step",
     "ball",
     "unit_ball_volume",
     "distribution",
@@ -77,27 +80,50 @@ def unit_ball_volume(dim: int) -> Fraction:
 class RadialStepFunction:
     """Piecewise-constant-in-|x| function with finite support.
 
-    ``breakpoints`` are strictly increasing radii starting at 0; ``values``
-    holds one (possibly signed) value per shell {rho_{i-1} <= |x| < rho_i}.
-    The function vanishes for |x| >= breakpoints[-1].  Instances are
-    canonical: adjacent equal values are merged and trailing zero shells are
-    stripped, so `==` is semantic equality.
+    ``breakpoints`` are strictly increasing radii starting at 0 (a missing
+    leading 0 is supplied); ``values`` holds one (possibly signed) value per
+    shell {rho_{i-1} <= |x| < rho_i}.  The function vanishes for
+    |x| >= breakpoints[-1].  Any numbers are taken as exact rationals, and
+    the constructor stores the canonical form: adjacent equal values are
+    merged and trailing zero shells are stripped, the zero function being
+    ((0, 1), (0,)), so `==` and `hash` are semantic.
     """
 
     dim: int
-    breakpoints: tuple[Fraction, ...]
+    breakpoints: tuple[Fraction, ...]  # any sequence of numbers on input
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be a positive integer")
-        bp = self.breakpoints
-        if not bp or bp[0] != 0:
+        bp = [_as_fraction(b) for b in self.breakpoints]
+        vals = [_as_fraction(v) for v in self.values]
+        if not bp:
             raise ValueError("breakpoints must start at 0")
-        if any(b >= c for b, c in zip(bp, bp[1:])):
+        if bp[0] != 0:
+            if all(b > 0 for b in bp) and len(vals) == len(bp):
+                bp.insert(0, Fraction(0))
+            else:
+                raise ValueError("breakpoints must start at 0")
+        if any(a >= b for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(self.values) != len(bp) - 1:
+        if len(vals) != len(bp) - 1:
             raise ValueError("need exactly one value per shell")
+        merged_bp = bp[:1]
+        merged_vals: list[Fraction] = []
+        for b, v in zip(bp[1:], vals):
+            if merged_vals and v == merged_vals[-1]:
+                merged_bp[-1] = b
+            else:
+                merged_bp.append(b)
+                merged_vals.append(v)
+        while merged_vals and merged_vals[-1] == 0:
+            merged_vals.pop()
+            merged_bp.pop()
+        if not merged_vals:
+            merged_bp, merged_vals = [Fraction(0), Fraction(1)], [Fraction(0)]
+        object.__setattr__(self, "breakpoints", tuple(merged_bp))
+        object.__setattr__(self, "values", tuple(merged_vals))
 
     @property
     def support_radius(self) -> Fraction:
@@ -165,44 +191,7 @@ class RadialStepFunction:
         return all(v == 0 for v in self.values)
 
     def __abs__(self) -> "RadialStepFunction":
-        return radial_step(self.dim, self.breakpoints, [abs(v) for v in self.values])
-
-
-def radial_step(
-    dim: int,
-    breakpoints: Sequence[Number],
-    values: Sequence[Number],
-) -> RadialStepFunction:
-    """Build a canonical RadialStepFunction from arbitrary numeric input."""
-    bp = [_as_fraction(b) for b in breakpoints]
-    vals = [_as_fraction(v) for v in values]
-    if not bp:
-        raise ValueError("breakpoints must start at 0")
-    if bp[0] != 0:
-        if all(b > 0 for b in bp) and len(vals) == len(bp):
-            bp = [Fraction(0)] + bp  # tolerate inputs that omit the leading 0
-        else:
-            raise ValueError("breakpoints must start at 0")
-    if any(a >= b for a, b in zip(bp, bp[1:])):
-        raise ValueError("breakpoints must be strictly increasing")
-    if len(vals) != len(bp) - 1:
-        raise ValueError("need exactly one value per shell")
-    # merge adjacent shells of equal value
-    merged_bp = [bp[0]]
-    merged_vals: list[Fraction] = []
-    for b, v in zip(bp[1:], vals):
-        if merged_vals and v == merged_vals[-1]:
-            merged_bp[-1] = b
-        else:
-            merged_bp.append(b)
-            merged_vals.append(v)
-    # strip trailing zero shells
-    while merged_vals and merged_vals[-1] == 0:
-        merged_vals.pop()
-        merged_bp.pop()
-    if not merged_vals:
-        return RadialStepFunction(dim, (Fraction(0), Fraction(1)), (Fraction(0),))
-    return RadialStepFunction(dim, tuple(merged_bp), tuple(merged_vals))
+        return RadialStepFunction(self.dim, self.breakpoints, [abs(v) for v in self.values])
 
 
 def ball(dim: int, measure: Number, value: Number = 1) -> RadialStepFunction:
@@ -218,7 +207,7 @@ def ball(dim: int, measure: Number, value: Number = 1) -> RadialStepFunction:
         # no refinement: omega * rho^N matches `measure` only to float
         # precision; the radius is exact only for dim = 1
         rho = Fraction(float(ratio) ** (1.0 / dim))
-    return radial_step(dim, [0, rho], [value])
+    return RadialStepFunction(dim, [0, rho], [value])
 
 
 @dataclass(frozen=True)
@@ -384,12 +373,12 @@ def common_refinement(
 def pointwise_sum(fs: Sequence[RadialStepFunction]) -> RadialStepFunction:
     cuts, rows = common_refinement(fs)
     summed = [sum(col, Fraction(0)) for col in zip(*rows)]
-    return radial_step(fs[0].dim, cuts, summed)
+    return RadialStepFunction(fs[0].dim, cuts, summed)
 
 
 def scale(f: RadialStepFunction, alpha: Number) -> RadialStepFunction:
     a = _as_fraction(alpha)
-    return radial_step(f.dim, f.breakpoints, [a * v for v in f.values])
+    return RadialStepFunction(f.dim, f.breakpoints, [a * v for v in f.values])
 
 
 def restrict_radii(
@@ -410,19 +399,14 @@ def restrict_radii(
     if lo_f > 0:
         cuts.insert(0, Fraction(0))
         vals.insert(0, Fraction(0))
-    return radial_step(f.dim, cuts, vals)
+    return RadialStepFunction(f.dim, cuts, vals)
 
 
 def integrate_abs_product(f: RadialStepFunction, g: RadialStepFunction) -> Fraction:
-    """Exact integral of |f g| over the common shell refinement."""
+    """Exact integral of |f g|: the `abs_integral` of the product of f and g
+    on their common shell refinement."""
     cuts, (fv, gv) = common_refinement([f, g])
-    w = unit_ball_volume(f.dim)
-    n = f.dim
-    total = Fraction(0)
-    for a, b, x, y in zip(cuts, cuts[1:], fv, gv):
-        if x != 0 and y != 0:
-            total += abs(x * y) * w * (b**n - a**n)
-    return total
+    return RadialStepFunction(f.dim, cuts, [x * y for x, y in zip(fv, gv)]).abs_integral()
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from herzlab.corpus import random_step_functions
-from herzlab.rearrange import RadialStepFunction, radial_step
+from herzlab.rearrange import RadialStepFunction
 
 
 @pytest.fixture(scope="session")
 def two_shell():
     """Shells of measure 1/2 (value 3) and 2 (value 1) in R^1."""
-    return radial_step(1, [0, Fraction(1, 4), Fraction(5, 4)], [3, 1])
+    return RadialStepFunction(1, [0, Fraction(1, 4), Fraction(5, 4)], [3, 1])
 
 
 @pytest.fixture(scope="session")

@@ -119,7 +119,7 @@ def test_03_sandwich_equivalence():
         for f in corpus:
             for p in (1.5, 2.0, 4.0):
                 for r in (1.0, 2.0, INF):
-                    assert equivalence_check(f, LorentzParams(p, r), slack=1e-9).passed
+                    assert equivalence_check(f, LorentzParams(p, r)).passed
         rep = equivalence_check(ball(1, 1), LorentzParams(2, 1))
         assert rep.quasi == pytest.approx(2.0, rel=1e-12)
         assert rep.star == pytest.approx(4.0, rel=1e-9)

@@ -17,7 +17,7 @@ from herzlab import interp, operators
 from herzlab.herz import annulus_profile
 from herzlab.interp import CoupleSpec, InterpolationParams, WeightedSeq, interpolation_norm
 from herzlab.lorentz import INF, LorentzParams
-from herzlab.rearrange import radial_step
+from herzlab.rearrange import RadialStepFunction
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -53,7 +53,7 @@ def test_interpolation_norm_calls_k_functional(monkeypatch, kind):
         source = WeightedSeq.from_dict({0: 1.0, 1: 0.5, 3: 2.0})
         couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
     else:
-        source = annulus_profile(radial_step(1, [0, 1, 2, 5], [3, 1, 2]))
+        source = annulus_profile(RadialStepFunction(1, [0, 1, 2, 5], [3, 1, 2]))
         couple = CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf")
     assert interpolation_norm(source, InterpolationParams(0.5, 1.5), couple).value > 0.0
     assert len(calls) >= 1
@@ -75,7 +75,7 @@ def test_line_branch_norm_calls_k_functional_at_breakpoints(monkeypatch, kind):
         source = WeightedSeq.from_dict({0: 1.0, 1: 0.5, 3: 2.0})
         couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
     else:
-        source = annulus_profile(radial_step(1, [0, 1, 2, 5], [3, 1, 2]))
+        source = annulus_profile(RadialStepFunction(1, [0, 1, 2, 5], [3, 1, 2]))
         couple = CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf")
     plan = interp._k_plan(source, couple)
     breaks = plan.breaks(*plan.corners())

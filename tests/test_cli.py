@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from herzlab import cli
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
 from herzlab.corpus import save_corpus
-from herzlab.rearrange import radial_step
+from herzlab.rearrange import RadialStepFunction
 from herzlab.reporting import CheckRecord, _clean, summarize, write_report
 from fractions import Fraction
 
 
 @pytest.fixture()
 def two_annuli_file(tmp_path):
-    f = radial_step(1, [0, Fraction(1, 2), 1], [2, 1])
+    f = RadialStepFunction(1, [0, Fraction(1, 2), 1], [2, 1])
     path = tmp_path / "two_annuli.json"
     save_corpus([f], path)
     return str(path)
@@ -125,7 +125,7 @@ class TestCommands:
         # annuli -1 .. top - 1: at top = 21 that is 22, above the sub-one cap
         radii = [0, Fraction(1, 2)] + [Fraction(2) ** k for k in range(top)]
         path = tmp_path / "steps.json"
-        save_corpus([radial_step(1, radii, [1] * (len(radii) - 1))], path)
+        save_corpus([RadialStepFunction(1, radii, [1] * (len(radii) - 1))], path)
         assert main(["kfunc", "--input", str(path), "--q0", "0.5", "--q1", q1]) == 2
         assert message in capsys.readouterr().err
 
@@ -329,7 +329,7 @@ def test_readme_names_every_config_key():
 
 @pytest.fixture(scope="module")
 def five_annuli_file(tmp_path_factory):
-    f = radial_step(1, [0, Fraction(1, 2), 1, 2, 4, 8], [3, 2, 1, 5, Fraction(1, 2)])
+    f = RadialStepFunction(1, [0, Fraction(1, 2), 1, 2, 4, 8], [3, 2, 1, 5, Fraction(1, 2)])
     path = tmp_path_factory.mktemp("kfunc") / "five_annuli.json"
     save_corpus([f], path)
     return str(path)

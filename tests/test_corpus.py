@@ -55,6 +55,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             record_to_object(rec)
 
+    def test_loader_names_the_record_with_unordered_breakpoints(self, tmp_path):
+        path = tmp_path / "c.json"
+        bad = {"type": "radial_step", "dim": 1, "breakpoints": [0, 2, 1], "values": [1, 1]}
+        good = {"type": "radial_step", "dim": 1, "breakpoints": [0, 1], "values": [1]}
+        path.write_text(json.dumps({"records": [good, bad]}))
+        with pytest.raises(ValueError, match="record 1: breakpoints must be strictly increasing"):
+            load_corpus(path)
+
     def test_reader_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             record_to_object({"type": "mystery"})

@@ -20,7 +20,7 @@ from herzlab.herz import (
 )
 from herzlab.lorentz import INF, LorentzParams, lorentz_quasi_norm
 from herzlab.operators import grid_indicator, grid_annulus_profiles
-from herzlab.rearrange import ball, pointwise_sum, radial_step, rearrangement
+from herzlab.rearrange import RadialStepFunction, ball, pointwise_sum, rearrangement
 
 # partial sums of 2^u * 2/u^2 for u = 1..5: 4, 6, 7.777..., 9.777..., 12.3377...
 DIVERGENCE_PARTIALS = [4.0, 6.0, 70.0 / 9.0, 88.0 / 9.0, 2776.0 / 225.0]
@@ -45,6 +45,12 @@ class TestAnnuli:
         assert len(pieces) == 1
         assert pieces[0][0] == 3
         assert pieces[0][1] == f
+
+    @pytest.mark.parametrize("u", [-1, 0, 2])
+    def test_zero_annulus_indicator_is_the_zero_function(self, u):
+        zero = RadialStepFunction(1, [0, 1], [0])
+        chi = annulus_indicator(u, 1, 0)
+        assert chi == zero and hash(chi) == hash(zero)
 
     def test_partition_reassembles_exactly(self, step_corpus):
         for f in step_corpus[:20]:
@@ -85,7 +91,7 @@ class TestAnnuli:
 
 class TestHLNorm:
     def test_two_annulus_example(self):
-        f = radial_step(1, [0, Fraction(1, 2), 1], [2, 1])
+        f = RadialStepFunction(1, [0, Fraction(1, 2), 1], [2, 1])
         assert hl_norm(f, HerzParams(1, 2, 1, 2)) == pytest.approx(2.0, rel=1e-14)
 
     def test_lp_identity(self, step_corpus):
@@ -121,7 +127,7 @@ class TestHLNorm:
                 assert got == pytest.approx(2.0 * 1.0, rel=1e-14)  # (p/r)^{1/r} mu^{1/p}
 
     def test_weak_herz_is_sup_form(self):
-        f = radial_step(1, [0, Fraction(1, 2), 2], [2, 1])
+        f = RadialStepFunction(1, [0, Fraction(1, 2), 2], [2, 1])
         params = HerzParams(0.5, 2, INF, 2)
         scores = {
             u: lorentz_quasi_norm(p, LorentzParams(2, 2))
@@ -227,7 +233,7 @@ class TestHolder:
         assert rep.passed
 
     def test_zero(self, two_shell):
-        zero = radial_step(1, [0, 1], [0])
+        zero = RadialStepFunction(1, [0, 1], [0])
         rep = hl_holder_check(two_shell, zero, HerzParams(0, 2, 1, 2))
         assert rep.integral == 0.0
         assert rep.passed

@@ -16,8 +16,8 @@ from herzlab.lorentz import (
     refinement_chain_check,
 )
 from herzlab.rearrange import (
+    RadialStepFunction,
     ball,
-    radial_step,
     rearrangement,
     scale,
 )
@@ -132,7 +132,7 @@ class TestQuasiNorm:
                 assert got == pytest.approx(quad_quasi_norm(f, 2.0, 1.5), rel=1e-9)
 
     def test_zero_iff_zero(self):
-        zero = radial_step(1, [0, 1], [0])
+        zero = RadialStepFunction(1, [0, 1], [0])
         assert lorentz_quasi_norm(zero, LorentzParams(2, 1)) == 0.0
 
     def test_homogeneity_exact(self, two_shell):
@@ -143,8 +143,8 @@ class TestQuasiNorm:
 
     def test_rearrangement_invariance(self):
         # different shell layouts, identical rearrangements
-        f = radial_step(1, [0, Fraction(1, 2), 1], [1, 2])
-        g = radial_step(1, [0, Fraction(1, 2), 1], [2, 1])
+        f = RadialStepFunction(1, [0, Fraction(1, 2), 1], [1, 2])
+        g = RadialStepFunction(1, [0, Fraction(1, 2), 1], [2, 1])
         for params in (LorentzParams(2, 1), LorentzParams(3, INF)):
             assert lorentz_quasi_norm(f, params) == lorentz_quasi_norm(g, params)
 
@@ -188,7 +188,7 @@ class TestStarNorm:
         assert star == pytest.approx(quad_star_norm(ball(1, 1), p, r), rel=1e-8)
 
     def test_zero_function(self):
-        assert lorentz_star_norm(radial_step(1, [0, 1], [0]), LorentzParams(2, 1)) == 0.0
+        assert lorentz_star_norm(RadialStepFunction(1, [0, 1], [0]), LorentzParams(2, 1)) == 0.0
 
     def test_divergent_tail_reported_infinite(self):
         assert lorentz_star_norm(ball(1, 1), LorentzParams(1, 1)) == INF
@@ -295,7 +295,7 @@ class TestHolderPairing:
         assert rep.passed
 
     def test_zero_partner(self, two_shell):
-        zero = radial_step(1, [0, 1], [0])
+        zero = RadialStepFunction(1, [0, 1], [0])
         rep = lorentz_holder_pairing(two_shell, zero, LorentzParams(2, 1))
         assert rep.integral == 0.0
         assert rep.passed
@@ -322,7 +322,7 @@ class TestRefinementChain:
         assert rep.passed
 
     def test_zero(self):
-        rep = refinement_chain_check(radial_step(1, [0, 1], [0]), 2.0, 1.0, 3.0)
+        rep = refinement_chain_check(RadialStepFunction(1, [0, 1], [0]), 2.0, 1.0, 3.0)
         assert all(n == 0.0 for n in rep.norms)
         assert rep.passed
 

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from herzlab.herz import annuli_decompose
 from herzlab.rearrange import (
+    RadialStepFunction,
     StepRearrangement,
     average_rearrangement,
     ball,
     distribution,
     integrate_abs_product,
     pointwise_sum,
-    radial_step,
     rearrangement,
     rearrangement_from_pairs,
     restrict_radii,
@@ -53,7 +53,7 @@ def step_functions(draw, signed=True, dims=(1, 2, 3)):
         if draw(st.integers(0, 9)) == 0:
             v = Fraction(0)
         values.append(v)
-    return radial_step(draw(st.sampled_from(dims)), bp, values)
+    return RadialStepFunction(draw(st.sampled_from(dims)), bp, values)
 
 
 class TestUnitBallVolume:
@@ -71,31 +71,79 @@ class TestRadialStepFunction:
         assert two_shell.shell_measures() == (Fraction(1, 2), Fraction(2))
 
     def test_shell_measures_computed_once(self):
-        f = radial_step(3, [0, Fraction(1, 3), 2], [1, -4])
+        f = RadialStepFunction(3, [0, Fraction(1, 3), 2], [1, -4])
         assert f.shell_measures() is f.shell_measures()
         w = unit_ball_volume(3)
         assert f.shell_measures() == (w / 27, w * (8 - Fraction(1, 27)))
         # the cache is not a field: equality and hashing ignore it
-        g = radial_step(3, [0, Fraction(1, 3), 2], [1, -4])
+        g = RadialStepFunction(3, [0, Fraction(1, 3), 2], [1, -4])
         assert f == g and hash(f) == hash(g)
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
-            radial_step(1, [0, 2, 1], [1, 1])
+            RadialStepFunction(1, [0, 2, 1], [1, 1])
 
     def test_merges_equal_adjacent_values(self):
-        f = radial_step(1, [0, 1, 2, 3], [5, 5, 1])
+        f = RadialStepFunction(1, [0, 1, 2, 3], [5, 5, 1])
         assert f.breakpoints == (0, 2, 3)
         assert f.values == (5, 1)
 
     def test_strips_trailing_zeros(self):
-        f = radial_step(1, [0, 1, 2], [3, 0])
+        f = RadialStepFunction(1, [0, 1, 2], [3, 0])
         assert f.support_radius == 1
 
     def test_zero_function(self):
-        f = radial_step(1, [0, 1], [0])
+        f = RadialStepFunction(1, [0, 1], [0])
         assert f.is_zero()
         assert rearrangement(f).levels == ()
+
+    def test_split_shells_are_one_function(self):
+        f = RadialStepFunction(1, (0, 1, 2), (3, 3))
+        g = RadialStepFunction(1, (0, 2), (3,))
+        assert f == g and hash(f) == hash(g)
+        assert f.breakpoints == (0, 2) and f.values == (3,)
+
+    def test_constructor_strips_trailing_zero_shells(self):
+        f = RadialStepFunction(2, (0, 1, 2, 5), (3, 0, 0))
+        assert f.breakpoints == (0, 1) and f.values == (3,)
+        assert f == RadialStepFunction(2, (0, 1), (3,))
+
+    def test_all_zero_shells_give_the_zero_function(self):
+        f = RadialStepFunction(3, (0, Fraction(1, 3), 7), (0, 0))
+        assert f.breakpoints == (0, 1) and f.values == (0,)
+        assert f == RadialStepFunction(3, [0, 1], [0])
+
+    def test_missing_leading_zero_and_any_numbers(self):
+        f = RadialStepFunction(1, [0.5, 2], [1, 2.25])
+        assert f.breakpoints == (0, Fraction(1, 2), 2)
+        assert f.values == (1, Fraction(9, 4))
+        assert all(type(x) is Fraction for x in f.breakpoints + f.values)
+
+    @pytest.mark.parametrize("dim, bp, values, message", [
+        (0, [0, 1], [1], "dimension must be a positive integer"),
+        (1, [], [], "breakpoints must start at 0"),
+        (1, [-1, 1], [1], "breakpoints must start at 0"),
+        (1, [0, 2, 1], [1, 1], "breakpoints must be strictly increasing"),
+        (1, [0, 1, 2], [1], "need exactly one value per shell"),
+    ])
+    def test_exact_messages(self, dim, bp, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RadialStepFunction(dim, bp, values)
+
+    @given(step_functions(), st.lists(st.integers(1, 7), max_size=6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_splitting_shells_keeps_equality_and_hash(self, f, eighths, data):
+        # cut shells at interior radii, each piece repeating its shell's value,
+        # and append a zero shell: the same function
+        bp, vals = list(f.breakpoints), list(f.values)
+        for k in eighths:
+            i = data.draw(st.integers(0, len(vals) - 1))
+            bp.insert(i + 1, bp[i] + (bp[i + 1] - bp[i]) * Fraction(k, 8))
+            vals.insert(i, vals[i])
+        bp.append(bp[-1] + 1)
+        vals.append(Fraction(0))
+        g = RadialStepFunction(f.dim, bp, vals)
+        assert g == f and hash(g) == hash(f)
 
 
 class TestDistribution:
@@ -121,7 +169,7 @@ class TestRearrangement:
 
     def test_signed_values_merge(self):
         # shells of measure 1 with values -2 and 2 rearrange to 2 on [0, 2)
-        f = radial_step(1, [0, Fraction(1, 2), 1], [-2, 2])
+        f = RadialStepFunction(1, [0, Fraction(1, 2), 1], [-2, 2])
         g = rearrangement(f)
         assert g.knots == (2,)
         assert g.levels == (2,)
@@ -160,7 +208,7 @@ class TestRearrangement:
     @given(step_functions(signed=False))
     @settings(max_examples=40, deadline=None)
     def test_monotone_under_shellwise_domination(self, f):
-        bigger = radial_step(
+        bigger = RadialStepFunction(
             f.dim, f.breakpoints, [v + Fraction(1, 3) for v in f.values]
         )
         gf, gb = rearrangement(f), rearrangement(bigger)
@@ -217,7 +265,7 @@ def repeating_step_functions(draw):
     cuts = draw(st.lists(st.integers(1, 64), min_size=n, max_size=n, unique=True))
     values = draw(st.lists(REPEATING_VALUES, min_size=n, max_size=n))
     dim = draw(st.sampled_from((1, 2, 3)))
-    return radial_step(dim, [0] + [Fraction(c, 8) for c in sorted(cuts)], values)
+    return RadialStepFunction(dim, [0] + [Fraction(c, 8) for c in sorted(cuts)], values)
 
 
 PIECES = st.lists(
@@ -313,8 +361,8 @@ class TestAverageRearrangement:
 
 class TestAlgebra:
     def test_pointwise_sum_refines(self):
-        f = radial_step(1, [0, 1], [1])
-        g = radial_step(1, [0, Fraction(1, 2), 2], [2, 3])
+        f = RadialStepFunction(1, [0, 1], [1])
+        g = RadialStepFunction(1, [0, Fraction(1, 2), 2], [2, 3])
         h = pointwise_sum([f, g])
         assert h.value_at_radius(Fraction(1, 4)) == 3
         assert h.value_at_radius(Fraction(3, 4)) == 4
@@ -326,8 +374,8 @@ class TestAlgebra:
         assert pointwise_sum([inner, outer]) == two_shell
 
     def test_product_integral(self):
-        f = radial_step(1, [0, 1], [2])
-        g = radial_step(1, [0, Fraction(1, 2), 1], [3, -1])
+        f = RadialStepFunction(1, [0, 1], [2])
+        g = RadialStepFunction(1, [0, Fraction(1, 2), 1], [3, -1])
         # |fg| = 6 on measure 1, 2 on measure 1
         assert integrate_abs_product(f, g) == 8
 
@@ -343,7 +391,7 @@ def restrict_radii_oracle(f, lo, hi):
         f.value_at_radius(a) if lo <= a and b <= hi else Fraction(0)
         for a, b in zip(cuts, cuts[1:])
     ]
-    return radial_step(f.dim, cuts, vals)
+    return RadialStepFunction(f.dim, cuts, vals)
 
 
 @st.composite
@@ -394,7 +442,7 @@ class TestRestrictRadii:
         (0, 9),  # the whole function
     ])
     def test_edge_windows(self, lo, hi):
-        f = radial_step(3, [0, Fraction(1, 2), 1], [2, -1])
+        f = RadialStepFunction(3, [0, Fraction(1, 2), 1], [2, -1])
         assert restrict_radii(f, lo, hi) == restrict_radii_oracle(f, lo, hi)
 
     def test_rejects_empty_window(self, two_shell):
@@ -429,7 +477,7 @@ class TestSumBound:
         assert rep.passed
 
     def test_rejects_signed_input(self, two_shell):
-        f = radial_step(1, [0, 1], [-1])
+        f = RadialStepFunction(1, [0, 1], [-1])
         with pytest.raises(ValueError):
             sum_bound_check([f], 1, [1.0])
 
