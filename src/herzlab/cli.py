@@ -21,9 +21,7 @@ from typing import Any, Callable, Sequence
 from . import corpus as corpus_mod
 from .herz import (
     AnnulusMeasureSequence,
-    AnnulusProfile,
     HerzParams,
-    annulus_profile,
     bfs_condition_check,
     embedding_check,
     hl_holder_check,
@@ -267,21 +265,10 @@ def _suite_herz_holder(cfg: SuiteConfig) -> list[Check]:
     if not (1 < cfg.p < INF and cfg.q >= 1 and cfg.r >= 1):
         raise ConfigError("pairing requires 1 < p < inf and q, r >= 1")
     fns = _load_objects(cfg, RadialStepFunction)
-    # corpus index -> annulus profile, built when a pair first needs it and
-    # shared by every weight (a profile caches its per-(p, r) scores)
-    profiles: dict[int, AnnulusProfile] = {}
-
-    def profile(k: int) -> AnnulusProfile:
-        # with --jobs > 1 two threads may both build one; setdefault keeps the first
-        if k not in profiles:
-            profiles.setdefault(k, annulus_profile(fns[k]))
-        return profiles[k]
 
     def pair(i: int, a: float) -> list[CheckRecord]:
         k, m = i % len(fns), (i * 7 + 3) % len(fns)
-        rep = hl_holder_check(
-            fns[k], fns[m], HerzParams(a, cfg.p, cfg.q, cfg.r), profiles=(profile(k), profile(m))
-        )
+        rep = hl_holder_check(fns[k], fns[m], HerzParams(a, cfg.p, cfg.q, cfg.r))
         return [
             CheckRecord(
                 "herz-holder",
@@ -363,7 +350,6 @@ def _suite_embeddings(cfg: SuiteConfig) -> list[Check]:
 
     def one(i: int, f: RadialStepFunction) -> list[CheckRecord]:
         records = []
-        prof = annulus_profile(f)
         cases = [
             ("A", HerzParams(0.3, 2.0, 1.5, 1.0), HerzParams(0.3, 2.0, 1.5, 2.0)),
             ("B", HerzParams(1.0, 2.0, 1.0, 2.0), HerzParams(0.0, 2.0, 1.0, 2.0)),
@@ -371,7 +357,7 @@ def _suite_embeddings(cfg: SuiteConfig) -> list[Check]:
             ("D", HerzParams(0.0, 2.0, 1.0, 2.0), HerzParams(0.0, 2.0, 2.0, 2.0)),
         ]
         for variant, src, tgt in cases:
-            rep = embedding_check(variant, prof, src, tgt)
+            rep = embedding_check(variant, f, src, tgt)
             records.append(
                 CheckRecord(
                     "embeddings",
@@ -423,7 +409,7 @@ def _suite_interp_lorentz(cfg: SuiteConfig) -> list[Check]:
     fns = [ball(1, Fraction(m)) for m in cfg.extra["measures"]]
 
     def run() -> list[CheckRecord]:
-        rep = verify_interpolation("lorentz", fns, theta=cfg.theta, q=cfg.q, t_exponent_bound=40)
+        rep = verify_interpolation("lorentz", fns, theta=cfg.theta, q=cfg.q)
         return [
             CheckRecord(
                 "interp-lorentz",
@@ -541,16 +527,16 @@ def _suite_interp_boundedness(cfg: SuiteConfig) -> list[Check]:
     a = 0.2 if cfg.a is None else cfg.a
 
     def run() -> list[CheckRecord]:
-        rep = interpolated_boundedness_check("hilbert", cfg.p, cfg.q, a, corpus)
+        row = interpolated_boundedness_check("hilbert", cfg.p, cfg.q, a, corpus)
         return [
             CheckRecord(
                 "interp-boundedness",
                 "diagonal",
                 {"p": cfg.p, "q": cfg.q, "a": a},
-                lhs=rep.ratio,
-                rhs=rep.sweep_ratio,
-                ratio=rep.agreement,
-                passed=rep.passed,
+                lhs=row.ratio,
+                rhs=row.ratio,
+                ratio=0.0 if math.isfinite(row.ratio) else math.nan,
+                passed=row.passed,
             )
         ]
 

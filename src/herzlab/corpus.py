@@ -122,7 +122,7 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
             values = [_decode_float(v) for v in values]
         if "cells" in rec and _decode_int(rec["cells"]) != len(values):
             raise ValueError("declared cell count does not match values")
-        return GridFunction1D.from_array(_decode_float(rec["half_width"]), values)
+        return GridFunction1D(_decode_float(rec["half_width"]), values)
     entries = {int(u): _decode_rational(m) for u, m in rec["entries"].items()}
     tail = rec.get("tail")
     tail_t = None if tail is None else (tail[0], _decode_rational(tail[1]), _decode_int(tail[2]))
@@ -194,7 +194,7 @@ def random_grid_functions(
         for _ in range(blocks):
             level = rng.choice([0.0, rng.uniform(-2.0, 2.0)])
             vals.extend([level] * reps)
-        out.append(GridFunction1D.from_array(half_width, vals))
+        out.append(GridFunction1D(half_width, vals))
     return out
 
 

@@ -7,11 +7,13 @@ classical Herz norm and r = inf its weak variant.
 
 The annulus-profile layer is the one path from a function to those numbers:
 an `AnnulusProfile` holds the decreasing rearrangement of f on each occupied
-annulus, built once per function (`annulus_profile` for radial step
-functions, `operators.grid_annulus_profiles` for grid functions).  It caches
-per-annulus Lorentz scores per (p, r, starred) and aggregates them only with
-`weighted_lq`; HL norms, the annulus retract, the endpoint K-functional and
-the operator sweeps all read it.
+annulus.  Each function builds its own on first use and keeps it
+(`RadialStepFunction.profile`, `GridFunction1D.profile`, the latter through
+`operators.grid_annulus_profiles`), and `annulus_profile` returns it, so a
+function used many times is decomposed once.  A profile caches per-annulus
+Lorentz scores per (p, r, starred) and aggregates them only with
+`weighted_lq`; HL norms, the embeddings, the annulus retract, the endpoint
+K-functional and the operator sweeps all read it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .lorentz import (
 from .rearrange import (
     RadialStepFunction,
     StepRearrangement,
+    _check_dim,
     integrate_abs_product,
     pointwise_sum,
     rearrangement,
@@ -233,9 +236,13 @@ class AnnulusProfile:
 
 
 def annulus_profile(f: RadialStepFunction | AnnulusProfile) -> AnnulusProfile:
-    """The annulus profile of a radial step function; a profile passes through."""
-    if isinstance(f, AnnulusProfile):
-        return f
+    """The annulus profile kept on a function (built on first use); a profile
+    passes through."""
+    return f if isinstance(f, AnnulusProfile) else f.profile
+
+
+def _step_profile(f: RadialStepFunction) -> AnnulusProfile:
+    """Build the profile of a radial step function from its annulus pieces."""
     us, exact = [], []
     for u, piece in annuli_decompose(f):
         us.append(u)
@@ -305,6 +312,7 @@ class AnnulusMeasureSequence:
     tail: tuple[str, Fraction, int] | None = None
 
     def __post_init__(self) -> None:
+        _check_dim(self.dim)
         seen = set()
         for u, m in self.entries:
             if u < -1:
@@ -437,19 +445,12 @@ def hl_holder_check(
     f: RadialStepFunction,
     g: RadialStepFunction,
     params: HerzParams,
-    *,
-    profiles: tuple[AnnulusProfile, AnnulusProfile] | None = None,
 ) -> HolderReport:
-    """int |fg| <= ||f||_{HL(a,p,q,r)} ||g||_{HL(-a,p',q',r')}, constant-free.
-
-    ``profiles`` are the annulus profiles of f and g when the caller already
-    holds them; the pairing integral always comes from f and g.
-    """
+    """int |fg| <= ||f||_{HL(a,p,q,r)} ||g||_{HL(-a,p',q',r')}, constant-free."""
     if not (1 < params.p < INF and params.q >= 1 and params.r >= 1):
         raise ValueError("pairing needs 1 < p < inf and 1 <= q, r <= inf")
     integral = float(integrate_abs_product(f, g))
-    pf, pg = (f, g) if profiles is None else profiles
-    bound = hl_norm(pf, params) * hl_norm(pg, params.conjugate())
+    bound = hl_norm(f, params) * hl_norm(g, params.conjugate())
     ratio = integral / bound if bound > 0 else (0.0 if integral == 0.0 else INF)
     return HolderReport(integral, bound, ratio, integral <= bound * (1.0 + 1e-12) + 1e-12)
 
@@ -482,74 +483,54 @@ def embedding_check(
     source: HerzParams,
     target: HerzParams,
 ) -> EmbeddingReport:
-    """One of the four embedding directions between HL spaces; a bound
-    passes within relative slack 1e-9.
+    """One of the four embedding directions between HL spaces: lhs is the
+    target norm, rhs the source norm (for C, the weak-type bound below), and
+    the check passes when lhs <= bound * rhs within relative slack 1e-9.
 
-    (A) r1 <= r2 at fixed (a, p, q): constant recorded empirically.
+    (A) r1 <= r2 at fixed (a, p, q): the sharp constant (r1/p)^{1/r1-1/r2}
+        of L^{p,r1} in L^{p,r2} (Grafakos, Classical Fourier Analysis,
+        Prop. 1.4.10), 1 at r1 = r2, holds on every annulus and so for the
+        weighted l^q; an indicator reaches it at r2 = inf.
     (B) a2 <= a1: exact constant max_u 2^{u(a2-a1)} over occupied annuli
         (equals 1 off the central ball, 2^{a1-a2} when A_{-1} is charged).
     (C) p1 < p2: per-annulus factor mu(A_u)^{1/p1-1/p2} / (r1/p1-r1/p2)^{1/r1}
-        applied inside the outer sum, target reached through L^{p2,inf}.
+        applied inside the outer sum, target reached through L^{p2,inf}; the
+        factor is in rhs, so the bound is 1.
     (D) q2 <= q1 at fixed (a, p, r): constant 1.
     """
     f = annulus_profile(f)
     v = variant.upper()
+    s, t = source, target
+    hypotheses = {
+        "A": ((s.a, s.p, s.q) == (t.a, t.p, t.q) and s.r <= t.r, "(a,p,q) and r1 <= r2"),
+        "B": ((s.p, s.q, s.r) == (t.p, t.q, t.r) and t.a <= s.a, "(p,q,r) and a2 <= a1"),
+        "C": ((s.a, s.q) == (t.a, t.q) and 0 < t.p < s.p < INF, "(a,q) and p1 < p2"),
+        "D": ((s.a, s.p, s.r) == (t.a, t.p, t.r) and s.q <= t.q, "(a,p,r) and q2 <= q1"),
+    }
+    if v not in hypotheses:
+        raise ValueError(f"unknown embedding variant {variant!r}")
+    holds, needs = hypotheses[v]
+    if not holds:
+        raise ValueError(f"variant {v} needs identical {needs}")
+    rhs = None
     if v == "A":
-        if not (
-            source.a == target.a
-            and source.p == target.p
-            and source.q == target.q
-            and source.r <= target.r
-        ):
-            raise ValueError("variant A needs identical (a,p,q) and r1 <= r2")
-        lhs = hl_norm(f, target)
-        rhs = hl_norm(f, source)
-        constant = lhs / rhs if rhs > 0 else 1.0
-        passed = (not math.isfinite(rhs)) or math.isfinite(lhs)
-        return EmbeddingReport(v, lhs, rhs, constant, constant, passed)
-    if v == "B":
-        if not (
-            source.p == target.p
-            and source.q == target.q
-            and source.r == target.r
-            and target.a <= source.a
-        ):
-            raise ValueError("variant B needs identical (p,q,r) and a2 <= a1")
-        lhs = hl_norm(f, target)
-        rhs = hl_norm(f, source)
+        r1, r2 = source.r, target.r
+        constant = 1.0 if r1 == r2 else (r1 / source.p) ** (1.0 / r1 - 1.0 / r2)
+    elif v == "B":
         constant = _occupied_weight_constant(f.us, source.a, target.a)
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        return EmbeddingReport(v, lhs, rhs, constant, ratio, lhs <= constant * rhs * (1 + 1e-9))
-    if v == "C":
-        if not (
-            source.a == target.a
-            and source.q == target.q
-            and 0 < target.p < source.p < INF
-        ):
-            raise ValueError("variant C needs identical (a,q) and p1 < p2")
-        p1, r1 = target.p, target.r
-        p2 = source.p
-        lhs = hl_norm(f, target)
-        gap = r1 / p1 - r1 / p2
-        factor_const = gap ** (-1.0 / r1) if r1 != INF else 1.0
+    elif v == "C":
+        p1, r1, p2 = target.p, target.r, source.p
+        constant = (r1 / p1 - r1 / p2) ** (-1.0 / r1) if r1 != INF else 1.0
         scores = {
-            u: factor_const * float(annulus_measure(u, f.dim)) ** (1.0 / p1 - 1.0 / p2) * weak
+            u: constant * float(annulus_measure(u, f.dim)) ** (1.0 / p1 - 1.0 / p2) * weak
             for u, weak in f.scores(LorentzParams(p2, INF)).items()
         }
         rhs = weighted_lq(scores, target.a, target.q)
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        passed = lhs <= rhs * (1 + 1e-9)
-        return EmbeddingReport(v, lhs, rhs, factor_const, ratio, passed)
-    if v == "D":
-        if not (
-            source.a == target.a
-            and source.p == target.p
-            and source.r == target.r
-            and source.q <= target.q
-        ):
-            raise ValueError("variant D needs identical (a,p,r) and q2 <= q1")
-        lhs = hl_norm(f, target)
+    else:
+        constant = 1.0
+    lhs = hl_norm(f, target)
+    if rhs is None:
         rhs = hl_norm(f, source)
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        return EmbeddingReport(v, lhs, rhs, 1.0, ratio, lhs <= rhs * (1 + 1e-9))
-    raise ValueError(f"unknown embedding variant {variant!r}")
+    bound = 1.0 if v == "C" else constant
+    ratio = lhs / rhs if rhs > 0 else (1.0 if v == "A" else 0.0)
+    return EmbeddingReport(v, lhs, rhs, constant, ratio, lhs <= bound * rhs * (1 + 1e-9))

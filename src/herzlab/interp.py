@@ -917,7 +917,6 @@ def verify_interpolation(
     q0: float = 1.0,
     q1: float = 1.0,
     base: LorentzParams | None = None,
-    t_exponent_bound: int = 28,
 ) -> SuiteReport:
     """Ratio-band verification of one interpolation identity.
 
@@ -971,7 +970,7 @@ def verify_interpolation(
         hl_target = HerzParams(a, 1.0 / (1.0 - theta), q_target, q_target)
     else:
         raise ValueError(f"unknown interpolation suite {suite!r}")
-    params = InterpolationParams(theta, q_target, t_exponent_bound, 1e-8)
+    params = InterpolationParams(theta, q_target, rel_tol=1e-8)
 
     if couple.base is None:
         if suite.startswith("hl"):

@@ -12,10 +12,12 @@ piecewise-constant data, assembled with an FFT.
 
 A grid's cells are read-only, so what depends on them alone is built once
 and kept: `GridFunction1D.profile` (its annulus profile, which in turn keeps
-its per-(p, r) annulus scores) and `GridFunction1D.refine` (the refined grid,
-with a profile of its own).  The maximal and Hilbert sweeps over one corpus
-share both.  The spectrum of the Hilbert log kernel depends only on the grid
-shape and is kept for the last few shapes.
+its per-(p, r) annulus scores; a radial step function keeps its own the same
+way) and `GridFunction1D.refine` (the refined grid, with a profile of its
+own).  The maximal and Hilbert sweeps over one corpus share both, and the
+diagonal check of `interpolated_boundedness_check` is one sweep row.  The
+spectrum of the Hilbert log kernel depends only on the grid shape and is
+kept for the last few shapes.
 """
 
 from __future__ import annotations
@@ -79,12 +81,6 @@ class GridFunction1D:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_array(
-        cls, half_width: float, values: np.ndarray | Sequence[float]
-    ) -> "GridFunction1D":
-        return cls(half_width, values)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridFunction1D):
             return NotImplemented
@@ -113,7 +109,7 @@ class GridFunction1D:
 
     @functools.cached_property
     def _refined(self) -> "GridFunction1D":
-        return GridFunction1D.from_array(self.half_width, np.repeat(self.values, 2))
+        return GridFunction1D(self.half_width, np.repeat(self.values, 2))
 
     @functools.cached_property
     def profile(self) -> AnnulusProfile:
@@ -137,7 +133,7 @@ def grid_indicator(
         mask = (np.abs(centers) >= lo) & (np.abs(centers) < hi)
     else:
         mask = (centers >= lo) & (centers < hi)
-    return GridFunction1D.from_array(half_width, mask.astype(float))
+    return GridFunction1D(half_width, mask.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +229,7 @@ def maximal_operator(f: GridFunction1D) -> GridFunction1D:
     nxt = np.searchsorted(nodes, np.arange(n), side="right")
     right = _right_sup(t_c, f_c, x, fx, nxt)
     left = _right_sup(-t_c[::-1], -f_c[::-1], -x[::-1], -fx[::-1], len(nodes) - nxt[::-1])
-    return GridFunction1D.from_array(
-        f.half_width, np.maximum(absolute, np.maximum(right, left[::-1]))
-    )
+    return GridFunction1D(f.half_width, np.maximum(absolute, np.maximum(right, left[::-1])))
 
 
 def maximal_at_points(f: GridFunction1D, xs: Sequence[float]) -> np.ndarray:
@@ -305,7 +299,7 @@ def hilbert_transform(f: GridFunction1D) -> GridFunction1D:
     size = _fft_size(n)
     conv = np.fft.irfft(np.fft.rfft(jumps, size) * _log_kernel_spectrum(n, f.h), size)
     out = conv[n : 2 * n] / math.pi
-    return GridFunction1D.from_array(f.half_width, out)
+    return GridFunction1D(f.half_width, out)
 
 
 def hilbert_at_points(f: GridFunction1D, xs: Sequence[float]) -> np.ndarray:
@@ -699,31 +693,19 @@ def out_of_range_witness(
     return WitnessReport(a, p, q, r, tuple(ratios), growing)
 
 
-@dataclass(frozen=True)
-class InterpolatedBoundednessReport:
-    p: float
-    q: float
-    a: float
-    ratio: float
-    sweep_ratio: float
-    agreement: float
-    passed: bool
-
-
 def interpolated_boundedness_check(
     operator: str,
     p: float,
     q: float,
     a: float,
     corpus: Sequence[GridFunction1D],
-) -> InterpolatedBoundednessReport:
+) -> SweepCell:
     """Boundedness on the r = q diagonal, where only Lebesgue bounds enter.
 
-    Restricted to linear operators (the Hilbert transform here).  The
-    corpus-max ratio comes from one sweep row at r = q, with the grids'
-    cached profiles.  `ratio` and `sweep_ratio` are that one number, so the
-    agreement is 0 by construction (nan where the ratio overflows) until an
-    independent bracket of the ratio exists; `passed` is the row's verdict.
+    Restricted to linear operators (the Hilbert transform here).  Returns
+    the sweep row at (a, p, q, r = q): the corpus-max ratio at the given grid
+    and after one refinement, read from the grids' kept profiles, and its
+    drift verdict.
     """
     if operator != "hilbert":
         raise ValueError("the strengthened diagonal conclusion needs a linear operator")
@@ -733,5 +715,4 @@ def interpolated_boundedness_check(
     if not window_lo < a < window_hi:
         raise ValueError("weight exponent outside the admissible window")
     (row,) = _sweep_ratios("hilbert", corpus, [(a, p, q, q)])
-    agreement = 0.0 if math.isfinite(row.ratio) else math.nan
-    return InterpolatedBoundednessReport(p, q, a, row.ratio, row.ratio, agreement, row.passed)
+    return row

@@ -114,6 +114,8 @@ _GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
 # positive on the real part of the ellipse (A + B e^x is real only for real x).
 _ELLIPSE_B = 0.5 * math.pi
 _UNIT_ROUNDOFF = 2.0**-53
+# k_norm rescales K when v^q, v = N0^(1-theta) N1^theta, lies beyond 2^(+-this).
+_POWER_RANGE = 960
 
 
 def power_integral(
@@ -225,7 +227,11 @@ def k_norm(
     `math.fsum` of the `power_integral` brackets of the chords between the
     nodes, unless `main` is given, and a window of zero width reads no K.
     Each tail is one bracket, exact where a corner covers its end; the value
-    is the midpoint of the bracket of the q-th power.  For q = inf, with K
+    is the midpoint of the bracket of the q-th power.  Where the q-th power
+    of v = N0^(1-theta) N1^theta, the size of the integrand, would leave the
+    normal float range, K and both norms are first divided by the power of
+    two nearest v (exactly, if both scaled norms stay normal) and the
+    results multiplied back; a given `main` is taken as it is.  For q = inf, with K
     linear between the nodes, t^-theta (A + B t) has no interior maximum, so
     the value is the largest t^-theta K at the nodes, or N0 at theta = 0
     and N1 at theta = 1 if larger, and lower == upper == value.
@@ -235,6 +241,15 @@ def k_norm(
         best = max(0.0, *(k(t) / t**theta for t in ts),
                    n0 if theta == 0.0 else 0.0, n1 if theta == 1.0 else 0.0)
         return best, best, best
+    log_v, scale = (1.0 - theta) * math.log2(n0) + theta * math.log2(n1), 1.0
+    if main is None and _POWER_RANGE < abs(log_v * q) < math.inf:
+        s = math.ldexp(1.0, max(-1022, min(round(log_v), 1023)))
+        if all(sys.float_info.min <= n / s < math.inf for n in norms):
+            scale, unscaled, n0, n1 = s, k, n0 / s, n1 / s
+
+            def k(t: float) -> float:
+                return unscaled(t) / scale
+
     t_lo, t_hi = ts[0], ts[-1]
     if main is None:
         nodes = ts if t_lo < t_hi else []
@@ -246,4 +261,4 @@ def k_norm(
     lo = _tail(n1, n0, 1.0 / t_lo, 1.0 - theta, q,
                None if t_lo <= corners[0] else k(t_lo) / t_lo)
     lower_q, upper_q = (m + h + l for m, h, l in zip(main, hi, lo))
-    return tuple(x ** (1.0 / q) for x in (0.5 * (lower_q + upper_q), lower_q, upper_q))
+    return tuple(scale * x ** (1.0 / q) for x in (0.5 * (lower_q + upper_q), lower_q, upper_q))

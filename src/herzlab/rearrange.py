@@ -13,6 +13,9 @@ equal functions compare and hash equal however their shells were listed.
 Its decreasing rearrangement is again a step function, obtained by sorting
 shells by |value| and accumulating measures.  Shell measures
 omega_N (b^N - a^N) are formed only by `RadialStepFunction.shell_measures`.
+What depends on the shells alone is built on first use and kept on the
+instance: the shell measures, the distribution table and the annulus
+profile (`RadialStepFunction.profile`, built by `herz.annulus_profile`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .herz import AnnulusProfile
 
 Number = int | float | Fraction
 
@@ -58,7 +64,12 @@ def _as_fraction(x: Number) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@lru_cache(maxsize=None)
+def _check_dim(dim: int) -> None:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError("dimension must be a positive integer")
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 are not cached as 1
 def unit_ball_volume(dim: int) -> Fraction:
     """Volume of the unit ball in R^dim, as an exact rational.
 
@@ -66,8 +77,7 @@ def unit_ball_volume(dim: int) -> Fraction:
     once so that all downstream measure arithmetic stays exact and
     self-consistent.  dim = 1 gives exactly 2.
     """
-    if dim < 1:
-        raise ValueError("dimension must be a positive integer")
+    _check_dim(dim)
     if dim == 1:
         return Fraction(2)
     try:
@@ -94,8 +104,7 @@ class RadialStepFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be a positive integer")
+        _check_dim(self.dim)
         bp = [_as_fraction(b) for b in self.breakpoints]
         vals = [_as_fraction(v) for v in self.values]
         if not bp:
@@ -142,6 +151,13 @@ class RadialStepFunction:
         w = unit_ball_volume(self.dim)
         powers = [b**self.dim for b in self.breakpoints]
         return tuple(w * (b - a) for a, b in zip(powers, powers[1:]))
+
+    @cached_property
+    def profile(self) -> AnnulusProfile:
+        """Annulus profile (see herz.annulus_profile), built on first use and kept."""
+        from .herz import _step_profile  # herz imports this module
+
+        return _step_profile(self)
 
     @cached_property
     def _distribution_table(self) -> tuple[list[Fraction], list[Fraction]]:

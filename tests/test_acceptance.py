@@ -55,6 +55,7 @@ from herzlab.operators import (
     grid_indicator,
     grid_lp_norm,
     hilbert_at_points,
+    hilbert_transform,
     interpolated_boundedness_check,
     maximal_at_points,
     out_of_range_witness,
@@ -310,4 +311,7 @@ def test_12_consistency_identity():
         )
         rep = interpolated_boundedness_check("hilbert", 2.0, 1.5, 0.2, op_corpus)
         assert rep.passed
-        assert rep.agreement <= 1e-6
+        params = HerzParams(0.2, 2.0, 1.5, 1.5)
+        assert rep.ratio == max(
+            grid_hl_norm(hilbert_transform(g), params) / grid_hl_norm(g, params) for g in op_corpus
+        )

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from herzlab import cli
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
-from herzlab.corpus import save_corpus
+from herzlab.corpus import load_corpus, save_corpus
+from herzlab.herz import HerzParams, hl_norm
+from herzlab.operators import (
+    GridFunction1D,
+    grid_hl_norm,
+    grid_indicator,
+    grid_lp_norm,
+    hilbert_transform,
+)
 from herzlab.rearrange import RadialStepFunction
 from herzlab.reporting import CheckRecord, _clean, summarize, write_report
 from fractions import Fraction
@@ -317,6 +325,89 @@ class TestSuitesViaApi:
         assert main(["report", "--input", str(path)]) == 1
         summary = json.loads(capsys.readouterr().out)
         assert summary["failed"] == 1
+
+
+class TestRarelyRunPaths:
+    """Command paths that the suites above do not reach, each on small input."""
+
+    @pytest.fixture()
+    def grid_file(self, tmp_path):
+        path = tmp_path / "grids.json"
+        main(["gen-corpus", "--kind", "grid", "--size", "2", "--seed", "3", "--cells", "256",
+              "--out", str(path)])
+        return str(path)
+
+    def test_verify_interp_lorentz(self, tmp_path):
+        report = tmp_path / "rep.json"
+        assert main(["verify", "interp-lorentz", "--out", str(report)]) == 0
+        (rec,) = json.loads(report.read_text())["records"]
+        assert rec["check_id"] == "endpoint-couple" and rec["passed"]
+        assert rec["params"] == {"theta": 0.5, "q": 1.0}
+
+    def test_verify_interp_boundedness(self, tmp_path, grid_file):
+        report = tmp_path / "rep.json"
+        assert main(["verify", "interp-boundedness", "--corpus", grid_file,
+                     "--out", str(report)]) == 0
+        (rec,) = json.loads(report.read_text())["records"]
+        params = HerzParams(0.2, 2.0, 1.0, 1.0)
+        expected = max(grid_hl_norm(hilbert_transform(g), params) / grid_hl_norm(g, params)
+                       for g in load_corpus(grid_file))
+        assert rec["lhs"] == rec["rhs"] == expected
+        assert rec["ratio"] == 0.0 and rec["passed"]
+
+    def test_default_grid_corpus(self):
+        grids = cli._load_objects(SuiteConfig("boundedness", size=3), GridFunction1D)
+        assert len(grids) == 3
+        assert grids[0] == grid_indicator(8.0, 4096, -1.0, 1.0)
+        assert all(g.half_width == 8.0 and g.n_cells == 4096 for g in grids)
+
+    def test_norm_on_a_grid_record(self, capsys, grid_file):
+        g = load_corpus(grid_file)[1]
+        argv = ["norm", "--input", grid_file, "--index", "1", "--p", "2"]
+        capsys.readouterr()
+        assert main([*argv, "--space", "lp"]) == 0
+        assert float(capsys.readouterr().out) == grid_lp_norm(g, 2.0)
+        assert main([*argv, "--space", "hl", "--a", "0.2", "--q", "1.5"]) == 0
+        assert float(capsys.readouterr().out) == grid_hl_norm(g, HerzParams(0.2, 2.0, 1.5, 2.0))
+        assert main([*argv, "--space", "lorentz"]) == 2
+        assert "grid records support --space hl or lp" in capsys.readouterr().err
+
+    def test_norm_hl_star(self, capsys, two_annuli_file):
+        assert main(["norm", "--space", "hl-star", "--a", "0.5", "--p", "2", "--q", "1",
+                     "--input", two_annuli_file]) == 0
+        f = load_corpus(two_annuli_file)[0]
+        expected = hl_norm(f, HerzParams(0.5, 2.0, 1.0, 2.0), starred=True)
+        assert float(capsys.readouterr().out) == expected
+
+    def test_report_json(self, tmp_path, capsys):
+        report = tmp_path / "rep.json"
+        main(["verify", "bfs", "--q", "inf", "--out", str(report)])
+        capsys.readouterr()
+        assert main(["report", "--input", str(report), "--format", "json"]) == 0
+        assert capsys.readouterr().out == report.read_text()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("size", 0, "corpus size must be >= 1"),
+        ("cutoff", 0, "cutoff must be >= 1"),
+        ("jobs", 0, "jobs must be >= 1"),
+        ("format", "xml", "unknown report format 'xml'; choose json or tsv"),
+    ])
+    def test_suite_config_ranges(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_suite(SuiteConfig("bfs", **{field: value}))
+
+    def test_format_rejected_through_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": "xml"}))
+        assert main(["verify", "bfs", "--config", str(path)]) == 2
+        assert "unknown report format 'xml'" in capsys.readouterr().err
+
+    def test_herz_holder_threads_write_the_same_bytes(self, tmp_path):
+        # the threads share the functions, and so the profiles kept on them
+        threaded, serial = tmp_path / "j4.json", tmp_path / "j1.json"
+        assert main(["verify", "herz-holder", "--jobs", "4", "--out", str(threaded)]) == 0
+        assert main(["verify", "herz-holder", "--jobs", "1", "--out", str(serial)]) == 0
+        assert threaded.read_bytes() == serial.read_bytes()
 
 
 def test_readme_names_every_config_key():

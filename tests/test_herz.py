@@ -74,6 +74,13 @@ class TestAnnuli:
             assert prof.scores(base) == {u: lorentz_quasi_norm(p, base) for u, p in pieces}
             assert prof.merged_rearrangement() == rearrangement(f)
 
+    def test_profile_is_kept_on_the_function(self, two_shell):
+        assert annulus_profile(two_shell) is annulus_profile(two_shell)
+        prof = annulus_profile(two_shell)
+        assert annulus_profile(prof) is prof
+        grid = grid_indicator(4.0, 64, -1.0, 1.0)
+        assert annulus_profile(grid) is grid.profile
+
     def test_grid_profile_has_no_averaged_scores(self):
         prof = grid_annulus_profiles(grid_indicator(4.0, 64, -1.0, 1.0))
         assert list(prof.us) == [-1, 0]
@@ -201,6 +208,13 @@ class TestBfsConditions:
         with pytest.raises(ValueError):
             AnnulusMeasureSequence.from_dict({-1: Fraction(3)})
 
+    @pytest.mark.parametrize("dim", [1.5, True, 0])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            AnnulusMeasureSequence.from_dict({0: 0.5}, dim=dim)
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            AnnulusMeasureSequence.from_dict({}, dim=dim)
+
     def test_q_infinity_sup_modification(self):
         m = shell_trace_sequence(10)
         rep = bfs_condition_check(m, HerzParams(1, 2, INF, 2), cutoff=10)
@@ -239,17 +253,31 @@ class TestHolder:
         assert rep.passed
 
     def test_profiles_give_the_same_report(self, step_corpus):
+        # reused functions read their kept profiles; fresh equal copies build new ones
+        def fresh(f):
+            return RadialStepFunction(f.dim, f.breakpoints, f.values)
+
         n = len(step_corpus)
-        profiles = [annulus_profile(f) for f in step_corpus]
         for a in (-0.4, 0.0, 0.4):
             for i in range(n):
                 j = (3 * i + 1) % n
                 params = HerzParams(a, 2, 1.5, 3)
-                direct = hl_holder_check(step_corpus[i], step_corpus[j], params)
-                shared = hl_holder_check(
-                    step_corpus[i], step_corpus[j], params, profiles=(profiles[i], profiles[j])
-                )
+                direct = hl_holder_check(fresh(step_corpus[i]), fresh(step_corpus[j]), params)
+                shared = hl_holder_check(step_corpus[i], step_corpus[j], params)
                 assert shared == direct
+
+    def test_reused_functions_build_each_profile_once(self, monkeypatch):
+        from herzlab import herz
+
+        built = []
+        decompose = herz.annuli_decompose
+        monkeypatch.setattr(herz, "annuli_decompose", lambda f: built.append(f) or decompose(f))
+        fns = random_step_functions(5, seed=31)
+        for a in (-0.4, 0.0, 0.4):
+            for i in range(5):
+                hl_holder_check(fns[i], fns[(i + 2) % 5], HerzParams(a, 2, 1.5, 3))
+        assert len(built) == 5
+        assert {id(f) for f in built} == {id(f) for f in fns}
 
     def test_random_sweep(self, step_corpus):
         n = len(step_corpus)
@@ -265,6 +293,36 @@ class TestHolder:
 
 
 class TestEmbeddings:
+    def test_variant_a_sharp_constant(self):
+        # ||f||_{p,inf} <= (r1/p)^{1/r1} ||f||_{p,r1}, with equality on indicators
+        src, tgt = HerzParams(0.3, 2, 1.5, 1), HerzParams(0.3, 2, 1.5, INF)
+        rep = embedding_check("A", annulus_indicator(2), src, tgt)
+        assert rep.constant == 0.5
+        assert rep.ratio == pytest.approx(rep.constant, rel=1e-14)
+        assert rep.passed
+        rep = embedding_check("A", annulus_indicator(0), src, HerzParams(0.3, 2, 1.5, 2))
+        assert rep.constant == pytest.approx(0.5**0.5, rel=1e-15)
+        assert embedding_check("A", annulus_indicator(0), src, src).constant == 1.0
+
+    def test_variant_a_fails_past_the_constant(self, monkeypatch):
+        from herzlab import herz
+
+        src, tgt = HerzParams(0.3, 2, 1.5, 1), HerzParams(0.3, 2, 1.5, INF)
+        norm = herz.hl_norm
+
+        def scaled_target(f, params, starred=False):
+            return norm(f, params, starred) * (1.5 if params == tgt else 1.0)
+
+        monkeypatch.setattr(herz, "hl_norm", scaled_target)
+        rep = embedding_check("A", annulus_indicator(2), src, tgt)
+        assert rep.ratio == pytest.approx(0.75, rel=1e-14)
+        assert not rep.passed
+
+    def test_variant_a_zero_function(self):
+        zero = RadialStepFunction(1, [0, 1], [0])
+        rep = embedding_check("A", zero, HerzParams(0, 2, 1, 1), HerzParams(0, 2, 1, 2))
+        assert (rep.lhs, rep.rhs, rep.ratio, rep.passed) == (0.0, 0.0, 1.0, True)
+
     def test_variant_a_records_constant(self, step_corpus):
         src = HerzParams(0.3, 2, 1.5, 1)
         tgt = HerzParams(0.3, 2, 1.5, 2)

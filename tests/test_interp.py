@@ -1377,7 +1377,14 @@ class TestTail:
         # (N0 / N1)^(-theta q) underflows, and the direct form is 7% low
         ((18, 2.2489048313156754), (7.560842912344, 1.0), (-12.930449845423478, 1.0),
          0.75, 4.0),
-    ], ids=["ratio-underflow", "power-underflow", "crossover-power-underflow"])
+        # the q-th power of the norm underflows, and unscaled K gives (0, 0, 0)
+        ((34, 0.39329992735447755), (-21.67460851801758, 1.0), (-20.043699576945706, 1.0),
+         0.25, 4.0),
+        # the q-th power is subnormal, and unscaled K gives lower = upper, 3e-7 low
+        ((19, 2.5501274984790365), (-13.897560304471483, 1.0), (-14.024376507180747, INF),
+         0.5, 4.0),
+    ], ids=["ratio-underflow", "power-underflow", "crossover-power-underflow",
+            "norm-power-underflow", "norm-power-subnormal"])
     def test_norms_past_the_float_range(self, entry, side0, side1, theta, q):
         # both tail pieces go through the crossover value N0^(1-theta) N1^theta,
         # for K = min(N0, t N1) of one coordinate: the norm is that value
@@ -1394,8 +1401,7 @@ class TestTail:
 class TestVerifySuites:
     def test_seq_a_unit_vectors_ratio_four(self):
         ys = [WeightedSeq.unit(u) for u in range(-1, 11)]
-        rep = verify_interpolation("seq-a", ys, theta=0.5, q=1.0, a0=0.0, a1=1.0,
-                                   t_exponent_bound=40)
+        rep = verify_interpolation("seq-a", ys, theta=0.5, q=1.0, a0=0.0, a1=1.0)
         assert rep.passed
         assert rep.band[0] == pytest.approx(4.0, abs=1e-6)
         assert rep.band[1] == pytest.approx(4.0, abs=1e-6)
@@ -1408,7 +1414,7 @@ class TestVerifySuites:
 
     def test_lorentz_suite_ratio_one(self):
         fns = [ball(1, Fraction(m)) for m in (Fraction(1, 4), 1, 9)]
-        rep = verify_interpolation("lorentz", fns, theta=0.5, q=2.0, t_exponent_bound=40)
+        rep = verify_interpolation("lorentz", fns, theta=0.5, q=2.0)
         assert rep.passed
         assert rep.band[0] == pytest.approx(1.0, abs=1e-7)
         assert rep.band[1] == pytest.approx(1.0, abs=1e-7)

@@ -65,6 +65,12 @@ class TestUnitBallVolume:
             expected = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
             assert float(unit_ball_volume(dim)) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("dim", [2.5, 1.0, True, 0, -2])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, dim):
+        unit_ball_volume(1)  # a cached dimension 1 must not answer for True or 1.0
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            unit_ball_volume(dim)
+
 
 class TestRadialStepFunction:
     def test_shell_measures(self, two_shell):
@@ -77,6 +83,23 @@ class TestRadialStepFunction:
         assert f.shell_measures() == (w / 27, w * (8 - Fraction(1, 27)))
         # the cache is not a field: equality and hashing ignore it
         g = RadialStepFunction(3, [0, Fraction(1, 3), 2], [1, -4])
+        assert f == g and hash(f) == hash(g)
+
+    @pytest.mark.parametrize("dim", [1.5, 2.0, True, False, 0])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            RadialStepFunction(dim, [0, 1], [1])
+
+    def test_large_integer_dimension_constructs(self):
+        f = RadialStepFunction(400, [0, 1], [1])
+        assert f.dim == 400 and f.values == (1,)
+
+    def test_profile_is_kept(self):
+        f = RadialStepFunction(2, [0, Fraction(1, 3), 3], [2, -1])
+        assert f.profile is f.profile
+        assert f.profile.us == [-1, 0, 1, 2]
+        # the profile is not a field: equality and hashing ignore it
+        g = RadialStepFunction(2, [0, Fraction(1, 3), 3], [2, -1])
         assert f == g and hash(f) == hash(g)
 
     def test_breakpoints_must_increase(self):
