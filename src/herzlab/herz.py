@@ -6,19 +6,22 @@ Lorentz norms in a weighted l^q with weights 2^{ua}; r = p recovers the
 classical Herz norm and r = inf its weak variant.
 
 The annulus-profile layer is the one path from a function to those numbers:
-an `AnnulusProfile` holds the decreasing rearrangement of f on each occupied
-annulus.  Each function builds its own on first use and keeps it
-(`RadialStepFunction.profile`, `GridFunction1D.profile`, the latter through
-`operators.grid_annulus_profiles`), and `annulus_profile` returns it, so a
-function used many times is decomposed once.  A profile caches per-annulus
-Lorentz scores per (p, r, starred) and aggregates them only with
-`weighted_lq`; HL norms, the embeddings, the annulus retract, the endpoint
-K-functional and the operator sweeps all read it.
+an `AnnulusProfile` holds, as float data for both function kinds, the steps
+of the decreasing rearrangement of f on each occupied annulus and the
+integral of |f| there; exact arithmetic ends in its builder.  Each function
+builds its own on first use and keeps it (`RadialStepFunction.profile`,
+`GridFunction1D.profile`, the latter through `operators.grid_annulus_profiles`),
+and `annulus_profile` returns it, so a function used many times is decomposed
+once.  A profile caches per-annulus Lorentz scores per (p, r, starred) from
+the float cores of `lorentz` and aggregates them only with `weighted_lq`; HL
+norms, the embeddings, the annulus retract, the endpoint K-functional and the
+operator sweeps all read it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -31,16 +34,14 @@ from .lorentz import (
     LorentzParams,
     conjugate_exponent,
     lorentz_norm_from_steps,
-    lorentz_star_norm,
+    lorentz_star_norm_from_steps,
 )
 from .rearrange import (
     RadialStepFunction,
-    StepRearrangement,
     _check_dim,
     integrate_abs_product,
     pointwise_sum,
     rearrangement,
-    rearrangement_from_pairs,
     restrict_radii,
     unit_ball_volume,
 )
@@ -146,9 +147,10 @@ def annuli_decompose(f: RadialStepFunction) -> list[tuple[int, RadialStepFunctio
 def lq_norm(vals: Sequence[float], q: float) -> float:
     """(sum_i v_i^q)^{1/q} of nonnegative values, max at q = inf; zeros are skipped.
 
-    Where a power or the sum overflows a float, the values are scaled by the
-    largest first, so a norm that a float holds is still returned; an
-    infinite value gives inf.
+    Where a power or the sum leaves the normal float range (overflow,
+    underflow to 0 or to a subnormal), the sum is redone with the values
+    scaled by the largest, so a norm that a float holds is still returned;
+    an infinite value gives inf.
     """
     if not vals:
         return 0.0
@@ -156,9 +158,12 @@ def lq_norm(vals: Sequence[float], q: float) -> float:
     if q == INF or top == INF:
         return top
     try:
-        return math.fsum(v**q for v in vals if v != 0.0) ** (1.0 / q)
+        total = math.fsum(math.pow(v, q) for v in vals if v != 0.0)
     except OverflowError:
-        return top * math.fsum((v / top) ** q for v in vals if v != 0.0) ** (1.0 / q)
+        total = INF
+    if sys.float_info.min <= total < INF:
+        return total ** (1.0 / q)
+    return top * math.fsum(math.pow(v / top, q) for v in vals if v != 0.0) ** (1.0 / q)
 
 
 def weighted_lq(scores: Mapping[int, float], a: float, q: float) -> float:
@@ -168,71 +173,48 @@ def weighted_lq(scores: Mapping[int, float], a: float, q: float) -> float:
 
 @dataclass(eq=False)
 class AnnulusProfile:
-    """Decreasing rearrangement of a function on each occupied dyadic annulus.
+    """Decreasing rearrangement of a function on each occupied dyadic annulus,
+    as float data.
 
     ``us`` lists the occupied annuli in increasing order; ``levels[i]`` and
-    ``knots[i]`` are the float steps of the profile on annulus ``us[i]``
-    (levels decreasing, knots cumulative measures).  ``exact`` holds the
-    exact rearrangements when the profile comes from a radial step function
-    and is None for sampled data; averaged-profile scores and the endpoint
-    (integrable, bounded) data need it.
+    ``knots[i]`` are the steps of the profile on annulus ``us[i]`` (levels
+    decreasing, knots cumulative measures) and ``integrals[i]`` the integral
+    of |f| there.  Both function kinds fill the same fields, so every
+    profile answers every query.
     """
 
     dim: int
     us: Sequence[int]
     levels: Sequence[Sequence[float]]
     knots: Sequence[Sequence[float]]
-    exact: Sequence[StepRearrangement] | None
+    integrals: Sequence[float]
     # keyed by (p, r, starred)
     _scores: dict[tuple[float, float, bool], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False
     )
 
-    def _exact(self) -> Sequence[StepRearrangement]:
-        if self.exact is None:
-            raise ValueError("this quantity needs the exact annulus rearrangements")
-        return self.exact
-
-    def scores(self, params: LorentzParams) -> dict[int, float]:
-        """u -> Lorentz (p, r) quasi-norm of f on A_u (cached: do not mutate)."""
-        key = (params.p, params.r, False)
+    def _cached(self, params: LorentzParams, starred: bool) -> dict[int, float]:
+        key = (params.p, params.r, starred)
         if key not in self._scores:
+            norm = lorentz_star_norm_from_steps if starred else lorentz_norm_from_steps
             self._scores[key] = {
-                u: lorentz_norm_from_steps(w, t, params.p, params.r)
+                u: norm(w, t, params.p, params.r)
                 for u, w, t in zip(self.us, self.levels, self.knots)
             }
         return self._scores[key]
 
+    def scores(self, params: LorentzParams) -> dict[int, float]:
+        """u -> Lorentz (p, r) quasi-norm of f on A_u (cached: do not mutate)."""
+        return self._cached(params, False)
+
     def star_scores(self, params: LorentzParams) -> dict[int, float]:
-        """u -> averaged-profile Lorentz (p, r) norm of f on A_u."""
-        key = (params.p, params.r, True)
-        if key not in self._scores:
-            self._scores[key] = {
-                u: lorentz_star_norm(g, params)
-                for u, g in zip(self.us, self._exact())
-            }
-        return self._scores[key]
+        """u -> averaged-profile Lorentz (p, r) norm of f on A_u (cached)."""
+        return self._cached(params, True)
 
     @cached_property
     def tops(self) -> list[float]:
         """Sup level of f on each annulus: the bounded-base scores."""
         return [w[0] for w in self.levels]
-
-    @cached_property
-    def integrals(self) -> list[float]:
-        """Integral of |f| over each annulus: the integrable-base scores."""
-        return [float(g.total_mass()) for g in self._exact()]
-
-    @cached_property
-    def masses(self) -> list[list[float]]:
-        """Measure of each level set of f* on each annulus."""
-        return [[float(m) for m in g.segment_masses()] for g in self._exact()]
-
-    def merged_rearrangement(self) -> StepRearrangement:
-        """f* of the whole function, merged exactly from the annulus pieces."""
-        return rearrangement_from_pairs(
-            (m, w) for g in self._exact() for m, w in zip(g.segment_masses(), g.levels)
-        )
 
 
 def annulus_profile(f: RadialStepFunction | AnnulusProfile) -> AnnulusProfile:
@@ -242,13 +224,12 @@ def annulus_profile(f: RadialStepFunction | AnnulusProfile) -> AnnulusProfile:
 
 
 def _step_profile(f: RadialStepFunction) -> AnnulusProfile:
-    """Build the profile of a radial step function from its annulus pieces."""
-    us, exact = [], []
-    for u, piece in annuli_decompose(f):
-        us.append(u)
-        exact.append(rearrangement(piece))
-    steps = [g.float_steps() for g in exact]
-    return AnnulusProfile(f.dim, us, [w for w, _ in steps], [t for _, t in steps], exact)
+    """Build the profile of a radial step function from the exact
+    rearrangements of its annulus pieces, which are rounded here and not kept."""
+    exact = [(u, rearrangement(piece)) for u, piece in annuli_decompose(f)]
+    steps = [g.float_steps() for _, g in exact]
+    return AnnulusProfile(f.dim, [u for u, _ in exact], [w for w, _ in steps],
+                          [t for _, t in steps], [float(g.total_mass()) for _, g in exact])
 
 
 def hl_norm(

@@ -17,6 +17,8 @@ least 1 on the Pareto front of the two side norms, at the root in log rho of
 t(rho) = t (_front_k), each front split itself a closed form or a root.  The
 couple whose endpoints are the integrable and bounded functions has
 K(t, f) = integral_0^t f*, the (1, inf) endpoint couple at zero weights.
+A coordinate whose side weight rounds to 0 costs nothing on that side, so
+a plan drops it from K and keeps it in the norms and corners.
 
 k_functional and k_functional_curve are the only K entry points, for
 sequence and endpoint couples alike.  Each source and couple builds one
@@ -31,6 +33,9 @@ Simpson main part, and it brackets both tails of every branch alike.  Their
 sup form (q = inf) reads K only inside the corner window, and its upper end
 is the sup-form bound of each piece between the nodes, since K rises and
 K(t)/t falls.
+
+The verification suites pair each source with its double; the endpoint
+suites read both the norm and the target from the function itself.
 """
 
 from __future__ import annotations
@@ -594,7 +599,9 @@ def _k_plan(
     >= 1), which reads both from the dual-norm test and answers t outside
     them from the norms, and for a sup side against 1 < q0 < inf, whose
     convex capped cost N gives them as -N'(max b) and -N'(0).
-    Uncertified exponents raise ValueError, on an empty support too.
+    A coordinate with a side weight of 0 is left out of K and counted in
+    the norms, so it moves a corner to 0 or inf.  Uncertified exponents
+    raise ValueError, on an empty support too.
     """
     if isinstance(source, WeightedSeq) != (couple.base is None):
         raise ValueError("a sequence couple takes a WeightedSeq, an l1-linf couple "
@@ -627,6 +634,19 @@ def _k_plan(
         )
     norms = ell_norm(source, a0, q0), ell_norm(source, a1, q1)
     a_vec, b_vec = _side_vectors(source, couple)
+    if 0.0 in a_vec or 0.0 in b_vec:
+        # a coordinate whose side weight rounds to 0 is free on that side, so K
+        # is the K of the rest; where the norms still count it, K stays below
+        # t N1 (free on side 0) or N0 (free on side 1) at every t
+        rest = _k_plan(WeightedSeq(tuple((u, v) for u, v in source.entries
+                                         if 2.0 ** (u * a0) * v and 2.0 ** (u * a1) * v)), couple)
+
+        def free_corners() -> tuple[float, float]:
+            lo, hi = rest.corners()
+            return ((lo if norms[1] == rest.norms[1] else 0.0),
+                    (hi if norms[0] == rest.norms[0] else INF))
+
+        return rest._replace(norms=norms, corners=free_corners)
     if not a_vec or q0 == 1.0 and q1 == 1.0:  # no lines at all on an empty support: K = 0
         return _line_plan(_lines([((a, 0.0), (0.0, b)) for a, b in zip(a_vec, b_vec)]), norms)
     if q0 <= 1.0 and q1 <= 1.0:
@@ -760,9 +780,10 @@ def _endpoint_lines(
     """
     (a0, q0), (a1, q1) = side0, side1
     _check_endpoint_exponents(q0, q1)
-    pieces = [
-        (2.0 ** (u * a0) / 2.0 ** (u * a1), 2.0 ** (u * a1) * np.array(levels), np.array(m))
-        for u, levels, m in zip(prof.us, prof.levels, prof.masses)
+    pieces = [  # the level masses are the knot differences
+        (2.0 ** (u * a0) / 2.0 ** (u * a1), 2.0 ** (u * a1) * np.array(levels),
+         np.diff(knots, prepend=0.0))
+        for u, levels, knots in zip(prof.us, prof.levels, prof.knots)
     ]
 
     def group(part: list[tuple[float, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
@@ -985,12 +1006,12 @@ def verify_interpolation(
             return ell_norm(y, a, q_target)
 
     else:
-        pairs = [(annulus_profile(f), scale(f, 2)) for f in corpus if not f.is_zero()]
+        pairs = [(f, scale(f, 2)) for f in corpus if not f.is_zero()]
 
-        def target(prof: AnnulusProfile) -> float:
+        def target(f: RadialStepFunction) -> float:
             if suite == "lorentz":
-                return lorentz_star_norm(prof.merged_rearrangement(), lorentz_target)
-            return hl_norm(prof, hl_target, starred=suite == "hl-3")
+                return lorentz_star_norm(f, lorentz_target)
+            return hl_norm(f, hl_target, starred=suite == "hl-3")
 
     return _ratio_suite(suite, pairs, params, couple, target)
 

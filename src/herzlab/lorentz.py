@@ -1,6 +1,7 @@
 """Lorentz quasi-norms and average-rearrangement (starred) norms.
 
-The quasi-norm of a step profile has an exact closed form.  The starred
+Each norm has one float core on step levels and knots, which functions and
+annulus profiles alike reach.  The quasi-norm has a closed form.  The starred
 norm is the real-interpolation integral of K(t) = t f**(t), which is linear
 between the knots of f*: quadrature.k_norm brackets its chords and its two
 closed-form ends once, and the norm is the midpoint of that bracket.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +37,7 @@ __all__ = [
     "lorentz_norm_from_steps",
     "lorentz_quasi_norm",
     "lorentz_star_norm",
+    "lorentz_star_norm_from_steps",
     "equivalence_check",
     "lorentz_holder_pairing",
     "refinement_chain_check",
@@ -101,8 +104,9 @@ def lorentz_norm_from_steps(
 
     ``levels``/``knots`` describe the profile as in StepRearrangement (knots
     are cumulative measures).  For r < inf the integral of (t^{1/p} w)^r dt/t
-    is a telescoping power sum; for r = inf the supremum is approached at
-    the right knot endpoints.
+    is a telescoping power sum, redone with the levels scaled by the top
+    one where it leaves the normal float range; for r = inf the supremum is
+    approached at the right knot endpoints.
     """
     w = np.asarray(levels, dtype=float)
     if w.size == 0:
@@ -117,8 +121,21 @@ def lorentz_norm_from_steps(
     t_pow = t ** (r / p)
     dt = t_pow.copy()
     dt[1:] -= t_pow[:-1]
-    total = (p / r) * float(np.sum(w**r * dt))
-    return total ** (1.0 / r)
+    try:  # the sum is at most top^r t^(r/p) at the last knot
+        quiet = math.pow(levels[0], r) * math.pow(knots[-1], r / p) < 2.0**1000
+    except OverflowError:
+        quiet = False
+    if quiet:
+        total = (p / r) * float(np.sum(w**r * dt))
+    else:
+        with np.errstate(over="ignore"):
+            total = (p / r) * float(np.sum(w**r * dt))
+    if sys.float_info.min <= total < INF or w[0] == 0.0:
+        return total ** (1.0 / r)
+    # a sum beyond the normal float range is redone with the levels scaled
+    # by the top one
+    top = float(w[0])
+    return top * ((p / r) * float(np.sum((w / top) ** r * dt))) ** (1.0 / r)
 
 
 def _profile(f: RadialStepFunction | StepRearrangement) -> StepRearrangement:
@@ -135,37 +152,43 @@ def lorentz_quasi_norm(
     return lorentz_norm_from_steps(levels, knots, params.p, params.r)
 
 
-def lorentz_star_norm(
-    f: RadialStepFunction | StepRearrangement, params: LorentzParams
+def lorentz_star_norm_from_steps(
+    levels: Sequence[float], knots: Sequence[float], p: float, r: float
 ) -> float:
-    """Lorentz functional with the averaged profile f** in place of f*.
+    """Averaged-profile Lorentz norm of a step profile, (p, r) in the star range.
 
     The integral of (t^{1/p} f**)^r dt/t is the (theta, r) integral of
     K(t) = t f**(t), theta = 1 - 1/p: K is the chord of the integral of f*
     between knots, t times the top level below the first knot and the total
     mass beyond the last, so quadrature.k_norm takes it with the knots as
-    nodes and both corners on the ends.  The value is the midpoint of its
-    certified bracket, and for r = inf the largest t^{1/p} f**(t) at the
-    knots.  Returns +inf when the tail diverges (p <= 1 with nonzero mass,
-    r < inf).
+    nodes and both corners on the ends.  The masses of the steps are the
+    knot differences.  The value is the midpoint of its certified bracket,
+    and for r = inf the largest t^{1/p} f**(t) at the knots.  Returns +inf
+    when the tail diverges (p <= 1 with nonzero mass, r < inf).
     """
+    if len(levels) == 0:
+        return 0.0
+    top = float(levels[0])
+    if p == INF:  # p = r = inf: sup f** = f**(0+) = top level
+        return top
+    if p <= 1.0:  # here p = r = 1, and the tail mass/t has a log divergence
+        return INF
+    ts = [float(t) for t in knots]
+    mass = [float(w) * (t - s) for w, t, s in zip(levels, ts, [0.0, *ts])]
+    k = dict(zip(ts, itertools.accumulate(mass))).__getitem__
+    return k_norm(k, ts, (ts[0], ts[-1]), (math.fsum(mass), top), 1.0 - 1.0 / p, r)[0]
+
+
+def lorentz_star_norm(
+    f: RadialStepFunction | StepRearrangement, params: LorentzParams
+) -> float:
+    """Lorentz functional with the averaged profile f** in place of f*."""
     if not params.allows_star_norm:
         raise ValueError(
             f"averaged-profile norm not defined for (p, r) = ({params.p}, {params.r})"
         )
-    g = _profile(f)
-    if not g.levels:
-        return 0.0
-    p, r = params.p, params.r
-    if p == INF:  # p = r = inf: sup f** = f**(0+) = top level
-        return float(g.top_level)
-    if p <= 1.0:  # here p = r = 1, and the tail mass/t has a log divergence
-        return INF
-    levels, knots = g.float_steps()
-    mass = [w * float(m) for w, m in zip(levels, g.segment_masses())]
-    k = dict(zip(knots, itertools.accumulate(mass))).__getitem__
-    norms = math.fsum(mass), levels[0]
-    return k_norm(k, knots, (knots[0], knots[-1]), norms, 1.0 - 1.0 / p, r)[0]
+    levels, knots = _profile(f).float_steps()
+    return lorentz_star_norm_from_steps(levels, knots, params.p, params.r)
 
 
 @dataclass(frozen=True)
@@ -186,9 +209,9 @@ def equivalence_check(
         raise ValueError(
             "equivalence holds for 1 < p < inf, 1 <= r <= inf, or p = r = inf"
         )
-    g = _profile(f)
-    q_norm = lorentz_quasi_norm(g, params)
-    s_norm = lorentz_star_norm(g, params)
+    levels, knots = _profile(f).float_steps()
+    q_norm = lorentz_norm_from_steps(levels, knots, params.p, params.r)
+    s_norm = lorentz_star_norm_from_steps(levels, knots, params.p, params.r)
     factor = conjugate_exponent(params.p)
     if q_norm == 0.0:
         return EquivalenceReport(q_norm, s_norm, 1.0, factor, s_norm == 0.0)

@@ -11,9 +11,10 @@ transform uses the exact log primitive of the kernel against
 piecewise-constant data, assembled with an FFT.
 
 A grid's cells are read-only, so what depends on them alone is built once
-and kept: `GridFunction1D.profile` (its annulus profile, which in turn keeps
-its per-(p, r) annulus scores; a radial step function keeps its own the same
-way) and `GridFunction1D.refine` (the refined grid, with a profile of its
+and kept: `GridFunction1D.profile` (its annulus profile: the same float data
+as a radial step function's, its integrals summed over the cells, and it in
+turn keeps its per-(p, r) annulus scores, averaged-profile ones included)
+and `GridFunction1D.refine` (the refined grid, with a profile of its
 own).  The maximal and Hilbert sweeps over one corpus share both, and the
 diagonal check of `interpolated_boundedness_check` is one sweep row.  The
 spectrum of the Hilbert log kernel depends only on the grid shape and is
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -489,12 +491,12 @@ def grid_annulus_profiles(f: GridFunction1D) -> AnnulusProfile:
     only the cells that meet it: the two index ranges that meet (-hi, -lo]
     and [lo, hi), merged where they touch, in cell order.  Any superset of
     those cells in cell order gives the same arrays, as the others have
-    zero width.
+    zero width.  The integral of each annulus is the sum over its cells.
     """
     vals = f.array()
     nodes = f.nodes()
     u_max = max(0, math.ceil(math.log2(f.half_width)))
-    us, levels, knots = [], [], []
+    us, levels, knots, integrals = [], [], [], []
     for u in range(-1, u_max + 1):
         if u == -1:
             lo, hi = 0.0, 0.5
@@ -522,7 +524,8 @@ def grid_annulus_profiles(f: GridFunction1D) -> AnnulusProfile:
         us.append(u)
         levels.append(w[order])
         knots.append(np.cumsum(m[order]))
-    return AnnulusProfile(1, us, levels, knots, None)
+        integrals.append(float(w @ m))
+    return AnnulusProfile(1, us, levels, knots, integrals)
 
 
 def hl_norm_from_profiles(profiles: AnnulusProfile, params: HerzParams) -> float:
@@ -535,11 +538,17 @@ def grid_hl_norm(f: GridFunction1D, params: HerzParams) -> float:
 
 
 def grid_lp_norm(f: GridFunction1D, p: float) -> float:
-    """Plain Lebesgue norm, computed directly cell by cell."""
+    """Plain Lebesgue norm, computed directly cell by cell; a power sum beyond
+    the normal float range is redone with the cells scaled by the largest."""
     vals = np.abs(f.array())
+    top = float(vals.max())
     if p == INF:
-        return float(vals.max())
-    return float(np.sum(vals**p) * f.h) ** (1.0 / p)
+        return top
+    with np.errstate(over="ignore"):
+        total = float(np.sum(vals**p) * f.h)
+    if sys.float_info.min <= total < INF or top == 0.0:
+        return total ** (1.0 / p)
+    return top * float(np.sum((vals / top) ** p) * f.h) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

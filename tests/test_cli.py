@@ -372,6 +372,19 @@ class TestRarelyRunPaths:
         assert main([*argv, "--space", "lorentz"]) == 2
         assert "grid records support --space hl or lp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_norm_of_a_grid_beyond_the_float_range(self, tmp_path, capsys, c):
+        unit = grid_indicator(2.0, 16, -1.0, 1.5)
+        path = tmp_path / "tiny.json"
+        save_corpus([GridFunction1D(2.0, c * unit.array())], path)
+        for space, expected in (("lp", grid_lp_norm(unit, 2.0)),
+                                ("hl", grid_hl_norm(unit, HerzParams(0.5, 2.0, 1.0, 2.0)))):
+            capsys.readouterr()
+            assert main(["norm", "--space", space, "--a", "0.5", "--p", "2", "--q", "1",
+                         "--input", str(path)]) == 0
+            assert float(capsys.readouterr().out) == pytest.approx(c * expected, rel=1e-13,
+                                                                  abs=0.0)
+
     def test_norm_hl_star(self, capsys, two_annuli_file):
         assert main(["norm", "--space", "hl-star", "--a", "0.5", "--p", "2", "--q", "1",
                      "--input", two_annuli_file]) == 0

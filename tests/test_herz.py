@@ -1,4 +1,6 @@
+import gc
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,11 @@ from herzlab.herz import (
     embedding_check,
     hl_holder_check,
     hl_norm,
+    lq_norm,
     quasi_constant_probe,
     weighted_lq,
 )
-from herzlab.lorentz import INF, LorentzParams, lorentz_quasi_norm
+from herzlab.lorentz import INF, LorentzParams, lorentz_quasi_norm, lorentz_star_norm
 from herzlab.operators import grid_indicator, grid_annulus_profiles
 from herzlab.rearrange import RadialStepFunction, ball, pointwise_sum, rearrangement
 
@@ -72,7 +75,7 @@ class TestAnnuli:
             assert prof.tops == [float(rearrangement(p).top_level) for _, p in pieces]
             base = LorentzParams(2.0, 1.0)
             assert prof.scores(base) == {u: lorentz_quasi_norm(p, base) for u, p in pieces}
-            assert prof.merged_rearrangement() == rearrangement(f)
+            assert prof.star_scores(base) == {u: lorentz_star_norm(p, base) for u, p in pieces}
 
     def test_profile_is_kept_on_the_function(self, two_shell):
         assert annulus_profile(two_shell) is annulus_profile(two_shell)
@@ -81,11 +84,33 @@ class TestAnnuli:
         grid = grid_indicator(4.0, 64, -1.0, 1.0)
         assert annulus_profile(grid) is grid.profile
 
-    def test_grid_profile_has_no_averaged_scores(self):
-        prof = grid_annulus_profiles(grid_indicator(4.0, 64, -1.0, 1.0))
-        assert list(prof.us) == [-1, 0]
-        with pytest.raises(ValueError):
-            prof.star_scores(LorentzParams(2.0, 2.0))
+    def test_kept_profile_holds_no_fractions(self, step_corpus):
+        # exact arithmetic ends in the builder: nothing the collector scans
+        # on a kept profile is a Fraction
+        for f in step_corpus[:5] + random_step_functions(5, seed=7, dim=3):
+            seen, stack = set(), [annulus_profile(f)]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                assert not isinstance(obj, Fraction)
+                if not isinstance(obj, type):  # a class reaches every module
+                    stack.extend(gc.get_referents(obj))
+
+    @pytest.mark.parametrize("p, r", [(2.0, 1.0), (2.0, 2.0), (3.0, INF), (1.0, 1.0), (INF, INF)])
+    def test_grid_star_scores_match_the_ball(self, p, r):
+        # a grid profile answers the averaged-profile query like a radial one:
+        # the indicator of [-3/4, 3) fills each annulus with one level
+        params = LorentzParams(p, r)
+        prof = grid_annulus_profiles(grid_indicator(4.0, 64, -0.75, 3.0))
+        measures = {-1: 1, 0: Fraction(3, 4), 1: 1, 2: 1}
+        assert list(prof.us) == list(measures)
+        assert prof.integrals == [float(m) for m in measures.values()]
+        for u, score in prof.star_scores(params).items():
+            assert score == pytest.approx(
+                lorentz_star_norm(ball(1, measures[u]), params), rel=1e-15, abs=0.0
+            )
 
     def test_disjoint_supports(self, step_corpus):
         f = step_corpus[0]
@@ -94,6 +119,38 @@ class TestAnnuli:
             from herzlab.rearrange import integrate_abs_product
 
             assert integrate_abs_product(p1, p2) == 0
+
+
+class TestPowerSums:
+    """A power sum that leaves the normal float range is redone scaled by
+    the largest value; an in-range sum keeps the bits of the direct form."""
+
+    @pytest.mark.parametrize("v", [1e-200, 1e-160, 1e200, 5e-324])
+    def test_one_value_is_its_own_norm(self, v):
+        for q in (0.5, 2.0, 4.0):
+            assert lq_norm([v], q) == v
+            assert lq_norm([0.0, v, 0.0], q) == v
+
+    def test_weighted_sum_below_the_range(self):
+        # (2^{-1.5} 1e-100)^4 underflows to 0
+        assert weighted_lq({3: 1e-100}, -0.5, 4.0) == pytest.approx(
+            2.0**-1.5 * 1e-100, rel=1e-15, abs=0.0
+        )
+
+    def test_two_values_beyond_the_range(self):
+        for c in (1e-200, 1e200):
+            assert lq_norm([3.0 * c, 4.0 * c], 2.0) == pytest.approx(5.0 * c, rel=1e-15, abs=0.0)
+
+    def test_in_range_bits_are_kept(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            vals = [rng.uniform(0.0, 10.0) ** rng.choice((1, 5, 40)) for _ in range(6)]
+            q = rng.choice((0.5, 1.0, 1.5, 2.0, 3.0))
+            assert lq_norm(vals, q) == math.fsum(v**q for v in vals if v != 0.0) ** (1.0 / q)
+
+    def test_zeros_and_empty(self):
+        assert lq_norm([], 2.0) == 0.0
+        assert lq_norm([0.0, 0.0], 2.0) == 0.0
 
 
 class TestHLNorm:

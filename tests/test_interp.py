@@ -794,6 +794,68 @@ class TestCornerRange:
             self.check(annulus_profile(f), L1_LINF, lambda t: exact_l1_linf_k(g, t), n0, n1)
 
 
+_ZERO_WEIGHT_COUPLES = [(1.0, 1.0), (0.5, 0.7), (1.0, INF), (2.0, INF), (INF, 1.0),
+                        (INF, 2.0), (1.0, 2.0), (2.0, 2.0), (2.0, 1.0), (INF, INF)]
+
+
+class TestZeroSideWeights:
+    """A side weight 2^{u a} y_u that rounds to 0 leaves coordinate u free on
+    that side: K is the K of y without u, and the norms still count u."""
+
+    Y = WeightedSeq.from_dict({0: 1.0, 1: 2.0, 3: 4.0})
+    REST = WeightedSeq.from_dict({0: 1.0, 1: 2.0})  # 2^{-1200} 4 = 0.0
+
+    @pytest.mark.parametrize("weights", [(0.0, -400.0), (-400.0, 0.0)])
+    @pytest.mark.parametrize("q_pair", _ZERO_WEIGHT_COUPLES)
+    def test_k_is_that_of_the_rest(self, weights, q_pair):
+        couple = CoupleSpec((weights[0], q_pair[0]), (weights[1], q_pair[1]))
+        plan = interp._k_plan(self.Y, couple)
+        assert plan.norms == (ell_norm(self.Y, *couple.side0), ell_norm(self.Y, *couple.side1))
+        ts = [2.0**j for j in range(-12, 13)] + [0.3, 1.7, 5.5]
+        ks = k_functional_curve(ts, self.Y, couple)
+        rest = k_functional_curve(ts, self.REST, couple)
+        if plan.breaks is not None:
+            assert ks == rest
+        assert ks == pytest.approx(rest, rel=1e-12, abs=0.0)
+        # u = 3 is free on side 1 for (0, -400), on side 0 for (-400, 0)
+        t_lo, t_hi = plan.corners()
+        n0, n1 = plan.norms
+        assert (t_hi == INF) if weights[1] else (t_lo == 0.0)
+        for t, k in zip(ts, ks):
+            if t <= t_lo:
+                assert k == pytest.approx(t * n1, rel=1e-12, abs=0.0)
+            if t >= t_hi:
+                assert k == pytest.approx(n0, rel=1e-12, abs=0.0)
+            assert k <= min(n0, t * n1) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("weights", [(0.0, -400.0), (-400.0, 0.0)])
+    @pytest.mark.parametrize("q_pair", _ZERO_WEIGHT_COUPLES)
+    def test_norm_bracket_holds_the_rest(self, weights, q_pair):
+        couple = CoupleSpec((weights[0], q_pair[0]), (weights[1], q_pair[1]))
+        # a short window keeps the Simpson branches quick; the tails cover the rest
+        params = InterpolationParams(0.5, 1.0, t_exponent_bound=6)
+        got = interpolation_norm(self.Y, params, couple)
+        value = interpolation_norm(self.REST, params, couple).value
+        assert got.lower * (1.0 - 1e-8) <= value <= got.upper * (1.0 + 1e-8)
+
+    def test_line_corners_follow_the_rest(self):
+        # K = min(1, t) while N0 = 5: the upper corner is inf, not 1
+        y = WeightedSeq.from_dict({0: 1.0, 3: 4.0})
+        couple = CoupleSpec((0.0, 1.0), (-400.0, 1.0))
+        assert interp._k_plan(y, couple).corners() == (1.0, INF)
+        got = interpolation_norm(y, InterpolationParams(0.5, 1.0), couple)
+        assert got.lower <= 4.0 <= got.upper  # the integral of t^-1/2 min(1, t) dt/t
+        assert got.value == pytest.approx(4.0, rel=1e-5)
+
+    def test_kfunc_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({"records": [
+            {"type": "radial_step", "dim": 1, "breakpoints": [0, 3, 6], "values": [1, 2]}]}))
+        assert cli.main(["kfunc", "--input", str(path), "--a0", "0", "--q0", "2",
+                         "--a1", "-400", "--q1", "2", "--points", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 class TestKPlan:
     """One plan per source and couple, shared by every K entry point."""
 
@@ -1383,8 +1445,12 @@ class TestTail:
         # the q-th power is subnormal, and unscaled K gives lower = upper, 3e-7 low
         ((19, 2.5501274984790365), (-13.897560304471483, 1.0), (-14.024376507180747, INF),
          0.5, 4.0),
+        # the power sum of the corner's dual-norm test underflows; it gave 0,
+        # and the lower corner 1/0 raised ZeroDivisionError
+        ((33, 1.90162218395501), (18.977418095009867, 2.0), (-7.046661983176744, 2.0),
+         0.75, 1.0),
     ], ids=["ratio-underflow", "power-underflow", "crossover-power-underflow",
-            "norm-power-underflow", "norm-power-subnormal"])
+            "norm-power-underflow", "norm-power-subnormal", "corner-dual-underflow"])
     def test_norms_past_the_float_range(self, entry, side0, side1, theta, q):
         # both tail pieces go through the crossover value N0^(1-theta) N1^theta,
         # for K = min(N0, t N1) of one coordinate: the norm is that value

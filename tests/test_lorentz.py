@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -11,8 +12,10 @@ from herzlab.lorentz import (
     conjugate_exponent,
     equivalence_check,
     lorentz_holder_pairing,
+    lorentz_norm_from_steps,
     lorentz_quasi_norm,
     lorentz_star_norm,
+    lorentz_star_norm_from_steps,
     refinement_chain_check,
 )
 from herzlab.rearrange import (
@@ -152,7 +155,47 @@ class TestQuasiNorm:
         assert lorentz_quasi_norm(two_shell, LorentzParams(INF, INF)) == 3.0
 
 
+class TestPowerSumRange:
+    """The closed-form power sum leaves the normal float range only for
+    extreme levels; it is then redone scaled by the top level."""
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e200])
+    @pytest.mark.parametrize("p, r", [(2.0, 2.0), (2.0, 1.0), (1.5, 4.0)])
+    def test_scales_with_the_levels(self, c, p, r):
+        levels, knots = [3.0, 1.0], [0.5, 2.0]
+        unit = lorentz_norm_from_steps(levels, knots, p, r)
+        got = lorentz_norm_from_steps([c * w for w in levels], knots, p, r)
+        assert got == pytest.approx(c * unit, rel=1e-14, abs=0.0)
+
+    def test_one_step_beyond_the_range(self):
+        for c in (1e-200, 1e200):
+            got = lorentz_norm_from_steps([c], [1.0], 2, 2)
+            assert got == pytest.approx(c, rel=1e-15, abs=0.0)
+
+    def test_in_range_bits_are_kept(self, step_corpus):
+        for f in step_corpus[:20]:
+            levels, knots = rearrangement(f).float_steps()
+            if not levels:
+                continue
+            w, t = np.array(levels), np.array(knots)
+            for p, r in ((2.0, 1.0), (1.5, 2.0), (4.0, 3.0)):
+                t_pow = t ** (r / p)
+                dt = np.diff(t_pow, prepend=0.0)
+                direct = ((p / r) * float(np.sum(w**r * dt))) ** (1.0 / r)
+                assert lorentz_norm_from_steps(levels, knots, p, r) == direct
+
+
 class TestStarNorm:
+    def test_core_takes_lists_and_arrays(self, step_corpus):
+        # a grid profile hands the core numpy arrays, a radial one lists
+        for f in step_corpus[:10]:
+            levels, knots = rearrangement(f).float_steps()
+            for p, r in ((2.0, 1.0), (3.0, INF), (1.0, 1.0), (INF, INF)):
+                expected = lorentz_star_norm(f, LorentzParams(p, r))
+                assert lorentz_star_norm_from_steps(levels, knots, p, r) == expected
+                arrays = np.array(levels), np.array(knots)
+                assert lorentz_star_norm_from_steps(*arrays, p, r) == expected
+
     def test_indicator_p2_r1(self):
         assert lorentz_star_norm(ball(1, 1), LorentzParams(2, 1)) == pytest.approx(
             4.0, rel=1e-12

@@ -466,6 +466,17 @@ class TestGridNorms:
                 lp = grid_lp_norm(f, p)
                 assert hl == pytest.approx(lp, rel=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_cells_beyond_the_float_range(self, c):
+        # the power sums leave the normal range; the norms scale with the cells
+        f = small_grid(n=128, half=4.0, seed=3)
+        g = GridFunction1D(f.half_width, c * f.array())
+        assert grid_lp_norm(g, 2.0) == pytest.approx(c * grid_lp_norm(f, 2.0), rel=1e-13, abs=0.0)
+        for params in (HerzParams(0.3, 2.0, 1.5, 2.0), HerzParams(-0.2, 1.5, 4.0, 1.0)):
+            assert grid_hl_norm(g, params) == pytest.approx(
+                c * grid_hl_norm(f, params), rel=1e-12, abs=0.0
+            )
+
     def test_indicator_value(self):
         f = grid_indicator(4.0, 2048, 0.5, 1.0, two_sided=True)  # = A_0
         got = grid_hl_norm(f, HerzParams(0.7, 2, 1, 1))
