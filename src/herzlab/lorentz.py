@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .quadrature import k_norm
+from .quadrature import k_norm, power_sum_norm
 from .rearrange import (
     RadialStepFunction,
     StepRearrangement,
@@ -104,9 +103,9 @@ def lorentz_norm_from_steps(
 
     ``levels``/``knots`` describe the profile as in StepRearrangement (knots
     are cumulative measures).  For r < inf the integral of (t^{1/p} w)^r dt/t
-    is a telescoping power sum, redone with the levels scaled by the top
-    one where it leaves the normal float range; for r = inf the supremum is
-    approached at the right knot endpoints.
+    is a telescoping power sum (quadrature.power_sum_norm, which keeps it
+    within the float range); for r = inf the supremum is approached at the
+    right knot endpoints.
     """
     w = np.asarray(levels, dtype=float)
     if w.size == 0:
@@ -121,21 +120,7 @@ def lorentz_norm_from_steps(
     t_pow = t ** (r / p)
     dt = t_pow.copy()
     dt[1:] -= t_pow[:-1]
-    try:  # the sum is at most top^r t^(r/p) at the last knot
-        quiet = math.pow(levels[0], r) * math.pow(knots[-1], r / p) < 2.0**1000
-    except OverflowError:
-        quiet = False
-    if quiet:
-        total = (p / r) * float(np.sum(w**r * dt))
-    else:
-        with np.errstate(over="ignore"):
-            total = (p / r) * float(np.sum(w**r * dt))
-    if sys.float_info.min <= total < INF or w[0] == 0.0:
-        return total ** (1.0 / r)
-    # a sum beyond the normal float range is redone with the levels scaled
-    # by the top one
-    top = float(w[0])
-    return top * ((p / r) * float(np.sum((w / top) ** r * dt))) ** (1.0 / r)
+    return power_sum_norm(w, r, dt, p / r)
 
 
 def _profile(f: RadialStepFunction | StepRearrangement) -> StepRearrangement:
@@ -164,8 +149,11 @@ def lorentz_star_norm_from_steps(
     nodes and both corners on the ends.  The masses of the steps are the
     knot differences.  The value is the midpoint of its certified bracket,
     and for r = inf the largest t^{1/p} f**(t) at the knots.  Returns +inf
-    when the tail diverges (p <= 1 with nonzero mass, r < inf).
+    when the tail diverges (p <= 1 with nonzero mass, r < inf).  Exponents
+    outside the star range raise ValueError.
     """
+    if not LorentzParams(p, r).allows_star_norm:
+        raise ValueError(f"averaged-profile norm not defined for (p, r) = ({p}, {r})")
     if len(levels) == 0:
         return 0.0
     top = float(levels[0])
@@ -183,10 +171,6 @@ def lorentz_star_norm(
     f: RadialStepFunction | StepRearrangement, params: LorentzParams
 ) -> float:
     """Lorentz functional with the averaged profile f** in place of f*."""
-    if not params.allows_star_norm:
-        raise ValueError(
-            f"averaged-profile norm not defined for (p, r) = ({params.p}, {params.r})"
-        )
     levels, knots = _profile(f).float_steps()
     return lorentz_star_norm_from_steps(levels, knots, params.p, params.r)
 

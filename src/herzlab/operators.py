@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +32,7 @@ import numpy as np
 
 from .herz import AnnulusProfile, HerzParams, annulus_measure, hl_norm, weighted_lq
 from .lorentz import INF, LorentzParams, char_norm_constant, conjugate_exponent
+from .quadrature import power_sum_norm
 
 __all__ = [
     "GridFunction1D",
@@ -538,17 +538,12 @@ def grid_hl_norm(f: GridFunction1D, params: HerzParams) -> float:
 
 
 def grid_lp_norm(f: GridFunction1D, p: float) -> float:
-    """Plain Lebesgue norm, computed directly cell by cell; a power sum beyond
-    the normal float range is redone with the cells scaled by the largest."""
+    """Plain Lebesgue norm, computed directly cell by cell within the float
+    range (quadrature.power_sum_norm)."""
     vals = np.abs(f.array())
-    top = float(vals.max())
     if p == INF:
-        return top
-    with np.errstate(over="ignore"):
-        total = float(np.sum(vals**p) * f.h)
-    if sys.float_info.min <= total < INF or top == 0.0:
-        return total ** (1.0 / p)
-    return top * float(np.sum((vals / top) ** p) * f.h) ** (1.0 / p)
+        return float(vals.max())
+    return power_sum_norm(vals, p, factor=f.h)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ with K(t) = t f**(t), since (L^1, L^inf)_{theta,q} = L^{p,q} for
 `adaptive_simpson`, which certifies nothing and accepts an interval
 silently at its depth cap, gives `k_norm` the main part on the front and
 sup-finish K branches, where K has no known piecewise-linear form.
+`power_sum_norm` takes the discrete integral of a step function, a weighted
+power sum, within the float range.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["adaptive_simpson", "k_norm", "power_integral"]
+__all__ = ["adaptive_simpson", "k_norm", "power_integral", "power_sum_norm"]
 
 # Subdivision depth at which an interval is accepted whatever its error.
 _MAX_DEPTH = 48
@@ -85,6 +87,26 @@ def adaptive_simpson(
             return 0.0
     tol = max(rel_tol * scale, 1e-300)
     return _recurse(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
+
+
+def power_sum_norm(
+    values: np.ndarray, r: float, weights: np.ndarray | float = 1.0, factor: float = 1.0
+) -> float:
+    """(factor * sum_i weights_i values_i^r)^(1/r) of nonnegative values, 0 < r < inf.
+
+    A sum that leaves the normal float range (overflow, or underflow to 0 or
+    a subnormal) is redone with the values scaled by the largest, so a norm
+    that a float holds is returned; an in-range sum keeps the bits of the
+    direct form, and an overflow raises no numpy warning.
+    """
+    with np.errstate(over="ignore"):
+        total = factor * float(np.sum(values**r * weights))
+    if sys.float_info.min <= total < math.inf:
+        return total ** (1.0 / r)
+    top = float(np.max(values, initial=0.0))
+    if top == 0.0 or top == math.inf:
+        return total ** (1.0 / r)
+    return top * (factor * float(np.sum((values / top) ** r * weights))) ** (1.0 / r)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

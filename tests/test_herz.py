@@ -112,6 +112,14 @@ class TestAnnuli:
                 lorentz_star_norm(ball(1, measures[u]), params), rel=1e-15, abs=0.0
             )
 
+    @pytest.mark.parametrize("p, r", [(0.5, 1.0), (2.0, 0.5), (1.0, 2.0)])
+    def test_star_scores_reject_exponents_outside_the_star_range(self, step_corpus, p, r):
+        # the functional is not a norm there, on either function kind
+        for prof in (step_corpus[0].profile,
+                     grid_annulus_profiles(grid_indicator(4.0, 64, -0.75, 3.0))):
+            with pytest.raises(ValueError):
+                prof.star_scores(LorentzParams(p, r))
+
     def test_disjoint_supports(self, step_corpus):
         f = step_corpus[0]
         pieces = annuli_decompose(f)

@@ -196,6 +196,12 @@ class TestStarNorm:
                 arrays = np.array(levels), np.array(knots)
                 assert lorentz_star_norm_from_steps(*arrays, p, r) == expected
 
+    @pytest.mark.parametrize("p, r", [(0.5, 1.0), (2.0, 0.5), (1.0, 2.0)])
+    def test_core_rejects_exponents_outside_the_star_range(self, p, r):
+        for levels, knots in (([2.0, 1.0], [1.0, 3.0]), ([], [])):
+            with pytest.raises(ValueError):
+                lorentz_star_norm_from_steps(levels, knots, p, r)
+
     def test_indicator_p2_r1(self):
         assert lorentz_star_norm(ball(1, 1), LorentzParams(2, 1)) == pytest.approx(
             4.0, rel=1e-12

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from herzlab.quadrature import _GL_NODES, _GL_WEIGHTS, adaptive_simpson, power_integral
+from herzlab.quadrature import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    adaptive_simpson,
+    power_integral,
+    power_sum_norm,
+)
 
 
 class TestAdaptiveSimpson:
@@ -151,3 +157,29 @@ class TestPowerIntegral:
                       (1.0, 2.0, -1.0, 1.0, 0.0, 1.0), (1.0, 2.0, 1.0, 1.0, 0.0, 0.0)):
             with pytest.raises(ValueError):
                 power_integral(*piece)
+
+
+class TestPowerSumNorm:
+    """(factor * sum w v^r)^(1/r), redone scaled by the largest value where the
+    sum leaves the normal float range."""
+
+    def test_in_range_bits_are_the_direct_form(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            v, w = rng.random(7) * 10.0, rng.random(7)
+            r, c = float(rng.uniform(0.5, 6.0)), float(rng.uniform(0.1, 3.0))
+            assert power_sum_norm(v, r, w, c) == (c * float(np.sum(v**r * w))) ** (1.0 / r)
+            assert power_sum_norm(v, r, factor=c) == (c * float(np.sum(v**r))) ** (1.0 / r)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e200, 1e300])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 4.5])
+    def test_scales_with_the_values(self, scale, r):
+        v, w = np.array([3.0, 1.0, 0.0, 2.0]), np.array([0.5, 2.0, 1.0, 1.5])
+        unit = power_sum_norm(v / 3.0, r, w, 0.75)
+        got = power_sum_norm(scale * v / 3.0, r, w, 0.75)
+        assert got == pytest.approx(scale * unit, rel=1e-14, abs=0.0)
+
+    def test_zero_empty_and_infinite_values(self):
+        assert power_sum_norm(np.zeros(3), 2.0) == 0.0
+        assert power_sum_norm(np.zeros(0), 2.0) == 0.0
+        assert power_sum_norm(np.array([1.0, math.inf]), 2.0) == math.inf
