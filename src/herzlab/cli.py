@@ -246,17 +246,7 @@ def _suite_lorentz_equivalence(cfg: SuiteConfig) -> list[Check]:
 
     def one(i: int, f: RadialStepFunction) -> list[CheckRecord]:
         rep = equivalence_check(f, params)
-        return [
-            CheckRecord(
-                "lorentz-equivalence",
-                f"sandwich[{i}]",
-                {"p": cfg.p, "r": cfg.r},
-                lhs=rep.quasi,
-                rhs=rep.star,
-                ratio=rep.ratio,
-                passed=rep.passed,
-            )
-        ]
+        return [rep.record("lorentz-equivalence", f"sandwich[{i}]", {"p": cfg.p, "r": cfg.r})]
 
     return [(lambda i=i, f=f: one(i, f)) for i, f in enumerate(fns)]
 
@@ -269,17 +259,8 @@ def _suite_herz_holder(cfg: SuiteConfig) -> list[Check]:
     def pair(i: int, a: float) -> list[CheckRecord]:
         k, m = i % len(fns), (i * 7 + 3) % len(fns)
         rep = hl_holder_check(fns[k], fns[m], HerzParams(a, cfg.p, cfg.q, cfg.r))
-        return [
-            CheckRecord(
-                "herz-holder",
-                f"pair[{i},a={a}]",
-                {"a": a, "p": cfg.p, "q": cfg.q, "r": cfg.r},
-                lhs=rep.integral,
-                rhs=rep.bound,
-                ratio=rep.ratio,
-                passed=rep.passed,
-            )
-        ]
+        params = {"a": a, "p": cfg.p, "q": cfg.q, "r": cfg.r}
+        return [rep.record("herz-holder", f"pair[{i},a={a}]", params)]
 
     checks = []
     for a in cfg.extra["a_values"]:
@@ -358,18 +339,9 @@ def _suite_embeddings(cfg: SuiteConfig) -> list[Check]:
         ]
         for variant, src, tgt in cases:
             rep = embedding_check(variant, f, src, tgt)
-            records.append(
-                CheckRecord(
-                    "embeddings",
-                    f"{variant}[{i}]",
-                    {"source": src.label(), "target": tgt.label()},
-                    lhs=rep.lhs,
-                    rhs=rep.rhs,
-                    ratio=rep.ratio,
-                    passed=rep.passed,
-                    notes=f"constant={rep.constant:.6g}",
-                )
-            )
+            params = {"source": src.label(), "target": tgt.label()}
+            records.append(rep.record("embeddings", f"{variant}[{i}]", params,
+                                      notes=f"constant={rep.constant:.6g}"))
         return records
 
     return [(lambda i=i, f=f: one(i, f)) for i, f in enumerate(fns)]

@@ -30,11 +30,11 @@ from typing import Mapping, Sequence
 
 from .lorentz import (
     INF,
-    HolderReport,
     LorentzParams,
     conjugate_exponent,
     lorentz_norm_from_steps,
     lorentz_star_norm_from_steps,
+    pairing_comparison,
 )
 from .rearrange import (
     RadialStepFunction,
@@ -45,6 +45,7 @@ from .rearrange import (
     restrict_radii,
     unit_ball_volume,
 )
+from .reporting import Comparison
 
 __all__ = [
     "HerzParams",
@@ -64,7 +65,6 @@ __all__ = [
     "hl_holder_check",
     "embedding_check",
     "BfsReport",
-    "EmbeddingReport",
 ]
 
 
@@ -426,24 +426,12 @@ def hl_holder_check(
     f: RadialStepFunction,
     g: RadialStepFunction,
     params: HerzParams,
-) -> HolderReport:
+) -> Comparison:
     """int |fg| <= ||f||_{HL(a,p,q,r)} ||g||_{HL(-a,p',q',r')}, constant-free."""
     if not (1 < params.p < INF and params.q >= 1 and params.r >= 1):
         raise ValueError("pairing needs 1 < p < inf and 1 <= q, r <= inf")
     integral = float(integrate_abs_product(f, g))
-    bound = hl_norm(f, params) * hl_norm(g, params.conjugate())
-    ratio = integral / bound if bound > 0 else (0.0 if integral == 0.0 else INF)
-    return HolderReport(integral, bound, ratio, integral <= bound * (1.0 + 1e-12) + 1e-12)
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    variant: str
-    lhs: float
-    rhs: float
-    constant: float
-    ratio: float
-    passed: bool
+    return pairing_comparison(integral, hl_norm(f, params) * hl_norm(g, params.conjugate()))
 
 
 def _occupied_weight_constant(us: Sequence[int], a1: float, a2: float) -> float:
@@ -463,10 +451,11 @@ def embedding_check(
     f: RadialStepFunction | AnnulusProfile,
     source: HerzParams,
     target: HerzParams,
-) -> EmbeddingReport:
+) -> Comparison:
     """One of the four embedding directions between HL spaces: lhs is the
     target norm, rhs the source norm (for C, the weak-type bound below), and
-    the check passes when lhs <= bound * rhs within relative slack 1e-9.
+    the check passes when lhs <= constant * rhs within relative slack 1e-9
+    (for C the constant is the per-annulus factor inside rhs, and the bound 1).
 
     (A) r1 <= r2 at fixed (a, p, q): the sharp constant (r1/p)^{1/r1-1/r2}
         of L^{p,r1} in L^{p,r2} (Grafakos, Classical Fourier Analysis,
@@ -514,4 +503,4 @@ def embedding_check(
         rhs = hl_norm(f, source)
     bound = 1.0 if v == "C" else constant
     ratio = lhs / rhs if rhs > 0 else (1.0 if v == "A" else 0.0)
-    return EmbeddingReport(v, lhs, rhs, constant, ratio, lhs <= bound * rhs * (1 + 1e-9))
+    return Comparison(lhs, rhs, ratio, lhs <= bound * rhs * (1 + 1e-9), constant)

@@ -23,13 +23,12 @@ from .rearrange import (
     integrate_abs_product,
     rearrangement,
 )
+from .reporting import Comparison
 
 INF = math.inf
 
 __all__ = [
     "LorentzParams",
-    "EquivalenceReport",
-    "HolderReport",
     "ChainReport",
     "conjugate_exponent",
     "char_norm_constant",
@@ -39,6 +38,7 @@ __all__ = [
     "lorentz_star_norm_from_steps",
     "equivalence_check",
     "lorentz_holder_pairing",
+    "pairing_comparison",
     "refinement_chain_check",
 ]
 
@@ -175,48 +175,35 @@ def lorentz_star_norm(
     return lorentz_star_norm_from_steps(levels, knots, params.p, params.r)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    quasi: float
-    star: float
-    ratio: float
-    factor: float
-    passed: bool
-
-
 def equivalence_check(
     f: RadialStepFunction | StepRearrangement,
     params: LorentzParams,
-) -> EquivalenceReport:
-    """Sandwich quasi <= star <= (p/(p-1)) quasi, within relative slack 1e-9."""
+) -> Comparison:
+    """Sandwich quasi (lhs) <= star (rhs) <= p' quasi within relative slack 1e-9;
+    the ratio is star/quasi (1 for a zero function), the constant p' = p/(p-1)."""
     if not params.in_sandwich_range:
-        raise ValueError(
-            "equivalence holds for 1 < p < inf, 1 <= r <= inf, or p = r = inf"
-        )
+        raise ValueError("equivalence holds for 1 < p < inf, 1 <= r <= inf, or p = r = inf")
     levels, knots = _profile(f).float_steps()
     q_norm = lorentz_norm_from_steps(levels, knots, params.p, params.r)
     s_norm = lorentz_star_norm_from_steps(levels, knots, params.p, params.r)
-    factor = conjugate_exponent(params.p)
+    constant = conjugate_exponent(params.p)
     if q_norm == 0.0:
-        return EquivalenceReport(q_norm, s_norm, 1.0, factor, s_norm == 0.0)
-    ratio = s_norm / q_norm
-    ok = q_norm <= s_norm * (1.0 + 1e-9) and s_norm <= factor * q_norm * (1.0 + 1e-9)
-    return EquivalenceReport(q_norm, s_norm, ratio, factor, ok)
+        return Comparison(q_norm, s_norm, 1.0, s_norm == 0.0, constant)
+    ok = q_norm <= s_norm * (1.0 + 1e-9) and s_norm <= constant * q_norm * (1.0 + 1e-9)
+    return Comparison(q_norm, s_norm, s_norm / q_norm, ok, constant)
 
 
-@dataclass(frozen=True)
-class HolderReport:
-    integral: float
-    bound: float
-    ratio: float
-    passed: bool
+def pairing_comparison(integral: float, bound: float) -> Comparison:
+    """int |fg| against a constant-free Hoelder bound: ratio 0 at 0/0, inf over 0."""
+    ratio = integral / bound if bound > 0 else (0.0 if integral == 0.0 else INF)
+    return Comparison(integral, bound, ratio, integral <= bound * (1.0 + 1e-12) + 1e-12)
 
 
 def lorentz_holder_pairing(
     f: RadialStepFunction,
     g: RadialStepFunction,
     params: LorentzParams,
-) -> HolderReport:
+) -> Comparison:
     """Pairing bound int |fg| <= ||f||_{p,r} ||g||_{p',r'}, constant-free.
 
     The pairing integral is exact shell arithmetic; the declared constant is
@@ -224,11 +211,8 @@ def lorentz_holder_pairing(
     """
     if not (1 < params.p < INF and params.r >= 1):
         raise ValueError("pairing needs 1 < p < inf and 1 <= r <= inf")
-    integral = float(integrate_abs_product(f, g))
     bound = lorentz_quasi_norm(f, params) * lorentz_quasi_norm(g, params.conjugate())
-    ratio = integral / bound if bound > 0 else (0.0 if integral == 0.0 else INF)
-    passed = integral <= bound * (1.0 + 1e-12) + 1e-12
-    return HolderReport(integral, bound, ratio, passed)
+    return pairing_comparison(float(integrate_abs_product(f, g)), bound)
 
 
 @dataclass(frozen=True)

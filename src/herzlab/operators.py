@@ -33,6 +33,7 @@ import numpy as np
 from .herz import AnnulusProfile, HerzParams, annulus_measure, hl_norm, weighted_lq
 from .lorentz import INF, LorentzParams, char_norm_constant, conjugate_exponent
 from .quadrature import power_sum_norm
+from .reporting import Comparison
 
 __all__ = [
     "GridFunction1D",
@@ -344,38 +345,36 @@ _POINT_OPERATORS: dict[str, Callable[[GridFunction1D, Sequence[float]], np.ndarr
 }
 
 
-@dataclass(frozen=True)
-class SizeConditionReport:
-    max_ratio: float
-    refined_ratio: float
-    drift: float
-    points: int
-    passed: bool
-
-
 # A ratio passes when one grid refinement moves it by at most this fraction.
 _DRIFT_TOL = 0.05
+
+
+def _drift(base: float, refined: float) -> tuple[float, bool]:
+    """(drift, passed): a finite base passes when refinement moves it by <= _DRIFT_TOL."""
+    drift = abs(refined - base) / base if base > 0 else 0.0
+    return drift, math.isfinite(base) and drift <= _DRIFT_TOL
 
 
 def size_condition_check(
     operator: str,
     f: GridFunction1D,
     margin: int = 4,
-) -> SizeConditionReport:
+) -> Comparison:
     """Pointwise kernel bound |Tf(x)| <= C int |f(y)|/|x-y| dy off the support.
 
     Evaluates the ratio at all cell centers at least `margin` cells away from
     the support of f, records the largest constant C, and repeats on a doubled
     grid; passing requires a finite constant that is stable under refinement.
+    lhs is C, rhs C on the refined grid, ratio the drift (as in the sweeps).
     """
     if operator not in _POINT_OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
 
-    def max_ratio(g: GridFunction1D) -> tuple[float, int]:
+    def max_ratio(g: GridFunction1D) -> float:
         vals = np.abs(g.array())
         support = np.nonzero(vals)[0]
         if support.size == 0:
-            return 0.0, 0
+            return 0.0
         idx = np.arange(g.n_cells)
         dist = np.minimum.reduce(
             [np.abs(idx - s) for s in (support[0], support[-1])]
@@ -387,13 +386,10 @@ def size_condition_check(
             raise ValueError("no off-support evaluation points available")
         t_vals = np.abs(_POINT_OPERATORS[operator](g, pts))
         k_vals = kernel_integral_at_points(g, pts)
-        return float(np.max(t_vals / k_vals)), int(pts.size)
+        return float(np.max(t_vals / k_vals))
 
-    base, n_pts = max_ratio(f)
-    refined, _ = max_ratio(f.refine())
-    drift = abs(refined - base) / base if base > 0 else 0.0
-    passed = math.isfinite(base) and drift <= _DRIFT_TOL
-    return SizeConditionReport(base, refined, drift, n_pts, passed)
+    base, refined = max_ratio(f), max_ratio(f.refine())
+    return Comparison(base, refined, *_drift(base, refined))
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +602,8 @@ def _sweep_ratios(
                 continue
             base_ratio = max(base_ratio, n_tf / n_f)
             fine_ratio = max(fine_ratio, n_tfr / n_fr)
-        drift = abs(fine_ratio - base_ratio) / base_ratio if base_ratio > 0 else 0.0
-        passed = math.isfinite(base_ratio) and drift <= _DRIFT_TOL
-        rows.append(SweepCell(operator, a, p, q, r, base_ratio, fine_ratio, drift, passed))
+        rows.append(SweepCell(operator, a, p, q, r, base_ratio, fine_ratio,
+                              *_drift(base_ratio, fine_ratio)))
     return rows
 
 

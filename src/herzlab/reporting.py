@@ -1,4 +1,5 @@
-"""Flat check records shared by every verification suite."""
+"""Flat check records shared by every verification suite, and the one result,
+`Comparison`, of a two-sided check (a left side against a bound)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
-__all__ = ["CheckRecord", "write_report", "read_report", "render_tsv", "summarize"]
+__all__ = ["CheckRecord", "Comparison", "write_report", "read_report", "render_tsv", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,22 @@ class CheckRecord:
         d = _as_dict(self)
         d["params"] = json.dumps(_clean(self.params), sort_keys=True)
         return d
+
+
+@dataclass(frozen=True)
+class Comparison:
+    lhs: float
+    rhs: float
+    ratio: float
+    passed: bool
+    constant: float = 1.0
+
+    def record(
+        self, suite: str, check_id: str, params: dict[str, Any], notes: str = ""
+    ) -> CheckRecord:
+        return CheckRecord(
+            suite, check_id, params, self.lhs, self.rhs, self.ratio, self.passed, notes
+        )
 
 
 _FIELDS = tuple(f.name for f in fields(CheckRecord))

@@ -122,8 +122,8 @@ def test_03_sandwich_equivalence():
                 for r in (1.0, 2.0, INF):
                     assert equivalence_check(f, LorentzParams(p, r)).passed
         rep = equivalence_check(ball(1, 1), LorentzParams(2, 1))
-        assert rep.quasi == pytest.approx(2.0, rel=1e-12)
-        assert rep.star == pytest.approx(4.0, rel=1e-9)
+        assert rep.lhs == pytest.approx(2.0, rel=1e-12)
+        assert rep.rhs == pytest.approx(4.0, rel=1e-9)
         assert rep.ratio == pytest.approx(2.0, rel=1e-9)  # p/(p-1) attained
 
 
@@ -155,7 +155,7 @@ def test_05_hl_holder_pairs():
         assert checked >= 500
         chi = annulus_indicator(0)
         rep = hl_holder_check(chi, chi, HerzParams(0.3, 2, 2, 2))
-        assert rep.integral == pytest.approx(rep.bound, rel=1e-14)
+        assert rep.lhs == pytest.approx(rep.rhs, rel=1e-14)
 
 
 def test_06_retract_isometry():

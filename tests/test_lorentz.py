@@ -326,8 +326,8 @@ class TestEquivalence:
         monkeypatch.setattr(lorentz, "rearrangement", counting)
         for params in (LorentzParams(2, 1), LorentzParams(3, INF), LorentzParams(INF, INF)):
             rep = equivalence_check(two_shell, params)
-            assert rep.quasi == lorentz_quasi_norm(rearrangement(two_shell), params)
-            assert rep.star == lorentz_star_norm(rearrangement(two_shell), params)
+            assert rep.lhs == lorentz_quasi_norm(rearrangement(two_shell), params)
+            assert rep.rhs == lorentz_star_norm(rearrangement(two_shell), params)
         assert calls == [two_shell] * 3
         equivalence_check(rearrangement(two_shell), LorentzParams(2, 1))
         assert len(calls) == 3
@@ -339,14 +339,14 @@ class TestHolderPairing:
 
         chi = annulus_indicator(0)
         rep = lorentz_holder_pairing(chi, chi, LorentzParams(2, 2))
-        assert rep.integral == pytest.approx(1.0)
-        assert rep.bound == pytest.approx(1.0)
+        assert rep.lhs == pytest.approx(1.0)
+        assert rep.rhs == pytest.approx(1.0)
         assert rep.passed
 
     def test_zero_partner(self, two_shell):
         zero = RadialStepFunction(1, [0, 1], [0])
         rep = lorentz_holder_pairing(two_shell, zero, LorentzParams(2, 1))
-        assert rep.integral == 0.0
+        assert rep.lhs == 0.0
         assert rep.passed
 
     def test_random_pairs_constant_one(self, step_corpus):

@@ -377,7 +377,7 @@ class TestSizeCondition:
         assert t_val / k_val == pytest.approx(1.0 / math.pi, rel=1e-12)
         rep = size_condition_check("hilbert", f, margin=8)
         assert rep.passed
-        assert rep.max_ratio <= 1.0 / math.pi + 1e-9
+        assert rep.lhs <= 1.0 / math.pi + 1e-9
 
     def test_maximal_point_ratio(self):
         f = grid_indicator(8.0, 2**12, -1.0, 1.0)
@@ -390,12 +390,12 @@ class TestSizeCondition:
     def test_maximal_passes(self):
         f = grid_indicator(8.0, 1024, -1.0, 1.0)
         rep = size_condition_check("maximal", f, margin=8)
-        assert rep.passed and math.isfinite(rep.max_ratio)
+        assert rep.passed and math.isfinite(rep.lhs)
 
     def test_zero_function(self):
         f = GridFunction1D(1.0, [0.0] * 16)
         rep = size_condition_check("hilbert", f, margin=2)
-        assert rep.max_ratio == 0.0
+        assert rep.lhs == 0.0
 
 
 class TestAnnulusInteraction:
