@@ -77,6 +77,15 @@ def _list_of(check: _Pred, length: int | None = None) -> _Pred:
                       and all(map(check, v)))
 
 
+def _fractions(text: str, flag: str) -> list[tuple[str, Fraction]]:
+    """The tokens of a comma list and their exact values; a zero denominator
+    is a configuration error, as a malformed token is."""
+    try:
+        return [(tok, Fraction(tok)) for tok in text.split(",")]
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"{flag} {text!r} has a zero denominator") from exc
+
+
 def _float(x: str) -> float:
     if x in ("inf", "Inf", "INF", "oo"):
         return INF
@@ -641,25 +650,23 @@ def _load_record(path: str, index: int) -> corpus_mod.CorpusObject:
 
 def _cmd_norm(args: argparse.Namespace) -> int:
     obj = _load_record(args.input, args.index)
-    r = args.r if args.r is not None else args.p
+    # L^p is L^{p,p}; the pair is checked before any norm is formed
+    inner = LorentzParams(args.p, args.p if args.space == "lp" or args.r is None else args.r)
     if isinstance(obj, GridFunction1D):
         if args.space == "lp":
-            value = grid_lp_norm(obj, args.p)
+            value = grid_lp_norm(obj, inner.p)
         elif args.space == "hl":
-            value = grid_hl_norm(obj, HerzParams(args.a, args.p, args.q, r))
+            value = grid_hl_norm(obj, HerzParams(args.a, inner.p, args.q, inner.r))
         else:
             raise ConfigError("grid records support --space hl or lp")
     elif isinstance(obj, RadialStepFunction):
-        if args.space == "lorentz":
-            value = lorentz_quasi_norm(obj, LorentzParams(args.p, r))
+        if args.space in ("lorentz", "lp"):
+            value = lorentz_quasi_norm(obj, inner)
         elif args.space == "lorentz-star":
-            value = lorentz_star_norm(obj, LorentzParams(args.p, r))
-        elif args.space == "hl":
-            value = hl_norm(obj, HerzParams(args.a, args.p, args.q, r))
-        elif args.space == "hl-star":
-            value = hl_norm(obj, HerzParams(args.a, args.p, args.q, r), starred=True)
+            value = lorentz_star_norm(obj, inner)
         else:
-            value = obj.power_integral(args.p) ** (1.0 / args.p)
+            herz = HerzParams(args.a, inner.p, args.q, inner.r)
+            value = hl_norm(obj, herz, starred=args.space == "hl-star")
     else:
         raise ConfigError("record type has no norm")
     print(f"{value!r}")
@@ -670,15 +677,14 @@ def _cmd_rearrange(args: argparse.Namespace) -> int:
     obj = _load_record(args.input, args.index)
     if not isinstance(obj, RadialStepFunction):
         raise ConfigError("rearrange needs a radial step record")
+    points = _fractions(args.points, "--points") if args.points else []
     g = rearrangement(obj)
     print("knots:", " ".join(str(t) for t in g.knots))
     print("levels:", " ".join(str(w) for w in g.levels))
-    if args.points:
-        for tok in args.points.split(","):
-            t = Fraction(tok)
-            star = g.value_at(t)
-            avg = average_rearrangement(g, t) if t > 0 else g.top_level
-            print(f"t={tok}: f*={float(star)!r} f**={float(avg)!r}")
+    for tok, t in points:
+        star = g.value_at(t)
+        avg = average_rearrangement(g, t) if t > 0 else g.top_level
+        print(f"t={tok}: f*={float(star)!r} f**={float(avg)!r}")
     return 0
 
 
@@ -741,7 +747,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
     measures = None
     if args.measures:
-        measures = [float(Fraction(tok)) for tok in args.measures.split(",")]
+        measures = [float(m) for _, m in _fractions(args.measures, "--measures")]
     objs = corpus_mod.generate_corpus(
         args.kind,
         args.size,

@@ -15,7 +15,8 @@ and `annulus_profile` returns it, so a function used many times is decomposed
 once.  A profile caches per-annulus Lorentz scores per (p, r, starred) from
 the float cores of `lorentz` and aggregates them only with `weighted_lq`; HL
 norms, the embeddings, the annulus retract, the endpoint K-functional and the
-operator sweeps all read it.
+operator sweeps all read it.  The HL pairing and the embeddings return a
+`reporting.Comparison`.
 """
 
 from __future__ import annotations

@@ -81,7 +81,6 @@ __all__ = [
     "coretract_M",
     "k_functional",
     "k_functional_curve",
-    "check_k_curve",
     "interpolation_norm",
     "verify_interpolation",
     "SuiteReport",
@@ -510,46 +509,6 @@ def _vertex_norms(
     return s0 ** (1.0 / q0), s1 ** (1.0 / q1)
 
 
-def _dual_bound(
-    s: Sequence[float],
-    t: float,
-    a_vec: Sequence[float],
-    b_vec: Sequence[float],
-    q0: float,
-    q1: float,
-) -> float:
-    """K-J dual lower bound on K(t) built from a split s (exponents in [1, inf)).
-
-    Any z >= 0 with ||z/a||_{q0'} <= 1 and ||z/b||_{q1'} <= t gives
-    K(t) >= sum z, by Hoelder on each part of every split.  The candidates
-    are the side-0 gradient z0_u = a_u^{q0} s_u^{q0-1} N0^{1-q0}, t times the
-    side-1 gradient z1_u = b_u^{q1} (1-s_u)^{q1-1} N1^{1-q1}, and their
-    maximum; at a minimizer z0 and z1 agree on the coordinates that matter.
-    Each is rescaled to feasibility and the best bound is kept.
-    """
-    n0 = lq_norm([a * x for a, x in zip(a_vec, s)], q0)
-    n1 = lq_norm([b * (1.0 - x) for b, x in zip(b_vec, s)], q1)
-    grads = []
-    if n0 > 0.0:
-        grads.append([a**q0 * x ** (q0 - 1.0) * n0 ** (1.0 - q0) for a, x in zip(a_vec, s)])
-    if n1 > 0.0:
-        grads.append(
-            [t * b**q1 * (1.0 - x) ** (q1 - 1.0) * n1 ** (1.0 - q1) for b, x in zip(b_vec, s)]
-        )
-    if len(grads) == 2:
-        grads.append([max(z0, z1) for z0, z1 in zip(*grads)])
-    qd0, qd1 = conjugate_exponent(q0), conjugate_exponent(q1)
-    best = 0.0
-    for z in grads:
-        scale = max(
-            lq_norm([zi / a for zi, a in zip(z, a_vec)], qd0),
-            lq_norm([zi / b for zi, b in zip(z, b_vec)], qd1) / t,
-        )
-        if scale > 0.0:
-            best = max(best, math.fsum(z) / scale)
-    return best
-
-
 class _KPlan(NamedTuple):
     """K of one source and couple: `k(t)` evaluates it at one t, `norms`
     holds the source's couple norms (N0, N1), and `corners()` computes the
@@ -727,37 +686,6 @@ def k_functional_curve(
     if any(t <= 0 for t in ts):
         raise ValueError("t must be positive")
     return list(map(_k_plan(y, couple).k, ts))
-
-
-def check_k_curve(
-    ts: Sequence[float],
-    ks: Sequence[float],
-    norm0: float,
-    norm1: float,
-    tol: float = 1e-7,
-) -> list[float]:
-    """Assert the structural invariants of a K curve.
-
-    Checks that the curve is nondecreasing and concave in t, that K(t)/t is
-    nonincreasing, and that K(t) <= min(norm0, t norm1) throughout.
-    """
-    scale_ref = max(norm0, max(ks, default=0.0), 1e-300)
-    for t, k in zip(ts, ks):
-        if k > min(norm0, t * norm1) * (1.0 + tol) + tol * scale_ref:
-            raise AssertionError(f"K({t}) = {k} exceeds min(N0, t N1)")
-    for (t1, k1), (t2, k2) in zip(zip(ts, ks), zip(ts[1:], ks[1:])):
-        if k2 < k1 * (1.0 - tol) - tol * scale_ref:
-            raise AssertionError("K must be nondecreasing")
-        if k2 / t2 > (k1 / t1) * (1.0 + tol) + tol * scale_ref:
-            raise AssertionError("K(t)/t must be nonincreasing")
-    slopes = [
-        (k2 - k1) / (t2 - t1)
-        for (t1, k1), (t2, k2) in zip(zip(ts, ks), zip(ts[1:], ks[1:]))
-    ]
-    for s1, s2 in zip(slopes, slopes[1:]):
-        if s2 > s1 + tol * scale_ref:
-            raise AssertionError("K must be concave in t")
-    return list(ks)
 
 
 def _check_endpoint_exponents(q0: float, q1: float) -> None:

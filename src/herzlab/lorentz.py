@@ -5,6 +5,8 @@ annulus profiles alike reach.  The quasi-norm has a closed form.  The starred
 norm is the real-interpolation integral of K(t) = t f**(t), which is linear
 between the knots of f*: quadrature.k_norm brackets its chords and its two
 closed-form ends once, and the norm is the midpoint of that bracket.
+The sandwich and the pairing return a `reporting.Comparison`, and
+`pairing_comparison` is the pass rule of both Hoelder pairings.
 """
 
 from __future__ import annotations

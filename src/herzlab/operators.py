@@ -18,7 +18,8 @@ and `GridFunction1D.refine` (the refined grid, with a profile of its
 own).  The maximal and Hilbert sweeps over one corpus share both, and the
 diagonal check of `interpolated_boundedness_check` is one sweep row.  The
 spectrum of the Hilbert log kernel depends only on the grid shape and is
-kept for the last few shapes.
+kept for the last few shapes.  The size condition and the sweeps share one
+drift rule.
 """
 
 from __future__ import annotations
@@ -345,7 +346,6 @@ _POINT_OPERATORS: dict[str, Callable[[GridFunction1D, Sequence[float]], np.ndarr
 }
 
 
-# A ratio passes when one grid refinement moves it by at most this fraction.
 _DRIFT_TOL = 0.05
 
 

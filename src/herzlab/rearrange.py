@@ -186,14 +186,6 @@ class RadialStepFunction:
             Fraction(0),
         )
 
-    def power_integral(self, p: float) -> float:
-        """Integral of |f|^p, evaluated directly shell by shell."""
-        return math.fsum(
-            float(abs(v)) ** p * float(m)
-            for m, v in zip(self.shell_measures(), self.values)
-            if v != 0
-        )
-
     def value_at_radius(self, rho: Number) -> Fraction:
         r = _as_fraction(rho)
         if r < 0:

@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from herzlab.corpus import random_step_functions
+from herzlab.herz import lq_norm
+from herzlab.lorentz import conjugate_exponent
 from herzlab.rearrange import RadialStepFunction
 
 
@@ -22,6 +26,13 @@ def nonneg_corpus():
     return random_step_functions(30, seed=99, nonnegative=True)
 
 
+def power_integral(f: RadialStepFunction, p: float) -> float:
+    """Independent L^p oracle: the integral of |f|^p, evaluated shell by shell."""
+    return math.fsum(
+        float(abs(v)) ** p * float(m) for m, v in zip(f.shell_measures(), f.values) if v != 0
+    )
+
+
 def brute_rearrangement_value(f: RadialStepFunction, s: Fraction) -> Fraction:
     """Independent oracle: invert the distribution function by scanning levels.
 
@@ -36,3 +47,74 @@ def brute_rearrangement_value(f: RadialStepFunction, s: Fraction) -> Fraction:
         if distribution(f, alpha) <= s:
             return alpha
     raise AssertionError("distribution never drops below s")
+
+
+def dual_bound(
+    s: Sequence[float],
+    t: float,
+    a_vec: Sequence[float],
+    b_vec: Sequence[float],
+    q0: float,
+    q1: float,
+) -> float:
+    """K-J dual lower bound on K(t) built from a split s (exponents in [1, inf)).
+
+    Any z >= 0 with ||z/a||_{q0'} <= 1 and ||z/b||_{q1'} <= t gives
+    K(t) >= sum z, by Hoelder on each part of every split.  The candidates
+    are the side-0 gradient z0_u = a_u^{q0} s_u^{q0-1} N0^{1-q0}, t times the
+    side-1 gradient z1_u = b_u^{q1} (1-s_u)^{q1-1} N1^{1-q1}, and their
+    maximum; at a minimizer z0 and z1 agree on the coordinates that matter.
+    Each is rescaled to feasibility and the best bound is kept.
+    """
+    n0 = lq_norm([a * x for a, x in zip(a_vec, s)], q0)
+    n1 = lq_norm([b * (1.0 - x) for b, x in zip(b_vec, s)], q1)
+    grads = []
+    if n0 > 0.0:
+        grads.append([a**q0 * x ** (q0 - 1.0) * n0 ** (1.0 - q0) for a, x in zip(a_vec, s)])
+    if n1 > 0.0:
+        grads.append(
+            [t * b**q1 * (1.0 - x) ** (q1 - 1.0) * n1 ** (1.0 - q1) for b, x in zip(b_vec, s)]
+        )
+    if len(grads) == 2:
+        grads.append([max(z0, z1) for z0, z1 in zip(*grads)])
+    qd0, qd1 = conjugate_exponent(q0), conjugate_exponent(q1)
+    best = 0.0
+    for z in grads:
+        scale = max(
+            lq_norm([zi / a for zi, a in zip(z, a_vec)], qd0),
+            lq_norm([zi / b for zi, b in zip(z, b_vec)], qd1) / t,
+        )
+        if scale > 0.0:
+            best = max(best, math.fsum(z) / scale)
+    return best
+
+
+def check_k_curve(
+    ts: Sequence[float],
+    ks: Sequence[float],
+    norm0: float,
+    norm1: float,
+    tol: float = 1e-7,
+) -> list[float]:
+    """Assert the structural invariants of a K curve.
+
+    Checks that the curve is nondecreasing and concave in t, that K(t)/t is
+    nonincreasing, and that K(t) <= min(norm0, t norm1) throughout.
+    """
+    scale_ref = max(norm0, max(ks, default=0.0), 1e-300)
+    for t, k in zip(ts, ks):
+        if k > min(norm0, t * norm1) * (1.0 + tol) + tol * scale_ref:
+            raise AssertionError(f"K({t}) = {k} exceeds min(N0, t N1)")
+    for (t1, k1), (t2, k2) in zip(zip(ts, ks), zip(ts[1:], ks[1:])):
+        if k2 < k1 * (1.0 - tol) - tol * scale_ref:
+            raise AssertionError("K must be nondecreasing")
+        if k2 / t2 > (k1 / t1) * (1.0 + tol) + tol * scale_ref:
+            raise AssertionError("K(t)/t must be nonincreasing")
+    slopes = [
+        (k2 - k1) / (t2 - t1)
+        for (t1, k1), (t2, k2) in zip(zip(ts, ks), zip(ts[1:], ks[1:]))
+    ]
+    for s1, s2 in zip(slopes, slopes[1:]):
+        if s2 > s1 + tol * scale_ref:
+            raise AssertionError("K must be concave in t")
+    return list(ks)

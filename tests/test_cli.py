@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from herzlab import cli
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
-from herzlab.corpus import load_corpus, save_corpus
+from herzlab.corpus import load_corpus, random_step_functions, save_corpus
 from herzlab.herz import HerzParams, hl_norm
 from herzlab.operators import (
     GridFunction1D,
@@ -450,3 +450,114 @@ def test_kfunc_exponents_exit_0_or_2(five_annuli_file, q0, q1):
     code = main(["kfunc", "--input", five_annuli_file, "--q0", q0, "--q1", q1,
                  "--points", "8"])
     assert code in (0, 2)
+
+
+class TestComparisonRecords:
+    """Each record of a two-sided suite is its check's `Comparison.record`."""
+
+    def test_lorentz_equivalence(self):
+        from herzlab.lorentz import INF, LorentzParams, equivalence_check
+
+        records, _ = run_suite(SuiteConfig("lorentz-equivalence", size=5, p=3.0, r=INF))
+        fns = random_step_functions(5, 20240801)
+        assert records == [
+            equivalence_check(f, LorentzParams(3.0, INF)).record(
+                "lorentz-equivalence", f"sandwich[{i}]", {"p": 3.0, "r": INF}
+            )
+            for i, f in enumerate(fns)
+        ]
+
+    def test_herz_holder(self):
+        from herzlab.herz import hl_holder_check
+
+        records, _ = run_suite(SuiteConfig("herz-holder", size=4))
+        fns = random_step_functions(4, 20240801)
+        expected = []
+        for a in (-0.4, 0.0, 0.4):
+            herz, params = HerzParams(a, 2.0, 1.0, 2.0), {"a": a, "p": 2.0, "q": 1.0, "r": 2.0}
+            for i in range(4):
+                rep = hl_holder_check(fns[i % 4], fns[(7 * i + 3) % 4], herz)
+                expected.append(rep.record("herz-holder", f"pair[{i},a={a}]", params))
+        assert records == expected
+
+    def test_embeddings(self):
+        from herzlab.herz import embedding_check
+        from herzlab.lorentz import INF
+
+        records, _ = run_suite(SuiteConfig("embeddings", size=3))
+        cases = [
+            ("A", HerzParams(0.3, 2.0, 1.5, 1.0), HerzParams(0.3, 2.0, 1.5, 2.0)),
+            ("B", HerzParams(1.0, 2.0, 1.0, 2.0), HerzParams(0.0, 2.0, 1.0, 2.0)),
+            ("C", HerzParams(0.0, 4.0, 2.0, INF), HerzParams(0.0, 2.0, 2.0, 2.0)),
+            ("D", HerzParams(0.0, 2.0, 1.0, 2.0), HerzParams(0.0, 2.0, 2.0, 2.0)),
+        ]
+        expected = []
+        for i, f in enumerate(random_step_functions(3, 20240801)):
+            for v, src, tgt in cases:
+                rep = embedding_check(v, f, src, tgt)
+                params = {"source": src.label(), "target": tgt.label()}
+                expected.append(rep.record("embeddings", f"{v}[{i}]", params,
+                                           notes=f"constant={rep.constant:.6g}"))
+        assert records == expected
+
+
+class TestNormExponents:
+    """`norm` builds its exponent pair before any norm; L^p is read as L^{p,p}."""
+
+    @pytest.fixture()
+    def radial_file(self, tmp_path):
+        path = tmp_path / "radial.json"
+        record = {"type": "radial_step", "dim": 1, "breakpoints": [0, 3, 6], "values": [5, 2]}
+        path.write_text(json.dumps({"records": [record]}))
+        return str(path)
+
+    @pytest.fixture()
+    def grid_file(self, tmp_path):
+        path = tmp_path / "grid.json"
+        save_corpus([grid_indicator(2.0, 16, -1.0, 1.5)], path)
+        return str(path)
+
+    def test_lp_at_infinity_is_the_sup(self, capsys, radial_file):
+        assert main(["norm", "--space", "lp", "--p", "inf", "--input", radial_file]) == 0
+        assert capsys.readouterr().out == "5.0\n"
+
+    @pytest.mark.parametrize("p", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("kind", ["radial", "grid"])
+    def test_bad_exponent_exit_2(self, capsys, request, p, kind):
+        path = request.getfixturevalue(f"{kind}_file")
+        assert main(["norm", "--space", "lp", "--p", p, "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "exponents must be positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_lp_beyond_the_float_range(self, tmp_path, capsys, c):
+        path = tmp_path / "scaled.json"
+        save_corpus([RadialStepFunction(1, [0, 1], [c])], path)
+        assert main(["norm", "--space", "lp", "--p", "2", "--input", str(path)]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(c * math.sqrt(2.0), rel=1e-15,
+                                                              abs=0.0)
+
+    def test_lp_matches_the_power_integral(self, capsys, two_annuli_file):
+        from conftest import power_integral
+
+        f = load_corpus(two_annuli_file)[0]
+        for p in ("1", "1.5", "2", "3.7"):
+            assert main(["norm", "--space", "lp", "--p", p, "--input", two_annuli_file]) == 0
+            expected = power_integral(f, float(p)) ** (1.0 / float(p))
+            assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-14)
+
+
+class TestZeroDenominators:
+    def test_rearrange_points(self, capsys, two_annuli_file):
+        assert main(["rearrange", "--input", two_annuli_file, "--points", "1/2,1/0"]) == 2
+        captured = capsys.readouterr()
+        assert "--points" in captured.err and "zero denominator" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_gen_corpus_measures(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["gen-corpus", "--kind", "characteristic", "--size", "2",
+                     "--measures", "1,1/0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--measures" in err and "zero denominator" in err and "Traceback" not in err
+        assert not out.exists()

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import check_k_curve, dual_bound
 from herzlab import cli, interp, quadrature
 from herzlab.corpus import random_step_functions, save_corpus
 from herzlab.herz import HerzParams, annuli_decompose, annulus_profile, hl_norm, weighted_lq
@@ -19,7 +20,6 @@ from herzlab.interp import (
     CoupleSpec,
     InterpolationParams,
     WeightedSeq,
-    check_k_curve,
     coretract_M,
     ell_norm,
     interpolation_norm,
@@ -377,7 +377,7 @@ class TestKFunctional:
         a, b = interp._side_vectors(y, couple)
         value, s = interp._front_k(t, a, b, q0, q1)
         assert value == got
-        assert got - interp._dual_bound(s, t, a, b, q0, q1) <= 1e-9 * got
+        assert got - dual_bound(s, t, a, b, q0, q1) <= 1e-9 * got
 
     def test_front_finds_the_one_coordinate_split(self):
         # the split (0, 1) costs exactly 1.0; coordinate descent returned 2.0
@@ -412,7 +412,7 @@ class TestKFunctional:
                 if t_lo < t < t_hi:
                     value, s = interp._front_k(t, a, b, q0, q1)
                     assert value == k
-                    assert k - interp._dual_bound(s, t, a, b, q0, q1) <= 1e-9 * k, (y, couple, t)
+                    assert k - dual_bound(s, t, a, b, q0, q1) <= 1e-9 * k, (y, couple, t)
                     inside += 1
         assert inside > 500
 

@@ -362,6 +362,31 @@ class TestHolderPairing:
         assert worst <= 1.0 + 1e-12
 
 
+class TestPairingConventions:
+    """Both Hoelder pairings share one rule: 0/0 passes with ratio 0, and a
+    positive integral over a zero bound fails with ratio inf."""
+
+    @pytest.fixture(params=["lorentz", "herz"])
+    def pairing(self, request):
+        from herzlab import herz, lorentz
+
+        if request.param == "lorentz":
+            return lorentz, lorentz.lorentz_holder_pairing, LorentzParams(2, 1)
+        return herz, herz.hl_holder_check, herz.HerzParams(0.3, 2, 1, 2)
+
+    def test_zero_over_zero(self, pairing):
+        _, check, params = pairing
+        zero = RadialStepFunction(1, [0, 1], [0])
+        rep = check(zero, zero, params)
+        assert (rep.lhs, rep.rhs, rep.ratio, rep.passed) == (0.0, 0.0, 0.0, True)
+
+    def test_positive_over_zero(self, monkeypatch, pairing, two_shell):
+        module, check, params = pairing
+        monkeypatch.setattr(module, "integrate_abs_product", lambda f, g: Fraction(1))
+        rep = check(two_shell, RadialStepFunction(1, [0, 1], [0]), params)
+        assert (rep.lhs, rep.rhs, rep.ratio, rep.passed) == (1.0, 0.0, INF, False)
+
+
 class TestRefinementChain:
     def test_indicator_chain(self):
         rep = refinement_chain_check(ball(1, 1), 2.0, 1.0, 4.0)

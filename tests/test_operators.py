@@ -368,6 +368,24 @@ class TestHilbert:
         assert np.max(np.abs(h_fft - h_direct)) < 1e-10
 
 
+class TestDriftRule:
+    """The one refinement-drift rule of the size condition and the sweeps."""
+
+    def test_edges(self):
+        assert operators._DRIFT_TOL == 0.05
+        assert operators._drift(20.0, 21.0) == (0.05, True)
+        # 1 / nextafter(20, 0) rounds to the float just above 0.05
+        base = math.nextafter(20.0, 0.0)
+        assert operators._drift(base, base + 1.0) == (math.nextafter(0.05, math.inf), False)
+        assert operators._drift(0.0, 3.0) == (0.0, True)
+        assert not operators._drift(INF, INF)[1]
+        assert not operators._drift(INF, 1.0)[1]
+
+    def test_size_condition_reads_it(self):
+        rep = size_condition_check("maximal", grid_indicator(8.0, 1024, -1.0, 1.0), margin=8)
+        assert (rep.ratio, rep.passed) == operators._drift(rep.lhs, rep.rhs)
+
+
 class TestSizeCondition:
     def test_hilbert_ratio_one_over_pi(self):
         f = grid_indicator(4.0, 1024, -1.0, 1.0)
