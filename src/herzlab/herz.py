@@ -40,9 +40,9 @@ from .lorentz import (
 from .rearrange import (
     RadialStepFunction,
     _check_dim,
+    _rounded_rearrangement,
     integrate_abs_product,
     pointwise_sum,
-    rearrangement,
     restrict_radii,
     unit_ball_volume,
 )
@@ -101,6 +101,7 @@ class HerzParams:
         return f"HL^(a={self.a},r={self.r})_(p={self.p},q={self.q})"
 
 
+@lru_cache(maxsize=None)
 def annulus_bounds(u: int) -> tuple[Fraction, Fraction]:
     """Radius interval [lo, hi) of annulus u (u = -1 is the central ball)."""
     if u < -1:
@@ -127,11 +128,13 @@ def annulus_indicator(u: int, dim: int = 1, value: float | Fraction = 1) -> Radi
 
 def annulus_window(f: RadialStepFunction) -> range:
     """Indices u whose annulus meets the support of f."""
+    # the last is the least u >= -1 with 2^u >= top; for u >= 0 that is the
+    # least with 2^u >= ceil(top), the bit length of ceil(top) - 1
     top = f.support_radius
-    u_max = -1
-    while annulus_bounds(u_max)[1] < top:
-        u_max += 1
-    return range(-1, u_max + 1)
+    num, den = top.numerator, top.denominator
+    if 2 * num <= den:
+        return range(-1, 0)
+    return range(-1, (-(-num // den) - 1).bit_length() + 1)
 
 
 def annuli_decompose(f: RadialStepFunction) -> list[tuple[int, RadialStepFunction]]:
@@ -225,12 +228,13 @@ def annulus_profile(f: RadialStepFunction | AnnulusProfile) -> AnnulusProfile:
 
 
 def _step_profile(f: RadialStepFunction) -> AnnulusProfile:
-    """Build the profile of a radial step function from the exact
-    rearrangements of its annulus pieces, which are rounded here and not kept."""
-    exact = [(u, rearrangement(piece)) for u, piece in annuli_decompose(f)]
-    steps = [g.float_steps() for _, g in exact]
-    return AnnulusProfile(f.dim, [u for u, _ in exact], [w for w, _ in steps],
-                          [t for _, t in steps], [float(g.total_mass()) for _, g in exact])
+    """Build the profile of a radial step function from the rearrangements of
+    its annulus pieces, sorted on the pieces' integer lattices and rounded
+    correctly from there."""
+    pieces = annuli_decompose(f)
+    steps = [_rounded_rearrangement(piece) for _, piece in pieces]
+    return AnnulusProfile(f.dim, [u for u, _ in pieces], [w for w, _, _ in steps],
+                          [t for _, t, _ in steps], [m for _, _, m in steps])
 
 
 def hl_norm(

@@ -1,23 +1,27 @@
 """Radial step functions and their decreasing rearrangements.
 
-Everything in this module is exact: radii, values and measures are kept as
-`fractions.Fraction`, so distribution functions, rearrangements and their
-integrals satisfy equimeasurability and mass conservation as identities, not
-up to rounding.  Floats enter only when a caller converts a measure or level
-for norm evaluation.
+Everything in this module is exact: radii, values and measures are rational,
+so distribution functions, rearrangements and their integrals satisfy
+equimeasurability and mass conservation as identities, not up to rounding.
+Floats enter only when a caller converts a measure or level for norm
+evaluation, or through `_rounded_rearrangement`, which rounds correctly.
 
 A radial step function on R^N is piecewise constant in |x| with finitely many
 shells and bounded support.  `RadialStepFunction` is its one constructor: it
 takes any numbers, validates them once and stores the canonical shells, so
 equal functions compare and hash equal however their shells were listed.
-Its decreasing rearrangement is again a step function, obtained by sorting
-shells by |value| and accumulating measures.  Shell measures
-omega_N (b^N - a^N) are formed only by `RadialStepFunction.shell_measures`.
-What depends on the shells alone is built on first use and kept on the
-instance: the shell measures, the distribution table and the annulus
+It also keeps one integer lattice per function: its breakpoints as integer
+ticks over one denominator and its values as integer numerators over
+another, so that the measure of a shell, omega_N (b^N - a^N), is an integer
+number of units times one scale per function.  The exact layer works on
+these integers: the constructor validates and merges on them, the
+rearrangement sorts shells by |value| and accumulates units, and the
+distribution table, integrals, restrictions and common refinements read
+them.  `Fraction`s are formed from the integers only where a result is
+returned.  What depends on the shells alone is built on first use and kept
+on the instance: the shell measures, the distribution table and the annulus
 profile (`RadialStepFunction.profile`, built by `herz.annulus_profile`).
 """
-
 from __future__ import annotations
 
 import math
@@ -25,8 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .herz import AnnulusProfile
@@ -41,13 +44,11 @@ __all__ = [
     "unit_ball_volume",
     "distribution",
     "rearrangement",
-    "rearrangement_from_pairs",
     "average_rearrangement",
     "sum_bound_check",
     "pointwise_sum",
     "scale",
     "restrict_radii",
-    "common_refinement",
     "integrate_abs_product",
 ]
 
@@ -97,6 +98,14 @@ class RadialStepFunction:
     the constructor stores the canonical form: adjacent equal values are
     merged and trailing zero shells are stripped, the zero function being
     ((0, 1), (0,)), so `==` and `hash` are semantic.
+
+    The constructor also keeps the integer lattice that the exact layer
+    works on, outside the fields: ``_ticks``, the breakpoints times ``_den``,
+    the lcm of the denominators of the breakpoints given, and ``_nums``, the
+    values times ``_vden``, the lcm of theirs.  Shell i has measure ``_units()[i]``
+    = tick_i^N - tick_{i-1}^N times one scale omega_N / den^N
+    (``_scale()``), formed only when a measure is read, since omega_N
+    overflows a float for large N.
     """
 
     dim: int
@@ -109,34 +118,48 @@ class RadialStepFunction:
         vals = [_as_fraction(v) for v in self.values]
         if not bp:
             raise ValueError("breakpoints must start at 0")
-        if bp[0] != 0:
-            if all(b > 0 for b in bp) and len(vals) == len(bp):
+        den = math.lcm(*(b.denominator for b in bp))
+        ticks = [b.numerator * (den // b.denominator) for b in bp]
+        if ticks[0] != 0:
+            if all(t > 0 for t in ticks) and len(vals) == len(bp):
                 bp.insert(0, Fraction(0))
+                ticks.insert(0, 0)
             else:
                 raise ValueError("breakpoints must start at 0")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
+        if any(a >= b for a, b in zip(ticks, ticks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if len(vals) != len(bp) - 1:
             raise ValueError("need exactly one value per shell")
-        merged_bp = bp[:1]
-        merged_vals: list[Fraction] = []
-        for b, v in zip(bp[1:], vals):
-            if merged_vals and v == merged_vals[-1]:
-                merged_bp[-1] = b
-            else:
-                merged_bp.append(b)
-                merged_vals.append(v)
-        while merged_vals and merged_vals[-1] == 0:
-            merged_vals.pop()
-            merged_bp.pop()
-        if not merged_vals:
-            merged_bp, merged_vals = [Fraction(0), Fraction(1)], [Fraction(0)]
-        object.__setattr__(self, "breakpoints", tuple(merged_bp))
-        object.__setattr__(self, "values", tuple(merged_vals))
+        vden = math.lcm(*(v.denominator for v in vals))
+        nums = [v.numerator * (vden // v.denominator) for v in vals]
+        # merge on the integers: keep the last shell of each run of equal
+        # values, except a run of zeros at the end
+        ends = [i for i, v in enumerate(nums) if i + 1 == len(nums) or nums[i + 1] != v]
+        if ends and nums[ends[-1]] == 0:
+            ends.pop()
+        if not ends:  # the zero function, ((0, 1), (0,))
+            bp, ticks, vals, nums = [Fraction(0), Fraction(1)], [0, den], [Fraction(0)], [0]
+        elif len(ends) < len(nums):  # shells were merged or stripped
+            bp = [bp[0], *(bp[i + 1] for i in ends)]
+            ticks = [0, *(ticks[i + 1] for i in ends)]
+            vals = [vals[i] for i in ends]
+            nums = [nums[i] for i in ends]
+        vars(self).update(breakpoints=tuple(bp), values=tuple(vals), _den=den,
+                          _ticks=tuple(ticks), _vden=vden, _nums=tuple(nums))
 
     @property
     def support_radius(self) -> Fraction:
         return self.breakpoints[-1]
+
+    def _units(self) -> list[int]:
+        """Shell measures in units of `_scale()`: tick_i^N - tick_{i-1}^N."""
+        powers = [t**self.dim for t in self._ticks]
+        return [b - a for a, b in zip(powers, powers[1:])]
+
+    def _scale(self) -> tuple[int, int]:
+        """Numerator and denominator of the measure of one unit, omega_N / den^N."""
+        w = unit_ball_volume(self.dim)
+        return w.numerator, w.denominator * self._den**self.dim
 
     def shell_measures(self) -> tuple[Fraction, ...]:
         """Lebesgue measure of each shell, omega_N (rho_i^N - rho_{i-1}^N).
@@ -148,9 +171,8 @@ class RadialStepFunction:
 
     @cached_property
     def _shell_measures(self) -> tuple[Fraction, ...]:
-        w = unit_ball_volume(self.dim)
-        powers = [b**self.dim for b in self.breakpoints]
-        return tuple(w * (b - a) for a, b in zip(powers, powers[1:]))
+        num, den = self._scale()
+        return tuple(Fraction(u * num, den) for u in self._units())
 
     @cached_property
     def profile(self) -> AnnulusProfile:
@@ -160,43 +182,37 @@ class RadialStepFunction:
         return _step_profile(self)
 
     @cached_property
-    def _distribution_table(self) -> tuple[list[Fraction], list[Fraction]]:
-        """The nonzero |values| in ascending order, and at each index i the
-        measure of the shells from i on (one more entry, 0, at the end)."""
-        pieces = sorted(
-            ((abs(v), m) for v, m in zip(self.values, self.shell_measures()) if v != 0),
-            key=itemgetter(0),
-        )
-        tails = [Fraction(0)]
-        for _, m in reversed(pieces):
-            tails.append(tails[-1] + m)
-        tails.reverse()
-        return [w for w, _ in pieces], tails
+    def _distribution_table(self) -> tuple[list[int], list[Fraction]]:
+        """The nonzero |value| numerators in ascending order, and at each index
+        i the measure of the shells from i on (one more entry, 0, at the end).
+        Sorted from the shells here, apart from the rearrangement's sort."""
+        pieces = sorted((abs(v), u) for v, u in zip(self._nums, self._units()) if v)
+        tails = [0]
+        for _, u in reversed(pieces):
+            tails.append(tails[-1] + u)
+        num, den = self._scale()
+        return [w for w, _ in pieces], [Fraction(t * num, den) for t in reversed(tails)]
 
     def support_measure(self) -> Fraction:
-        return sum(
-            (m for m, v in zip(self.shell_measures(), self.values) if v != 0),
-            Fraction(0),
-        )
+        num, den = self._scale()
+        return Fraction(sum(u for v, u in zip(self._nums, self._units()) if v) * num, den)
 
     def abs_integral(self) -> Fraction:
         """Integral of |f| over R^N."""
-        return sum(
-            (abs(v) * m for m, v in zip(self.shell_measures(), self.values)),
-            Fraction(0),
-        )
+        num, den = self._scale()
+        total = sum(abs(v) * u for v, u in zip(self._nums, self._units()))
+        return Fraction(total * num, self._vden * den)
 
     def value_at_radius(self, rho: Number) -> Fraction:
         r = _as_fraction(rho)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        if r >= self.breakpoints[-1]:
-            return Fraction(0)
-        i = bisect_right(self.breakpoints, r) - 1
-        return self.values[i]
+        # tick <= r den exactly when tick <= floor(r den)
+        i = bisect_right(self._ticks, r.numerator * self._den // r.denominator) - 1
+        return self.values[i] if i < len(self.values) else Fraction(0)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self._nums)
 
     def __abs__(self) -> "RadialStepFunction":
         return RadialStepFunction(self.dim, self.breakpoints, [abs(v) for v in self.values])
@@ -301,34 +317,6 @@ class StepRearrangement:
         return [float(w) for w in self.levels], [float(t) for t in self.knots]
 
 
-def rearrangement_from_pairs(
-    pairs: Iterable[tuple[Fraction, Fraction]],
-) -> StepRearrangement:
-    """Rearrangement of a step function given as (measure, |value|) pieces.
-
-    One sort by |value|, descending, brings equal levels next to each other,
-    and one pass merges them while it accumulates the knots.
-    """
-    pieces: list[tuple[Fraction, Fraction]] = []
-    for measure, value in pairs:
-        if measure < 0:
-            raise ValueError("piece measures must be nonnegative")
-        if measure != 0 and value != 0:
-            pieces.append((abs(value), measure))
-    pieces.sort(key=itemgetter(0), reverse=True)
-    levels: list[Fraction] = []
-    knots: list[Fraction] = []
-    acc = Fraction(0)
-    for w, measure in pieces:
-        acc += measure
-        if levels and levels[-1] == w:
-            knots[-1] = acc
-        else:
-            levels.append(w)
-            knots.append(acc)
-    return StepRearrangement(tuple(knots), tuple(levels))
-
-
 def distribution(f: RadialStepFunction, alpha: Number) -> Fraction:
     """Measure of the superlevel set {|f| > alpha}.
 
@@ -339,12 +327,51 @@ def distribution(f: RadialStepFunction, alpha: Number) -> Fraction:
     if a < 0:
         raise ValueError("alpha must be nonnegative")
     levels, tails = f._distribution_table
-    return tails[bisect_right(levels, a)]
+    # a level w / vden is at most alpha exactly when w <= floor(alpha vden)
+    return tails[bisect_right(levels, a.numerator * f._vden // a.denominator)]
+
+
+def _integer_rearrangement(f: RadialStepFunction) -> tuple[list[int], list[int], int]:
+    """f* on f's lattice: the strictly decreasing level numerators, the
+    cumulative units at which each level ends, and the integral of |f| in
+    numerator-unit products.
+
+    One sort by |value|, descending, brings equal levels next to each other,
+    and one pass merges them while it accumulates the knots.
+    """
+    pieces = sorted(((abs(v), u) for v, u in zip(f._nums, f._units()) if v), reverse=True)
+    levels: list[int] = []
+    knots: list[int] = []
+    acc = total = 0
+    for w, u in pieces:
+        acc += u
+        total += w * u
+        if levels and levels[-1] == w:
+            knots[-1] = acc
+        else:
+            levels.append(w)
+            knots.append(acc)
+    return levels, knots, total
 
 
 def rearrangement(f: RadialStepFunction) -> StepRearrangement:
     """Decreasing rearrangement f* of a radial step function."""
-    return rearrangement_from_pairs(zip(f.shell_measures(), f.values))
+    levels, knots, _ = _integer_rearrangement(f)
+    num, den = f._scale()
+    return StepRearrangement(
+        tuple(Fraction(t * num, den) for t in knots),
+        tuple(Fraction(w, f._vden) for w in levels),
+    )
+
+
+def _rounded_rearrangement(f: RadialStepFunction) -> tuple[list[float], list[float], float]:
+    """The levels and knots of f* and the integral of |f|, each the float()
+    of the exact value: int true division is correctly rounded, so no
+    `Fraction` is formed."""
+    levels, knots, total = _integer_rearrangement(f)
+    num, den = f._scale()
+    vden = f._vden
+    return [w / vden for w in levels], [t * num / den for t in knots], total * num / (vden * den)
 
 
 def average_rearrangement(g: StepRearrangement, t: Number) -> Fraction:
@@ -355,33 +382,30 @@ def average_rearrangement(g: StepRearrangement, t: Number) -> Fraction:
     return g.integral_up_to(s) / s
 
 
-def _merge_breakpoints(fs: Sequence[RadialStepFunction]) -> list[Fraction]:
-    cuts: set[Fraction] = {Fraction(0)}
-    for f in fs:
-        cuts.update(f.breakpoints)
-    return sorted(cuts)
-
-
-def common_refinement(
-    fs: Sequence[RadialStepFunction],
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Shared breakpoint grid and per-function shell values on it."""
+def _common_refinement(fs: Sequence[RadialStepFunction]) -> tuple[int, list[int], list[list[int]]]:
+    """Common tick denominator of fs, their merged breakpoints as ticks over
+    it, and each function's value numerators on the cells between them."""
     if not fs:
         raise ValueError("need at least one function")
     dim = fs[0].dim
     if any(f.dim != dim for f in fs):
         raise ValueError("functions must live on the same R^N")
-    cuts = _merge_breakpoints(fs)
+    den = math.lcm(*(f._den for f in fs))
+    scaled = [[t * (den // f._den) for t in f._ticks] for f in fs]
+    cuts = sorted(set().union(*scaled))
     rows = []
-    for f in fs:
-        rows.append([f.value_at_radius(lo) for lo in cuts[:-1]])
-    return cuts, rows
+    for f, ticks in zip(fs, scaled):
+        shells = (bisect_right(ticks, c) - 1 for c in cuts[:-1])
+        rows.append([f._nums[i] if i < len(f._nums) else 0 for i in shells])
+    return den, cuts, rows
 
 
 def pointwise_sum(fs: Sequence[RadialStepFunction]) -> RadialStepFunction:
-    cuts, rows = common_refinement(fs)
-    summed = [sum(col, Fraction(0)) for col in zip(*rows)]
-    return RadialStepFunction(fs[0].dim, cuts, summed)
+    den, cuts, rows = _common_refinement(fs)
+    vden = math.lcm(*(f._vden for f in fs))
+    scaled = [[v * (vden // f._vden) for v in row] for f, row in zip(fs, rows)]
+    summed = [Fraction(sum(col), vden) for col in zip(*scaled)]
+    return RadialStepFunction(fs[0].dim, [Fraction(c, den) for c in cuts], summed)
 
 
 def scale(f: RadialStepFunction, alpha: Number) -> RadialStepFunction:
@@ -396,10 +420,12 @@ def restrict_radii(
     lo_f, hi_f = _as_fraction(lo), _as_fraction(hi)
     if not 0 <= lo_f < hi_f:
         raise ValueError("need 0 <= lo < hi")
-    bp, n = f.breakpoints, len(f.values)
-    # shells i-1 .. j-1 meet [lo, hi): bp[i-1] <= lo < bp[i], bp[j-1] < hi <= bp[j]
-    i = bisect_right(bp, lo_f)
-    j = bisect_left(bp, hi_f, i)
+    bp, n, den = f.breakpoints, len(f.values), f._den
+    # shells i-1 .. j-1 meet [lo, hi): bp[i-1] <= lo < bp[i], bp[j-1] < hi <= bp[j];
+    # a tick is at most lo den exactly when it is at most floor(lo den), and
+    # below hi den exactly when it is below ceil(hi den)
+    i = bisect_right(f._ticks, lo_f.numerator * den // lo_f.denominator)
+    j = bisect_left(f._ticks, -(-hi_f.numerator * den // hi_f.denominator), i)
     cuts = [lo_f, *bp[i:j]]
     vals = list(f.values[i - 1 : j])
     if j <= n:  # hi falls inside the support and closes the last shell
@@ -413,8 +439,9 @@ def restrict_radii(
 def integrate_abs_product(f: RadialStepFunction, g: RadialStepFunction) -> Fraction:
     """Exact integral of |f g|: the `abs_integral` of the product of f and g
     on their common shell refinement."""
-    cuts, (fv, gv) = common_refinement([f, g])
-    return RadialStepFunction(f.dim, cuts, [x * y for x, y in zip(fv, gv)]).abs_integral()
+    den, cuts, (fv, gv) = _common_refinement([f, g])
+    product = [Fraction(x * y, f._vden * g._vden) for x, y in zip(fv, gv)]
+    return RadialStepFunction(f.dim, [Fraction(c, den) for c in cuts], product).abs_integral()
 
 
 @dataclass(frozen=True)
@@ -441,7 +468,7 @@ def sum_bound_check(
     """
     if not fs:
         raise ValueError("need at least one function")
-    if any(any(v < 0 for v in f.values) for f in fs):
+    if any(v < 0 for f in fs for v in f._nums):
         raise ValueError("the bound applies to nonnegative functions only")
     if len(cs) != len(fs):
         raise ValueError("one weight per function required")

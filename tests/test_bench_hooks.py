@@ -8,6 +8,7 @@ interpolation norm must keep reaching K through that module attribute.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,14 +23,14 @@ from herzlab.rearrange import RadialStepFunction
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
-def _layers() -> dict[str, tuple[str, ...]]:
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
-@pytest.mark.parametrize("layer, names", sorted(_layers().items()))
+@pytest.mark.parametrize("layer, names", sorted(_tracer_module().LAYERS.items()))
 def test_traced_names_are_callables(layer, names):
     module = importlib.import_module(f"herzlab.{layer}")
     assert [n for n in names if not callable(getattr(module, n, None))] == []
@@ -96,3 +97,24 @@ def test_interaction_scan_calls_annulus_interaction_bound(monkeypatch):
     monkeypatch.setattr(operators, "annulus_interaction_bound", counted)
     assert operators.annulus_interaction_scan(2, LorentzParams(2.0, 2.0), (-1, 8)).passed
     assert len(calls) >= 1
+
+
+def test_exact_radial_paths_reach_the_decomposition_and_the_rearrangement(tmp_path):
+    # the benchmark's exact-radial coverage needs calls to all three: a radial
+    # profile is built from annuli_decompose -> restrict_radii pieces, and the
+    # rearrange and lorentz-equivalence suites rearrange through rearrangement
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        annulus_profile(RadialStepFunction(3, [0, Fraction(1, 3), 5], [2, -1]))
+        profile_calls = tracer.summary()
+        tracer.reset()
+        for suite in ("rearrange", "lorentz-equivalence"):
+            out = tmp_path / f"{suite}.json"
+            assert herzlab.cli.main(["verify", suite, "--size", "2", "--out", str(out)]) == 0
+        suite_calls = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert profile_calls["herz.annuli_decompose.calls"] == 1
+    assert profile_calls["rearrange.restrict_radii.calls"] >= 1
+    assert suite_calls["rearrange.rearrangement.calls"] >= 2

@@ -11,9 +11,11 @@ from herzlab.herz import (
     AnnulusMeasureSequence,
     HerzParams,
     annuli_decompose,
+    annulus_bounds,
     annulus_indicator,
     annulus_measure,
     annulus_profile,
+    annulus_window,
     bfs_condition_check,
     embedding_check,
     hl_holder_check,
@@ -35,6 +37,27 @@ class TestAnnuli:
         assert annulus_measure(-1, 1) == 1
         assert annulus_measure(0, 1) == 1
         assert annulus_measure(3, 1) == 8
+
+    def test_bounds_are_kept_per_annulus(self):
+        assert annulus_bounds(5) is annulus_bounds(5)
+        assert annulus_bounds(-1) == (0, Fraction(1, 2))
+        assert annulus_bounds(0) == (Fraction(1, 2), 1)
+        with pytest.raises(ValueError):
+            annulus_bounds(-2)
+
+    @pytest.mark.parametrize("k", range(-4, 9))
+    def test_window_matches_the_doubling_loop(self, k):
+        def loop(top):  # the scan the window replaced
+            u = -1
+            while annulus_bounds(u)[1] < top:
+                u += 1
+            return range(-1, u + 1)
+
+        power = Fraction(2) ** k
+        for top in (power, power * Fraction(999, 1000), power * Fraction(1001, 1000),
+                    power - Fraction(1, 3**40), power + Fraction(1, 3**40), Fraction(1, 2)):
+            f = RadialStepFunction(1, [0, top], [1])
+            assert annulus_window(f) == loop(top), top
 
     def test_unit_ball_decomposes_in_two(self):
         f = ball(1, 2)  # radius 1 in R^1

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from herzlab import rearrange as rearrange_mod
+from herzlab.corpus import record_to_object
 from herzlab.herz import annuli_decompose
 from herzlab.rearrange import (
     RadialStepFunction,
@@ -16,7 +18,6 @@ from herzlab.rearrange import (
     integrate_abs_product,
     pointwise_sum,
     rearrangement,
-    rearrangement_from_pairs,
     restrict_radii,
     scale,
     sum_bound_check,
@@ -238,15 +239,15 @@ class TestRearrangement:
         for s in (Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(4)):
             assert gf.value_at(s) <= gb.value_at(s)
 
-    def test_from_pairs_groups_equal_levels(self):
-        g = rearrangement_from_pairs(
-            [(Fraction(1), Fraction(2)), (Fraction(3), Fraction(2)), (Fraction(1), Fraction(5))]
-        )
+    def test_groups_equal_levels_on_non_adjacent_shells(self):
+        # |value| 2 on the shells of measure 1 and 3, split by 5 on measure 1
+        f = RadialStepFunction(1, [0, Fraction(1, 2), 1, Fraction(5, 2)], [2, -5, -2])
+        g = rearrangement(f)
         assert g.levels == (5, 2)
         assert g.knots == (1, 5)
 
 
-# the direct definitions that distribution, rearrangement_from_pairs and
+# the direct definitions that distribution, rearrangement and
 # superlevel_measure replace with a bisected table, a sort and an early stop
 
 
@@ -313,14 +314,8 @@ class TestExactKernelOracles:
 
     @given(PIECES)
     @settings(max_examples=80, deadline=None)
-    def test_from_pairs_equals_dict_grouping(self, pairs):
-        g = rearrangement_from_pairs(pairs)
-        assert g == from_pairs_oracle(pairs)
-
-    @given(PIECES)
-    @settings(max_examples=80, deadline=None)
     def test_superlevel_measure_equals_full_scan(self, pairs):
-        g = rearrangement_from_pairs(pairs)
+        g = from_pairs_oracle(pairs)
         for alpha in probe_levels(g.levels):
             assert g.superlevel_measure(alpha) == superlevel_oracle(g, alpha)
 
@@ -328,10 +323,6 @@ class TestExactKernelOracles:
     @settings(max_examples=40, deadline=None)
     def test_rearrangement_equals_dict_grouping(self, f):
         assert rearrangement(f) == from_pairs_oracle(zip(f.shell_measures(), f.values))
-
-    def test_from_pairs_rejects_a_negative_measure(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            rearrangement_from_pairs([(Fraction(1), Fraction(2)), (Fraction(-1), Fraction(1))])
 
 
 class TestAverageRearrangement:
@@ -473,6 +464,109 @@ class TestRestrictRadii:
             restrict_radii(two_shell, 1, 1)
         with pytest.raises(ValueError):
             restrict_radii(two_shell, -1, 1)
+
+
+TINY = Fraction(1, 3**200)
+# mixed denominators, both signs, zero and one value far below the float range
+LATTICE_VALUES = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-9, 4), Fraction(3),
+     TINY]
+)
+
+
+@st.composite
+def lattice_functions(draw, thirds=(3, 6, 12)):
+    """Radii k/3, k/6 or k/12, so the lattice denominator is not a power of two,
+    built directly or decoded from a corpus record of [num, den] pairs."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    cuts = sorted(draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True)))
+    den = draw(st.sampled_from(thirds))
+    values = draw(st.lists(LATTICE_VALUES, min_size=n, max_size=n))
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return RadialStepFunction(dim, [0] + [Fraction(c, den) for c in cuts], values)
+    return record_to_object({
+        "type": "radial_step",
+        "dim": dim,
+        "breakpoints": [0] + [[c, den] for c in cuts],
+        "values": [[v.numerator, v.denominator] for v in values],
+    })
+
+
+def value_oracle(f, rho):
+    return next((v for b, v in zip(f.breakpoints[1:], f.values) if rho < b), Fraction(0))
+
+
+TINY_CASE = RadialStepFunction(3, [0, Fraction(1, 3), Fraction(7, 3)], [TINY, Fraction(-5, 7)])
+
+
+class TestLattice:
+    """The integer lattice against the Fraction definitions it replaces."""
+
+    @example(TINY_CASE)
+    @given(lattice_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_profile_is_the_rounded_exact_rearrangements(self, f):
+        pieces = annuli_decompose(f)
+        prof = f.profile
+        assert list(prof.us) == [u for u, _ in pieces]
+        for i, (_, piece) in enumerate(pieces):
+            g = rearrangement(piece)
+            assert prof.levels[i] == [float(w) for w in g.levels]
+            assert prof.knots[i] == [float(t) for t in g.knots]
+            assert prof.integrals[i] == float(piece.abs_integral())
+
+    @example(TINY_CASE)
+    @given(lattice_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_measures_and_integrals_are_the_fraction_sums(self, f):
+        w, n, bp = unit_ball_volume(f.dim), f.dim, f.breakpoints
+        measures = tuple(w * (b**n - a**n) for a, b in zip(bp, bp[1:]))
+        assert f.shell_measures() == measures
+        assert f.abs_integral() == sum(
+            (abs(v) * m for v, m in zip(f.values, measures)), Fraction(0)
+        )
+        assert f.support_measure() == sum(
+            (m for v, m in zip(f.values, measures) if v != 0), Fraction(0)
+        )
+        for alpha in probe_levels([abs(v) for v in f.values]):
+            assert distribution(f, alpha) == distribution_oracle(f, alpha)
+        assert rearrangement(f) == from_pairs_oracle(zip(measures, f.values))
+
+    @given(lattice_functions(), lattice_functions(thirds=(5, 10)))
+    @settings(max_examples=60, deadline=None)
+    def test_refinement_across_lattices(self, f, g):
+        g = RadialStepFunction(f.dim, g.breakpoints, g.values)
+        cuts = sorted({*f.breakpoints, *g.breakpoints})
+        fv = [value_oracle(f, c) for c in cuts[:-1]]
+        gv = [value_oracle(g, c) for c in cuts[:-1]]
+        w, n = unit_ball_volume(f.dim), f.dim
+        assert integrate_abs_product(f, g) == sum(
+            (abs(x * y) * w * (b**n - a**n) for x, y, a, b in zip(fv, gv, cuts, cuts[1:])),
+            Fraction(0),
+        )
+        assert pointwise_sum([f, g]) == RadialStepFunction(
+            f.dim, cuts, [x + y for x, y in zip(fv, gv)]
+        )
+        for c in cuts:
+            assert f.value_at_radius(c) == value_oracle(f, c)
+
+    def test_distribution_does_not_read_the_rearrangement(self, monkeypatch):
+        # the equimeasurability check compares two independent computations
+        f = RadialStepFunction(2, [0, Fraction(1, 3), 1, Fraction(5, 3)], [2, Fraction(-1, 7), 2])
+
+        def refuse(f):
+            raise AssertionError("distribution read the rearrangement")
+
+        monkeypatch.setattr(rearrange_mod, "_integer_rearrangement", refuse)
+        assert distribution(f, Fraction(1, 7)) == distribution_oracle(f, Fraction(1, 7))
+
+    def test_dimension_400_reads_its_lattice_without_measures(self):
+        f = RadialStepFunction(400, [0, 1], [1])
+        assert f.value_at_radius(Fraction(1, 2)) == 1 and not f.is_zero()
+        assert [u for u, _ in annuli_decompose(f)] == [-1, 0]
+        with pytest.raises(ValueError, match="overflows"):
+            f.shell_measures()
 
 
 class TestSumBound:
