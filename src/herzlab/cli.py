@@ -9,6 +9,7 @@ seed produce byte-identical outputs; no timestamps are written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -203,14 +204,15 @@ def _suite_rearrange(cfg: SuiteConfig) -> list[Check]:
         records.append(
             CheckRecord("rearrange", f"equimeasurable[{i}]", {}, passed=equi)
         )
+        mass, integral = g.total_mass(), f.abs_integral()
         records.append(
             CheckRecord(
                 "rearrange",
                 f"mass[{i}]",
                 {},
-                lhs=float(g.total_mass()),
-                rhs=float(f.abs_integral()),
-                passed=g.total_mass() == f.abs_integral(),
+                lhs=float(mass),
+                rhs=float(integral),
+                passed=mass == integral,
             )
         )
         return records
@@ -776,19 +778,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+_HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "norm": _cmd_norm,
+    "rearrange": _cmd_rearrange,
+    "kfunc": _cmd_kfunc,
+    "verify": _cmd_verify,
+    "gen-corpus": _cmd_gen_corpus,
+    "report": _cmd_report,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and shared by later ones."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "norm": _cmd_norm,
-        "rearrange": _cmd_rearrange,
-        "kfunc": _cmd_kfunc,
-        "verify": _cmd_verify,
-        "gen-corpus": _cmd_gen_corpus,
-        "report": _cmd_report,
-    }
+    args = _parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

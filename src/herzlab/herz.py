@@ -40,10 +40,10 @@ from .lorentz import (
 from .rearrange import (
     RadialStepFunction,
     _check_dim,
-    _rounded_rearrangement,
     integrate_abs_product,
     pointwise_sum,
     restrict_radii,
+    rounded_rearrangement,
     unit_ball_volume,
 )
 from .reporting import Comparison
@@ -232,7 +232,7 @@ def _step_profile(f: RadialStepFunction) -> AnnulusProfile:
     its annulus pieces, sorted on the pieces' integer lattices and rounded
     correctly from there."""
     pieces = annuli_decompose(f)
-    steps = [_rounded_rearrangement(piece) for _, piece in pieces]
+    steps = [rounded_rearrangement(piece) for _, piece in pieces]
     return AnnulusProfile(f.dim, [u for u, _ in pieces], [w for w, _, _ in steps],
                           [t for _, t, _ in steps], [m for _, _, m in steps])
 

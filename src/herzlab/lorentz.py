@@ -1,10 +1,13 @@
 """Lorentz quasi-norms and average-rearrangement (starred) norms.
 
 Each norm has one float core on step levels and knots, which functions and
-annulus profiles alike reach.  The quasi-norm has a closed form.  The starred
-norm is the real-interpolation integral of K(t) = t f**(t), which is linear
-between the knots of f*: quadrature.k_norm brackets its chords and its two
-closed-form ends once, and the norm is the midpoint of that bracket.
+annulus profiles alike reach: a function's steps are
+`rearrange.rounded_rearrangement`, the correctly rounded f* that profiles
+read, so no `Fraction` is formed on the way to a norm.  The quasi-norm has
+a closed form.  The starred norm is the real-interpolation integral of
+K(t) = t f**(t), which is linear between the knots of f*: quadrature.k_norm
+brackets its chords and its two closed-form ends once, and the norm is the
+midpoint of that bracket.
 The sandwich and the pairing return a `reporting.Comparison`, and
 `pairing_comparison` is the pass rule of both Hoelder pairings.
 """
@@ -19,12 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .quadrature import k_norm, power_sum_norm
-from .rearrange import (
-    RadialStepFunction,
-    StepRearrangement,
-    integrate_abs_product,
-    rearrangement,
-)
+from .rearrange import RadialStepFunction, integrate_abs_product, rounded_rearrangement
 from .reporting import Comparison
 
 INF = math.inf
@@ -103,11 +101,11 @@ def lorentz_norm_from_steps(
 ) -> float:
     """Closed-form Lorentz quasi-norm of a nonincreasing step profile.
 
-    ``levels``/``knots`` describe the profile as in StepRearrangement (knots
-    are cumulative measures).  For r < inf the integral of (t^{1/p} w)^r dt/t
-    is a telescoping power sum (quadrature.power_sum_norm, which keeps it
-    within the float range); for r = inf the supremum is approached at the
-    right knot endpoints.
+    ``levels`` decrease and ``knots`` are the cumulative measures at which
+    they end, as from `rounded_rearrangement`.  For r < inf the integral of
+    (t^{1/p} w)^r dt/t is a telescoping power sum (quadrature.power_sum_norm,
+    which keeps it within the float range); for r = inf the supremum is
+    approached at the right knot endpoints.
     """
     w = np.asarray(levels, dtype=float)
     if w.size == 0:
@@ -125,17 +123,9 @@ def lorentz_norm_from_steps(
     return power_sum_norm(w, r, dt, p / r)
 
 
-def _profile(f: RadialStepFunction | StepRearrangement) -> StepRearrangement:
-    if isinstance(f, StepRearrangement):
-        return f
-    return rearrangement(f)
-
-
-def lorentz_quasi_norm(
-    f: RadialStepFunction | StepRearrangement, params: LorentzParams
-) -> float:
-    """Lorentz quasi-norm of f, exact on step representatives."""
-    levels, knots = _profile(f).float_steps()
+def lorentz_quasi_norm(f: RadialStepFunction, params: LorentzParams) -> float:
+    """Lorentz quasi-norm of f, in closed form on its correctly rounded f*."""
+    levels, knots, _ = rounded_rearrangement(f)
     return lorentz_norm_from_steps(levels, knots, params.p, params.r)
 
 
@@ -169,23 +159,18 @@ def lorentz_star_norm_from_steps(
     return k_norm(k, ts, (ts[0], ts[-1]), (math.fsum(mass), top), 1.0 - 1.0 / p, r)[0]
 
 
-def lorentz_star_norm(
-    f: RadialStepFunction | StepRearrangement, params: LorentzParams
-) -> float:
+def lorentz_star_norm(f: RadialStepFunction, params: LorentzParams) -> float:
     """Lorentz functional with the averaged profile f** in place of f*."""
-    levels, knots = _profile(f).float_steps()
+    levels, knots, _ = rounded_rearrangement(f)
     return lorentz_star_norm_from_steps(levels, knots, params.p, params.r)
 
 
-def equivalence_check(
-    f: RadialStepFunction | StepRearrangement,
-    params: LorentzParams,
-) -> Comparison:
+def equivalence_check(f: RadialStepFunction, params: LorentzParams) -> Comparison:
     """Sandwich quasi (lhs) <= star (rhs) <= p' quasi within relative slack 1e-9;
     the ratio is star/quasi (1 for a zero function), the constant p' = p/(p-1)."""
     if not params.in_sandwich_range:
         raise ValueError("equivalence holds for 1 < p < inf, 1 <= r <= inf, or p = r = inf")
-    levels, knots = _profile(f).float_steps()
+    levels, knots, _ = rounded_rearrangement(f)
     q_norm = lorentz_norm_from_steps(levels, knots, params.p, params.r)
     s_norm = lorentz_star_norm_from_steps(levels, knots, params.p, params.r)
     constant = conjugate_exponent(params.p)
@@ -227,7 +212,7 @@ class ChainReport:
 
 
 def refinement_chain_check(
-    f: RadialStepFunction | StepRearrangement,
+    f: RadialStepFunction,
     p: float,
     q_exp: float,
     r_exp: float,
@@ -236,15 +221,16 @@ def refinement_chain_check(
 
     Passing means finiteness propagates left to right.  The reported ratios
     are the successive quotients of the norms after dividing out each space's
-    indicator constant (p/r)^{1/r}, which makes the chain comparable.
+    indicator constant (p/r)^{1/r}, which makes the chain comparable.  The
+    four norms read one rounding of f*.
     """
     if not (0 < q_exp <= p <= r_exp):
         raise ValueError("need 0 < q <= p <= r")
     seq = (q_exp, p, r_exp, INF)
-    norms = tuple(lorentz_quasi_norm(f, LorentzParams(p, s)) for s in seq)
-    normalized = tuple(
-        n / char_norm_constant(LorentzParams(p, s)) for n, s in zip(norms, seq)
-    )
+    spaces = [LorentzParams(p, s) for s in seq]
+    levels, knots, _ = rounded_rearrangement(f)
+    norms = tuple(lorentz_norm_from_steps(levels, knots, p, s) for s in seq)
+    normalized = tuple(n / char_norm_constant(x) for n, x in zip(norms, spaces))
     ratios = tuple(
         (a / b if b > 0 else INF if a > 0 else 1.0)
         for a, b in zip(normalized, normalized[1:])

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .herz import AnnulusProfile, HerzParams, annulus_measure, hl_norm, weighted_lq
+from .herz import AnnulusProfile, HerzParams, annulus_bounds, annulus_measure, hl_norm, weighted_lq
 from .lorentz import INF, LorentzParams, char_norm_constant, conjugate_exponent
 from .quadrature import power_sum_norm
 from .reporting import Comparison
@@ -494,10 +494,7 @@ def grid_annulus_profiles(f: GridFunction1D) -> AnnulusProfile:
     u_max = max(0, math.ceil(math.log2(f.half_width)))
     us, levels, knots, integrals = [], [], [], []
     for u in range(-1, u_max + 1):
-        if u == -1:
-            lo, hi = 0.0, 0.5
-        else:
-            lo, hi = 2.0 ** (u - 1), 2.0**u
+        lo, hi = map(float, annulus_bounds(u))  # powers of two: exact floats
         # cell i meets [lo, hi) iff node i + 1 > lo and node i < hi; the same
         # for (-hi, -lo]; only the outer ends can fall off the grid
         neg_lo, pos_lo = nodes.searchsorted((-hi, lo), side="right") - 1

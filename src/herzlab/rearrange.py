@@ -3,8 +3,11 @@
 Everything in this module is exact: radii, values and measures are rational,
 so distribution functions, rearrangements and their integrals satisfy
 equimeasurability and mass conservation as identities, not up to rounding.
-Floats enter only when a caller converts a measure or level for norm
-evaluation, or through `_rounded_rearrangement`, which rounds correctly.
+Floats enter only when a caller converts a measure or level, or through
+`rounded_rearrangement`, which rounds f* correctly from the lattice without
+forming a `Fraction`; every float norm of a step function reads it, on the
+whole function (`lorentz`) or on its annulus pieces (`herz`).
+`rearrangement` is the exact f*, for the identities checked in rationals.
 
 A radial step function on R^N is piecewise constant in |x| with finitely many
 shells and bounded support.  `RadialStepFunction` is its one constructor: it
@@ -44,6 +47,7 @@ __all__ = [
     "unit_ball_volume",
     "distribution",
     "rearrangement",
+    "rounded_rearrangement",
     "average_rearrangement",
     "sum_bound_check",
     "pointwise_sum",
@@ -313,7 +317,8 @@ class StepRearrangement:
         return out
 
     def float_steps(self) -> tuple[list[float], list[float]]:
-        """(levels, knots) as floats, for norm evaluation."""
+        """(levels, knots) as floats, for the float cores of `lorentz`; of
+        `rearrangement(f)`, the same floats as `rounded_rearrangement(f)`."""
         return [float(w) for w in self.levels], [float(t) for t in self.knots]
 
 
@@ -364,7 +369,7 @@ def rearrangement(f: RadialStepFunction) -> StepRearrangement:
     )
 
 
-def _rounded_rearrangement(f: RadialStepFunction) -> tuple[list[float], list[float], float]:
+def rounded_rearrangement(f: RadialStepFunction) -> tuple[list[float], list[float], float]:
     """The levels and knots of f* and the integral of |f|, each the float()
     of the exact value: int true division is correctly rounded, so no
     `Fraction` is formed."""

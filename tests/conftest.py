@@ -3,11 +3,39 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis import strategies as st
 
-from herzlab.corpus import random_step_functions
+from herzlab.corpus import random_step_functions, record_to_object
 from herzlab.herz import lq_norm
 from herzlab.lorentz import conjugate_exponent
 from herzlab.rearrange import RadialStepFunction
+
+
+TINY = Fraction(1, 3**200)
+# mixed denominators, both signs, zero and one value far below the float range
+LATTICE_VALUES = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-9, 4), Fraction(3),
+     TINY]
+)
+
+
+@st.composite
+def lattice_functions(draw, thirds=(3, 6, 12)):
+    """Radii k/3, k/6 or k/12, so the lattice denominator is not a power of two,
+    built directly or decoded from a corpus record of [num, den] pairs."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    cuts = sorted(draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True)))
+    den = draw(st.sampled_from(thirds))
+    values = draw(st.lists(LATTICE_VALUES, min_size=n, max_size=n))
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return RadialStepFunction(dim, [0] + [Fraction(c, den) for c in cuts], values)
+    return record_to_object({
+        "type": "radial_step",
+        "dim": dim,
+        "breakpoints": [0] + [[c, den] for c in cuts],
+        "values": [[v.numerator, v.denominator] for v in values],
+    })
 
 
 @pytest.fixture(scope="session")

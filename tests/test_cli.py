@@ -337,6 +337,31 @@ class TestRarelyRunPaths:
               "--out", str(path)])
         return str(path)
 
+    def test_gen_corpus_shells_writes_annulus_indicators(self, tmp_path):
+        from herzlab.herz import annulus_indicator
+
+        path = tmp_path / "shells.json"
+        args = ["gen-corpus", "--kind", "shells", "--size", "3", "--dim", "2", "--out", str(path)]
+        assert main(args) == 0
+        indicators = {annulus_indicator(u, 2) for u in range(-1, 7)}
+        objs = load_corpus(path)
+        assert len(objs) == 3 and all(f in indicators for f in objs)
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys, two_annuli_file):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for space in ("lorentz", "lp"):
+            assert main(["norm", "--space", space, "--p", "2", "--input", two_annuli_file]) == 0
+        assert len(built) == 1
+        assert cli._parser() is cli._parser()
+
     def test_verify_interp_lorentz(self, tmp_path):
         report = tmp_path / "rep.json"
         assert main(["verify", "interp-lorentz", "--out", str(report)]) == 0

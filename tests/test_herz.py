@@ -297,6 +297,16 @@ class TestBfsConditions:
         with pytest.raises(ValueError):
             AnnulusMeasureSequence.from_dict({-1: Fraction(3)})
 
+    def test_power_tail_extends_the_explicit_entries(self):
+        entries = {-1: 0, 0: 0, 1: Fraction(1, 2)}
+        m = AnnulusMeasureSequence.from_dict(entries, tail=("power", 2, 2))
+        assert m.explicit_max == 1
+        assert [m.measure(u) for u in (2, 3, 5)] == [Fraction(1, 2), Fraction(2, 9), Fraction(2, 25)]
+
+    def test_power_tail_is_capped_by_the_annulus_measure(self):
+        m = AnnulusMeasureSequence.from_dict({}, tail=("power", 100, 0))
+        assert m.measure(2) == annulus_measure(2, 1) == 4
+
     @pytest.mark.parametrize("dim", [1.5, True, 0])
     def test_dimension_must_be_a_positive_integer(self, dim):
         with pytest.raises(ValueError, match="dimension must be a positive integer"):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import quad
 
 from herzlab.lorentz import (
@@ -20,10 +21,13 @@ from herzlab.lorentz import (
 )
 from herzlab.rearrange import (
     RadialStepFunction,
+    StepRearrangement,
     ball,
     rearrangement,
+    rounded_rearrangement,
     scale,
 )
+from conftest import lattice_functions
 
 
 def quad_quasi_norm(f, p, r):
@@ -317,20 +321,22 @@ class TestEquivalence:
     def test_rearranges_once(self, monkeypatch, two_shell):
         from herzlab import lorentz
 
+        cases = [LorentzParams(2, 1), LorentzParams(3, INF), LorentzParams(INF, INF)]
+        expected = [
+            (lorentz_quasi_norm(two_shell, params), lorentz_star_norm(two_shell, params))
+            for params in cases
+        ]
         calls = []
 
         def counting(f):
             calls.append(f)
-            return rearrangement(f)
+            return rounded_rearrangement(f)
 
-        monkeypatch.setattr(lorentz, "rearrangement", counting)
-        for params in (LorentzParams(2, 1), LorentzParams(3, INF), LorentzParams(INF, INF)):
+        monkeypatch.setattr(lorentz, "rounded_rearrangement", counting)
+        for params, (quasi, star) in zip(cases, expected):
             rep = equivalence_check(two_shell, params)
-            assert rep.lhs == lorentz_quasi_norm(rearrangement(two_shell), params)
-            assert rep.rhs == lorentz_star_norm(rearrangement(two_shell), params)
+            assert (rep.lhs, rep.rhs) == (quasi, star)
         assert calls == [two_shell] * 3
-        equivalence_check(rearrangement(two_shell), LorentzParams(2, 1))
-        assert len(calls) == 3
 
 
 class TestHolderPairing:
@@ -411,6 +417,76 @@ class TestRefinementChain:
     def test_ordering_enforced(self, two_shell):
         with pytest.raises(ValueError):
             refinement_chain_check(two_shell, 2.0, 3.0, 4.0)
+
+    def test_rounds_once(self, monkeypatch, two_shell):
+        from herzlab import lorentz
+
+        chain = (1.0, 2.0, 3.0, INF)
+        expected = [lorentz_quasi_norm(two_shell, LorentzParams(2.0, s)) for s in chain]
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return rounded_rearrangement(f)
+
+        monkeypatch.setattr(lorentz, "rounded_rearrangement", counting)
+        assert list(refinement_chain_check(two_shell, 2.0, 1.0, 3.0).norms) == expected
+        assert calls == [two_shell]
+
+
+class TestOneRoundedPath:
+    """Whole-function norms read the lattice's correctly rounded f*: the same
+    floats as rounding the exact rearrangement, without forming it."""
+
+    @given(lattice_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_norms_are_the_cores_on_the_rounded_exact_steps(self, f):
+        levels, knots = rearrangement(f).float_steps()
+        for p, r in ((2.0, 1.0), (1.5, 2.0), (3.0, INF), (INF, INF)):
+            params = LorentzParams(p, r)
+            assert lorentz_quasi_norm(f, params) == lorentz_norm_from_steps(levels, knots, p, r)
+            assert lorentz_star_norm(f, params) == lorentz_star_norm_from_steps(
+                levels, knots, p, r
+            )
+
+    def test_no_exact_rearrangement_is_formed(self, monkeypatch, capsys, tmp_path):
+        from herzlab.cli import main
+        from herzlab.corpus import save_corpus
+        from herzlab.interp import WeightedSeq, coretract_M, verify_interpolation
+
+        f = RadialStepFunction(2, [0, Fraction(1, 3), 1, Fraction(7, 3)], [2, Fraction(-5, 7), 1])
+        g = RadialStepFunction(2, [0, Fraction(1, 2), 3], [1, Fraction(2, 3)])
+        params = LorentzParams(2, 1)
+        witness = {1: RadialStepFunction(2, [0, 1, Fraction(4, 3)], [0, 3])}
+        corpus = tmp_path / "f.json"
+        save_corpus([f], corpus)
+        norm_args = ["norm", "--input", str(corpus), "--p", "2", "--r", "1", "--space"]
+
+        def run():
+            cli_norms = []
+            for space in ("lorentz", "lorentz-star"):
+                assert main([*norm_args, space]) == 0
+                cli_norms.append(capsys.readouterr().out)
+            return (
+                lorentz_quasi_norm(f, params),
+                lorentz_star_norm(f, params),
+                equivalence_check(f, params),
+                refinement_chain_check(f, 2.0, 1.0, 3.0),
+                lorentz_holder_pairing(f, g, params),
+                coretract_M(WeightedSeq.from_dict({1: 2.0}), witness, params),
+                verify_interpolation("lorentz", [ball(1, 1), ball(1, 9)], q=1.0).band,
+                cli_norms,
+            )
+
+        expected = run()
+
+        def refuse(self):
+            raise AssertionError("an exact rearrangement was formed")
+
+        monkeypatch.setattr(StepRearrangement, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="exact rearrangement"):
+            rearrangement(f)
+        assert run() == expected
 
 
 class TestQuasiTriangleStar:

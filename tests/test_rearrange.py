@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herzlab import rearrange as rearrange_mod
-from herzlab.corpus import record_to_object
 from herzlab.herz import annuli_decompose
 from herzlab.rearrange import (
     RadialStepFunction,
@@ -23,7 +22,7 @@ from herzlab.rearrange import (
     sum_bound_check,
     unit_ball_volume,
 )
-from conftest import brute_rearrangement_value
+from conftest import TINY, brute_rearrangement_value, lattice_functions
 
 
 def small_fraction(num_range=32, den_choices=(1, 2, 4, 8, 16)):
@@ -76,6 +75,12 @@ class TestUnitBallVolume:
 class TestRadialStepFunction:
     def test_shell_measures(self, two_shell):
         assert two_shell.shell_measures() == (Fraction(1, 2), Fraction(2))
+
+    @pytest.mark.parametrize("dim, measure", [(2, Fraction(1)), (3, Fraction(1, 3))])
+    def test_ball_measure_in_higher_dimensions(self, dim, measure):
+        # the radius is rounded for dim >= 2, so the measure holds to float precision
+        (m,) = ball(dim, measure).shell_measures()
+        assert float(m) == pytest.approx(float(measure), rel=1e-15, abs=0.0)
 
     def test_shell_measures_computed_once(self):
         f = RadialStepFunction(3, [0, Fraction(1, 3), 2], [1, -4])
@@ -464,33 +469,6 @@ class TestRestrictRadii:
             restrict_radii(two_shell, 1, 1)
         with pytest.raises(ValueError):
             restrict_radii(two_shell, -1, 1)
-
-
-TINY = Fraction(1, 3**200)
-# mixed denominators, both signs, zero and one value far below the float range
-LATTICE_VALUES = st.sampled_from(
-    [Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-9, 4), Fraction(3),
-     TINY]
-)
-
-
-@st.composite
-def lattice_functions(draw, thirds=(3, 6, 12)):
-    """Radii k/3, k/6 or k/12, so the lattice denominator is not a power of two,
-    built directly or decoded from a corpus record of [num, den] pairs."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    cuts = sorted(draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True)))
-    den = draw(st.sampled_from(thirds))
-    values = draw(st.lists(LATTICE_VALUES, min_size=n, max_size=n))
-    dim = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        return RadialStepFunction(dim, [0] + [Fraction(c, den) for c in cuts], values)
-    return record_to_object({
-        "type": "radial_step",
-        "dim": dim,
-        "breakpoints": [0] + [[c, den] for c in cuts],
-        "values": [[v.numerator, v.denominator] for v in values],
-    })
 
 
 def value_oracle(f, rho):
