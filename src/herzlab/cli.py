@@ -163,6 +163,8 @@ def _load_objects(cfg: SuiteConfig, want: type) -> list[Any]:
         objs = [o for o in corpus_mod.load_corpus(cfg.corpus) if isinstance(o, want)]
         if not objs:
             raise ConfigError(f"corpus {cfg.corpus} holds no usable records")
+        if want is GridFunction1D and not any(g.array().any() for g in objs):
+            raise ConfigError(f"corpus {cfg.corpus} holds no nonzero grid")
         return objs
     if want is RadialStepFunction:
         return corpus_mod.random_step_functions(cfg.size, cfg.seed)

@@ -18,6 +18,7 @@ from typing import Any, Sequence
 from .herz import AnnulusMeasureSequence, annulus_indicator
 from .operators import GridFunction1D
 from .rearrange import RadialStepFunction, ball, unit_ball_volume
+from .reporting import json_text
 
 __all__ = [
     "load_corpus",
@@ -131,7 +132,7 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
 
 def save_corpus(objects: Sequence[CorpusObject], path: str | Path) -> None:
     doc = {"records": [object_to_record(o) for o in objects]}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(doc) + "\n")
 
 
 def load_corpus(path: str | Path) -> list[CorpusObject]:

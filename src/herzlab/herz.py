@@ -13,9 +13,9 @@ builds its own on first use and keeps it (`RadialStepFunction.profile`,
 `GridFunction1D.profile`, the latter through `operators.grid_annulus_profiles`),
 and `annulus_profile` returns it, so a function used many times is decomposed
 once.  A profile caches per-annulus Lorentz scores per (p, r, starred) from
-the float cores of `lorentz` and aggregates them only with `weighted_lq`; HL
-norms, the embeddings, the annulus retract, the endpoint K-functional and the
-operator sweeps all read it.  The HL pairing and the embeddings return a
+the float cores of `lorentz` and aggregates them with `weighted_lq`'s floats;
+HL norms, the embeddings, the annulus retract, the endpoint K-functional and
+the operator sweeps all read it.  The HL pairing and the embeddings return a
 `reporting.Comparison`.
 """
 
@@ -29,11 +29,13 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from . import lorentz
 from .lorentz import (
     INF,
     LorentzParams,
     conjugate_exponent,
-    lorentz_norm_from_steps,
     lorentz_star_norm_from_steps,
     pairing_comparison,
 )
@@ -180,31 +182,53 @@ class AnnulusProfile:
     """Decreasing rearrangement of a function on each occupied dyadic annulus,
     as float data.
 
-    ``us`` lists the occupied annuli in increasing order; ``levels[i]`` and
-    ``knots[i]`` are the steps of the profile on annulus ``us[i]`` (levels
-    decreasing, knots cumulative measures) and ``integrals[i]`` the integral
-    of |f| there.  Both function kinds fill the same fields, so every
-    profile answers every query.
+    ``us`` lists the occupied annuli in increasing order; the steps of annulus
+    ``us[i]`` start at offset ``starts[i]`` of the flat arrays, and their views
+    ``levels[i]`` (decreasing) and ``knots[i]`` (cumulative measures) and
+    ``integrals[i]`` (of |f|) describe f there.  Both function kinds fill the
+    same fields, so every profile answers every query.
     """
 
     dim: int
     us: Sequence[int]
-    levels: Sequence[Sequence[float]]
-    knots: Sequence[Sequence[float]]
+    flat_levels: np.ndarray
+    flat_knots: np.ndarray
+    starts: list[int]
     integrals: Sequence[float]
     # keyed by (p, r, starred)
     _scores: dict[tuple[float, float, bool], dict[int, float]] = field(
         default_factory=dict, init=False, repr=False
     )
 
+    @classmethod
+    def from_segments(cls, dim: int, us: Sequence[int], levels: Sequence[Sequence[float]],
+                      knots: Sequence[Sequence[float]], integrals: Sequence[float]
+                      ) -> AnnulusProfile:
+        starts = list(accumulate(map(len, levels), initial=0))[:-1]
+        return cls(dim, us, np.concatenate(([], *levels)), np.concatenate(([], *knots)), starts,
+                   integrals)
+
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[s:e] for s, e in zip(self.starts, [*self.starts[1:], flat.size])]
+
+    @property
+    def levels(self) -> list[np.ndarray]:
+        return self._split(self.flat_levels)
+
+    @property
+    def knots(self) -> list[np.ndarray]:
+        return self._split(self.flat_knots)
+
     def _cached(self, params: LorentzParams, starred: bool) -> dict[int, float]:
         key = (params.p, params.r, starred)
         if key not in self._scores:
-            norm = lorentz_star_norm_from_steps if starred else lorentz_norm_from_steps
-            self._scores[key] = {
-                u: norm(w, t, params.p, params.r)
-                for u, w, t in zip(self.us, self.levels, self.knots)
-            }
+            if starred:
+                norms = [lorentz_star_norm_from_steps(w, t, params.p, params.r)
+                         for w, t in zip(self.levels, self.knots)]
+            else:  # one kernel call for all annuli
+                norms = lorentz.lorentz_norm_from_steps(self.flat_levels, self.flat_knots,
+                                                        params.p, params.r, self.starts)
+            self._scores[key] = dict(zip(self.us, norms))
         return self._scores[key]
 
     def scores(self, params: LorentzParams) -> dict[int, float]:
@@ -218,7 +242,7 @@ class AnnulusProfile:
     @cached_property
     def tops(self) -> list[float]:
         """Sup level of f on each annulus: the bounded-base scores."""
-        return [w[0] for w in self.levels]
+        return self.flat_levels[self.starts].tolist()
 
 
 def annulus_profile(f: RadialStepFunction | AnnulusProfile) -> AnnulusProfile:
@@ -233,8 +257,8 @@ def _step_profile(f: RadialStepFunction) -> AnnulusProfile:
     correctly from there."""
     pieces = annuli_decompose(f)
     steps = [rounded_rearrangement(piece) for _, piece in pieces]
-    return AnnulusProfile(f.dim, [u for u, _ in pieces], [w for w, _, _ in steps],
-                          [t for _, t, _ in steps], [m for _, _, m in steps])
+    return AnnulusProfile.from_segments(f.dim, [u for u, _ in pieces], [w for w, _, _ in steps],
+                                        [t for _, t, _ in steps], [m for _, _, m in steps])
 
 
 def hl_norm(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,30 +98,45 @@ def char_norm_constant(params: LorentzParams) -> float:
 
 
 def lorentz_norm_from_steps(
-    levels: Sequence[float], knots: Sequence[float], p: float, r: float
-) -> float:
+    levels: Sequence[float], knots: Sequence[float], p: float, r: float,
+    starts: Sequence[int] | None = None,
+) -> float | list[float]:
     """Closed-form Lorentz quasi-norm of a nonincreasing step profile.
 
     ``levels`` decrease and ``knots`` are the cumulative measures at which
-    they end, as from `rounded_rearrangement`.  For r < inf the integral of
-    (t^{1/p} w)^r dt/t is a telescoping power sum (quadrature.power_sum_norm,
-    which keeps it within the float range); for r = inf the supremum is
-    approached at the right knot endpoints.
+    they end, as from `rounded_rearrangement`.  With ``starts``, nonempty
+    segments (an annulus profile's annuli) lie end to end from those
+    offsets, each with knots from its own origin, and their norms are
+    returned.  For r < inf the integral of (t^{1/p} w)^r dt/t is a
+    telescoping power sum, summed per segment on its slice with the bits of
+    a one-segment sum (quadrature.power_sum_norm redoes one that leaves the
+    float range); for r = inf the supremum is approached at the knots.
     """
-    w = np.asarray(levels, dtype=float)
+    w, t = np.asarray(levels, dtype=float), np.asarray(knots, dtype=float)
+    one = starts is None
+    starts = [0] if one else list(starts)
     if w.size == 0:
-        return 0.0
+        return 0.0 if one else []
     if p == INF:
         if r != INF:
             raise ValueError("p = inf requires r = inf")
-        return float(w[0])
-    t = np.asarray(knots, dtype=float)
-    if r == INF:
-        return float(np.max(w * t ** (1.0 / p)))
-    t_pow = t ** (r / p)
-    dt = t_pow.copy()
-    dt[1:] -= t_pow[:-1]
-    return power_sum_norm(w, r, dt, p / r)
+        norms = w[starts].tolist()
+    elif r == INF:
+        norms = np.maximum.reduceat(w * t ** (1.0 / p), starts).tolist()
+    else:
+        t_pow = t ** (r / p)
+        dt = t_pow.copy()
+        dt[1:] -= t_pow[:-1]
+        dt[starts] = t_pow[starts]  # each segment restarts at its own first knot
+        norms = []
+        with np.errstate(over="ignore"):
+            terms = w**r * dt
+            for s, e in zip(starts, [*starts[1:], w.size]):
+                total = (p / r) * float(np.add.reduce(terms[s:e]))
+                in_range = sys.float_info.min <= total < INF
+                norms.append(total ** (1.0 / r) if in_range
+                             else power_sum_norm(w[s:e], r, dt[s:e], p / r))
+    return norms[0] if one else norms
 
 
 def lorentz_quasi_norm(f: RadialStepFunction, params: LorentzParams) -> float:
@@ -153,8 +169,8 @@ def lorentz_star_norm_from_steps(
         return top
     if p <= 1.0:  # here p = r = 1, and the tail mass/t has a log divergence
         return INF
-    ts = [float(t) for t in knots]
-    mass = [float(w) * (t - s) for w, t, s in zip(levels, ts, [0.0, *ts])]
+    ws, ts = (np.asarray(x, dtype=float).tolist() for x in (levels, knots))
+    mass = [w * (t - s) for w, t, s in zip(ws, ts, [0.0, *ts])]
     k = dict(zip(ts, itertools.accumulate(mass))).__getitem__
     return k_norm(k, ts, (ts[0], ts[-1]), (math.fsum(mass), top), 1.0 - 1.0 / p, r)[0]
 

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .herz import AnnulusProfile, HerzParams, annulus_bounds, annulus_measure, hl_norm, weighted_lq
+from .herz import AnnulusProfile, HerzParams, annulus_bounds, annulus_measure, hl_norm, lq_norm
 from .lorentz import INF, LorentzParams, char_norm_constant, conjugate_exponent
 from .quadrature import power_sum_norm
 from .reporting import Comparison
@@ -166,15 +166,16 @@ def _hull_parents(t_c: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     t, F = t_c.tolist(), f_c.tolist()
     last = len(t) - 1
     parent = [last] * len(t)
-    chain = [last]
+    below, a = [], last  # the chain under its top vertex a
     for k in range(last - 1, -1, -1):
-        while len(chain) > 1:
-            a, b = chain[-1], chain[-2]
+        while below:
+            b = below[-1]
             if (F[a] - F[k]) * (t[b] - t[a]) > (F[b] - F[a]) * (t[a] - t[k]):
                 break
-            chain.pop()
-        parent[k] = chain[-1]
-        chain.append(k)
+            a = below.pop()
+        parent[k] = a
+        below.append(a)
+        a = k
     return np.array(parent)
 
 
@@ -187,25 +188,30 @@ def _right_sup(
     candidates from nxt on sits at a vertex of their upper hull: the path
     nxt, parent[nxt], ...  Along that path a chord to the next vertex is
     larger exactly up to the tangent vertex, so binary lifting over `parent`
-    finds the tangent for every x at once in log2 K vectorized steps.
+    finds the tangent for every x at once in log2 K vectorized steps, which
+    carry the chords to v and to parent[v] along.
     """
 
-    def chord(c: np.ndarray) -> np.ndarray:
-        return (f_c[c] - fx) / (t_c[c] - x)
+    def chord(f: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return (f[c] - fx) / (t[c] - x)
 
     parent = _hull_parents(t_c, f_c)
+    f_p, t_p = f_c[parent], t_c[parent]  # the vertex after each candidate
     jumps = [parent]  # jumps[k][c]: the vertex 2^k steps after c
     for _ in range((len(parent) - 1).bit_length() - 1):
         jumps.append(jumps[-1][jumps[-1]])
     # v stays on the rising part of the path, so the tangent is v or
     # parent[v]; cells whose path falls from nxt on keep v = nxt, even where
     # rounding makes a later chord pair rise again
-    v = nxt
-    rising = chord(parent[v]) > chord(v)
+    v, here, after = nxt, chord(f_c, t_c, nxt), chord(f_p, t_p, nxt)
+    rising = after > here
     for up in reversed(jumps):
         w = up[v]
-        v = np.where(rising & (chord(parent[w]) > chord(w)), w, v)
-    return np.maximum(chord(v), chord(parent[v]))
+        here_w, after_w = chord(f_c, t_c, w), chord(f_p, t_p, w)
+        step = rising & (after_w > here_w)
+        v = np.where(step, w, v)
+        here, after = np.where(step, here_w, here), np.where(step, after_w, after)
+    return np.maximum(here, after)
 
 
 def maximal_operator(f: GridFunction1D) -> GridFunction1D:
@@ -501,10 +507,10 @@ def grid_annulus_profiles(f: GridFunction1D) -> AnnulusProfile:
         neg_hi, pos_hi = nodes.searchsorted((-lo, hi), side="left")
         neg_lo, pos_hi = max(neg_lo, 0), min(pos_hi, f.n_cells)
         if neg_hi >= pos_lo:
-            cells = slice(neg_lo, pos_hi)
+            cells = [slice(neg_lo, pos_hi)]
         else:
-            cells = np.concatenate((np.arange(neg_lo, neg_hi), np.arange(pos_lo, pos_hi)))
-        el, er, v = nodes[:-1][cells], nodes[1:][cells], vals[cells]
+            cells = [slice(neg_lo, neg_hi), slice(pos_lo, pos_hi)]
+        el, er, v = (np.concatenate([a[c] for c in cells]) for a in (nodes[:-1], nodes[1:], vals))
         pos = np.clip(np.minimum(er, hi) - np.maximum(el, lo), 0.0, None)
         neg = np.clip(np.minimum(er, -lo) - np.maximum(el, -hi), 0.0, None)
         widths = pos + neg
@@ -518,7 +524,7 @@ def grid_annulus_profiles(f: GridFunction1D) -> AnnulusProfile:
         levels.append(w[order])
         knots.append(np.cumsum(m[order]))
         integrals.append(float(w @ m))
-    return AnnulusProfile(1, us, levels, knots, integrals)
+    return AnnulusProfile.from_segments(1, us, levels, knots, integrals)
 
 
 def hl_norm_from_profiles(profiles: AnnulusProfile, params: HerzParams) -> float:
@@ -577,24 +583,26 @@ def _sweep_ratios(
     corpus: Sequence[GridFunction1D],
     cells: Sequence[tuple[float, float, float, float]],
 ) -> list[SweepCell]:
-    # each profile caches its per-annulus scores per (p, r), so the cells
-    # sharing (p, r) differ only in the weighted_lq aggregation; the profiles
-    # of f and of its refinement are kept on the grids, so every sweep over
-    # one corpus shares them and their scores
+    # the profiles of f and its refinement, kept on the grids, cache their
+    # scores per (p, r) for every sweep of the corpus; per (p, r) they form one
+    # matrix (0.0: annulus absent) whose weighted rows' lq_norm is weighted_lq
+    if not any(f.array().any() for f in corpus):
+        raise ValueError("the corpus holds no nonzero grid, so every ratio would be 0/0")
     op = _OPERATORS[operator]
-    profiles = []
-    for f in corpus:
-        fr = f.refine()
-        profiles.append(
-            (f.profile, grid_annulus_profiles(op(f)), fr.profile, grid_annulus_profiles(op(fr)))
-        )
+    profiles = [prof for f in corpus for g in (f, f.refine())
+                for prof in (g.profile, grid_annulus_profiles(op(g)))]
+    us = sorted(set().union(*(prof.us for prof in profiles)))
+    matrices: dict[LorentzParams, np.ndarray] = {}
     rows = []
     for a, p, q, r in cells:
         inner = LorentzParams(p, r)
-        base_ratio = 0.0
-        fine_ratio = 0.0
-        for profs in profiles:
-            n_f, n_tf, n_fr, n_tfr = (weighted_lq(pr.scores(inner), a, q) for pr in profs)
+        if inner not in matrices:
+            matrices[inner] = np.array([[prof.scores(inner).get(u, 0.0) for u in us]
+                                        for prof in profiles])
+        weighted = matrices[inner] * [2.0 ** (u * a) for u in us]
+        norms = [lq_norm(row, q) for row in weighted.tolist()]
+        base_ratio = fine_ratio = 0.0
+        for n_f, n_tf, n_fr, n_tfr in zip(*[iter(norms)] * 4):
             if n_f == 0.0:
                 continue
             base_ratio = max(base_ratio, n_tf / n_f)

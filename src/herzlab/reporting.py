@@ -7,9 +7,10 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-__all__ = ["CheckRecord", "Comparison", "write_report", "read_report", "render_tsv", "summarize"]
+__all__ = ["CheckRecord", "Comparison", "json_text", "write_report", "read_report", "render_tsv",
+           "summarize"]
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,39 @@ def _clean(x: Any) -> Any:
     return x
 
 
+_STR = json.encoder.encode_basestring_ascii
+# json.dumps's scalar types in the order of its isinstance tests; a non-finite
+# float is written as `_clean` writes it, as the string of its repr
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _STR, type(None): lambda x: "null", bool: lambda x: "true" if x else "false",
+    int: int.__repr__, float: lambda x: float.__repr__(x) if math.isfinite(x) else _STR(repr(x)),
+}
+
+
+def json_text(doc: Any, indent: str = "") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of a document with str keys,
+    bit for bit, but with non-finite floats written as `_clean` writes them
+    (``indent`` is the enclosing container's).  The json module encodes an
+    indented document token by token in Python; this does a container a pass."""
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        body = [_STR(k) + ": " + (w(v) if (w := _SCALARS.get(type(v))) else json_text(v, inner))
+                for k, v in sorted(doc.items())]
+    elif isinstance(doc, (list, tuple)):
+        body = [w(v) if (w := _SCALARS.get(type(v))) else json_text(v, inner) for v in doc]
+    else:
+        kind = next((t for t in _SCALARS if isinstance(doc, t)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+        return _SCALARS[kind](doc)
+    ends = "{}" if isinstance(doc, dict) else "[]"
+    sep = "\n" + inner
+    return ends[0] + sep + ("," + sep).join(body) + "\n" + indent + ends[1] if body else ends
+
+
 def write_report(records: Sequence[CheckRecord], path: str | Path) -> None:
-    doc = {
-        "records": [_clean(_as_dict(r)) for r in records],
-        "summary": summarize(records),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = {"records": [_as_dict(r) for r in records], "summary": summarize(records)}
+    Path(path).write_text(json_text(doc) + "\n")
 
 
 def read_report(path: str | Path) -> tuple[list[CheckRecord], dict[str, Any]]:

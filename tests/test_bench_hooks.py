@@ -4,7 +4,9 @@
 `benchmarks/run.py` reads the default `SuiteConfig.jobs` for its metadata,
 so a rename there would otherwise first show as a crashed benchmark run.
 The tracer names K spans by the branch of `interp.k_functional`, so the
-interpolation norm must keep reaching K through that module attribute.
+interpolation norm must keep reaching K through that module attribute; the
+grid workload must show calls to `lorentz.lorentz_norm_from_steps`, so the
+profile scores must keep reaching the Lorentz kernel through that one.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import herzlab.cli
-from herzlab import interp, operators
+from herzlab import interp, lorentz, operators
 from herzlab.herz import annulus_profile
 from herzlab.interp import CoupleSpec, InterpolationParams, WeightedSeq, interpolation_norm
 from herzlab.lorentz import INF, LorentzParams
@@ -118,3 +120,30 @@ def test_exact_radial_paths_reach_the_decomposition_and_the_rearrangement(tmp_pa
     assert profile_calls["herz.annuli_decompose.calls"] == 1
     assert profile_calls["rearrange.restrict_radii.calls"] >= 1
     assert suite_calls["rearrange.rearrangement.calls"] >= 2
+
+
+@pytest.mark.parametrize("kind", ["radial-profile", "grid-profile", "sweep"])
+def test_profile_scores_call_the_lorentz_kernel(monkeypatch, kind):
+    # one call per profile and (p, r): the benchmark requires these calls on
+    # the grid workload, and a rename or a bypass would remove them
+    calls = []
+    kernel = lorentz.lorentz_norm_from_steps
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(lorentz, "lorentz_norm_from_steps", counted)
+    grid = operators.grid_indicator(4.0, 64, -1.0, 3.0)
+    if kind == "radial-profile":
+        scores = annulus_profile(RadialStepFunction(1, [0, 1, 2, 5], [3, 1, 2])).scores(
+            LorentzParams(2.0, 1.0))
+        assert len(calls) == 1 and len(scores) == 5
+    elif kind == "grid-profile":
+        assert len(grid.profile.scores(LorentzParams(2.0, 1.0))) == 4
+        assert len(calls) == 1
+    else:
+        rep = operators.boundedness_sweep("maximal", [grid], ps=(2.0,), qs=(1.0,),
+                                          rs=(1.0, 2.0), weight_count=1)
+        assert len(rep.cells) == 2
+        assert len(calls) == 2 * 4  # f, Mf and both refined, per (p, r)

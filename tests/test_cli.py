@@ -4,6 +4,7 @@ import re
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from herzlab.operators import (
     hilbert_transform,
 )
 from herzlab.rearrange import RadialStepFunction
-from herzlab.reporting import CheckRecord, _clean, summarize, write_report
+from herzlab.reporting import CheckRecord, _clean, json_text, summarize, write_report
 from fractions import Fraction
 
 
@@ -265,6 +266,37 @@ class TestCommands:
         doc = {"records": [_clean(asdict(r)) for r in records], "summary": summarize(records)}
         assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert records[0].params["w"] == (1, 2)
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+        | st.tuples(st.integers(), st.integers(1)),  # [num, den] pairs
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=30,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_json_text_is_the_indented_json_dumps(self, doc):
+        # unicode text, inf and nan, bools, None and ints, in report- and
+        # corpus-shaped nesting; a non-finite float is written as _clean writes it
+        for shaped in (doc, {"records": [{"params": doc, "lhs": doc}], "summary": {}}):
+            expected = json.dumps(_clean(shaped), indent=2, sort_keys=True)
+            assert json_text(shaped) == expected
+
+    def test_json_text_types_in_json_order(self):
+        # subclasses of float, numpy floats, bools among ints and escapes land
+        # where json.dumps puts them; keys must be str
+        class Level(float):
+            pass
+
+        doc = {"b": [True, False, None, 1, Level(0.25), np.float64(1e300), (1, 2)],
+               "a": {"x": [], "y": {}, "z": {"\u00e9\u2603": [True, 1]}},
+               "c": "\x00\n\"", "d": [np.float64("inf"), -math.inf, math.nan, 2.0]}
+        assert json_text(doc) == json.dumps(_clean(doc), indent=2, sort_keys=True)
+        for scalar in (1.5, True, None, 7, "s", math.inf, np.float64(-math.inf)):
+            assert json_text(scalar) == json.dumps(_clean(scalar))
+        for bad in ({"a": object()}, {1: 2}):
+            with pytest.raises(TypeError):
+                json_text(bad)
 
     def test_report_determinism(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import power_integral
@@ -100,6 +101,15 @@ class TestAnnuli:
             base = LorentzParams(2.0, 1.0)
             assert prof.scores(base) == {u: lorentz_quasi_norm(p, base) for u, p in pieces}
             assert prof.star_scores(base) == {u: lorentz_star_norm(p, base) for u, p in pieces}
+
+    def test_profile_steps_are_views_of_flat_arrays(self, step_corpus):
+        for f in step_corpus[:10]:
+            prof = annulus_profile(f)
+            assert [len(w) for w in prof.levels] == [len(t) for t in prof.knots]
+            assert sum(map(len, prof.levels)) == len(prof.flat_levels)
+            for w, t in zip(prof.levels, prof.knots):
+                assert np.shares_memory(w, prof.flat_levels)
+                assert np.shares_memory(t, prof.flat_knots)
 
     def test_profile_is_kept_on_the_function(self, two_shell):
         assert annulus_profile(two_shell) is annulus_profile(two_shell)

@@ -189,6 +189,67 @@ class TestPowerSumRange:
                 assert lorentz_norm_from_steps(levels, knots, p, r) == direct
 
 
+def random_steps(rng, n, scale=1.0):
+    """n decreasing levels and increasing knots from the origin."""
+    levels = scale * np.sort(rng.uniform(0.1, 5.0, n))[::-1]
+    return levels, np.cumsum(rng.uniform(0.01, 2.0, n))
+
+
+class TestSegmentedKernel:
+    """Several profiles end to end in one call: each norm has the bits of
+    that profile's own direct form."""
+
+    SIZES = (1, 7, 8, 9, 16, 129, 300, 2, 3)
+
+    @staticmethod
+    def direct(w, t, p, r):
+        if p == INF:
+            return float(w[0])
+        if r == INF:
+            return float(np.max(w * t ** (1.0 / p)))
+        dt = np.diff(t ** (r / p), prepend=0.0)
+        return ((p / r) * float(np.sum(w**r * dt))) ** (1.0 / r)
+
+    @staticmethod
+    def concat(segments):
+        starts = np.cumsum([0] + [len(w) for w, _ in segments[:-1]]).tolist()
+        return (np.concatenate([w for w, _ in segments]),
+                np.concatenate([t for _, t in segments]), starts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p, r", [(2.0, 1.0), (1.5, 2.0), (4.0, 3.0), (3.0, 0.5),
+                                      (2.0, INF), (0.7, INF), (INF, INF)])
+    def test_each_segment_equals_its_direct_form(self, seed, p, r):
+        rng = np.random.default_rng(seed)
+        sizes = rng.permutation(self.SIZES)
+        segments = [random_steps(rng, int(n)) for n in sizes]
+        levels, knots, starts = self.concat(segments)
+        got = lorentz_norm_from_steps(levels, knots, p, r, starts)
+        assert got == [self.direct(w, t, p, r) for w, t in segments]
+        assert all(type(x) is float for x in got)
+        # the one-segment form is the same kernel
+        assert [lorentz_norm_from_steps(w, t, p, r) for w, t in segments] == got
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    @pytest.mark.parametrize("p, r", [(2.0, 2.0), (2.0, 1.0), (1.5, 4.0)])
+    def test_segments_beyond_the_float_range(self, c, p, r):
+        # the middle segment's sum leaves the normal range and is redone
+        # scaled on its own slice; its neighbours keep their direct bits
+        rng = np.random.default_rng(5)
+        segments = [random_steps(rng, 7), random_steps(rng, 12, scale=c), random_steps(rng, 8)]
+        levels, knots, starts = self.concat(segments)
+        first, mid, last = lorentz_norm_from_steps(levels, knots, p, r, starts)
+        assert (first, last) == tuple(self.direct(w, t, p, r) for w, t in segments[::2])
+        w, t = segments[1]
+        assert mid == lorentz_norm_from_steps(w, t, p, r)
+        assert mid == pytest.approx(c * lorentz_norm_from_steps(w / c, t, p, r),
+                                    rel=1e-14, abs=0.0)
+
+    def test_no_segments(self):
+        assert lorentz_norm_from_steps([], [], 2.0, 1.0, []) == []
+        assert lorentz_norm_from_steps([], [], 2.0, 1.0) == 0.0
+
+
 class TestStarNorm:
     def test_core_takes_lists_and_arrays(self, step_corpus):
         # a grid profile hands the core numpy arrays, a radial one lists

@@ -177,6 +177,13 @@ class TestGridFunction:
         assert back == fs
         assert not back[0].values.flags.writeable
 
+    def test_profile_steps_are_views_of_flat_arrays(self):
+        prof = small_grid(n=64).profile
+        assert len(prof.levels) == len(prof.us) > 1
+        for i in range(len(prof.us)):
+            assert np.shares_memory(prof.levels[i], prof.flat_levels)
+            assert np.shares_memory(prof.knots[i], prof.flat_knots)
+
     def test_profile_and_refinement_are_built_once(self):
         f = small_grid(n=64)
         assert f.refine() is f.refine()
@@ -581,15 +588,8 @@ class TestSweep:
         assert hl_ratio == pytest.approx(num / den, rel=1e-10)
 
 
-@pytest.mark.parametrize("operator", ["maximal", "hilbert"])
-def test_sweep_rows_equal_cell_by_cell_ratios(operator):
-    corpus = [grid_indicator(4.0, 256, -1.0, 1.0)] + random_grid_functions(
-        2, seed=11, half_width=4.0, n_cells=256
-    )
+def assert_rows_are_cell_by_cell_ratios(operator, corpus, rep):
     op = {"maximal": maximal_operator, "hilbert": hilbert_transform}[operator]
-    rep = boundedness_sweep(operator, corpus, ps=(1.5, 4.0), qs=(1.0, INF),
-                            rs=(2.0,), weight_count=2)
-    assert len(rep.cells) == 8
     for row in rep.cells:
         params = HerzParams(row.a, row.p, row.q, row.r)
         base = fine = 0.0
@@ -601,6 +601,57 @@ def test_sweep_rows_equal_cell_by_cell_ratios(operator):
             fr = f.refine()
             fine = max(fine, grid_hl_norm(op(fr), params) / grid_hl_norm(fr, params))
         assert (row.ratio, row.refined_ratio) == (base, fine)
+
+
+@pytest.mark.parametrize("operator", ["maximal", "hilbert"])
+def test_sweep_rows_equal_cell_by_cell_ratios(operator):
+    corpus = [grid_indicator(4.0, 256, -1.0, 1.0)] + random_grid_functions(
+        2, seed=11, half_width=4.0, n_cells=256
+    )
+    rep = boundedness_sweep(operator, corpus, ps=(1.5, 4.0), qs=(1.0, INF),
+                            rs=(2.0,), weight_count=2)
+    assert len(rep.cells) == 8
+    assert_rows_are_cell_by_cell_ratios(operator, corpus, rep)
+
+
+@pytest.mark.parametrize("operator", ["maximal", "hilbert"])
+@pytest.mark.parametrize("case", ["zero-grid-among-others", "image-beyond-support"])
+def test_sweep_rows_equal_cell_by_cell_ratios_on_edge_corpora(operator, case):
+    # a zero grid is skipped cell by cell; an image Tf that reaches annuli
+    # f lacks has scores where f's row of the sweep matrix holds 0.0
+    if case == "zero-grid-among-others":
+        corpus = [GridFunction1D(4.0, np.zeros(256))] + random_grid_functions(
+            2, seed=11, half_width=4.0, n_cells=256
+        )
+    else:
+        corpus = [grid_indicator(8.0, 512, -0.25, 0.25), grid_indicator(8.0, 512, 3.0, 4.0)]
+        assert set(grid_annulus_profiles(corpus[0]).us) == {-1}
+        assert set(grid_annulus_profiles(operators._OPERATORS[operator](corpus[0])).us) > {-1}
+    rep = boundedness_sweep(operator, corpus, ps=(1.5, 4.0), qs=(1.0, 2.5, INF),
+                            rs=(1.0, 2.0), weight_count=2)
+    assert len(rep.cells) == 24
+    assert_rows_are_cell_by_cell_ratios(operator, corpus, rep)
+
+
+class TestZeroGridCorpus:
+    """A corpus of zero grids has only 0/0 ratios: the sweeps refuse it
+    rather than pass every cell with ratio 0."""
+
+    def test_sweeps_raise(self):
+        corpus = [GridFunction1D(4.0, np.zeros(64)), GridFunction1D(2.0, np.zeros(32))]
+        for operator in ("maximal", "hilbert"):
+            with pytest.raises(ValueError, match="no nonzero grid"):
+                boundedness_sweep(operator, corpus)
+        with pytest.raises(ValueError, match="no nonzero grid"):
+            interpolated_boundedness_check("hilbert", 2.0, 1.5, 0.2, corpus)
+
+    @pytest.mark.parametrize("suite", ["boundedness", "interp-boundedness"])
+    def test_cli_exits_2_without_a_report(self, tmp_path, capsys, suite):
+        path, out = tmp_path / "zero.json", tmp_path / "report.json"
+        save_corpus([GridFunction1D(4.0, np.zeros(64))], path)
+        assert cli.main(["verify", suite, "--corpus", str(path), "--out", str(out)]) == 2
+        assert "no nonzero grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweeps_sharing_a_corpus_equal_fresh_sweeps():

@@ -490,8 +490,8 @@ class TestLattice:
         assert list(prof.us) == [u for u, _ in pieces]
         for i, (_, piece) in enumerate(pieces):
             g = rearrangement(piece)
-            assert prof.levels[i] == [float(w) for w in g.levels]
-            assert prof.knots[i] == [float(t) for t in g.knots]
+            assert prof.levels[i].tolist() == [float(w) for w in g.levels]
+            assert prof.knots[i].tolist() == [float(t) for t in g.knots]
             assert prof.integrals[i] == float(piece.abs_integral())
 
     @example(TINY_CASE)
