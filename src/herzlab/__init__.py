@@ -21,7 +21,6 @@ from .interp import (
     InterpolationParams,
     WeightedSeq,
     coretract_M,
-    ell_norm,
     interpolation_norm,
     k_functional,
     k_functional_curve,

@@ -439,16 +439,9 @@ def _suite_lemma_bound(cfg: SuiteConfig) -> list[Check]:
 
     def one(dim: int, p: float, r: float) -> list[CheckRecord]:
         rep = annulus_interaction_scan(dim, LorentzParams(p, r), window)
-        return [
-            CheckRecord(
-                "lemma-bound",
-                f"scan[N={dim},p={p},r={r}]",
-                {"dim": dim, "p": p, "r": r, "window": list(window)},
-                lhs=rep.constant,
-                passed=rep.passed,
-                notes=f"argmax={rep.argmax}",
-            )
-        ]
+        params = {"dim": dim, "p": p, "r": r, "window": list(window)}
+        return [CheckRecord("lemma-bound", f"scan[N={dim},p={p},r={r}]", params, lhs=rep.constant,
+                            passed=rep.passed, notes=f"closed_form={rep.rhs!r}")]
 
     return [
         (lambda dim=dim, p=p, r=r: one(dim, p, r))

@@ -76,7 +76,6 @@ __all__ = [
     "CoupleSpec",
     "InterpolationParams",
     "InterpNormResult",
-    "ell_norm",
     "retract_L",
     "coretract_M",
     "k_functional",
@@ -172,11 +171,6 @@ class InterpolationParams:
             raise ValueError("q must be positive")
         if self.t_exponent_bound < 1:
             raise ValueError("t grid bound must be >= 1")
-
-
-def ell_norm(y: WeightedSeq, a: float, q: float) -> float:
-    """Weighted l^q norm (sum_u 2^{uaq} y_u^q)^{1/q}, sup form at q = inf."""
-    return weighted_lq(y.as_dict(), a, q)
 
 
 def retract_L(f: RadialStepFunction, base: LorentzParams) -> WeightedSeq:
@@ -545,7 +539,7 @@ def _k_plan(
     """The K plan of a source and couple, built once (a pure function, so
     memoized): side vectors, lines and capped cost of a sequence, or the
     level-cap lines of a function's annulus profile for an endpoint couple,
-    and the couple's norms of the source: ell_norm on both sides of a
+    and the couple's norms of the source: weighted_lq on both sides of a
     sequence, and for an endpoint couple the weighted aggregations of the
     profile's annulus integrals (side 0) and top levels (side 1).
 
@@ -591,7 +585,7 @@ def _k_plan(
             None if swapped.breaks is None else swapped_breaks,
             swapped.norms[::-1],
         )
-    norms = ell_norm(source, a0, q0), ell_norm(source, a1, q1)
+    norms = weighted_lq(source.as_dict(), a0, q0), weighted_lq(source.as_dict(), a1, q1)
     a_vec, b_vec = _side_vectors(source, couple)
     if 0.0 in a_vec or 0.0 in b_vec:
         # a coordinate whose side weight rounds to 0 is free on that side, so K
@@ -931,7 +925,7 @@ def verify_interpolation(
         pairs = [(y, y.scaled(2.0)) for y in seqs if not y.is_zero()]
 
         def target(y: WeightedSeq) -> float:
-            return ell_norm(y, a, q_target)
+            return weighted_lq(y.as_dict(), a, q_target)
 
     else:
         pairs = [(f, scale(f, 2)) for f in corpus if not f.is_zero()]

@@ -103,40 +103,54 @@ def lorentz_norm_from_steps(
 ) -> float | list[float]:
     """Closed-form Lorentz quasi-norm of a nonincreasing step profile.
 
-    ``levels`` decrease and ``knots`` are the cumulative measures at which
-    they end, as from `rounded_rearrangement`.  With ``starts``, nonempty
-    segments (an annulus profile's annuli) lie end to end from those
-    offsets, each with knots from its own origin, and their norms are
-    returned.  For r < inf the integral of (t^{1/p} w)^r dt/t is a
-    telescoping power sum, summed per segment on its slice with the bits of
-    a one-segment sum (quadrature.power_sum_norm redoes one that leaves the
-    float range); for r = inf the supremum is approached at the knots.
+    ``levels`` decrease and ``knots`` are the cumulative measures at which they
+    end, as from `rounded_rearrangement`.  With ``starts``, nonempty segments (an
+    annulus profile's annuli) lie end to end from those offsets, each with knots
+    from its own origin, and their norms are returned.  For r < inf the integral
+    of (t^{1/p} w)^r dt/t is a telescoping power sum, summed per segment on its
+    slice with the bits of a one-segment sum; for r = inf the supremum is
+    approached at the knots.  A segment whose sum, or a power of whose knots or
+    levels, leaves the normal float range is redone by `_rescaled_norm`.
     """
     w, t = np.asarray(levels, dtype=float), np.asarray(knots, dtype=float)
     one = starts is None
     starts = [0] if one else list(starts)
     if w.size == 0:
         return 0.0 if one else []
-    if p == INF:
-        if r != INF:
-            raise ValueError("p = inf requires r = inf")
-        norms = w[starts].tolist()
-    elif r == INF:
-        norms = np.maximum.reduceat(w * t ** (1.0 / p), starts).tolist()
-    else:
-        t_pow = t ** (r / p)
-        dt = t_pow.copy()
-        dt[1:] -= t_pow[:-1]
-        dt[starts] = t_pow[starts]  # each segment restarts at its own first knot
-        norms = []
-        with np.errstate(over="ignore"):
-            terms = w**r * dt
-            for s, e in zip(starts, [*starts[1:], w.size]):
-                total = (p / r) * float(np.add.reduce(terms[s:e]))
-                in_range = sys.float_info.min <= total < INF
-                norms.append(total ** (1.0 / r) if in_range
-                             else power_sum_norm(w[s:e], r, dt[s:e], p / r))
+    if p == INF and r != INF:
+        raise ValueError("p = inf requires r = inf")
+    # a power that overflows leaves the sum inf or nan; of those that can
+    # underflow, a segment's least are its first knot's and its last level's
+    ends, tiny = [*starts[1:], w.size], sys.float_info.min
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_pow = t ** (1.0 / p if r == INF else r / p)
+        if r == INF:
+            w_pow, sums = w, np.maximum.reduceat(w * t_pow, starts).tolist()
+        else:
+            w_pow = w**r
+            dt = t_pow.copy()
+            dt[1:] -= t_pow[:-1]
+            dt[starts] = t_pow[starts]  # each segment restarts at its own first knot
+            terms = w_pow * dt
+            sums = [(p / r) * float(np.add.reduce(terms[s:e])) for s, e in zip(starts, ends)]
+        norms = [(x if r == INF else x ** (1.0 / r))
+                 if tiny <= x < INF and t_pow[s] >= tiny and w_pow[e - 1] >= tiny
+                 else _rescaled_norm(w[s:e], t[s:e], p, r) for x, s, e in zip(sums, starts, ends)]
     return norms[0] if one else norms
+
+
+def _rescaled_norm(w: np.ndarray, t: np.ndarray, p: float, r: float) -> float:
+    """One segment's quasi-norm from the products x_i = w_i t_i^{1/p}, each formed
+    from the binary mantissas and exponents of w_i and t_i, so no power of a
+    level or a knot can leave the float range.  For r < inf power_sum_norm takes the
+    sum by parts, sum_i x_i^r (1 - (w_{i+1}/w_i)^r) with w_{n+1} = 0."""
+    w, t = w[w > 0], t[w > 0]  # zero levels, which can only trail, add nothing
+    (m, a), (f, b) = np.frexp(w), np.frexp(t)
+    e = b / p
+    x = np.ldexp(m * f ** (1.0 / p) * 2.0 ** (e - np.floor(e)), a + np.floor(e).astype(int))
+    if r == INF:
+        return float(np.max(x, initial=0.0))
+    return power_sum_norm(x, r, 1.0 - np.append(w[1:] / w[:-1], 0.0) ** r, p / r)
 
 
 def lorentz_quasi_norm(f: RadialStepFunction, params: LorentzParams) -> float:

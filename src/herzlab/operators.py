@@ -34,6 +34,7 @@ import numpy as np
 from .herz import AnnulusProfile, HerzParams, annulus_bounds, annulus_measure, hl_norm, lq_norm
 from .lorentz import INF, LorentzParams, char_norm_constant, conjugate_exponent
 from .quadrature import power_sum_norm
+from .rearrange import unit_ball_volume
 from .reporting import Comparison
 
 __all__ = [
@@ -435,48 +436,46 @@ def annulus_interaction_bound(
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class InteractionScanReport:
-    constant: float
-    argmax: tuple[int, int]
-    window: tuple[int, int]
-    passed: bool
-
-
 def annulus_interaction_scan(
     dim: int,
     params: LorentzParams,
     window: tuple[int, int] = (-1, 60),
-) -> InteractionScanReport:
-    """Tightest single constant over the scanned (u, v) window.
+) -> Comparison:
+    """The annulus interaction constant on [lo, hi]^2 in closed form (rhs),
+    checked at the window's corners.
 
-    Row u = lo goes pair by pair through annulus_interaction_bound, so an
-    overflowing window names its first (u, v).  Once it passes, every
-    measure and every decay with v - u >= 0 has been formed, and 2^{-uN}
-    <= 1 for the later rows u >= 0, so no later factor overflows: the rest
-    of the window multiplies factors built once per u, per v and per
-    v - u, in the same order as annulus_interaction_bound, so every ratio
-    and the first strict maximum in row-major order are unchanged.
+    With c, c' the char_norm_constant of params and of params.conjugate() and
+    w_N the unit ball volume, ||X_E||_{p,r} = c |E|^{1/p}, |A_{-1}| = w_N 2^{-N}
+    and |A_u| = w_N 2^{uN} (1 - 2^{-N}) for u >= 0.  As 1/p + 1/p' = 1, the powers
+    of two cancel in 2^{-uN} ||X_{A_u}||_{p,r} ||X_{A_v}||_{p',r'} / 2^{(N/p')(v-u)}:
+    the ratio is c c' w_N at (-1, -1), c c' w_N (1 - 2^{-N}) at every u, v >= 0,
+    and the mixed pairs (-1, v), (u, -1) carry the factors (1 - 2^{-N})^{1/p'},
+    (1 - 2^{-N})^{1/p}.  So the supremum over [lo, hi]^2 is attained at (lo, lo).
+
+    The corners (lo, lo), (lo, hi), (hi, lo), (hi, hi) go through
+    annulus_interaction_bound in that order, so an overflowing window names its
+    first such pair; lhs (the constant) is the largest corner ratio.  It passes
+    if the (lo, lo) ratio is the closed form and no corner exceeds it, to
+    relative 16 e (L + 1): e = 2^-53, K = max(|lo|, |hi|) and L = N (K + 1) +
+    |log2 w_N| + 1 >= |log2 |A_u||.  A corner rounds a measure, two powers and
+    2^y (an ulp, 2e, each), three products and a quotient (2^{-uN} is exact):
+    11 e; the closed form 4 e.  The rounded exponents 1/p (by e/p), 1/p' (3e/p':
+    p - 1, p', 1/p') and y (4e N |v - u|/p') move a ratio by at most
+    ln 2 e (L/p + 3L/p' + 8 N K/p') <= 8 e L, and 16 e (L + 1) doubles 15 e + 8 e L.
+    No product may fall below the normal range (p' near 1, N hi near overflow).
     """
     lo, hi = window
-    best, arg = 0.0, (lo, lo)
-    for v in range(lo, hi + 1):
-        lhs, rhs = annulus_interaction_bound(lo, v, dim, params)
-        ratio = lhs / rhs
-        if ratio > best:
-            best, arg = ratio, (lo, v)
-    conj = params.conjugate()
-    right = [_char_lorentz_norm(v, dim, conj) for v in range(lo, hi + 1)]
-    rate, width = dim / conj.p, hi - lo
-    decay = [2.0 ** (rate * d) for d in range(-width, width + 1)]  # d = v - u at d + width
-    for u in range(lo + 1, hi + 1):
-        left = 2.0 ** (-u * dim) * _char_lorentz_norm(u, dim, params)
-        start = lo - u + width
-        for v, (right_v, decay_d) in enumerate(zip(right, decay[start : start + width + 1]), lo):
-            ratio = left * right_v / decay_d
-            if ratio > best:
-                best, arg = ratio, (u, v)
-    return InteractionScanReport(best, arg, window, math.isfinite(best))
+    corners = [annulus_interaction_bound(u, v, dim, params)
+               for u, v in ((lo, lo), (lo, hi), (hi, lo), (hi, hi))]
+    ratios = [lhs / rhs for lhs, rhs in corners]
+    omega = float(unit_ball_volume(dim))
+    closed = char_norm_constant(params) * char_norm_constant(params.conjugate()) * omega
+    if lo >= 0:
+        closed *= 1.0 - 2.0**-dim
+    tol = 2.0**-49 * (dim * (max(abs(lo), abs(hi)) + 1) + abs(math.log2(omega)) + 2)
+    best = max(ratios)
+    passed = abs(ratios[0] - closed) <= tol * closed and best <= closed * (1.0 + tol)
+    return Comparison(best, closed, best / closed, passed, best)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,13 @@ from herzlab.herz import (
     bfs_condition_check,
     hl_holder_check,
     hl_norm,
+    weighted_lq,
 )
 from herzlab.interp import (
     CoupleSpec,
     InterpolationParams,
     WeightedSeq,
     coretract_M,
-    ell_norm,
     interpolation_norm,
     k_functional,
     k_functional_curve,
@@ -166,7 +166,7 @@ def test_06_retract_isometry():
         for f in corpus:
             y = retract_L(f, base)
             for a, q in pairs:
-                assert ell_norm(y, a, q) == hl_norm(f, HerzParams(a, 2, q, 1))
+                assert weighted_lq(y.as_dict(), a, q) == hl_norm(f, HerzParams(a, 2, q, 1))
             pieces = dict(annuli_decompose(f))
             if pieces:
                 assert coretract_M(y, pieces, base) == f
@@ -195,8 +195,8 @@ def test_07_k_functional_oracle():
             # invariants on a 64-point grid, at the optimizer's certified
             # accuracy (the oracle agreement above pins it at 1e-6)
             ts = [2.0 ** (-8 + 16 * k / 63.0) for k in range(64)]
-            n0 = ell_norm(y, a0, q0)
-            n1 = ell_norm(y, a1, q1)
+            n0 = weighted_lq(y.as_dict(), a0, q0)
+            n1 = weighted_lq(y.as_dict(), a1, q1)
             check_k_curve(ts, k_functional_curve(ts, y, couple), n0, n1, tol=2e-6)
 
 
@@ -207,7 +207,7 @@ def test_08_interpolation_identities():
         params = InterpolationParams(0.5, 1.0, t_exponent_bound=40, rel_tol=1e-10)
         for u in range(-1, 11):
             res = interpolation_norm(WeightedSeq.unit(u), params, couple)
-            target = ell_norm(WeightedSeq.unit(u), 0.5, 1.0)
+            target = weighted_lq(WeightedSeq.unit(u).as_dict(), 0.5, 1.0)
             assert res.value / target == pytest.approx(4.0, abs=1e-6)
         # (ii) indicators against the averaged-profile norm
         ep_couple = CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")

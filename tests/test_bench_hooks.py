@@ -7,9 +7,14 @@ The tracer names K spans by the branch of `interp.k_functional`, so the
 interpolation norm must keep reaching K through that module attribute; the
 grid workload must show calls to `lorentz.lorentz_norm_from_steps`, so the
 profile scores must keep reaching the Lorentz kernel through that one.
+The benchmark's invocations that read no input are run here too, and their
+rows are checked against its stored reference with `benchmarks/run.py`'s
+own comparison.
 """
 
 import importlib.util
+import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,14 +27,20 @@ from herzlab.interp import CoupleSpec, InterpolationParams, WeightedSeq, interpo
 from herzlab.lorentz import INF, LorentzParams
 from herzlab.rearrange import RadialStepFunction
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACER = BENCHMARKS / "tracer.py"
+
+
+def _bench_module(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # where its dataclasses look up their globals
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_module():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _bench_module(TRACER, "bench_tracer")
 
 
 @pytest.mark.parametrize("layer, names", sorted(_tracer_module().LAYERS.items()))
@@ -88,7 +99,7 @@ def test_line_branch_norm_calls_k_functional_at_breakpoints(monkeypatch, kind):
 
 def test_interaction_scan_calls_annulus_interaction_bound(monkeypatch):
     # the benchmark requires annulus_interaction_bound calls on exact-radial,
-    # which reach it only through the scan's first row
+    # which reach it only through the scan's corner pairs
     calls = []
     bound = operators.annulus_interaction_bound
 
@@ -147,3 +158,24 @@ def test_profile_scores_call_the_lorentz_kernel(monkeypatch, kind):
                                           rs=(1.0, 2.0), weight_count=1)
         assert len(rep.cells) == 2
         assert len(calls) == 2 * 4  # f, Mf and both refined, per (p, r)
+
+
+# the invocations of the benchmark that read no input file, at their default
+# config; their rows are in the stored reference of the workload named
+INPUT_FREE = {
+    "bfs": "exact-radial", "example-divergence": "exact-radial", "lemma-bound": "exact-radial",
+    "witness": "grid",
+    "interp-seq": "interpolation", "interp-lorentz": "interpolation", "interp-hl": "interpolation",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(INPUT_FREE))
+def test_input_free_reports_match_the_benchmark_reference(tmp_path, suite):
+    # the benchmark run compares every report with its reference rows; this
+    # makes a drift of these seven fail the tests too
+    run = _bench_module(BENCHMARKS / "run.py", "bench_run")
+    reference = json.loads((run.REFERENCE / f"{INPUT_FREE[suite]}.json").read_text())
+    out = tmp_path / f"{suite}.json"
+    assert herzlab.cli.main(["verify", suite, "--out", str(out)]) == 0
+    rows = run.report_rows(out.read_bytes())
+    assert run.row_problems(suite, rows, reference["reports"][suite]) == []

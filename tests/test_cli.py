@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herzlab import cli
+from herzlab import cli, operators
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
 from herzlab.corpus import load_corpus, random_step_functions, save_corpus
 from herzlab.herz import HerzParams, hl_norm
@@ -252,6 +252,18 @@ class TestCommands:
         path = tmp_path / "window.json"
         path.write_text(json.dumps({"window": [-1, 340]}))
         assert main(["verify", "lemma-bound", "--config", str(path)]) == 0
+
+    def test_lemma_bound_fails_on_scaled_annulus_norms(self, tmp_path, monkeypatch):
+        # the indicator norms scaled by 2^u move every corner ratio off the
+        # closed form; the constant stays finite, so finiteness alone passes
+        out = tmp_path / "lemma.json"
+        assert main(["verify", "lemma-bound", "--out", str(out)]) == 0
+        norm = operators._char_lorentz_norm
+        monkeypatch.setattr(operators, "_char_lorentz_norm",
+                            lambda u, dim, params: 2.0**u * norm(u, dim, params))
+        assert main(["verify", "lemma-bound", "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["records"]
+        assert all(math.isfinite(r["lhs"]) and not r["passed"] for r in records)
 
     def test_report_matches_asdict_rendering(self, tmp_path):
         # records are written from their fields without a deep copy; the

@@ -21,7 +21,6 @@ from herzlab.interp import (
     InterpolationParams,
     WeightedSeq,
     coretract_M,
-    ell_norm,
     interpolation_norm,
     k_functional,
     k_functional_curve,
@@ -178,31 +177,31 @@ class TestWeightedSeq:
 class TestEllNorm:
     def test_unit_vector(self):
         for u in (-1, 0, 4):
-            assert ell_norm(WeightedSeq.unit(u), 0.7, 2.0) == 2.0 ** (0.7 * u)
+            assert weighted_lq(WeightedSeq.unit(u).as_dict(), 0.7, 2.0) == 2.0 ** (0.7 * u)
 
     def test_ones_weighted_l1(self):
         y = WeightedSeq.from_dict({-1: 1.0, 0: 1.0, 1: 1.0})
-        assert ell_norm(y, 1.0, 1.0) == pytest.approx(3.5)
+        assert weighted_lq(y.as_dict(), 1.0, 1.0) == pytest.approx(3.5)
 
     def test_euclidean(self):
         y = WeightedSeq.from_dict({0: 3.0, 1: 4.0})
-        assert ell_norm(y, 0.0, 2.0) == pytest.approx(5.0)
+        assert weighted_lq(y.as_dict(), 0.0, 2.0) == pytest.approx(5.0)
 
     def test_sup_form(self):
         y = WeightedSeq.from_dict({0: 3.0, 2: 1.0})
-        assert ell_norm(y, 1.0, INF) == pytest.approx(4.0)
+        assert weighted_lq(y.as_dict(), 1.0, INF) == pytest.approx(4.0)
 
     def test_power_overflow_is_scaled_away(self):
         # 2^600 is a float, its 64th power is not
         y = WeightedSeq.from_dict({200: 1.0})
-        assert ell_norm(y, 3.0, 64.0) == pytest.approx(2.0**600, rel=1e-15)
+        assert weighted_lq(y.as_dict(), 3.0, 64.0) == pytest.approx(2.0**600, rel=1e-15)
 
 
     def test_infinite_value_gives_inf(self):
         # 2^600 overflows its 64th power, and the scaled retry once divided
         # inf by inf
         y = WeightedSeq.from_dict({0: INF, 200: 1.0})
-        assert ell_norm(y, 3.0, 64.0) == INF
+        assert weighted_lq(y.as_dict(), 3.0, 64.0) == INF
 
 
 class TestRetract:
@@ -218,7 +217,7 @@ class TestRetract:
         for f in step_corpus[:25]:
             y = retract_L(f, base)
             for a, q in pairs:
-                assert ell_norm(y, a, q) == hl_norm(f, HerzParams(a, 2, q, 1))
+                assert weighted_lq(y.as_dict(), a, q) == hl_norm(f, HerzParams(a, 2, q, 1))
 
     def test_coretract_inverts(self, step_corpus):
         base = LorentzParams(2, 2)
@@ -249,8 +248,8 @@ class TestKFunctional:
     def test_endpoint_limits(self):
         y = WeightedSeq.from_dict({0: 1.0, 2: 0.5})
         couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
-        n0 = ell_norm(y, 0.0, 1.0)
-        n1 = ell_norm(y, 1.0, 1.0)
+        n0 = weighted_lq(y.as_dict(), 0.0, 1.0)
+        n1 = weighted_lq(y.as_dict(), 1.0, 1.0)
         assert k_functional(1e9, y, couple) == pytest.approx(n0, rel=1e-9)
         assert k_functional(1e-9, y, couple) / 1e-9 == pytest.approx(n1, rel=1e-9)
 
@@ -492,8 +491,8 @@ class TestKFunctional:
         y = random_seq()
         couple = CoupleSpec((0.0, 2.0), (1.0, 1.5))
         ts = [2.0 ** (k / 4.0) for k in range(-24, 25)]
-        n0 = ell_norm(y, 0.0, 2.0)
-        n1 = ell_norm(y, 1.0, 1.5)
+        n0 = weighted_lq(y.as_dict(), 0.0, 2.0)
+        n1 = weighted_lq(y.as_dict(), 1.0, 1.5)
         check_k_curve(ts, [k_functional(t, y, couple) for t in ts], n0, n1)
 
     @pytest.mark.parametrize("q_pair", [
@@ -730,8 +729,8 @@ class TestCornerRange:
         assert corners == (0.015625, INF)
 
     def check_seq(self, y, couple, oracle):
-        n0 = ell_norm(y, *couple.side0)
-        n1 = ell_norm(y, *couple.side1)
+        n0 = weighted_lq(y.as_dict(), *couple.side0)
+        n1 = weighted_lq(y.as_dict(), *couple.side1)
         self.check(y, couple, oracle, n0, n1)
 
     @pytest.mark.parametrize("q_pair", [
@@ -810,7 +809,9 @@ class TestZeroSideWeights:
     def test_k_is_that_of_the_rest(self, weights, q_pair):
         couple = CoupleSpec((weights[0], q_pair[0]), (weights[1], q_pair[1]))
         plan = interp._k_plan(self.Y, couple)
-        assert plan.norms == (ell_norm(self.Y, *couple.side0), ell_norm(self.Y, *couple.side1))
+        entries = self.Y.as_dict()
+        assert plan.norms == (weighted_lq(entries, *couple.side0),
+                              weighted_lq(entries, *couple.side1))
         ts = [2.0**j for j in range(-12, 13)] + [0.3, 1.7, 5.5]
         ks = k_functional_curve(ts, self.Y, couple)
         rest = k_functional_curve(ts, self.REST, couple)
@@ -895,7 +896,9 @@ class TestKPlan:
                 assert interp._k_plan(source, couple).norms == expected
         else:
             for y in (WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25}), WeightedSeq(())):
-                expected = (ell_norm(y, *couple.side0), ell_norm(y, *couple.side1))
+                entries = y.as_dict()
+                expected = (weighted_lq(entries, *couple.side0),
+                            weighted_lq(entries, *couple.side1))
                 assert interp._k_plan(y, couple).norms == expected
 
     @pytest.mark.parametrize("couple", [
@@ -1327,9 +1330,9 @@ class TestInterpolationNorm:
         y = WeightedSeq.from_dict({0: 1.0, 1: 2.0})
         couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
         res0 = interpolation_norm(y, InterpolationParams(0.0, INF), couple)
-        assert res0.value == pytest.approx(ell_norm(y, 0.0, 1.0), rel=1e-9)
+        assert res0.value == pytest.approx(weighted_lq(y.as_dict(), 0.0, 1.0), rel=1e-9)
         res1 = interpolation_norm(y, InterpolationParams(1.0, INF), couple)
-        assert res1.value == pytest.approx(ell_norm(y, 1.0, 1.0), rel=1e-9)
+        assert res1.value == pytest.approx(weighted_lq(y.as_dict(), 1.0, 1.0), rel=1e-9)
 
     def test_sup_form_interior_theta(self):
         # unit vector: sup_t t^{-1/2} min(1, t 2^u) is attained at the kink

@@ -245,6 +245,44 @@ class TestSegmentedKernel:
         assert mid == pytest.approx(c * lorentz_norm_from_steps(w / c, t, p, r),
                                     rel=1e-14, abs=0.0)
 
+    # (levels, knots, p, r, norm): a knot power or a level power leaves the
+    # float range although the norm is a float
+    EXTREMES = [
+        ([1e-300], [1e200], 0.5, 2.0, 5e99),  # t^4 overflows
+        ([1e-300], [1e200], 0.5, INF, 1e100),  # t^2 overflows
+        ([1e300], [1e-200], 0.5, 2.0, 5e-101),  # t^4 underflows, w^2 overflows
+        ([1e300], [1e-200], 0.5, INF, 1e-100),  # t^2 underflows
+        ([1e-300, 1e-301], [1e199, 1e200], 0.5, 2.0, 0.5 * math.sqrt(1.0099e198)),
+        # a subnormal first knot power carries the sum, which stays normal
+        ([1e150, 1e-20], [1e-80, 1.0], 0.5, 2.0, 0.5 * math.sqrt(1e-20 + 1e-40)),
+        # a subnormal last level power carries the sum
+        ([1e-100, 1e-160], [1.0, 1e300], 2.0, 2.0, math.sqrt(1e-200 + 1e-20)),
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("levels, knots, p, r, norm", EXTREMES)
+    def test_powers_beyond_the_float_range(self, levels, knots, p, r, norm):
+        # the segment is redone from its products w t^{1/p}, alone or among
+        # in-range segments, and no numpy warning is raised
+        got = lorentz_norm_from_steps(levels, knots, p, r)
+        assert got == pytest.approx(norm, rel=1e-13, abs=0.0)
+        rng = np.random.default_rng(7)
+        segments = [random_steps(rng, 5), (np.array(levels), np.array(knots)),
+                    random_steps(rng, 4)]
+        flat_levels, flat_knots, starts = self.concat(segments)
+        first, mid, last = lorentz_norm_from_steps(flat_levels, flat_knots, p, r, starts)
+        assert (first, last) == tuple(self.direct(w, t, p, r) for w, t in segments[::2])
+        assert mid == lorentz_norm_from_steps(levels, knots, p, r)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("levels, knots, p, r", [
+        ([1e300], [1e300], 0.5, 2.0),
+        ([1e300], [1e300], 0.5, INF),
+    ])
+    def test_norm_beyond_the_largest_float_is_inf(self, levels, knots, p, r):
+        assert lorentz_norm_from_steps(levels, knots, p, r) == INF
+        assert lorentz_norm_from_steps([*levels, 1.0], [*knots, 1.0], p, r, [0, 1])[0] == INF
+
     def test_no_segments(self):
         assert lorentz_norm_from_steps([], [], 2.0, 1.0, []) == []
         assert lorentz_norm_from_steps([], [], 2.0, 1.0) == 0.0

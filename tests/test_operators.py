@@ -12,6 +12,7 @@ from herzlab import cli
 from herzlab.corpus import load_corpus, random_grid_functions, save_corpus
 from herzlab.herz import HerzParams
 from herzlab.lorentz import INF, LorentzParams
+from herzlab.rearrange import unit_ball_volume
 from herzlab import operators
 from herzlab.operators import (
     GridFunction1D,
@@ -446,33 +447,29 @@ class TestAnnulusInteraction:
 
     @staticmethod
     def pairwise_scan(dim, params, window):
-        """The scan as one annulus_interaction_bound call per pair."""
-        lo, hi = window
-        best, arg = 0.0, (lo, lo)
-        for u in range(lo, hi + 1):
-            for v in range(lo, hi + 1):
-                lhs, rhs = annulus_interaction_bound(u, v, dim, params)
-                ratio = lhs / rhs
-                if ratio > best:
-                    best, arg = ratio, (u, v)
-        return best, arg
+        """The largest ratio over the window, one annulus_interaction_bound call per pair."""
+        span = range(window[0], window[1] + 1)
+        pairs = [annulus_interaction_bound(u, v, dim, params) for u in span for v in span]
+        return max(lhs / rhs for lhs, rhs in pairs)
 
     @pytest.mark.parametrize("window", [(-1, 60), (-1, -1), (5, 5), (0, 40)])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("p, r", [(1.5, 1.0), (2.0, 2.0), (4.0, INF)])
     def test_scan_equals_pairwise_loop(self, dim, p, r, window):
-        # on (0, 40) every ratio is one constant up to rounding, so the
-        # argmax checks that the first strict maximum in row-major order wins
+        # from u = -1 the largest ratio is (-1, -1)'s; from u >= 0 every
+        # ratio is one constant, equal up to the scan's stated rounding bound
         params = LorentzParams(p, r)
         rep = annulus_interaction_scan(dim, params, window)
-        assert (rep.constant, rep.argmax) == self.pairwise_scan(dim, params, window)
-
-    def test_scan_keeps_the_first_of_tied_maxima(self):
-        params = LorentzParams(2.0, 2.0)
-        ratios = [annulus_interaction_bound(u, v, 1, params) for u in range(41) for v in range(41)]
-        ratios = [lhs / rhs for lhs, rhs in ratios]
-        assert ratios.count(max(ratios)) > 1
-        assert annulus_interaction_scan(1, params, (0, 40)).argmax == (1, 1)
+        best = self.pairwise_scan(dim, params, window)
+        lo, hi = window
+        if lo == -1:
+            assert rep.constant == best
+        else:
+            omega = float(unit_ball_volume(dim))
+            tol = 2.0**-49 * (dim * (max(abs(lo), abs(hi)) + 1) + abs(math.log2(omega)) + 2)
+            assert abs(rep.constant - best) <= tol * best
+        assert rep.passed and rep.lhs == rep.constant
+        assert rep.ratio == rep.lhs / rep.rhs
 
 
 class TestGridNorms:
