@@ -10,6 +10,7 @@ pairs.
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -35,13 +36,17 @@ __all__ = [
 CorpusObject = RadialStepFunction | GridFunction1D | AnnulusMeasureSequence
 
 
-def _encode_rational(x: Fraction) -> Any:
-    if x.denominator == 1:
-        return x.numerator
-    as_float = float(x)
-    if Fraction(as_float) == x:
+def _encode_rational(num: int, den: int) -> Any:
+    """num / den (den > 0) as JSON: an int, else the float that equals it,
+    else the pair [num, den] in lowest terms; no `Fraction` is formed."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return num
+    as_float = num / den  # correctly rounded
+    if as_float.as_integer_ratio() == (num, den):
         return as_float
-    return [x.numerator, x.denominator]
+    return [num, den]
 
 
 def _decode_int(x: Any) -> int:
@@ -66,13 +71,19 @@ def _decode_rational(x: Any) -> Fraction:
     raise ValueError(f"cannot decode rational from {x!r}")
 
 
+def _decode_numbers(xs: Any) -> list[Any]:
+    """Radii or values for the step function constructor, which reads JSON ints
+    and floats as exact rationals itself; anything else must decode as one."""
+    return [x if type(x) is int or type(x) is float else _decode_rational(x) for x in xs]
+
+
 def object_to_record(obj: CorpusObject) -> dict[str, Any]:
     if isinstance(obj, RadialStepFunction):
         return {
             "type": "radial_step",
             "dim": obj.dim,
-            "breakpoints": [_encode_rational(b) for b in obj.breakpoints],
-            "values": [_encode_rational(v) for v in obj.values],
+            "breakpoints": [_encode_rational(t, obj._den) for t in obj._ticks],
+            "values": [_encode_rational(v, obj._vden) for v in obj._nums],
         }
     if isinstance(obj, GridFunction1D):
         return {
@@ -85,11 +96,12 @@ def object_to_record(obj: CorpusObject) -> dict[str, Any]:
         rec: dict[str, Any] = {
             "type": "annulus_measures",
             "dim": obj.dim,
-            "entries": {str(u): _encode_rational(m) for u, m in obj.entries},
+            "entries": {str(u): _encode_rational(m.numerator, m.denominator)
+                        for u, m in obj.entries},
         }
         if obj.tail is not None:
             kind, c, s = obj.tail
-            rec["tail"] = [kind, _encode_rational(c), s]
+            rec["tail"] = [kind, _encode_rational(c.numerator, c.denominator), s]
         return rec
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -111,10 +123,10 @@ def record_to_object(rec: dict[str, Any]) -> CorpusObject:
         if name not in rec:
             raise ValueError(f"{kind} record has no {name!r} field")
     if kind == "radial_step":
-        bp = [_decode_rational(b) for b in rec["breakpoints"]]
+        bp = _decode_numbers(rec["breakpoints"])
         dim = _decode_int(rec["dim"])
         unit_ball_volume(dim)  # rejects a dimension whose measures overflow floats
-        return RadialStepFunction(dim, bp, [_decode_rational(v) for v in rec["values"]])
+        return RadialStepFunction(dim, bp, _decode_numbers(rec["values"]))
     if kind == "grid1d":
         values = rec["values"]
         # a list of JSON numbers goes to the array whole; anything else is

@@ -39,6 +39,7 @@ from .lorentz import (
     lorentz_star_norm_from_steps,
     pairing_comparison,
 )
+from .quadrature import root
 from .rearrange import (
     RadialStepFunction,
     _check_dim,
@@ -168,8 +169,8 @@ def lq_norm(vals: Sequence[float], q: float) -> float:
     except OverflowError:
         total = INF
     if sys.float_info.min <= total < INF:
-        return total ** (1.0 / q)
-    return top * math.fsum(math.pow(v / top, q) for v in vals if v != 0.0) ** (1.0 / q)
+        return root(total, q)
+    return top * root(math.fsum(math.pow(v / top, q) for v in vals if v != 0.0), q)
 
 
 def weighted_lq(scores: Mapping[int, float], a: float, q: float) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import k_norm, power_sum_norm
+from .quadrature import k_norm, power_sum_norm, root
 from .rearrange import RadialStepFunction, integrate_abs_product, rounded_rearrangement
 from .reporting import Comparison
 
@@ -133,7 +133,7 @@ def lorentz_norm_from_steps(
             dt[starts] = t_pow[starts]  # each segment restarts at its own first knot
             terms = w_pow * dt
             sums = [(p / r) * float(np.add.reduce(terms[s:e])) for s, e in zip(starts, ends)]
-        norms = [(x if r == INF else x ** (1.0 / r))
+        norms = [(x if r == INF else root(x, r))
                  if tiny <= x < INF and t_pow[s] >= tiny and w_pow[e - 1] >= tiny
                  else _rescaled_norm(w[s:e], t[s:e], p, r) for x, s, e in zip(sums, starts, ends)]
     return norms[0] if one else norms

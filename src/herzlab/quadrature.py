@@ -13,7 +13,8 @@ with K(t) = t f**(t), since (L^1, L^inf)_{theta,q} = L^{p,q} for
 silently at its depth cap, gives `k_norm` the main part on the front and
 sup-finish K branches, where K has no known piecewise-linear form.
 `power_sum_norm` takes the discrete integral of a step function, a weighted
-power sum, within the float range.
+power sum, within the float range; `root` takes the 1/r-th power of such
+a sum, inf where that overflows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["adaptive_simpson", "k_norm", "power_integral", "power_sum_norm"]
+__all__ = ["adaptive_simpson", "k_norm", "power_integral", "power_sum_norm", "root"]
 
 # Subdivision depth at which an interval is accepted whatever its error.
 _MAX_DEPTH = 48
@@ -89,6 +90,15 @@ def adaptive_simpson(
     return _recurse(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
 
 
+def root(total: float, r: float) -> float:
+    """total^(1/r) of a float total >= 0, and inf where that power exceeds the
+    largest float (r < 1), which a float power reports by OverflowError."""
+    try:
+        return total ** (1.0 / r)
+    except OverflowError:
+        return math.inf
+
+
 def power_sum_norm(
     values: np.ndarray, r: float, weights: np.ndarray | float = 1.0, factor: float = 1.0
 ) -> float:
@@ -102,11 +112,11 @@ def power_sum_norm(
     with np.errstate(over="ignore"):
         total = factor * float(np.sum(values**r * weights))
     if sys.float_info.min <= total < math.inf:
-        return total ** (1.0 / r)
+        return root(total, r)
     top = float(np.max(values, initial=0.0))
     if top == 0.0 or top == math.inf:
         return total ** (1.0 / r)
-    return top * (factor * float(np.sum((values / top) ** r * weights))) ** (1.0 / r)
+    return top * root(factor * float(np.sum((values / top) ** r * weights)), r)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,19 +11,22 @@ whole function (`lorentz`) or on its annulus pieces (`herz`).
 
 A radial step function on R^N is piecewise constant in |x| with finitely many
 shells and bounded support.  `RadialStepFunction` is its one constructor: it
-takes any numbers, validates them once and stores the canonical shells, so
-equal functions compare and hash equal however their shells were listed.
-It also keeps one integer lattice per function: its breakpoints as integer
-ticks over one denominator and its values as integer numerators over
-another, so that the measure of a shell, omega_N (b^N - a^N), is an integer
+takes any ints, floats or Fractions, reads each as an integer pair, validates
+once and stores the canonical shells, so equal functions compare and hash
+equal however their shells were listed.  What it stores is one integer
+lattice per function: its breakpoints as integer ticks over one denominator
+and its values as integer numerators over another, each pair reduced by its
+gcd, so that the measure of a shell, omega_N (b^N - a^N), is an integer
 number of units times one scale per function.  The exact layer works on
-these integers: the constructor validates and merges on them, the
+these integers: the constructor validates and merges on them, restrictions,
+sums, scalings and common refinements build their results on them, the
 rearrangement sorts shells by |value| and accumulates units, and the
-distribution table, integrals, restrictions and common refinements read
-them.  `Fraction`s are formed from the integers only where a result is
-returned.  What depends on the shells alone is built on first use and kept
-on the instance: the shell measures, the distribution table and the annulus
-profile (`RadialStepFunction.profile`, built by `herz.annulus_profile`).
+distribution table and integrals read them.  `Fraction`s are formed from the
+integers only where a result is returned, and the `breakpoints` and `values`
+tuples only when they are read.  What depends on the shells alone is built
+on first use and kept on the instance: those tuples, the shell measures, the
+distribution table and the annulus profile (`RadialStepFunction.profile`,
+built by `herz.annulus_profile`).
 """
 from __future__ import annotations
 
@@ -57,16 +60,22 @@ __all__ = [
 ]
 
 
-def _as_fraction(x: Number) -> Fraction:
+def _ratio(x: Number) -> tuple[int, int]:
+    """x as its integer pair (numerator, denominator > 0) in lowest terms."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite value {x!r}")
-        return Fraction(x)
+        try:
+            return x.as_integer_ratio()
+        except (OverflowError, ValueError) as exc:  # inf or nan, named by the message
+            raise ValueError(str(exc)) from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _as_fraction(x: Number) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 def _check_dim(dim: int) -> None:
@@ -91,69 +100,93 @@ def unit_ball_volume(dim: int) -> Fraction:
         raise ValueError(f"the unit ball volume of dimension {dim} overflows") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RadialStepFunction:
     """Piecewise-constant-in-|x| function with finite support.
 
     ``breakpoints`` are strictly increasing radii starting at 0 (a missing
     leading 0 is supplied); ``values`` holds one (possibly signed) value per
     shell {rho_{i-1} <= |x| < rho_i}.  The function vanishes for
-    |x| >= breakpoints[-1].  Any numbers are taken as exact rationals, and
-    the constructor stores the canonical form: adjacent equal values are
-    merged and trailing zero shells are stripped, the zero function being
-    ((0, 1), (0,)), so `==` and `hash` are semantic.
+    |x| >= breakpoints[-1].  Any ints, floats or Fractions are taken as exact
+    rationals, and the constructor stores the canonical form: adjacent equal
+    values are merged and trailing zero shells are stripped, the zero
+    function being ((0, 1), (0,)), so `==` and `hash` are semantic.
 
-    The constructor also keeps the integer lattice that the exact layer
-    works on, outside the fields: ``_ticks``, the breakpoints times ``_den``,
-    the lcm of the denominators of the breakpoints given, and ``_nums``, the
-    values times ``_vden``, the lcm of theirs.  Shell i has measure ``_units()[i]``
-    = tick_i^N - tick_{i-1}^N times one scale omega_N / den^N
-    (``_scale()``), formed only when a measure is read, since omega_N
-    overflows a float for large N.
+    The fields are the integer lattice that the exact layer works on:
+    ``_ticks``, the breakpoints times ``_den``, and ``_nums``, the values
+    times ``_vden``, each pair divided by its gcd, so equal functions have
+    equal fields.  ``breakpoints`` and ``values`` are the `Fraction` tuples,
+    formed from the lattice on first read.  Shell i has measure
+    ``_units()[i]`` = tick_i^N - tick_{i-1}^N times one scale
+    omega_N / den^N (``_scale()``), formed only when a measure is read, since
+    omega_N overflows a float for large N.
     """
 
     dim: int
-    breakpoints: tuple[Fraction, ...]  # any sequence of numbers on input
-    values: tuple[Fraction, ...]
+    _den: int
+    _ticks: tuple[int, ...]
+    _vden: int
+    _nums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        bp = [_as_fraction(b) for b in self.breakpoints]
-        vals = [_as_fraction(v) for v in self.values]
+    def __init__(self, dim: int, breakpoints: Sequence[Number], values: Sequence[Number]) -> None:
+        _check_dim(dim)
+        bp = [_ratio(b) for b in breakpoints]
+        vals = [_ratio(v) for v in values]
         if not bp:
             raise ValueError("breakpoints must start at 0")
-        den = math.lcm(*(b.denominator for b in bp))
-        ticks = [b.numerator * (den // b.denominator) for b in bp]
+        den = math.lcm(*(d for _, d in bp))
+        ticks = [n * (den // d) for n, d in bp]
         if ticks[0] != 0:
-            if all(t > 0 for t in ticks) and len(vals) == len(bp):
-                bp.insert(0, Fraction(0))
+            if all(t > 0 for t in ticks) and len(vals) == len(ticks):
                 ticks.insert(0, 0)
             else:
                 raise ValueError("breakpoints must start at 0")
         if any(a >= b for a, b in zip(ticks, ticks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(vals) != len(bp) - 1:
+        if len(vals) != len(ticks) - 1:
             raise ValueError("need exactly one value per shell")
-        vden = math.lcm(*(v.denominator for v in vals))
-        nums = [v.numerator * (vden // v.denominator) for v in vals]
-        # merge on the integers: keep the last shell of each run of equal
-        # values, except a run of zeros at the end
+        vden = math.lcm(*(d for _, d in vals))
+        self._store(dim, den, ticks, vden, [n * (vden // d) for n, d in vals])
+
+    @classmethod
+    def _from_lattice(cls, dim: int, den: int, ticks: Sequence[int], vden: int,
+                      nums: Sequence[int]) -> RadialStepFunction:
+        """The function with breakpoints ticks / den and values nums / vden:
+        ticks start at 0 and increase strictly, one numerator per shell."""
+        f = cls.__new__(cls)
+        f._store(dim, den, ticks, vden, nums)
+        return f
+
+    def _store(self, dim: int, den: int, ticks: Sequence[int], vden: int,
+               nums: Sequence[int]) -> None:
+        """Keep the last shell of each run of equal values, except a run of
+        zeros at the end, reduce both pairs by their gcd and store them."""
         ends = [i for i, v in enumerate(nums) if i + 1 == len(nums) or nums[i + 1] != v]
         if ends and nums[ends[-1]] == 0:
             ends.pop()
         if not ends:  # the zero function, ((0, 1), (0,))
-            bp, ticks, vals, nums = [Fraction(0), Fraction(1)], [0, den], [Fraction(0)], [0]
+            den, ticks, vden, nums = 1, (0, 1), 1, (0,)
         elif len(ends) < len(nums):  # shells were merged or stripped
-            bp = [bp[0], *(bp[i + 1] for i in ends)]
             ticks = [0, *(ticks[i + 1] for i in ends)]
-            vals = [vals[i] for i in ends]
             nums = [nums[i] for i in ends]
-        vars(self).update(breakpoints=tuple(bp), values=tuple(vals), _den=den,
-                          _ticks=tuple(ticks), _vden=vden, _nums=tuple(nums))
+        g, h = math.gcd(den, *ticks), math.gcd(vden, *nums)
+        if g > 1:
+            den, ticks = den // g, [t // g for t in ticks]
+        if h > 1:
+            vden, nums = vden // h, [v // h for v in nums]
+        vars(self).update(dim=dim, _den=den, _ticks=tuple(ticks), _vden=vden, _nums=tuple(nums))
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self._den) for t in self._ticks)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._vden) for v in self._nums)
 
     @property
     def support_radius(self) -> Fraction:
-        return self.breakpoints[-1]
+        return Fraction(self._ticks[-1], self._den)
 
     def _units(self) -> list[int]:
         """Shell measures in units of `_scale()`: tick_i^N - tick_{i-1}^N."""
@@ -213,13 +246,14 @@ class RadialStepFunction:
             raise ValueError("radius must be nonnegative")
         # tick <= r den exactly when tick <= floor(r den)
         i = bisect_right(self._ticks, r.numerator * self._den // r.denominator) - 1
-        return self.values[i] if i < len(self.values) else Fraction(0)
+        return Fraction(self._nums[i], self._vden) if i < len(self._nums) else Fraction(0)
 
     def is_zero(self) -> bool:
         return not any(self._nums)
 
-    def __abs__(self) -> "RadialStepFunction":
-        return RadialStepFunction(self.dim, self.breakpoints, [abs(v) for v in self.values])
+    def __abs__(self) -> RadialStepFunction:
+        return RadialStepFunction._from_lattice(self.dim, self._den, self._ticks, self._vden,
+                                                [abs(v) for v in self._nums])
 
 
 def ball(dim: int, measure: Number, value: Number = 1) -> RadialStepFunction:
@@ -307,14 +341,18 @@ class StepRearrangement:
     def superlevel_measure(self, alpha: Number) -> Fraction:
         """Measure of {f* > alpha}; the distribution function of the profile."""
         a = _as_fraction(alpha)
-        if a < 0:
+        if a.numerator < 0:
             raise ValueError("level must be nonnegative")
-        out = Fraction(0)
-        for knot, level in zip(self.knots, self.levels):
-            if level <= a:  # levels decrease, so no later one exceeds a
-                break
-            out = knot
-        return out
+        # the levels decrease strictly, so those above alpha are a prefix;
+        # bisect for its length k
+        k, hi = 0, len(self.levels)
+        while k < hi:
+            mid = (k + hi) // 2
+            if self.levels[mid] > a:
+                k = mid + 1
+            else:
+                hi = mid
+        return self.knots[k - 1] if k else Fraction(0)
 
     def float_steps(self) -> tuple[list[float], list[float]]:
         """(levels, knots) as floats, for the float cores of `lorentz`; of
@@ -329,7 +367,7 @@ def distribution(f: RadialStepFunction, alpha: Number) -> Fraction:
     |values| and the measures of their tails, so each call is one bisection.
     """
     a = _as_fraction(alpha)
-    if a < 0:
+    if a.numerator < 0:
         raise ValueError("alpha must be nonnegative")
     levels, tails = f._distribution_table
     # a level w / vden is at most alpha exactly when w <= floor(alpha vden)
@@ -409,44 +447,48 @@ def pointwise_sum(fs: Sequence[RadialStepFunction]) -> RadialStepFunction:
     den, cuts, rows = _common_refinement(fs)
     vden = math.lcm(*(f._vden for f in fs))
     scaled = [[v * (vden // f._vden) for v in row] for f, row in zip(fs, rows)]
-    summed = [Fraction(sum(col), vden) for col in zip(*scaled)]
-    return RadialStepFunction(fs[0].dim, [Fraction(c, den) for c in cuts], summed)
+    return RadialStepFunction._from_lattice(fs[0].dim, den, cuts, vden,
+                                            [sum(col) for col in zip(*scaled)])
 
 
 def scale(f: RadialStepFunction, alpha: Number) -> RadialStepFunction:
-    a = _as_fraction(alpha)
-    return RadialStepFunction(f.dim, f.breakpoints, [a * v for v in f.values])
+    num, den = _ratio(alpha)
+    return RadialStepFunction._from_lattice(f.dim, f._den, f._ticks, f._vden * den,
+                                            [num * v for v in f._nums])
 
 
 def restrict_radii(
     f: RadialStepFunction, lo: Number, hi: Number
 ) -> RadialStepFunction:
     """Restriction of f to the shell {lo <= |x| < hi}."""
-    lo_f, hi_f = _as_fraction(lo), _as_fraction(hi)
-    if not 0 <= lo_f < hi_f:
+    (lo_n, lo_d), (hi_n, hi_d) = _ratio(lo), _ratio(hi)
+    if not 0 <= lo_n * hi_d < hi_n * lo_d:
         raise ValueError("need 0 <= lo < hi")
-    bp, n, den = f.breakpoints, len(f.values), f._den
+    ticks, fden = f._ticks, f._den
     # shells i-1 .. j-1 meet [lo, hi): bp[i-1] <= lo < bp[i], bp[j-1] < hi <= bp[j];
-    # a tick is at most lo den exactly when it is at most floor(lo den), and
-    # below hi den exactly when it is below ceil(hi den)
-    i = bisect_right(f._ticks, lo_f.numerator * den // lo_f.denominator)
-    j = bisect_left(f._ticks, -(-hi_f.numerator * den // hi_f.denominator), i)
-    cuts = [lo_f, *bp[i:j]]
-    vals = list(f.values[i - 1 : j])
-    if j <= n:  # hi falls inside the support and closes the last shell
-        cuts.append(hi_f)
-    if lo_f > 0:
-        cuts.insert(0, Fraction(0))
-        vals.insert(0, Fraction(0))
-    return RadialStepFunction(f.dim, cuts, vals)
+    # a tick is at most lo fden exactly when it is at most floor(lo fden), and
+    # below hi fden exactly when it is below ceil(hi fden)
+    i = bisect_right(ticks, lo_n * fden // lo_d)
+    j = bisect_left(ticks, -(-hi_n * fden // hi_d), i)
+    den = math.lcm(fden, lo_d, hi_d)
+    k = den // fden
+    cuts = [lo_n * (den // lo_d), *(t * k for t in ticks[i:j])]
+    nums = list(f._nums[i - 1 : j])
+    if j < len(ticks):  # hi falls inside the support and closes the last shell
+        cuts.append(hi_n * (den // hi_d))
+    if lo_n > 0:
+        cuts.insert(0, 0)
+        nums.insert(0, 0)
+    return RadialStepFunction._from_lattice(f.dim, den, cuts, f._vden, nums)
 
 
 def integrate_abs_product(f: RadialStepFunction, g: RadialStepFunction) -> Fraction:
     """Exact integral of |f g|: the `abs_integral` of the product of f and g
     on their common shell refinement."""
     den, cuts, (fv, gv) = _common_refinement([f, g])
-    product = [Fraction(x * y, f._vden * g._vden) for x, y in zip(fv, gv)]
-    return RadialStepFunction(f.dim, [Fraction(c, den) for c in cuts], product).abs_integral()
+    product = [x * y for x, y in zip(fv, gv)]
+    return RadialStepFunction._from_lattice(f.dim, den, cuts, f._vden * g._vden,
+                                            product).abs_integral()
 
 
 @dataclass(frozen=True)

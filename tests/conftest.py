@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from herzlab.corpus import random_step_functions, record_to_object
 from herzlab.herz import lq_norm
 from herzlab.lorentz import conjugate_exponent
-from herzlab.rearrange import RadialStepFunction
+from herzlab.rearrange import RadialStepFunction, unit_ball_volume
 
 
 TINY = Fraction(1, 3**200)
@@ -36,6 +37,70 @@ def lattice_functions(draw, thirds=(3, 6, 12)):
         "breakpoints": [0] + [[c, den] for c in cuts],
         "values": [[v.numerator, v.denominator] for v in values],
     })
+
+
+# The Fraction-built definitions that the integer lattice of RadialStepFunction
+# replaces: a function is its canonical (breakpoints, values) pair of Fraction
+# tuples, and each operation is written on those tuples.
+
+
+def fraction_step_function(breakpoints, values):
+    """The canonical form as the constructor formed it in Fractions: a missing
+    leading 0 supplied, adjacent equal values merged (the last shell of each
+    run kept) and trailing zero shells stripped, the zero function being
+    ((0, 1), (0,)).  Raises the constructor's ValueErrors."""
+    bp = [Fraction(b) for b in breakpoints]
+    vals = [Fraction(v) for v in values]
+    if not bp:
+        raise ValueError("breakpoints must start at 0")
+    if bp[0] != 0:
+        if all(b > 0 for b in bp) and len(vals) == len(bp):
+            bp.insert(0, Fraction(0))
+        else:
+            raise ValueError("breakpoints must start at 0")
+    if any(a >= b for a, b in zip(bp, bp[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if len(vals) != len(bp) - 1:
+        raise ValueError("need exactly one value per shell")
+    ends = [i for i, v in enumerate(vals) if i + 1 == len(vals) or vals[i + 1] != v]
+    if ends and vals[ends[-1]] == 0:
+        ends.pop()
+    if not ends:
+        return (Fraction(0), Fraction(1)), (Fraction(0),)
+    return (bp[0], *(bp[i + 1] for i in ends)), tuple(vals[i] for i in ends)
+
+
+def fraction_value(form, rho):
+    bp, vals = form
+    return next((v for b, v in zip(bp[1:], vals) if rho < b), Fraction(0))
+
+
+def fraction_restrict(form, lo, hi):
+    """Cut at every breakpoint, lo and hi, and keep the cells inside [lo, hi)."""
+    cuts = sorted({Fraction(0), Fraction(lo), Fraction(hi), *form[0]})
+    return fraction_step_function(cuts, [
+        fraction_value(form, a) if lo <= a and b <= hi else 0 for a, b in zip(cuts, cuts[1:])
+    ])
+
+
+def fraction_sum(forms):
+    cuts = sorted({b for bp, _ in forms for b in bp})
+    return fraction_step_function(cuts, [sum(fraction_value(f, c) for f in forms)
+                                         for c in cuts[:-1]])
+
+
+def fraction_rounded_rearrangement(dim, form):
+    """float() of the levels, knots and |f| integral of f*, grouped in Fractions."""
+    bp, vals = form
+    w = unit_ball_volume(dim)
+    mass = {}
+    for a, b, v in zip(bp, bp[1:], vals):
+        if v:
+            mass[abs(v)] = mass.get(abs(v), 0) + w * (b**dim - a**dim)
+    levels = sorted(mass, reverse=True)
+    knots = accumulate(mass[x] for x in levels)
+    total = sum((x * mass[x] for x in levels), Fraction(0))
+    return [float(x) for x in levels], [float(t) for t in knots], float(total)
 
 
 @pytest.fixture(scope="session")

@@ -181,6 +181,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "record 0" in err and field in err
 
+    @pytest.mark.parametrize("breakpoints, values, message", [
+        ([0, [1, -2], 1], [1, 1], "breakpoints must be strictly increasing"),
+        ([0, 1, 2], [1, math.nan], "cannot convert NaN to integer ratio"),
+        ([0, 1, 2], [1, True], "cannot decode rational from True"),
+    ])
+    def test_malformed_radial_numbers_exit_2(self, tmp_path, capsys, breakpoints, values,
+                                             message):
+        path = tmp_path / "broken.json"
+        record = {"type": "radial_step", "dim": 1, "breakpoints": breakpoints, "values": values}
+        path.write_text(json.dumps({"records": [record]}))
+        assert main(["norm", "--space", "lp", "--p", "2", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "record 0" in err and message in err and "Traceback" not in err
+
+    def test_pair_with_a_negative_denominator_is_a_negative_value(self, tmp_path):
+        path = tmp_path / "pair.json"
+        record = {"type": "radial_step", "dim": 1, "breakpoints": [0, 1, 2], "values": [1, [1, -2]]}
+        path.write_text(json.dumps({"records": [record]}))
+        (f,) = load_corpus(path)
+        assert f.values == (1, Fraction(-1, 2)) and f == RadialStepFunction(1, [0, 1, 2], [1, -0.5])
+
     @pytest.mark.parametrize("argv", [
         ["verify", "embeddings", "--corpus", "{record}"],
         ["verify", "rearrange", "--corpus", "{record}"],
@@ -605,6 +626,12 @@ class TestNormExponents:
         assert main(["norm", "--space", "lp", "--p", "2", "--input", str(path)]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(c * math.sqrt(2.0), rel=1e-15,
                                                               abs=0.0)
+
+    def test_lp_norm_beyond_the_largest_float_is_inf(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        save_corpus([GridFunction1D(8.0, np.full(4096, 1e308))], path)
+        assert main(["norm", "--space", "lp", "--p", "0.5", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "inf\n"
 
     def test_lp_matches_the_power_integral(self, capsys, two_annuli_file):
         from conftest import power_integral

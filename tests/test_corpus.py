@@ -5,10 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import lattice_functions
 from herzlab.corpus import (
     _REQUIRED_FIELDS,
     generate_corpus,
     load_corpus,
+    object_to_record,
     quadratic_shell_family,
     random_grid_functions,
     random_step_functions,
@@ -35,6 +37,23 @@ class TestRoundTrip:
         (back,) = load_corpus(path)
         assert back == f
         assert Fraction(2) ** 3 - Fraction(1, 9) in back.breakpoints
+
+    @given(lattice_functions(), st.sampled_from([1, 3, 2**60 + 1]))
+    @settings(max_examples=80, deadline=None)
+    def test_radial_numbers_are_written_as_the_fraction_encoding(self, f, k):
+        # an int, else the float equal to the Fraction, else [num, den]; the
+        # record is written from the lattice and read back to f
+        def encoded(x):
+            if x.denominator == 1:
+                return x.numerator
+            return float(x) if Fraction(float(x)) == x else [x.numerator, x.denominator]
+
+        g = RadialStepFunction(f.dim, f.breakpoints, [v * k for v in f.values])
+        rec = object_to_record(g)
+        # json text tells 1 from 1.0
+        assert json.dumps(rec["breakpoints"]) == json.dumps([encoded(b) for b in g.breakpoints])
+        assert json.dumps(rec["values"]) == json.dumps([encoded(v) for v in g.values])
+        assert record_to_object(json.loads(json.dumps(rec))) == g
 
     def test_grid_function(self, tmp_path):
         f = random_grid_functions(1, seed=5, n_cells=64)[0]

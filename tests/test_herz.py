@@ -194,6 +194,13 @@ class TestPowerSums:
         assert lq_norm([], 2.0) == 0.0
         assert lq_norm([0.0, 0.0], 2.0) == 0.0
 
+    @pytest.mark.parametrize("vals, q", [
+        ([1e308] * 100, 0.5),  # the sum is a float, its square is not
+        ([1e300] * 100, 0.001),  # the rescaled sum's power overflows
+    ])
+    def test_norm_beyond_the_largest_float_is_inf(self, vals, q):
+        assert lq_norm(vals, q) == math.inf
+
 
 class TestHLNorm:
     def test_two_annulus_example(self):

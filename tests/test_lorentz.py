@@ -278,6 +278,8 @@ class TestSegmentedKernel:
     @pytest.mark.parametrize("levels, knots, p, r", [
         ([1e300], [1e300], 0.5, 2.0),
         ([1e300], [1e300], 0.5, INF),
+        # the power sum is a float, its 1/r-th power (r < 1) is not
+        ([1e300], [1e20], 2.0, 0.5),
     ])
     def test_norm_beyond_the_largest_float_is_inf(self, levels, knots, p, r):
         assert lorentz_norm_from_steps(levels, knots, p, r) == INF

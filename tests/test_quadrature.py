@@ -183,3 +183,10 @@ class TestPowerSumNorm:
         assert power_sum_norm(np.zeros(3), 2.0) == 0.0
         assert power_sum_norm(np.zeros(0), 2.0) == 0.0
         assert power_sum_norm(np.array([1.0, math.inf]), 2.0) == math.inf
+
+    @pytest.mark.parametrize("values, r", [
+        (np.full(100, 1e308), 0.5),  # the sum is a float, its square is not
+        (np.full(100, 1e300), 0.001),  # the rescaled sum's power overflows
+    ])
+    def test_norm_beyond_the_largest_float_is_inf(self, values, r):
+        assert power_sum_norm(values, r) == math.inf

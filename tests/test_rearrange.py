@@ -18,11 +18,20 @@ from herzlab.rearrange import (
     pointwise_sum,
     rearrangement,
     restrict_radii,
+    rounded_rearrangement,
     scale,
     sum_bound_check,
     unit_ball_volume,
 )
-from conftest import TINY, brute_rearrangement_value, lattice_functions
+from conftest import (
+    TINY,
+    brute_rearrangement_value,
+    fraction_restrict,
+    fraction_rounded_rearrangement,
+    fraction_step_function,
+    fraction_sum,
+    lattice_functions,
+)
 
 
 def small_fraction(num_range=32, den_choices=(1, 2, 4, 8, 16)):
@@ -303,11 +312,21 @@ PIECES = st.lists(
     max_size=10,
 )
 
+# up to 16 distinct levels over 3, 5 and 7
+MANY_LEVELS = st.lists(
+    st.tuples(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(5, 2)]),
+              st.builds(Fraction, st.integers(-40, 40), st.sampled_from([3, 5, 7]))),
+    max_size=16,
+)
+
 
 def probe_levels(levels):
-    """Each level, each half level, 0 and a point above the largest."""
+    """Each level, each half level, 0, a point strictly between each two
+    adjacent levels and a point above the largest."""
+    ordered = sorted(set(levels))
     top = max(levels, default=Fraction(0))
-    return {Fraction(0), top + 1, *levels, *(w / 2 for w in levels)}
+    return {Fraction(0), top + 1, *levels, *(w / 2 for w in levels),
+            *((v + w) / 2 for v, w in zip(ordered, ordered[1:]))}
 
 
 class TestExactKernelOracles:
@@ -317,12 +336,15 @@ class TestExactKernelOracles:
         for alpha in probe_levels([abs(v) for v in f.values]):
             assert distribution(f, alpha) == distribution_oracle(f, alpha)
 
-    @given(PIECES)
+    @given(PIECES | MANY_LEVELS)
     @settings(max_examples=80, deadline=None)
     def test_superlevel_measure_equals_full_scan(self, pairs):
+        # the bisection over the decreasing levels against a scan of them all
         g = from_pairs_oracle(pairs)
         for alpha in probe_levels(g.levels):
             assert g.superlevel_measure(alpha) == superlevel_oracle(g, alpha)
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            g.superlevel_measure(Fraction(-1, 7))
 
     @given(repeating_step_functions())
     @settings(max_examples=40, deadline=None)
@@ -545,6 +567,112 @@ class TestLattice:
         assert [u for u, _ in annuli_decompose(f)] == [-1, 0]
         with pytest.raises(ValueError, match="overflows"):
             f.shell_measures()
+
+
+def as_listed(x: Fraction, draw):
+    """x as a caller may pass it: an int, a float where one is exact, or a Fraction."""
+    kind = draw(st.sampled_from(["int", "float", "fraction"]))
+    if kind == "int" and x.denominator == 1:
+        return int(x)
+    if kind == "float" and x.denominator & (x.denominator - 1) == 0:
+        return float(x)
+    return x
+
+
+NON_DYADIC_RADII = st.builds(Fraction, st.integers(1, 60), st.sampled_from([1, 2, 3, 5, 7]))
+NON_DYADIC_VALUES = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def listed_functions(draw):
+    """(dim, breakpoints, values) as a caller lists them: radii over 3, 5 and 7
+    among others, values that repeat across neighbours (merged shells), zeros,
+    trailing zero shells, and a leading 0 sometimes left out."""
+    cuts = sorted(set(draw(st.lists(NON_DYADIC_RADII, min_size=1, max_size=8))))
+    values = []
+    for _ in cuts:
+        repeat = values and draw(st.integers(0, 2)) == 0
+        values.append(values[-1] if repeat else draw(NON_DYADIC_VALUES))
+    tail = draw(st.integers(0, 2))  # trailing zero shells
+    cuts += [cuts[-1] + Fraction(k, 5) for k in range(1, tail + 1)]
+    values += [Fraction(0)] * tail
+    bp = [Fraction(0), *cuts] if draw(st.booleans()) else cuts
+    return (draw(st.integers(1, 3)), [as_listed(b, draw) for b in bp],
+            [as_listed(v, draw) for v in values])
+
+
+def relisted(dim, form, draw):
+    """The same function listed differently: every shell cut at a point over
+    3, 5 or 7, each piece repeating its value, and a zero shell appended."""
+    bp, vals = form
+    cuts, values = [bp[0]], []
+    for a, b, v in zip(bp, bp[1:], vals):
+        cuts += [a + (b - a) * draw(st.sampled_from([Fraction(1, 3), Fraction(2, 5),
+                                                    Fraction(4, 7)])), b]
+        values += [v, v]
+    return RadialStepFunction(dim, [*cuts, cuts[-1] + 1], [*values, 0])
+
+
+def form(f):
+    return f.breakpoints, f.values
+
+
+class TestLatticeStorage:
+    """The integer lattice as the storage, against the Fraction-built
+    constructor and operations it replaced (conftest)."""
+
+    @given(listed_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_fields_are_the_fraction_forms(self, listed):
+        dim, bp, vals = listed
+        f = RadialStepFunction(dim, bp, vals)
+        assert form(f) == fraction_step_function(bp, vals)
+        assert all(type(x) is Fraction for x in f.breakpoints + f.values)
+        assert f.breakpoints is f.breakpoints and f.values is f.values
+        # the stored lattice is reduced
+        assert math.gcd(f._den, *f._ticks) == 1 and math.gcd(f._vden, *f._nums) == 1
+
+    @given(listed_functions(), listed_functions(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equality_and_hash_follow_the_fraction_forms(self, a, b, data):
+        f, g = RadialStepFunction(*a), RadialStepFunction(*b)
+        fa, fb = fraction_step_function(*a[1:]), fraction_step_function(*b[1:])
+        assert (f == g) == (a[0] == b[0] and fa == fb)
+        h = relisted(f.dim, fa, data.draw)
+        assert h == f and hash(h) == hash(f)
+        assert RadialStepFunction(f.dim, *fa) == f
+
+    def test_equal_functions_listed_differently(self):
+        f = RadialStepFunction(2, [0, Fraction(1, 3), 1], [1, 1])
+        for g in (RadialStepFunction(2, [0, 1], [1]),
+                  RadialStepFunction(2, [1.0], [1.0]),
+                  RadialStepFunction(2, [0, Fraction(2, 5), Fraction(4, 7), 1, 3], [1, 1, 1, 0])):
+            assert g == f and hash(g) == hash(f) and form(g) == ((0, 1), (1,))
+        assert RadialStepFunction(3, [0, 1], [1]) != f
+        assert RadialStepFunction(2, [0, 1], [Fraction(1, 3)]) != f
+
+    @given(listed_functions(), listed_functions(), NON_DYADIC_RADII, NON_DYADIC_RADII,
+           NON_DYADIC_VALUES | st.sampled_from([0.375, -2]))
+    @settings(max_examples=200, deadline=None)
+    def test_operations_match_the_fraction_oracle(self, a, b, x, y, alpha):
+        dim = a[0]
+        f, g = RadialStepFunction(*a), RadialStepFunction(dim, *b[1:])
+        fa, fb = fraction_step_function(*a[1:]), fraction_step_function(*b[1:])
+        lo, hi = sorted((x, y))
+        if lo == hi:
+            lo = Fraction(0)
+        cases = [
+            (f, fa),
+            (restrict_radii(f, lo, hi), fraction_restrict(fa, lo, hi)),
+            (pointwise_sum([f, g]), fraction_sum([fa, fb])),
+            (scale(f, alpha), fraction_step_function(fa[0], [Fraction(alpha) * v for v in fa[1]])),
+            (abs(f), fraction_step_function(fa[0], [abs(v) for v in fa[1]])),
+        ]
+        for h, expected in cases:
+            assert form(h) == expected
+            rebuilt = RadialStepFunction(dim, *expected)
+            assert h == rebuilt and hash(h) == hash(rebuilt)
+            assert rounded_rearrangement(h) == fraction_rounded_rearrangement(dim, expected)
 
 
 class TestSumBound:
