@@ -22,7 +22,6 @@ the operator sweeps all read it.  The HL pairing and the embeddings return a
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -154,10 +153,11 @@ def annuli_decompose(f: RadialStepFunction) -> list[tuple[int, RadialStepFunctio
 def lq_norm(vals: Sequence[float], q: float) -> float:
     """(sum_i v_i^q)^{1/q} of nonnegative values, max at q = inf; zeros are skipped.
 
-    Where a power or the sum leaves the normal float range (overflow,
-    underflow to 0 or to a subnormal), the sum is redone with the values
-    scaled by the largest, so a norm that a float holds is still returned;
-    an infinite value gives inf.
+    Where the sum lies outside [2^-64, 2^64] (a power or the sum may have
+    overflowed or underflowed, and the error of the 1/q-th power grows with
+    |log sum| since 1/q is inexact), the sum is redone with the values
+    scaled by the largest, so a norm that a float holds is still returned
+    to within rounding; an infinite value gives inf.
     """
     if not vals:
         return 0.0
@@ -168,7 +168,7 @@ def lq_norm(vals: Sequence[float], q: float) -> float:
         total = math.fsum(math.pow(v, q) for v in vals if v != 0.0)
     except OverflowError:
         total = INF
-    if sys.float_info.min <= total < INF:
+    if 2.0**-64 <= total <= 2.0**64:
         return root(total, q)
     return top * root(math.fsum(math.pow(v / top, q) for v in vals if v != 0.0), q)
 

@@ -6,9 +6,9 @@ grid step functions an optimal interval can always be slid to that family,
 so the values are exact, and they converge to the true maximal function from
 below under refinement.  The sup over that family is a tangent search on the
 upper hull of the cumulative integral at the nodes where |f| changes level,
-so its cost is O(K + n log K) for n cells and K level changes.  The Hilbert
-transform uses the exact log primitive of the kernel against
-piecewise-constant data, assembled with an FFT.
+so its cost is O(K + n log D) for n cells, K level changes and D the
+longest hull path.  The Hilbert transform uses the exact log primitive of
+the kernel against piecewise-constant data, assembled with an FFT.
 
 A grid's cells are read-only, so what depends on them alone is built once
 and kept: `GridFunction1D.profile` (its annulus profile: the same float data
@@ -180,6 +180,20 @@ def _hull_parents(t_c: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     return np.array(parent)
 
 
+def _jump_table(parent: np.ndarray) -> list[np.ndarray]:
+    """Binary-lifting levels over `parent`: level k maps c to the vertex 2^k
+    steps after it.  A level is added only while some entry still falls short
+    of the last candidate, so there are (D - 1).bit_length() levels for D
+    the longest parent path; a level whose jumps all land on the last
+    candidate could move no tangent search."""
+    last = len(parent) - 1
+    jumps, up = [], parent
+    while (up != last).any():
+        jumps.append(up)
+        up = up[up]
+    return jumps
+
+
 def _right_sup(
     t_c: np.ndarray, f_c: np.ndarray, x: np.ndarray, fx: np.ndarray, nxt: np.ndarray
 ) -> np.ndarray:
@@ -189,8 +203,8 @@ def _right_sup(
     candidates from nxt on sits at a vertex of their upper hull: the path
     nxt, parent[nxt], ...  Along that path a chord to the next vertex is
     larger exactly up to the tangent vertex, so binary lifting over `parent`
-    finds the tangent for every x at once in log2 K vectorized steps, which
-    carry the chords to v and to parent[v] along.
+    finds the tangent for every x at once in log2 D vectorized steps, D the
+    longest hull path, which carry the chords to v and to parent[v] along.
     """
 
     def chord(f: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -198,9 +212,7 @@ def _right_sup(
 
     parent = _hull_parents(t_c, f_c)
     f_p, t_p = f_c[parent], t_c[parent]  # the vertex after each candidate
-    jumps = [parent]  # jumps[k][c]: the vertex 2^k steps after c
-    for _ in range((len(parent) - 1).bit_length() - 1):
-        jumps.append(jumps[-1][jumps[-1]])
+    jumps = _jump_table(parent)
     # v stays on the rising part of the path, so the tangent is v or
     # parent[v]; cells whose path falls from nxt on keep v = nxt, even where
     # rounding makes a later chord pair rise again
@@ -224,10 +236,10 @@ def maximal_operator(f: GridFunction1D) -> GridFunction1D:
     integral F is linear, so the chord slope from (x, F(x)) is monotone in
     the far end b there, and its sup over grid nodes sits at a candidate or
     at a node next to x, where the average is |f(x)| itself.  The one-sided
-    sups come from a hull tree over the candidates, in O(K + n log K) for n
-    cells and K candidates.  The left side is the right side of the
-    coordinates negated and reversed; negation is exact, so every chord is
-    the same float (F(b) - F(x)) / (b - x) on either side.
+    sups come from a hull tree over the candidates, in O(K + n log D) for n
+    cells, K candidates and D the longest hull path.  The left side is the
+    right side of the coordinates negated and reversed; negation is exact,
+    so every chord is the same float (F(b) - F(x)) / (b - x) on either side.
     """
     absolute = np.abs(f.array())
     n, h = f.n_cells, f.h

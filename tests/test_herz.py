@@ -164,8 +164,8 @@ class TestAnnuli:
 
 
 class TestPowerSums:
-    """A power sum that leaves the normal float range is redone scaled by
-    the largest value; an in-range sum keeps the bits of the direct form."""
+    """A power sum outside [2^-64, 2^64] is redone scaled by the largest
+    value; a sum inside keeps the bits of the direct form."""
 
     @pytest.mark.parametrize("v", [1e-200, 1e-160, 1e200, 5e-324])
     def test_one_value_is_its_own_norm(self, v):
@@ -186,9 +186,22 @@ class TestPowerSums:
     def test_in_range_bits_are_kept(self):
         rng = random.Random(5)
         for _ in range(200):
-            vals = [rng.uniform(0.0, 10.0) ** rng.choice((1, 5, 40)) for _ in range(6)]
+            vals = [rng.uniform(0.0, 10.0) ** rng.choice((1, 2, 5)) for _ in range(6)]
             q = rng.choice((0.5, 1.0, 1.5, 2.0, 3.0))
-            assert lq_norm(vals, q) == math.fsum(v**q for v in vals if v != 0.0) ** (1.0 / q)
+            total = math.fsum(v**q for v in vals if v != 0.0)
+            assert 2.0**-64 <= total <= 2.0**64
+            assert lq_norm(vals, q) == total ** (1.0 / q)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
+    def test_scaling_by_a_power_of_two_is_exact(self, q):
+        # with the largest value 1 the scaled form is the direct one, so the
+        # norm of the values times 2^k is 2^k times the norm, bit for bit
+        rng = random.Random(7)
+        for _ in range(50):
+            vals = [rng.uniform(0.0, 1.0) for _ in range(rng.randint(0, 7))] + [1.0]
+            base = lq_norm(vals, q)
+            for k in (100, 300, 600, -100, -300, -600):
+                assert lq_norm([math.ldexp(v, k) for v in vals], q) == math.ldexp(base, k)
 
     def test_zeros_and_empty(self):
         assert lq_norm([], 2.0) == 0.0

@@ -2,6 +2,7 @@ import math
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +61,62 @@ def chord_table_maximal(f):
         chords /= t_c - x[lo : lo + rows, None]
         out[lo : lo + rows] = chords.max(axis=1)
     return np.maximum(absolute, out)
+
+
+def full_table_right_sup(t_c, f_c, x, fx, nxt):
+    """`operators._right_sup` with the full binary-lifting table of
+    bit_length(K - 1) levels, K the candidate count, as an oracle."""
+
+    def chord(f, t, c):
+        return (f[c] - fx) / (t[c] - x)
+
+    parent = operators._hull_parents(t_c, f_c)
+    f_p, t_p = f_c[parent], t_c[parent]
+    jumps = [parent]
+    for _ in range((len(parent) - 1).bit_length() - 1):
+        jumps.append(jumps[-1][jumps[-1]])
+    v, here, after = nxt, chord(f_c, t_c, nxt), chord(f_p, t_p, nxt)
+    rising = after > here
+    for up in reversed(jumps):
+        w = up[v]
+        here_w, after_w = chord(f_c, t_c, w), chord(f_p, t_p, w)
+        step = rising & (after_w > here_w)
+        v = np.where(step, w, v)
+        here, after = np.where(step, here_w, here), np.where(step, after_w, after)
+    return np.maximum(here, after)
+
+
+def full_table_maximal(f):
+    with mock.patch.object(operators, "_right_sup", full_table_right_sup):
+        return maximal_operator(f).array()
+
+
+def hull_parents(f):
+    """The parent arrays of both one-sided searches of `maximal_operator`."""
+    absolute = np.abs(f.array())
+    cum = operators._cumulative_abs(absolute, f.h)
+    nodes = operators._candidate_nodes(absolute)
+    t_c, f_c = f.h * nodes, cum[nodes]
+    return operators._hull_parents(t_c, f_c), operators._hull_parents(-t_c[::-1], -f_c[::-1])
+
+
+def longest_path(parent):
+    """Steps from the farthest candidate to the last one along `parent`."""
+    steps = [0] * len(parent)
+    for k in range(len(parent) - 2, -1, -1):
+        steps[k] = steps[parent[k]] + 1
+    return max(steps)
+
+
+def rough_grids():
+    """Benchmark-shaped rough grids (4,096 cells in 2,048 blocks) and their
+    refinements."""
+    grids = random_grid_functions(2, seed=20240801, half_width=8.0, n_cells=4096, blocks=2048)
+    return [
+        pytest.param(g, id=f"rough{k}-n{g.n_cells}")
+        for k, f in enumerate(grids)
+        for g in (f, f.refine())
+    ]
 
 
 def whole_window_profiles(f):
@@ -259,6 +316,7 @@ class TestMaximal:
         ),
         *[small_grid(n=48, seed=seed) for seed in range(4)],
         *random_grid_functions(2, seed=3, n_cells=512, blocks=256),
+        *rough_grids(),
     ], ids=lambda f: f"n{f.n_cells}")
     def test_hull_tree_equals_chord_table(self, f):
         got = maximal_operator(f).array()
@@ -303,6 +361,43 @@ class TestMaximal:
         np.testing.assert_allclose(
             maximal_operator(f).array(), chord_table_maximal(f), rtol=1e-13, atol=0.0
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0, -3.0]), st.integers(1, 6)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(1e-3, 1e3) | st.just(1.9595770141756232),
+    )
+    def test_depth_sized_table_equals_full_table_on_any_cell_width(self, blocks, half):
+        # the levels dropped from the full table move no tangent search, so
+        # the values agree bit for bit where the chord table agrees only to
+        # rounding
+        vals = [level for level, length in blocks for _ in range(length)]
+        f = GridFunction1D(half, vals + [0.0] * (len(vals) % 2))
+        assert maximal_operator(f).array().tobytes() == full_table_maximal(f).tobytes()
+
+    @pytest.mark.parametrize("f, levels, full_levels", [
+        # K = 1,539 candidates, but no hull path is longer than 12 steps
+        (random_grid_functions(1, 20240801, half_width=8.0, n_cells=4096, blocks=2048)[0], 4, 11),
+        # the right side's path visits all 259 candidates: the full table
+        (GridFunction1D(8.0, [0.0] * 255 + np.linspace(2.0, 1.0, 257).tolist()), 9, 9),
+        # K = 2: every path is one step long, so no level can move a search
+        (GridFunction1D(1.0, [0.7] * 32), 0, 1),
+    ], ids=["rough", "falling", "constant"])
+    def test_jump_table_has_one_level_per_bit_of_the_longest_path(self, f, levels, full_levels):
+        right, left = hull_parents(f)
+        for parent in (right, left):
+            jumps = operators._jump_table(parent)
+            assert len(jumps) == (longest_path(parent) - 1).bit_length()
+            up = parent
+            for level in jumps:
+                assert level.tobytes() == up.tobytes()
+                up = up[up]
+        assert len(operators._jump_table(right)) == levels
+        assert (len(right) - 1).bit_length() == full_levels
 
     def test_sign_flip_at_equal_level_is_not_a_candidate(self):
         f = GridFunction1D(1.0, [0.0, 0.5, -0.5, 0.5, -0.5, 0.0])
@@ -497,6 +592,16 @@ class TestGridNorms:
         for params in (HerzParams(0.3, 2.0, 1.5, 2.0), HerzParams(-0.2, 1.5, 4.0, 1.0)):
             assert grid_hl_norm(g, params) == pytest.approx(
                 c * grid_hl_norm(f, params), rel=1e-12, abs=0.0
+            )
+
+    def test_cells_near_1e_minus_200_scale_within_rounding(self):
+        # the weighted sum of the scores lies near 1e-300: the direct form's
+        # 1/q-th power of it was 2.6e-14 relative off, the scaled form is not
+        params = HerzParams(0.3, 2, 1.5, 2)
+        for f in grid_corpus(seed=5, blocks=16):
+            g = GridFunction1D(f.half_width, 1e-200 * f.array())
+            assert grid_hl_norm(g, params) == pytest.approx(
+                1e-200 * grid_hl_norm(f, params), rel=1e-15, abs=0.0
             )
 
     def test_indicator_value(self):
