@@ -675,6 +675,8 @@ def _cmd_rearrange(args: argparse.Namespace) -> int:
     if not isinstance(obj, RadialStepFunction):
         raise ConfigError("rearrange needs a radial step record")
     points = _fractions(args.points, "--points") if args.points else []
+    if any(t < 0 for _, t in points):  # checked before anything is printed
+        raise ConfigError(f"--points {args.points!r} has a negative point")
     g = rearrangement(obj)
     print("knots:", " ".join(str(t) for t in g.knots))
     print("levels:", " ".join(str(w) for w in g.levels))

@@ -20,17 +20,18 @@ gcd, so that the measure of a shell, omega_N (b^N - a^N), is an integer
 number of units times one scale per function.  The exact layer works on
 these integers: the constructor validates and merges on them, restrictions,
 sums, scalings and common refinements build their results on them, the
-rearrangement sorts shells by |value| and accumulates units, and the
-distribution table and integrals read them.  `Fraction`s are formed from the
-integers only where a result is returned, and the `breakpoints` and `values`
-tuples only when they are read.  What depends on the shells alone is built
-on first use and kept on the instance: those tuples, the shell measures, the
-distribution table and the annulus profile (`RadialStepFunction.profile`,
-built by `herz.annulus_profile`).
+rearrangement sorts shells by |value| and accumulates units into a lattice of
+its own, and the distribution table and integrals read them.  `Fraction`s are
+formed from the integers only where a result is returned, and tuples of them
+(`breakpoints`, `values`, `knots`, `levels`) only when read.  What depends on
+the shells alone is built on first use and kept on the instance: those tuples,
+the shell measures, the distribution table and the annulus profile
+(`RadialStepFunction.profile`, built by `herz.annulus_profile`).
 """
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +73,13 @@ def _ratio(x: Number) -> tuple[int, int]:
         except (OverflowError, ValueError) as exc:  # inf or nan, named by the message
             raise ValueError(str(exc)) from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _lattice(xs: Sequence[Number]) -> tuple[int, list[int]]:
+    """xs as integer numerators over their least common denominator."""
+    pairs = [_ratio(x) for x in xs]
+    den = math.lcm(*(d for _, d in pairs))
+    return den, [n * (den // d) for n, d in pairs]
 
 
 def _as_fraction(x: Number) -> Fraction:
@@ -130,23 +138,19 @@ class RadialStepFunction:
 
     def __init__(self, dim: int, breakpoints: Sequence[Number], values: Sequence[Number]) -> None:
         _check_dim(dim)
-        bp = [_ratio(b) for b in breakpoints]
-        vals = [_ratio(v) for v in values]
-        if not bp:
+        (den, ticks), (vden, nums) = _lattice(breakpoints), _lattice(values)
+        if not ticks:
             raise ValueError("breakpoints must start at 0")
-        den = math.lcm(*(d for _, d in bp))
-        ticks = [n * (den // d) for n, d in bp]
         if ticks[0] != 0:
-            if all(t > 0 for t in ticks) and len(vals) == len(ticks):
+            if all(t > 0 for t in ticks) and len(nums) == len(ticks):
                 ticks.insert(0, 0)
             else:
                 raise ValueError("breakpoints must start at 0")
         if any(a >= b for a, b in zip(ticks, ticks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(vals) != len(ticks) - 1:
+        if len(nums) != len(ticks) - 1:
             raise ValueError("need exactly one value per shell")
-        vden = math.lcm(*(d for _, d in vals))
-        self._store(dim, den, ticks, vden, [n * (vden // d) for n, d in vals])
+        self._store(dim, den, ticks, vden, nums)
 
     @classmethod
     def _from_lattice(cls, dim: int, den: int, ticks: Sequence[int], vden: int,
@@ -272,92 +276,112 @@ def ball(dim: int, measure: Number, value: Number = 1) -> RadialStepFunction:
     return RadialStepFunction(dim, [0, rho], [value])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepRearrangement:
     """Nonincreasing step profile f* on [0, infinity).
 
     ``knots`` are the cumulative measures 0 < t_1 < ... < t_k and ``levels``
     the strictly decreasing positive values w_1 > ... > w_k taken on
     [t_{j-1}, t_j).  The profile is right-continuous and vanishes beyond t_k.
+    It is stored as knots _knums / _kden and levels _lnums / _vden, each pair
+    reduced by its gcd, so `==` and `hash` are semantic.
     """
 
-    knots: tuple[Fraction, ...]
-    levels: tuple[Fraction, ...]
+    _kden: int
+    _knums: tuple[int, ...]
+    _vden: int
+    _lnums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.knots) != len(self.levels):
+    def __init__(self, knots: Sequence[Number], levels: Sequence[Number]) -> None:
+        if len(knots) != len(levels):
             raise ValueError("knots and levels must pair up")
-        if any(t <= s for s, t in zip((Fraction(0),) + self.knots, self.knots)):
+        (kden, knums), (vden, lnums) = _lattice(knots), _lattice(levels)
+        if any(t <= s for s, t in zip([0, *knums], knums)):
             raise ValueError("knots must be strictly increasing and positive")
-        if any(w <= v for w, v in zip(self.levels, self.levels[1:])):
+        if any(w <= v for w, v in zip(lnums, lnums[1:])):
             raise ValueError("levels must be strictly decreasing")
-        if self.levels and self.levels[-1] <= 0:
+        if lnums and lnums[-1] <= 0:
             raise ValueError("levels must be positive (zero tail is implicit)")
+        self._store(kden, knums, vden, lnums)
+
+    @classmethod
+    def _from_lattice(cls, kden: int, knums: Sequence[int], vden: int,
+                      lnums: Sequence[int]) -> StepRearrangement:
+        """Knots knums / kden and levels lnums / vden, valid as given."""
+        g = cls.__new__(cls)
+        g._store(kden, knums, vden, lnums)
+        return g
+
+    def _store(self, kden: int, knums: Sequence[int], vden: int, lnums: Sequence[int]) -> None:
+        """Reduce both pairs by their gcd and store them."""
+        g, h = math.gcd(kden, *knums), math.gcd(vden, *lnums)
+        vars(self).update(_kden=kden // g, _knums=tuple(t // g for t in knums),
+                          _vden=vden // h, _lnums=tuple(w // h for w in lnums))
+
+    @cached_property
+    def knots(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self._kden) for t in self._knums)
+
+    @cached_property
+    def levels(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self._vden) for w in self._lnums)
 
     @property
     def support_bound(self) -> Fraction:
-        return self.knots[-1] if self.knots else Fraction(0)
+        return Fraction(self._knums[-1], self._kden) if self._knums else Fraction(0)
 
     @property
     def top_level(self) -> Fraction:
         """f*(0), the essential supremum."""
-        return self.levels[0] if self.levels else Fraction(0)
+        return Fraction(self._lnums[0], self._vden) if self._lnums else Fraction(0)
 
     def value_at(self, t: Number) -> Fraction:
         """Right-continuous evaluation of f* at t >= 0."""
-        s = _as_fraction(t)
-        if s < 0:
+        n, d = _ratio(t)
+        if n < 0:
             raise ValueError("argument must be nonnegative")
-        for knot, level in zip(self.knots, self.levels):
-            if s < knot:
-                return level
-        return Fraction(0)
+        # t < knot exactly when floor(t kden) < knot numerator
+        j = bisect_right(self._knums, n * self._kden // d)
+        return Fraction(self._lnums[j], self._vden) if j < len(self._lnums) else Fraction(0)
+
+    def _integral(self, n: int, d: int) -> int:
+        """The integral of f* over [0, n / d] times vden kden d."""
+        knums, lnums = self._knums, self._lnums
+        # t's segment ends at the first knot numerator >= ceil(t kden)
+        j = bisect_left(knums, -(-n * self._kden // d))
+        prev = (0, *knums)
+        total = d * sum(w * (b - a) for w, a, b in zip(lnums[:j], prev, knums))
+        if j < len(knums):
+            total += lnums[j] * (n * self._kden - prev[j] * d)
+        return total
 
     def integral_up_to(self, t: Number) -> Fraction:
         """Exact integral of f* over [0, t]."""
-        s = _as_fraction(t)
-        if s < 0:
+        n, d = _ratio(t)
+        if n < 0:
             raise ValueError("argument must be nonnegative")
-        total = Fraction(0)
-        prev = Fraction(0)
-        for knot, level in zip(self.knots, self.levels):
-            if s <= knot:
-                return total + level * (s - prev)
-            total += level * (knot - prev)
-            prev = knot
-        return total
+        return Fraction(self._integral(n, d), self._vden * self._kden * d)
 
     def total_mass(self) -> Fraction:
-        return self.integral_up_to(self.support_bound)
+        total = sum(w * (b - a) for w, a, b in zip(self._lnums, (0, *self._knums), self._knums))
+        return Fraction(total, self._vden * self._kden)
 
     def segment_masses(self) -> tuple[Fraction, ...]:
-        prev = Fraction(0)
-        out = []
-        for knot in self.knots:
-            out.append(knot - prev)
-            prev = knot
-        return tuple(out)
+        return tuple(Fraction(b - a, self._kden) for a, b in zip((0, *self._knums), self._knums))
 
     def superlevel_measure(self, alpha: Number) -> Fraction:
         """Measure of {f* > alpha}; the distribution function of the profile."""
-        a = _as_fraction(alpha)
-        if a.numerator < 0:
+        n, d = _ratio(alpha)
+        if n < 0:
             raise ValueError("level must be nonnegative")
-        # the levels decrease strictly, so those above alpha are a prefix;
-        # bisect for its length k
-        k, hi = 0, len(self.levels)
-        while k < hi:
-            mid = (k + hi) // 2
-            if self.levels[mid] > a:
-                k = mid + 1
-            else:
-                hi = mid
+        # the levels above alpha, those above floor(alpha vden), are a prefix
+        k = bisect_left(self._lnums, -(n * self._vden // d), key=operator.neg)
         return self.knots[k - 1] if k else Fraction(0)
 
     def float_steps(self) -> tuple[list[float], list[float]]:
-        """(levels, knots) as floats, for the float cores of `lorentz`; of
-        `rearrangement(f)`, the same floats as `rounded_rearrangement(f)`."""
-        return [float(w) for w in self.levels], [float(t) for t in self.knots]
+        """(levels, knots) as floats; int true division is correctly rounded,
+        so each is the float() of the exact value."""
+        return [w / self._vden for w in self._lnums], [t / self._kden for t in self._knums]
 
 
 def distribution(f: RadialStepFunction, alpha: Number) -> Fraction:
@@ -401,10 +425,7 @@ def rearrangement(f: RadialStepFunction) -> StepRearrangement:
     """Decreasing rearrangement f* of a radial step function."""
     levels, knots, _ = _integer_rearrangement(f)
     num, den = f._scale()
-    return StepRearrangement(
-        tuple(Fraction(t * num, den) for t in knots),
-        tuple(Fraction(w, f._vden) for w in levels),
-    )
+    return StepRearrangement._from_lattice(den, [t * num for t in knots], f._vden, levels)
 
 
 def rounded_rearrangement(f: RadialStepFunction) -> tuple[list[float], list[float], float]:
@@ -419,10 +440,10 @@ def rounded_rearrangement(f: RadialStepFunction) -> tuple[list[float], list[floa
 
 def average_rearrangement(g: StepRearrangement, t: Number) -> Fraction:
     """f**(t) = (1/t) integral_0^t f*, evaluated exactly."""
-    s = _as_fraction(t)
-    if s <= 0:
+    n, d = _ratio(t)
+    if n <= 0:
         raise ValueError("t must be positive")
-    return g.integral_up_to(s) / s
+    return Fraction(g._integral(n, d), g._vden * g._kden * n)
 
 
 def _common_refinement(fs: Sequence[RadialStepFunction]) -> tuple[int, list[int], list[list[int]]]:

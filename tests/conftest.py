@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -89,8 +90,82 @@ def fraction_sum(forms):
                                          for c in cuts[:-1]])
 
 
-def fraction_rounded_rearrangement(dim, form):
-    """float() of the levels, knots and |f| integral of f*, grouped in Fractions."""
+@dataclass(frozen=True)
+class FractionRearrangement:
+    """StepRearrangement as it was stored in Fractions: knots and levels are
+    the fields, and each method walks them."""
+
+    knots: tuple[Fraction, ...]
+    levels: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.knots) != len(self.levels):
+            raise ValueError("knots and levels must pair up")
+        if any(t <= s for s, t in zip((Fraction(0),) + self.knots, self.knots)):
+            raise ValueError("knots must be strictly increasing and positive")
+        if any(w <= v for w, v in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels must be strictly decreasing")
+        if self.levels and self.levels[-1] <= 0:
+            raise ValueError("levels must be positive (zero tail is implicit)")
+
+    @property
+    def support_bound(self) -> Fraction:
+        return self.knots[-1] if self.knots else Fraction(0)
+
+    @property
+    def top_level(self) -> Fraction:
+        return self.levels[0] if self.levels else Fraction(0)
+
+    def value_at(self, t) -> Fraction:
+        s = Fraction(t)
+        if s < 0:
+            raise ValueError("argument must be nonnegative")
+        for knot, level in zip(self.knots, self.levels):
+            if s < knot:
+                return level
+        return Fraction(0)
+
+    def integral_up_to(self, t) -> Fraction:
+        s = Fraction(t)
+        if s < 0:
+            raise ValueError("argument must be nonnegative")
+        total = Fraction(0)
+        prev = Fraction(0)
+        for knot, level in zip(self.knots, self.levels):
+            if s <= knot:
+                return total + level * (s - prev)
+            total += level * (knot - prev)
+            prev = knot
+        return total
+
+    def total_mass(self) -> Fraction:
+        return self.integral_up_to(self.support_bound)
+
+    def segment_masses(self) -> tuple[Fraction, ...]:
+        return tuple(b - a for a, b in zip((Fraction(0),) + self.knots, self.knots))
+
+    def superlevel_measure(self, alpha) -> Fraction:
+        a = Fraction(alpha)
+        if a < 0:
+            raise ValueError("level must be nonnegative")
+        out = Fraction(0)
+        for knot, level in zip(self.knots, self.levels):
+            if level > a:
+                out = knot
+        return out
+
+    def average(self, t) -> Fraction:
+        s = Fraction(t)
+        if s <= 0:
+            raise ValueError("t must be positive")
+        return self.integral_up_to(s) / s
+
+    def float_steps(self) -> tuple[list[float], list[float]]:
+        return [float(w) for w in self.levels], [float(t) for t in self.knots]
+
+
+def fraction_rearrangement(dim, form):
+    """f* of a canonical form, its shell measures grouped by |value| in Fractions."""
     bp, vals = form
     w = unit_ball_volume(dim)
     mass = {}
@@ -98,9 +173,13 @@ def fraction_rounded_rearrangement(dim, form):
         if v:
             mass[abs(v)] = mass.get(abs(v), 0) + w * (b**dim - a**dim)
     levels = sorted(mass, reverse=True)
-    knots = accumulate(mass[x] for x in levels)
-    total = sum((x * mass[x] for x in levels), Fraction(0))
-    return [float(x) for x in levels], [float(t) for t in knots], float(total)
+    return FractionRearrangement(tuple(accumulate(mass[x] for x in levels)), tuple(levels))
+
+
+def fraction_rounded_rearrangement(dim, form):
+    """float() of the levels, knots and |f| integral of f*, grouped in Fractions."""
+    g = fraction_rearrangement(dim, form)
+    return (*g.float_steps(), float(g.total_mass()))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herzlab import cli, operators
+from herzlab import cli, operators, rearrange
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
 from herzlab.corpus import load_corpus, random_step_functions, save_corpus
 from herzlab.herz import HerzParams, hl_norm
@@ -20,7 +20,7 @@ from herzlab.operators import (
     grid_lp_norm,
     hilbert_transform,
 )
-from herzlab.rearrange import RadialStepFunction
+from herzlab.rearrange import RadialStepFunction, StepRearrangement
 from herzlab.reporting import CheckRecord, _clean, json_text, summarize, write_report
 from fractions import Fraction
 
@@ -59,6 +59,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "knots" in out and "levels" in out
         assert "f**" in out
+
+    def test_rearrange_negative_point_exits_2_before_any_output(self, capsys, two_annuli_file):
+        assert main(["rearrange", "--input", two_annuli_file, "--points", "1,-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--points" in captured.err and "negative" in captured.err
 
     def test_kfunc_two_column_output(self, tmp_path, two_annuli_file):
         out = tmp_path / "curve.tsv"
@@ -285,6 +291,30 @@ class TestCommands:
         assert main(["verify", "lemma-bound", "--out", str(out)]) == 1
         records = json.loads(out.read_text())["records"]
         assert all(math.isfinite(r["lhs"]) and not r["passed"] for r in records)
+
+    @pytest.mark.parametrize("mutant, failing", [("superlevel-at-least", "equimeasurable["),
+                                                 ("mass-high", "mass[")])
+    def test_rearrange_fails_under_a_mutant(self, tmp_path, monkeypatch, mutant, failing):
+        # each mutant breaks one identity of f*, checked exactly, on every
+        # nonzero function of the default corpus
+        out = tmp_path / "rearrange.json"
+        assert main(["verify", "rearrange", "--out", str(out)]) == 0
+        if mutant == "superlevel-at-least":
+            def at_least(self, alpha):  # the measure of {f* >= alpha}
+                n, d = rearrange._ratio(alpha)
+                k = sum(w * d >= n * self._vden for w in self._lnums)
+                return self.knots[k - 1] if k else Fraction(0)
+
+            monkeypatch.setattr(StepRearrangement, "superlevel_measure", at_least)
+        else:
+            mass = StepRearrangement.total_mass
+            monkeypatch.setattr(StepRearrangement, "total_mass",
+                                lambda self: mass(self) * (1 + Fraction(1, 2**60)))
+        assert main(["verify", "rearrange", "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["records"]
+        failed = [r["check_id"] for r in records if not r["passed"]]
+        assert len(records) == 50 and len(failed) == 20
+        assert all(c.startswith(failing) for c in failed)
 
     def test_report_matches_asdict_rendering(self, tmp_path):
         # records are written from their fields without a deep copy; the

@@ -581,10 +581,11 @@ class TestOneRoundedPath:
 
         expected = run()
 
-        def refuse(self):
+        def refuse(self, *lattice):
             raise AssertionError("an exact rearrangement was formed")
 
-        monkeypatch.setattr(StepRearrangement, "__post_init__", refuse)
+        # both constructors store their lattice through _store
+        monkeypatch.setattr(StepRearrangement, "_store", refuse)
         with pytest.raises(AssertionError, match="exact rearrangement"):
             rearrangement(f)
         assert run() == expected

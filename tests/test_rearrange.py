@@ -25,7 +25,9 @@ from herzlab.rearrange import (
 )
 from conftest import (
     TINY,
+    FractionRearrangement,
     brute_rearrangement_value,
+    fraction_rearrangement,
     fraction_restrict,
     fraction_rounded_rearrangement,
     fraction_step_function,
@@ -673,6 +675,81 @@ class TestLatticeStorage:
             rebuilt = RadialStepFunction(dim, *expected)
             assert h == rebuilt and hash(h) == hash(rebuilt)
             assert rounded_rearrangement(h) == fraction_rounded_rearrangement(dim, expected)
+
+
+def bits(xs):
+    return [x.hex() for x in xs]
+
+
+class TestRearrangementLattice:
+    """f*'s integer lattice against the Fraction-stored profile it replaced
+    (conftest), built from the Fraction form of the same function."""
+
+    @given(listed_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_every_read_equals_the_fraction_oracle(self, listed):
+        dim, bp, vals = listed
+        g = rearrangement(RadialStepFunction(dim, bp, vals))
+        o = fraction_rearrangement(dim, fraction_step_function(bp, vals))
+        assert g.knots == o.knots and g.levels == o.levels
+        assert all(type(x) is Fraction for x in g.knots + g.levels)
+        assert g.knots is g.knots and g.levels is g.levels
+        assert (g.support_bound, g.top_level) == (o.support_bound, o.top_level)
+        assert g.total_mass() == o.total_mass()
+        assert g.segment_masses() == o.segment_masses()
+        ts = {Fraction(0), o.support_bound + 1, *o.knots, *(t / 2 for t in o.knots),
+              *((s + t) / 2 for s, t in zip(o.knots, o.knots[1:]))}
+        for t in ts | {float(t) for t in ts}:
+            assert g.value_at(t) == o.value_at(t)
+            assert g.integral_up_to(t) == o.integral_up_to(t)
+            if t > 0:
+                assert average_rearrangement(g, t) == o.average(t)
+        halfway = ((v + w) / 2 for v, w in zip(o.levels, o.levels[1:]))
+        for alpha in {Fraction(0), *o.levels, *halfway}:
+            assert g.superlevel_measure(alpha) == o.superlevel_measure(alpha)
+        (gl, gk), (ol, ok) = g.float_steps(), o.float_steps()
+        assert bits(gl) == bits(ol) and bits(gk) == bits(ok)
+
+    @given(listed_functions())
+    @settings(max_examples=100, deadline=None)
+    def test_public_constructor_round_trips_and_validates(self, listed):
+        g = rearrangement(RadialStepFunction(*listed))
+        h = StepRearrangement(g.knots, g.levels)
+        assert h == g and hash(h) == hash(g)
+        assert math.gcd(g._kden, *g._knums) == 1 and math.gcd(g._vden, *g._lnums) == 1
+        knots, levels = g.knots, g.levels
+        bad = [(knots, levels + (Fraction(1, 9),), "pair up")]
+        if levels:
+            bad += [((Fraction(0), *knots[1:]), levels, "knots must be strictly increasing"),
+                    (knots, (*levels[:-1], Fraction(0)), "levels must be positive"),
+                    (knots, (*levels[:-1], -levels[-1]), "levels must be positive")]
+        if len(levels) > 1:
+            swapped = (knots[1], knots[0], *knots[2:])
+            bad += [(swapped, levels, "knots must be strictly increasing"),
+                    (knots, (levels[0], *levels[:-1]), "levels must be strictly decreasing")]
+        for ks, ls, message in bad:
+            for cls in (StepRearrangement, FractionRearrangement):
+                with pytest.raises(ValueError, match=message):
+                    cls(tuple(ks), tuple(ls))
+
+    def test_rearrangement_forms_no_fraction_until_read(self, step_corpus, monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        for f in step_corpus:  # omega_N is formed once per dimension and cached
+            unit_ball_volume(f.dim)
+        monkeypatch.setattr(rearrange_mod, "Fraction", counting)
+        for f in step_corpus:
+            g = rearrangement(f)
+            assert made == []
+            knots = g.knots
+            assert len(made) == len(knots)
+            levels = g.levels
+            assert len(made) == len(knots) + len(levels)
+            made.clear()
 
 
 class TestSumBound:
