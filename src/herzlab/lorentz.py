@@ -196,18 +196,26 @@ def lorentz_star_norm(f: RadialStepFunction, params: LorentzParams) -> float:
 
 
 def equivalence_check(f: RadialStepFunction, params: LorentzParams) -> Comparison:
-    """Sandwich quasi (lhs) <= star (rhs) <= p' quasi within relative slack 1e-9;
-    the ratio is star/quasi (1 for a zero function), the constant p' = p/(p-1)."""
+    """Sandwich p'^{1/r} quasi (lhs) <= star (rhs) <= p' quasi within relative
+    slack 1e-9; the ratio is star/quasi (1 for a zero function), p' = p/(p-1).
+
+    Both constants are sharp.  For r < inf, (t f**)' = f* makes the integral of d/dt
+    [t^{r/p} (f**)^r] (zero: f** is bounded, ||f||_1 / t at inf, p > 1) give (1 - 1/p)
+    int t^{r/p} (f**)^r dt/t = int t^{r/p} (f**)^{r-1} f* dt/t; f** >= f* gives star^r >=
+    p' quasi^r, equal for r > 1 on indicators, and at r = 1 star = p' quasi for all f.
+    At r = inf the lower constant is 1.  The upper one is Hardy's inequality.
+    """
     if not params.in_sandwich_range:
         raise ValueError("equivalence holds for 1 < p < inf, 1 <= r <= inf, or p = r = inf")
     levels, knots, _ = rounded_rearrangement(f)
     q_norm = lorentz_norm_from_steps(levels, knots, params.p, params.r)
     s_norm = lorentz_star_norm_from_steps(levels, knots, params.p, params.r)
     constant = conjugate_exponent(params.p)
+    lower = constant ** (1.0 / params.r)
     if q_norm == 0.0:
-        return Comparison(q_norm, s_norm, 1.0, s_norm == 0.0, constant)
-    ok = q_norm <= s_norm * (1.0 + 1e-9) and s_norm <= constant * q_norm * (1.0 + 1e-9)
-    return Comparison(q_norm, s_norm, s_norm / q_norm, ok, constant)
+        return Comparison(q_norm, s_norm, 1.0, s_norm == 0.0, constant, lower)
+    ok = lower * q_norm <= s_norm * (1.0 + 1e-9) and s_norm <= constant * q_norm * (1.0 + 1e-9)
+    return Comparison(q_norm, s_norm, s_norm / q_norm, ok, constant, lower)
 
 
 def pairing_comparison(integral: float, bound: float) -> Comparison:

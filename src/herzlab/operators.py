@@ -12,14 +12,15 @@ the kernel against piecewise-constant data, assembled with an FFT.
 
 A grid's cells are read-only, so what depends on them alone is built once
 and kept: `GridFunction1D.profile` (its annulus profile: the same float data
-as a radial step function's, its integrals summed over the cells, and it in
-turn keeps its per-(p, r) annulus scores, averaged-profile ones included)
-and `GridFunction1D.refine` (the refined grid, with a profile of its
-own).  The maximal and Hilbert sweeps over one corpus share both, and the
-diagonal check of `interpolated_boundedness_check` is one sweep row.  The
-spectrum of the Hilbert log kernel depends only on the grid shape and is
-kept for the last few shapes.  The size condition and the sweeps share one
-drift rule.
+as a radial step function's, with per-(p, r) annulus scores kept in turn)
+and `GridFunction1D.refine` (the refined grid, with a profile of its own).
+The maximal and Hilbert sweeps over one corpus share both, and
+`interpolated_boundedness_check`'s diagonal is one sweep row.  A profile
+costs per grid four searches, one width array and the overlaps of the few
+cells a radius cuts (any other lies within one side, so its overlap is its
+width), and one stable sort per annulus.  The Hilbert log kernel's spectrum
+depends only on the grid shape and is kept for the last few shapes.  The
+size condition and the sweeps share one drift rule.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .herz import AnnulusProfile, HerzParams, annulus_bounds, annulus_measure, hl_norm, lq_norm
+from .herz import AnnulusProfile, HerzParams, annulus_measure, hl_norm, lq_norm
 from .lorentz import INF, LorentzParams, char_norm_constant, conjugate_exponent
 from .quadrature import power_sum_norm
 from .rearrange import unit_ball_volume
@@ -499,43 +500,53 @@ def grid_annulus_profiles(f: GridFunction1D) -> AnnulusProfile:
     """Annulus profile of a grid function restricted to its window.
 
     Cells straddling a dyadic radius are split exactly, so the annulus
-    restrictions partition the grid window and the only approximation in the
-    pipeline stays inside the operator, not the norm.  Each annulus reads
-    only the cells that meet it: the two index ranges that meet (-hi, -lo]
-    and [lo, hi), merged where they touch, in cell order.  Any superset of
-    those cells in cell order gives the same arrays, as the others have
-    zero width.  The integral of each annulus is the sum over its cells.
+    restrictions partition the grid window and the only approximation stays
+    inside the operator, not the norm.  Each annulus reads only the cells that
+    meet it: the two index ranges that meet (-hi, -lo] and [lo, hi), merged
+    where they touch, in cell order.  A cell holding none of +-lo, +-hi lies
+    within one side, where its overlap is its width (the other side clips to
+    0), so only the end cells of each side are split.  Ranges, |f|, widths and
+    splits are formed once per grid; each annulus takes one stable sort.
     """
-    vals = f.array()
-    nodes = f.nodes()
-    u_max = max(0, math.ceil(math.log2(f.half_width)))
-    us, levels, knots, integrals = [], [], [], []
-    for u in range(-1, u_max + 1):
-        lo, hi = map(float, annulus_bounds(u))  # powers of two: exact floats
-        # cell i meets [lo, hi) iff node i + 1 > lo and node i < hi; the same
-        # for (-hi, -lo]; only the outer ends can fall off the grid
-        neg_lo, pos_lo = nodes.searchsorted((-hi, lo), side="right") - 1
-        neg_hi, pos_hi = nodes.searchsorted((-lo, hi), side="left")
-        neg_lo, pos_hi = max(neg_lo, 0), min(pos_hi, f.n_cells)
-        if neg_hi >= pos_lo:
-            cells = [slice(neg_lo, pos_hi)]
+    vals, nodes = np.abs(f.array()), f.nodes()
+    widths = np.diff(nodes)
+    us = range(-1, max(0, math.ceil(math.log2(f.half_width))) + 1)
+    hi = np.array([[2.0**u] for u in us])  # exact floats; OverflowError past the float range
+    lo = np.where(hi >= 1.0, hi / 2, 0.0)
+    # cell i meets [lo, hi) iff node i + 1 > lo and node i < hi; the same
+    # for (-hi, -lo]; only the outer ends can fall off the grid
+    a = np.maximum(nodes.searchsorted(-hi, side="right") - 1, 0)
+    b, c = nodes.searchsorted(-lo, side="left"), nodes.searchsorted(lo, side="right") - 1
+    d = np.minimum(nodes.searchsorted(hi, side="left"), f.n_cells)
+    # the sides are cells a..b-1 and c..d-1; unless both are nonempty and apart, one range s..e-1
+    two = (a < b) & (b < c) & (c < d)
+    s, e = np.where((a >= b) & (b < c), c, a), np.where((a < b) & (b < c), b, d)
+    ends = np.hstack((a, b - 1, c, d - 1))  # the cells holding -hi, -lo, lo, hi
+    cut = np.where(two, ends, np.clip(ends, s, e - 1))  # an end off the range redoes an end
+    at = np.where(two, ends - np.hstack((a, a, c - b + a, c - b + a)), cut - s)
+    el, er = nodes[cut], nodes[cut + 1]
+    cut_m = (np.maximum(np.minimum(er, hi) - np.maximum(el, lo), 0.0)
+             + np.maximum(np.minimum(er, -lo) - np.maximum(el, -hi), 0.0))
+    out_us, levels, knots, integrals = [], [], [], []
+    for u, apart, (a, b, c, d, s, e), at_u, m_u in zip(
+            us, two.ravel().tolist(), np.hstack((a, b, c, d, s, e)).tolist(), at, cut_m):
+        if apart:
+            v, m = (np.concatenate((x[a:b], x[c:d])) for x in (vals, widths))
+        elif s < e:
+            v, m = vals[s:e], widths[s:e].copy()
         else:
-            cells = [slice(neg_lo, neg_hi), slice(pos_lo, pos_hi)]
-        el, er, v = (np.concatenate([a[c] for c in cells]) for a in (nodes[:-1], nodes[1:], vals))
-        pos = np.clip(np.minimum(er, hi) - np.maximum(el, lo), 0.0, None)
-        neg = np.clip(np.minimum(er, -lo) - np.maximum(el, -hi), 0.0, None)
-        widths = pos + neg
-        mask = (widths > 0.0) & (v != 0.0)
+            continue
+        m[at_u] = m_u
+        mask = (m > 0.0) & (v != 0.0)
         if not mask.any():
             continue
-        w = np.abs(v[mask])
-        m = widths[mask]
+        w, m = v[mask], m[mask]
         order = np.argsort(-w, kind="stable")
-        us.append(u)
+        out_us.append(u)
         levels.append(w[order])
         knots.append(np.cumsum(m[order]))
         integrals.append(float(w @ m))
-    return AnnulusProfile.from_segments(1, us, levels, knots, integrals)
+    return AnnulusProfile.from_segments(1, out_us, levels, knots, integrals)
 
 
 def hl_norm_from_profiles(profiles: AnnulusProfile, params: HerzParams) -> float:

@@ -37,6 +37,7 @@ class Comparison:
     ratio: float
     passed: bool
     constant: float = 1.0
+    lower: float = 1.0  # the lower constant of a two-sided band
 
     def record(
         self, suite: str, check_id: str, params: dict[str, Any], notes: str = ""

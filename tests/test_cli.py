@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herzlab import cli, operators, rearrange
+from herzlab import cli, lorentz, operators, rearrange
 from herzlab.cli import ConfigError, SuiteConfig, main, run_suite
 from herzlab.corpus import load_corpus, random_step_functions, save_corpus
 from herzlab.herz import HerzParams, hl_norm
@@ -226,6 +227,16 @@ class TestCommands:
         # the exact rearrangement needs no float and still runs
         assert main(["rearrange", "--input", str(path), "--points", "1"]) == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the grid's nodes overflow first
+    def test_half_width_beyond_float_range_exit_2(self, tmp_path, capsys):
+        # the outer annulus bound 2^1024 is no float, so the profile cannot be built
+        path = tmp_path / "wide.json"
+        record = {"type": "grid1d", "half_width": 1e308, "values": [1, 2]}
+        path.write_text(json.dumps({"records": [record]}))
+        assert main(["norm", "--space", "hl", "--a", "0", "--p", "2", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "overflows a float" in err and "Traceback" not in err
+
     def test_verify_tsv_output(self, tmp_path):
         report = tmp_path / "rep.tsv"
         code = main(["verify", "bfs", "--out", str(report), "--format", "tsv"])
@@ -315,6 +326,31 @@ class TestCommands:
         failed = [r["check_id"] for r in records if not r["passed"]]
         assert len(records) == 50 and len(failed) == 20
         assert all(c.startswith(failing) for c in failed)
+
+    @pytest.mark.parametrize("core, flags", [("lorentz_norm_from_steps", []),
+                                             ("lorentz_star_norm_from_steps", ["--r", "1"])])
+    def test_lorentz_equivalence_fails_on_a_scaled_norm(self, tmp_path, monkeypatch, core, flags):
+        # at p = r = 2 the sharp lower constant p'^{1/r} = sqrt(2) holds with
+        # equality on indicators, so a quasi-norm 10% too large fails there;
+        # at r = 1 star = p' quasi for every f, so a starred norm 10% too
+        # large fails the upper side
+        out = tmp_path / "sandwich.json"
+        argv = ["verify", "lorentz-equivalence", *flags, "--out", str(out)]
+        assert main(argv) == 0
+        norm = getattr(lorentz, core)
+
+        def scaled(*args, **kwargs):
+            got = norm(*args, **kwargs)
+            return [1.1 * x for x in got] if isinstance(got, list) else 1.1 * got
+
+        bound = [m for name, m in sys.modules.items()
+                 if name.startswith("herzlab") and getattr(m, core, None) is norm]
+        assert lorentz in bound
+        for module in bound:
+            monkeypatch.setattr(module, core, scaled)
+        assert main(argv) == 1
+        records = json.loads(out.read_text())["records"]
+        assert any(not r["passed"] for r in records)
 
     def test_report_matches_asdict_rendering(self, tmp_path):
         # records are written from their fields without a deep copy; the

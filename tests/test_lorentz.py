@@ -409,6 +409,28 @@ class TestEquivalence:
         assert rep.ratio <= 2.0
         assert rep.passed
 
+    @pytest.mark.parametrize("p, r", [(2.0, 2.0), (1.5, 4.0), (3.0, 1.5), (4.0, 8.0)])
+    def test_lower_factor_attained_by_indicators(self, p, r):
+        # p'^{1/r} is sharp: f** = f* on an indicator's support
+        lower = conjugate_exponent(p) ** (1.0 / r)
+        for dim in (1, 2, 3):
+            rep = equivalence_check(ball(1, dim), LorentzParams(p, r))
+            assert rep.lower == lower and rep.constant == conjugate_exponent(p)
+            assert rep.ratio == pytest.approx(lower, rel=1e-12)
+            assert rep.passed
+
+    def test_lower_factor_is_one_at_r_inf(self, two_shell):
+        assert equivalence_check(two_shell, LorentzParams(3, INF)).lower == 1.0
+        assert equivalence_check(two_shell, LorentzParams(INF, INF)).lower == 1.0
+
+    def test_quasi_norm_too_large_fails_the_lower_side(self, monkeypatch):
+        # a quasi-norm 10% too large puts an indicator's ratio below p'^{1/r}
+        from herzlab import lorentz
+
+        norm = lorentz.lorentz_norm_from_steps
+        monkeypatch.setattr(lorentz, "lorentz_norm_from_steps", lambda *a: 1.1 * norm(*a))
+        assert not equivalence_check(ball(1, 1), LorentzParams(2, 2)).passed
+
     def test_corpus_sweep(self, step_corpus):
         for f in step_corpus:
             for p in (1.5, 2.0, 4.0):

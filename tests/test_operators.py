@@ -121,12 +121,13 @@ def rough_grids():
 
 def whole_window_profiles(f):
     """Reference annulus profile: every cell of the window is split against
-    every annulus, as (us, levels, knots)."""
+    every annulus, as (us, levels, knots, integrals); each integral is w @ m
+    in cell order."""
     vals = f.array()
     el = f.nodes()[:-1]
     er = f.nodes()[1:]
     u_max = max(0, math.ceil(math.log2(f.half_width)))
-    us, levels, knots = [], [], []
+    us, levels, knots, integrals = [], [], [], []
     for u in range(-1, u_max + 1):
         if u == -1:
             lo, hi = 0.0, 0.5
@@ -144,11 +145,17 @@ def whole_window_profiles(f):
         us.append(u)
         levels.append(w[order])
         knots.append(np.cumsum(m[order]))
-    return us, levels, knots
+        integrals.append(float(w @ m))
+    return us, levels, knots, integrals
 
 
-def profile_bytes(us, levels, knots):
-    return list(us), [w.tobytes() for w in levels], [t.tobytes() for t in knots]
+def profile_bytes(us, levels, knots, integrals):
+    return (list(us), [w.tobytes() for w in levels], [t.tobytes() for t in knots],
+            np.array(integrals, dtype=float).tobytes())
+
+
+def grid_profile_bytes(prof):
+    return profile_bytes(prof.us, prof.levels, prof.knots, prof.integrals)
 
 
 def linear_convolve(a, b):
@@ -247,9 +254,7 @@ class TestGridFunction:
         assert f.refine() is f.refine()
         assert f.profile is f.profile
         assert f.refine().profile is f.refine().profile
-        assert profile_bytes(f.profile.us, f.profile.levels, f.profile.knots) == profile_bytes(
-            *whole_window_profiles(f)
-        )
+        assert grid_profile_bytes(f.profile) == profile_bytes(*whole_window_profiles(f))
 
 
 class TestMaximal:
@@ -611,13 +616,13 @@ class TestGridNorms:
 
 
 class TestGridProfiles:
-    """grid_annulus_profiles reads only each annulus's cells; the levels and
-    knots must be the bytes of the whole-window split."""
+    """grid_annulus_profiles reads only each annulus's cells and recomputes
+    only the cells a radius cuts; the levels, knots and integrals must be the
+    bytes of the whole-window split."""
 
     @staticmethod
     def check(f):
-        prof = grid_annulus_profiles(f)
-        assert profile_bytes(prof.us, prof.levels, prof.knots) == profile_bytes(
+        assert grid_profile_bytes(grid_annulus_profiles(f)) == profile_bytes(
             *whole_window_profiles(f)
         )
 
@@ -625,6 +630,7 @@ class TestGridProfiles:
         (0.3, 2), (3.7, 10), (100.0, 1000),
         (8.0, 4),  # each cell spans several annuli
         (0.9, 6), (0.9, 14),  # the middle node rounds to -/+1.1e-16: one cell holds 0
+        (0.5, 2), (0.5, 6),  # the last annulus starts at the window's edge
     ])
     def test_equals_whole_window(self, half, n):
         rng = np.random.default_rng(n)
@@ -633,9 +639,19 @@ class TestGridProfiles:
 
     @pytest.mark.parametrize("blocks", [16, 2048])
     def test_equals_whole_window_on_benchmark_grids(self, blocks):
+        # the 4096-cell grids and their 8192-cell refinements, with their
+        # maximal and Hilbert outputs
         for f in grid_corpus(20240801, blocks):
-            for g in (f, maximal_operator(f), hilbert_transform(f)):
-                self.check(g)
+            for g in (f, f.refine()):
+                for h in (g, maximal_operator(g), hilbert_transform(g)):
+                    self.check(h)
+
+    @pytest.mark.parametrize("v", range(1, 9))
+    def test_equals_whole_window_on_witness_indicators(self, v):
+        # the witness suite's indicators of 2^(v-1) <= |x| < 2^v, up to u = 9
+        f = grid_indicator(2.0 ** (v + 1), 8192, 2.0 ** (v - 1), 2.0**v, two_sided=True)
+        self.check(f)
+        self.check(maximal_operator(f))
 
     @given(
         st.floats(0.05, 300.0),
@@ -646,6 +662,18 @@ class TestGridProfiles:
     def test_equals_whole_window_on_any_width(self, half, pairs, pattern):
         vals = np.resize(pattern, 2 * pairs)
         self.check(GridFunction1D(half, vals))
+
+    @given(
+        st.floats(1e-3, 1e3),
+        st.integers(1, 32),
+        st.lists(st.floats(-4.0, 4.0).map(lambda x: 0.0 if abs(x) < 0.5 else x),
+                 min_size=64, max_size=64),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_whole_window_on_coarse_grids(self, half, pairs, vals):
+        # 2 to 64 cells over a window of any scale: cells that span several
+        # annuli, and middle nodes that round off zero
+        self.check(GridFunction1D(half, vals[: 2 * pairs]))
 
 
 class TestWindow:
