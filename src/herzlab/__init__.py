@@ -14,7 +14,6 @@ from .herz import (
     embedding_check,
     hl_holder_check,
     hl_norm,
-    quasi_constant_probe,
 )
 from .interp import (
     CoupleSpec,
@@ -33,7 +32,6 @@ from .lorentz import (
     lorentz_holder_pairing,
     lorentz_quasi_norm,
     lorentz_star_norm,
-    refinement_chain_check,
 )
 from .operators import (
     BoundednessReport,

@@ -289,7 +289,7 @@ def _suite_bfs(cfg: SuiteConfig) -> list[Check]:
     def one(i: int, m: AnnulusMeasureSequence) -> list[CheckRecord]:
         rep = bfs_condition_check(m, params, cfg.cutoff)
         expected = "finite" if m.finitely_supported() else None
-        ok = rep.verdict == expected if expected else rep.verdict in ("growing", "inconclusive")
+        ok = rep.verdict == expected if expected else rep.verdict in ("growing", "bounded")
         return [
             CheckRecord(
                 "bfs",
@@ -492,7 +492,7 @@ def _suite_witness(cfg: SuiteConfig) -> list[Check]:
                 {"a": rep.a, "p": rep.p, "q": rep.q, "r": rep.r},
                 lhs=rep.ratios[0],
                 rhs=rep.ratios[-1],
-                passed=rep.growing,
+                passed=rep.unbounded,
                 notes="ratios " + ", ".join(f"{x:.5f}" for x in rep.ratios),
             )
         ]

@@ -16,7 +16,8 @@ once.  A profile caches per-annulus Lorentz scores per (p, r, starred) from
 the float cores of `lorentz` and aggregates them with `weighted_lq`'s floats;
 HL norms, the embeddings, the annulus retract, the endpoint K-functional and
 the operator sweeps all read it.  The HL pairing and the embeddings return a
-`reporting.Comparison`.
+`reporting.Comparison`.  `bfs_condition_check` reports the partial sums of the
+lattice-compatibility conditions and decides a power tail in closed form.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .rearrange import (
     RadialStepFunction,
     _check_dim,
     integrate_abs_product,
-    pointwise_sum,
     restrict_radii,
     rounded_rearrangement,
     unit_ball_volume,
@@ -63,7 +63,6 @@ __all__ = [
     "lq_norm",
     "weighted_lq",
     "hl_norm",
-    "quasi_constant_probe",
     "bfs_condition_check",
     "hl_holder_check",
     "embedding_check",
@@ -281,35 +280,6 @@ def hl_norm(
 
 
 @dataclass(frozen=True)
-class ProbeReport:
-    max_ratio: float
-    argmax: tuple[int, int]
-    count: int
-
-
-def quasi_constant_probe(
-    corpus: Sequence[RadialStepFunction],
-    params: HerzParams,
-    starred: bool = False,
-) -> ProbeReport:
-    """Largest ||f+g|| / (||f|| + ||g||) over all corpus pairs."""
-    if not corpus:
-        raise ValueError("corpus must be nonempty")
-    norms = [hl_norm(f, params, starred) for f in corpus]
-    best, arg = 0.0, (0, 0)
-    n = len(corpus)
-    for i in range(n):
-        for j in range(i, n):
-            denom = norms[i] + norms[j]
-            if denom == 0.0:
-                continue
-            ratio = hl_norm(pointwise_sum([corpus[i], corpus[j]]), params, starred) / denom
-            if ratio > best:
-                best, arg = ratio, (i, j)
-    return ProbeReport(best, arg, n * (n + 1) // 2)
-
-
-@dataclass(frozen=True)
 class AnnulusMeasureSequence:
     """Per-annulus trace measures m_u = mu(A_u and E), u >= -1.
 
@@ -400,9 +370,12 @@ def bfs_condition_check(
     Condition (a) sums 2^{uaq} m_u^{q/p}, condition (b) sums the conjugate
     2^{-uaq'} m_u^{q'/p'}; at q = inf (resp. q' = inf) the running supremum
     replaces the partial sum.  The verdict is ``finite`` for finitely
-    supported traces, ``growing`` when the last block of condition-(a) terms
-    increases strictly, and ``inconclusive`` otherwise; no divergence proof
-    is claimed for closed-form tails.
+    supported traces.  A power tail m_u = c/u^s is decided in closed form:
+    past the capacity caps, which bind on finitely many u, the terms of (a)
+    are 2^{uaq} (c/u^s)^{q/p}, so its partial sums are unbounded
+    (``growing``) when a > 0, or when a = 0 and sq/p <= 1, and ``bounded``
+    otherwise; at q = inf the supremum of 2^{ua} (c/u^s)^{1/p} is infinite
+    when a > 0, or when a = 0 and s < 0.
 
     The lattice characterization itself needs 1 < p < inf; p = 1 is
     admitted here as well so the quadratic-shell divergence diagnostics can
@@ -436,12 +409,9 @@ def bfs_condition_check(
     if m.finitely_supported():
         verdict = "finite"
     else:
-        block = max(2, (cutoff + 2) // 4)
-        tail_terms = [t for t in terms_a if t > 0][-block - 1 :]
-        growing = len(tail_terms) >= 2 and all(
-            s < t for s, t in zip(tail_terms, tail_terms[1:])
-        )
-        verdict = "growing" if growing else "inconclusive"
+        s = m.tail[2]
+        growing = a > 0 or (a == 0 and (s < 0 if q == INF else s * q / p <= 1))
+        verdict = "growing" if growing else "bounded"
     return BfsReport(
         partial_a,
         partial_b,

@@ -30,7 +30,6 @@ INF = math.inf
 
 __all__ = [
     "LorentzParams",
-    "ChainReport",
     "conjugate_exponent",
     "char_norm_constant",
     "lorentz_norm_from_steps",
@@ -40,7 +39,6 @@ __all__ = [
     "equivalence_check",
     "lorentz_holder_pairing",
     "pairing_comparison",
-    "refinement_chain_check",
 ]
 
 
@@ -238,42 +236,3 @@ def lorentz_holder_pairing(
         raise ValueError("pairing needs 1 < p < inf and 1 <= r <= inf")
     bound = lorentz_quasi_norm(f, params) * lorentz_quasi_norm(g, params.conjugate())
     return pairing_comparison(float(integrate_abs_product(f, g)), bound)
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    exponents: tuple[float, float, float, float]
-    norms: tuple[float, float, float, float]
-    normalized: tuple[float, float, float, float]
-    ratios: tuple[float, float, float]
-    passed: bool
-
-
-def refinement_chain_check(
-    f: RadialStepFunction,
-    p: float,
-    q_exp: float,
-    r_exp: float,
-) -> ChainReport:
-    """Finiteness chain L^{p,q} -> L^p -> L^{p,r} -> L^{p,inf} for q <= p <= r.
-
-    Passing means finiteness propagates left to right.  The reported ratios
-    are the successive quotients of the norms after dividing out each space's
-    indicator constant (p/r)^{1/r}, which makes the chain comparable.  The
-    four norms read one rounding of f*.
-    """
-    if not (0 < q_exp <= p <= r_exp):
-        raise ValueError("need 0 < q <= p <= r")
-    seq = (q_exp, p, r_exp, INF)
-    spaces = [LorentzParams(p, s) for s in seq]
-    levels, knots, _ = rounded_rearrangement(f)
-    norms = tuple(lorentz_norm_from_steps(levels, knots, p, s) for s in seq)
-    normalized = tuple(n / char_norm_constant(x) for n, x in zip(norms, spaces))
-    ratios = tuple(
-        (a / b if b > 0 else INF if a > 0 else 1.0)
-        for a, b in zip(normalized, normalized[1:])
-    )
-    passed = all(
-        math.isfinite(b) or not math.isfinite(a) for a, b in zip(norms, norms[1:])
-    )
-    return ChainReport(seq, norms, normalized, ratios, passed)

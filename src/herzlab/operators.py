@@ -684,7 +684,7 @@ class WitnessReport:
     q: float
     r: float
     ratios: tuple[float, ...]
-    growing: bool
+    unbounded: bool
 
 
 def out_of_range_witness(
@@ -695,16 +695,22 @@ def out_of_range_witness(
     family_size: int = 8,
     cells_per_side: int = 4096,
 ) -> WitnessReport:
-    """Ratio family for annulus indicators at a weight beyond the window.
+    """Maximal-operator ratios of annulus indicators at a weight beyond the
+    window, and the tail certificate that M is unbounded there.
 
-    Uses f = X_{A_v} for v = 1..V on grids scaled with the support
-    (half width 2^{v+1}, fixed cell count), and reports whether the ratios
-    for the maximal operator grow monotonically in v.  No unboundedness
-    claim is made beyond the scanned family.
+    The ratios are those of f = X_{A_v} for v = 1..V on grids scaled with the
+    support (half width 2^{v+1}, fixed cell count).  The verdict does not
+    read them.  On R, f = X_{A_v} gives Mf(x) >= ||f||_1 / (|x| + 2^v), so
+    Mf >= ||f||_1 2^{-u-1} on every annulus A_u with u > v.  HL norms are
+    lattice-monotone, so annulus u adds at least C 2^{u(a - 1/p')} to the
+    weighted l^q of ||Mf||: the sum is infinite, and Mf is not in HL, when
+    a > 1/p', or when a = 1/p' and q < inf.  A ratio that is not finite
+    (the norms leave the float range) raises ValueError.
     """
+    edge = 1.0 / conjugate_exponent(p)
     if a is None:
-        a = 1.0 / conjugate_exponent(p) + 0.5
-    if a < 1.0 / conjugate_exponent(p):
+        a = edge + 0.5
+    if a < edge:
         raise ValueError("witness weight must sit at or beyond the window edge")
     params = HerzParams(a, p, q, r)
     ratios = []
@@ -713,10 +719,10 @@ def out_of_range_witness(
         f = grid_indicator(half, 2 * cells_per_side, 2.0 ** (v - 1), 2.0**v, two_sided=True)
         mf = maximal_operator(f)
         ratios.append(grid_hl_norm(mf, params) / grid_hl_norm(f, params))
-    growing = family_size >= 2 and all(
-        s < t for s, t in zip(ratios, ratios[1:])
-    )
-    return WitnessReport(a, p, q, r, tuple(ratios), growing)
+    if not all(map(math.isfinite, ratios)):
+        raise ValueError(f"the witness norms leave the float range at (a, p, q, r) = "
+                         f"({a}, {p}, {q}, {r})")
+    return WitnessReport(a, p, q, r, tuple(ratios), a > edge or q < INF)
 
 
 def interpolated_boundedness_check(

@@ -25,8 +25,10 @@ its own, and the distribution table and integrals read them.  `Fraction`s are
 formed from the integers only where a result is returned, and tuples of them
 (`breakpoints`, `values`, `knots`, `levels`) only when read.  What depends on
 the shells alone is built on first use and kept on the instance: those tuples,
-the shell measures, the distribution table and the annulus profile
-(`RadialStepFunction.profile`, built by `herz.annulus_profile`).
+the distribution table and the annulus profile (`RadialStepFunction.profile`,
+built by `herz.annulus_profile`).  Reads that only the tests need, such as the
+shell measures or the value at a radius, are test oracles written on the
+`Fraction` tuples, not methods.
 """
 from __future__ import annotations
 
@@ -202,19 +204,6 @@ class RadialStepFunction:
         w = unit_ball_volume(self.dim)
         return w.numerator, w.denominator * self._den**self.dim
 
-    def shell_measures(self) -> tuple[Fraction, ...]:
-        """Lebesgue measure of each shell, omega_N (rho_i^N - rho_{i-1}^N).
-
-        Computed on first use and kept on the instance; the same tuple is
-        returned on every call.
-        """
-        return self._shell_measures
-
-    @cached_property
-    def _shell_measures(self) -> tuple[Fraction, ...]:
-        num, den = self._scale()
-        return tuple(Fraction(u * num, den) for u in self._units())
-
     @cached_property
     def profile(self) -> AnnulusProfile:
         """Annulus profile (see herz.annulus_profile), built on first use and kept."""
@@ -234,30 +223,14 @@ class RadialStepFunction:
         num, den = self._scale()
         return [w for w, _ in pieces], [Fraction(t * num, den) for t in reversed(tails)]
 
-    def support_measure(self) -> Fraction:
-        num, den = self._scale()
-        return Fraction(sum(u for v, u in zip(self._nums, self._units()) if v) * num, den)
-
     def abs_integral(self) -> Fraction:
         """Integral of |f| over R^N."""
         num, den = self._scale()
         total = sum(abs(v) * u for v, u in zip(self._nums, self._units()))
         return Fraction(total * num, self._vden * den)
 
-    def value_at_radius(self, rho: Number) -> Fraction:
-        r = _as_fraction(rho)
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        # tick <= r den exactly when tick <= floor(r den)
-        i = bisect_right(self._ticks, r.numerator * self._den // r.denominator) - 1
-        return Fraction(self._nums[i], self._vden) if i < len(self._nums) else Fraction(0)
-
     def is_zero(self) -> bool:
         return not any(self._nums)
-
-    def __abs__(self) -> RadialStepFunction:
-        return RadialStepFunction._from_lattice(self.dim, self._den, self._ticks, self._vden,
-                                                [abs(v) for v in self._nums])
 
 
 def ball(dim: int, measure: Number, value: Number = 1) -> RadialStepFunction:
@@ -366,9 +339,6 @@ class StepRearrangement:
         total = sum(w * (b - a) for w, a, b in zip(self._lnums, (0, *self._knums), self._knums))
         return Fraction(total, self._vden * self._kden)
 
-    def segment_masses(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(b - a, self._kden) for a, b in zip((0, *self._knums), self._knums))
-
     def superlevel_measure(self, alpha: Number) -> Fraction:
         """Measure of {f* > alpha}; the distribution function of the profile."""
         n, d = _ratio(alpha)
@@ -377,11 +347,6 @@ class StepRearrangement:
         # the levels above alpha, those above floor(alpha vden), are a prefix
         k = bisect_left(self._lnums, -(n * self._vden // d), key=operator.neg)
         return self.knots[k - 1] if k else Fraction(0)
-
-    def float_steps(self) -> tuple[list[float], list[float]]:
-        """(levels, knots) as floats; int true division is correctly rounded,
-        so each is the float() of the exact value."""
-        return [w / self._vden for w in self._lnums], [t / self._kden for t in self._knums]
 
 
 def distribution(f: RadialStepFunction, alpha: Number) -> Fraction:

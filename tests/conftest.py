@@ -141,9 +141,6 @@ class FractionRearrangement:
     def total_mass(self) -> Fraction:
         return self.integral_up_to(self.support_bound)
 
-    def segment_masses(self) -> tuple[Fraction, ...]:
-        return tuple(b - a for a, b in zip((Fraction(0),) + self.knots, self.knots))
-
     def superlevel_measure(self, alpha) -> Fraction:
         a = Fraction(alpha)
         if a < 0:
@@ -159,9 +156,6 @@ class FractionRearrangement:
         if s <= 0:
             raise ValueError("t must be positive")
         return self.integral_up_to(s) / s
-
-    def float_steps(self) -> tuple[list[float], list[float]]:
-        return [float(w) for w in self.levels], [float(t) for t in self.knots]
 
 
 def fraction_rearrangement(dim, form):
@@ -179,7 +173,36 @@ def fraction_rearrangement(dim, form):
 def fraction_rounded_rearrangement(dim, form):
     """float() of the levels, knots and |f| integral of f*, grouped in Fractions."""
     g = fraction_rearrangement(dim, form)
-    return (*g.float_steps(), float(g.total_mass()))
+    return (*float_steps(g), float(g.total_mass()))
+
+
+# Reads of a step function or of f* that only the tests need, written on their
+# public Fraction tuples.
+
+
+def shell_measures(f: RadialStepFunction) -> tuple[Fraction, ...]:
+    """Lebesgue measure of each shell, omega_N (rho_i^N - rho_{i-1}^N)."""
+    w, n, bp = unit_ball_volume(f.dim), f.dim, f.breakpoints
+    return tuple(w * (b**n - a**n) for a, b in zip(bp, bp[1:]))
+
+
+def support_measure(f: RadialStepFunction) -> Fraction:
+    return sum((m for m, v in zip(shell_measures(f), f.values) if v), Fraction(0))
+
+
+def value_at_radius(f: RadialStepFunction, rho) -> Fraction:
+    return fraction_value((f.breakpoints, f.values), rho)
+
+
+def segment_masses(g) -> tuple[Fraction, ...]:
+    """The measures of the steps of f* (a StepRearrangement or FractionRearrangement)."""
+    return tuple(b - a for a, b in zip((0, *g.knots), g.knots))
+
+
+def float_steps(g) -> tuple[list[float], list[float]]:
+    """(levels, knots) of f* as floats, each the float() of the exact value: the
+    steps on which the float cores are held to the library's norms bit for bit."""
+    return [float(w) for w in g.levels], [float(t) for t in g.knots]
 
 
 @pytest.fixture(scope="session")
@@ -201,7 +224,7 @@ def nonneg_corpus():
 def power_integral(f: RadialStepFunction, p: float) -> float:
     """Independent L^p oracle: the integral of |f|^p, evaluated shell by shell."""
     return math.fsum(
-        float(abs(v)) ** p * float(m) for m, v in zip(f.shell_measures(), f.values) if v != 0
+        float(abs(v)) ** p * float(m) for m, v in zip(shell_measures(f), f.values) if v != 0
     )
 
 

@@ -284,7 +284,7 @@ def test_11_boundedness_sweep_and_witness():
                 assert rep.excluded
         wit = out_of_range_witness(family_size=8, cells_per_side=4096)
         assert wit.a == pytest.approx(1.0 / 2.0 + 0.5)  # N/p' + 0.5 at p = 2
-        assert wit.growing
+        assert wit.unbounded
         assert all(s < t for s, t in zip(wit.ratios, wit.ratios[1:]))
 
 

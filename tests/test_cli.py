@@ -255,6 +255,32 @@ class TestCommands:
         assert capsys.readouterr().out.encode() == direct.read_bytes()
         assert '"q": "inf"' in direct.read_text()
 
+    @pytest.mark.parametrize("flags", [
+        *(["example-divergence", "--a", a] for a in ("0.01", "0.1", "0.2", "0.25", "0.3")),
+        ["example-divergence", "--a", "0.01", "--q", "2"],
+        ["witness", "--p", "1.5"],
+        ["witness", "--p", "1.25"],
+        ["witness", "--q", "1.5"],
+    ])
+    def test_true_statements_pass(self, capsys, flags):
+        # the terms of the divergent series fall at these weights, and the
+        # witness ratios fall to their limit: the closed-form verdict and the
+        # tail certificate do not read either
+        assert main(["verify", *flags]) == 0
+
+    @pytest.mark.parametrize("a, verdict", [("0", "growing"), ("-1", "bounded")])
+    def test_bfs_tail_verdict(self, capsys, a, verdict):
+        # the default tail m_u = 2/u^2 at (p, q) = (2, 1): sq/p = 1 diverges at a = 0
+        assert main(["verify", "bfs", "--a", a]) == 0
+        assert f"bfs/trace[1] verdict={verdict}" in capsys.readouterr().out
+
+    def test_witness_norms_beyond_the_float_range_exit_2(self, tmp_path, capsys):
+        # at r = 1e-9 both norms overflow, and inf/inf used to decide the verdict
+        out = tmp_path / "witness.json"
+        assert main(["verify", "witness", "--r", "1e-9", "--out", str(out)]) == 2
+        assert "leave the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, content, message", [
         ("verify", [1, 2], "JSON object"),
         ("verify", {"size": "x"}, "'size'"),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import check_k_curve, dual_bound
+from conftest import check_k_curve, dual_bound, segment_masses
 from herzlab import cli, interp, quadrature
 from herzlab.corpus import random_step_functions, save_corpus
 from herzlab.herz import HerzParams, annuli_decompose, annulus_profile, hl_norm, weighted_lq
@@ -557,7 +557,7 @@ class TestKL1Linf:
                 candidates = [Fraction(0), *g.levels]
                 oracle = min(
                     sum(
-                        ((w - c) * m for w, m in zip(g.levels, g.segment_masses()) if w > c),
+                        ((w - c) * m for w, m in zip(g.levels, segment_masses(g)) if w > c),
                         Fraction(0),
                     )
                     + t * c
@@ -680,7 +680,7 @@ def _herz_endpoint_oracle(f, couple: CoupleSpec):
         return min(
             sum(
                 w0 * sum(((w - beta / w1) * m
-                          for w, m in zip(g.levels, g.segment_masses()) if w > beta / w1),
+                          for w, m in zip(g.levels, segment_masses(g)) if w > beta / w1),
                          Fraction(0))
                 for w0, w1, g in part
             )

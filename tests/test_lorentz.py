@@ -17,7 +17,6 @@ from herzlab.lorentz import (
     lorentz_quasi_norm,
     lorentz_star_norm,
     lorentz_star_norm_from_steps,
-    refinement_chain_check,
 )
 from herzlab.rearrange import (
     RadialStepFunction,
@@ -27,13 +26,13 @@ from herzlab.rearrange import (
     rounded_rearrangement,
     scale,
 )
-from conftest import lattice_functions
+from conftest import float_steps, lattice_functions
 
 
 def quad_quasi_norm(f, p, r):
     """Independent oracle: numerically integrate (t^{1/p} f*(t))^r dt/t."""
     g = rearrangement(f)
-    levels, knots = g.float_steps()
+    levels, knots = float_steps(g)
 
     def star(t):
         for w, knot in zip(levels, knots):
@@ -52,7 +51,7 @@ def quad_quasi_norm(f, p, r):
 def quad_star_norm(f, p, r):
     """Independent oracle for the averaged-profile functional."""
     g = rearrangement(f)
-    levels, knots = g.float_steps()
+    levels, knots = float_steps(g)
     mass = float(g.total_mass())
 
     def integral_to(t):
@@ -178,7 +177,7 @@ class TestPowerSumRange:
 
     def test_in_range_bits_are_kept(self, step_corpus):
         for f in step_corpus[:20]:
-            levels, knots = rearrangement(f).float_steps()
+            levels, knots = float_steps(rearrangement(f))
             if not levels:
                 continue
             w, t = np.array(levels), np.array(knots)
@@ -294,7 +293,7 @@ class TestStarNorm:
     def test_core_takes_lists_and_arrays(self, step_corpus):
         # a grid profile hands the core numpy arrays, a radial one lists
         for f in step_corpus[:10]:
-            levels, knots = rearrangement(f).float_steps()
+            levels, knots = float_steps(rearrangement(f))
             for p, r in ((2.0, 1.0), (3.0, INF), (1.0, 1.0), (INF, INF)):
                 expected = lorentz_star_norm(f, LorentzParams(p, r))
                 assert lorentz_star_norm_from_steps(levels, knots, p, r) == expected
@@ -381,7 +380,7 @@ class TestStarNorm:
                 got = lorentz_star_norm(f, LorentzParams(p, INF))
                 top = float(g.support_bound)
                 ts = np.linspace(1e-9, 4.0 * top, 4001)
-                levels, knots = g.float_steps()
+                levels, knots = float_steps(g)
 
                 def integral_to(t):
                     out, prev = 0.0, 0.0
@@ -516,45 +515,36 @@ class TestPairingConventions:
         assert (rep.lhs, rep.rhs, rep.ratio, rep.passed) == (1.0, 0.0, INF, False)
 
 
+def refinement_chain(f, p, q, r):
+    """Quasi-norms of f in L^{p,q}, L^p, L^{p,r} and L^{p,inf} (q <= p <= r), and
+    the quotients of successive norms, each divided by its space's indicator
+    constant (p/s)^{1/s} (0/0 read as 1)."""
+    spaces = [LorentzParams(p, s) for s in (q, p, r, INF)]
+    norms = [lorentz_quasi_norm(f, params) for params in spaces]
+    normalized = [n / char_norm_constant(params) for n, params in zip(norms, spaces)]
+    ratios = [a / b if b > 0 else INF if a > 0 else 1.0
+              for a, b in zip(normalized, normalized[1:])]
+    return norms, ratios
+
+
 class TestRefinementChain:
     def test_indicator_chain(self):
-        rep = refinement_chain_check(ball(1, 1), 2.0, 1.0, 4.0)
-        assert rep.norms[0] == pytest.approx(2.0)
-        assert rep.norms[1] == pytest.approx(1.0)
-        assert rep.norms[3] == pytest.approx(1.0)
-        assert rep.passed
+        norms, _ = refinement_chain(ball(1, 1), 2.0, 1.0, 4.0)
+        assert norms[0] == pytest.approx(2.0)
+        assert norms[1] == pytest.approx(1.0)
+        assert norms[3] == pytest.approx(1.0)
 
     def test_zero(self):
-        rep = refinement_chain_check(RadialStepFunction(1, [0, 1], [0]), 2.0, 1.0, 3.0)
-        assert all(n == 0.0 for n in rep.norms)
-        assert rep.passed
+        norms, ratios = refinement_chain(RadialStepFunction(1, [0, 1], [0]), 2.0, 1.0, 3.0)
+        assert norms == [0.0] * 4 and ratios == [1.0] * 3
 
     def test_corpus_normalized_monotone(self, step_corpus):
         for f in step_corpus:
             if f.is_zero():
                 continue
-            rep = refinement_chain_check(f, 2.0, 1.0, 3.0)
-            assert rep.passed
-            assert all(r >= 1.0 - 1e-12 for r in rep.ratios)
-
-    def test_ordering_enforced(self, two_shell):
-        with pytest.raises(ValueError):
-            refinement_chain_check(two_shell, 2.0, 3.0, 4.0)
-
-    def test_rounds_once(self, monkeypatch, two_shell):
-        from herzlab import lorentz
-
-        chain = (1.0, 2.0, 3.0, INF)
-        expected = [lorentz_quasi_norm(two_shell, LorentzParams(2.0, s)) for s in chain]
-        calls = []
-
-        def counting(f):
-            calls.append(f)
-            return rounded_rearrangement(f)
-
-        monkeypatch.setattr(lorentz, "rounded_rearrangement", counting)
-        assert list(refinement_chain_check(two_shell, 2.0, 1.0, 3.0).norms) == expected
-        assert calls == [two_shell]
+            norms, ratios = refinement_chain(f, 2.0, 1.0, 3.0)
+            assert all(map(math.isfinite, norms))
+            assert all(r >= 1.0 - 1e-12 for r in ratios)
 
 
 class TestOneRoundedPath:
@@ -564,7 +554,7 @@ class TestOneRoundedPath:
     @given(lattice_functions())
     @settings(max_examples=80, deadline=None)
     def test_norms_are_the_cores_on_the_rounded_exact_steps(self, f):
-        levels, knots = rearrangement(f).float_steps()
+        levels, knots = float_steps(rearrangement(f))
         for p, r in ((2.0, 1.0), (1.5, 2.0), (3.0, INF), (INF, INF)):
             params = LorentzParams(p, r)
             assert lorentz_quasi_norm(f, params) == lorentz_norm_from_steps(levels, knots, p, r)
@@ -594,7 +584,6 @@ class TestOneRoundedPath:
                 lorentz_quasi_norm(f, params),
                 lorentz_star_norm(f, params),
                 equivalence_check(f, params),
-                refinement_chain_check(f, 2.0, 1.0, 3.0),
                 lorentz_holder_pairing(f, g, params),
                 coretract_M(WeightedSeq.from_dict({1: 2.0}), witness, params),
                 verify_interpolation("lorentz", [ball(1, 1), ball(1, 9)], q=1.0).band,
@@ -637,7 +626,8 @@ class TestQuasiTriangleStar:
         from herzlab.rearrange import pointwise_sum
 
         for i in range(0, 16, 2):
-            f, g = abs(step_corpus[i]), abs(step_corpus[i + 1])
+            f, g = (RadialStepFunction(h.dim, h.breakpoints, [abs(v) for v in h.values])
+                    for h in step_corpus[i : i + 2])
             lhs = lorentz_star_norm(pointwise_sum([f, g]), params)
             rhs = lorentz_star_norm(f, params) + lorentz_star_norm(g, params)
             assert lhs <= rhs * (1.0 + 1e-9)

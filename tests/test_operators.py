@@ -863,7 +863,7 @@ class TestWorkCounts:
 class TestWitness:
     def test_outside_window_grows(self):
         rep = out_of_range_witness(family_size=5, cells_per_side=1024)
-        assert rep.growing
+        assert rep.unbounded
         assert all(s < t for s, t in zip(rep.ratios, rep.ratios[1:]))
 
     def test_inside_window_bounded(self):
@@ -884,7 +884,6 @@ class TestWitness:
     def test_single_member_family(self):
         rep = out_of_range_witness(family_size=1, cells_per_side=512)
         assert len(rep.ratios) == 1
-        assert not rep.growing
 
 
 class TestInterpolatedBoundedness:
