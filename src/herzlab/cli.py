@@ -703,6 +703,13 @@ def _cmd_kfunc(args: argparse.Namespace) -> int:
         source, couple = obj, CoupleSpec((0.0, 1.0), (0.0, INF), base="l1-linf")
     else:
         source = retract_L(obj, LorentzParams(args.base_p, args.base_r))
+        for flag, a in (("--a0", args.a0), ("--a1", args.a1)):
+            for u in source.as_dict():
+                try:
+                    2.0 ** (u * a)
+                except OverflowError:
+                    raise ConfigError(f"{flag} {a}: the weight 2^(u a) of annulus u = {u} is "
+                                      f"2^{u * a:g}, beyond the float range") from None
         couple = CoupleSpec((args.a0, args.q0), (args.a1, args.q1))
     ks = k_functional_curve(ts, source, couple)
     lines = [f"{t!r}\t{k!r}" for t, k in zip(ts, ks)]

@@ -704,14 +704,19 @@ def out_of_range_witness(
     Mf >= ||f||_1 2^{-u-1} on every annulus A_u with u > v.  HL norms are
     lattice-monotone, so annulus u adds at least C 2^{u(a - 1/p')} to the
     weighted l^q of ||Mf||: the sum is infinite, and Mf is not in HL, when
-    a > 1/p', or when a = 1/p' and q < inf.  A ratio that is not finite
-    (the norms leave the float range) raises ValueError.
+    a > 1/p', or when a = 1/p' and q < inf.  A weight where the certificate
+    proves nothing (a < 1/p', or a = 1/p' with q = inf, where the tail terms
+    are bounded) and a ratio that is not finite (the norms leave the float
+    range) raise ValueError.
     """
     edge = 1.0 / conjugate_exponent(p)
     if a is None:
         a = edge + 0.5
     if a < edge:
         raise ValueError("witness weight must sit at or beyond the window edge")
+    if a == edge and q == INF:
+        raise ValueError(f"at the window edge a = 1/p' = {edge} with q = inf the tail terms "
+                         "2^(u (a - 1/p')) are bounded, so the witness proves nothing")
     params = HerzParams(a, p, q, r)
     ratios = []
     for v in range(1, family_size + 1):

@@ -2,8 +2,10 @@
 piecewise-linear K, and adaptive Simpson.
 
 `power_integral` brackets the integral of t^gamma (A + B t)^r dt/t over a
-chord of K by Gauss-Legendre in x = log t with the Bernstein-ellipse error
-bound and a rounding term, so the bracket is a certificate, not an estimate.
+chord of K: for an integer r below 12 by its binomial closed form, r + 1
+scalar terms, and otherwise by Gauss-Legendre in x = log t with the
+Bernstein-ellipse error bound.  Either bracket adds a derived rounding
+term, so it is a certificate, not an estimate.
 `k_norm` sums those brackets over the chords between K's nodes and adds
 one tail bracket (_tail) beyond each end.  The real-interpolation norm
 takes it on every line branch of K, and the averaged-profile Lorentz norm
@@ -148,6 +150,14 @@ _ELLIPSE_B = 0.5 * math.pi
 _UNIT_ROUNDOFF = 2.0**-53
 # k_norm rescales K when v^q, v = N0^(1-theta) N1^theta, lies beyond 2^(+-this).
 _POWER_RANGE = 960
+# C(r, j) of the integer exponents r that take the closed form.
+_BINOMIALS = [[float(math.comb(r, j)) for j in range(r + 1)] for r in range(len(_GL_NODES))]
+# The closed form takes factors of at least _TINY, a normal float with a bit
+# to spare, and terms of at most _HUGE, whose sum stays a float; a term that
+# falls below the normal range is off by at most _UNDERFLOW.
+_TINY, _HUGE, _UNDERFLOW = 2.0**-1021, 2.0**1019, 2.0**-1073
+# A chord is clear of its zero on [t0 / e^2, t1 e^2].
+_SHRINK, _STRETCH = math.exp(-2.0), math.exp(2.0)
 
 
 def power_integral(
@@ -156,21 +166,52 @@ def power_integral(
     """Certified bracket (lo, hi) of the integral of t^gamma k(t)^r dt/t over
     [t0, t1], where k is the chord through (t0, k0) and (t1, k1).
 
-    Where the chord k(t) = A + B t stays positive on [t0 e^-2, t1 e^2] (a
-    nondecreasing chord with A >= 0 up to rounding, as a concave K or
-    t f**(t) between knots gives, unless the piece is a few ulps wide), the
-    piece splits in x = log t into sub-intervals of log-length at most
-    1 / max(1, |gamma| + r), each integrated by 12-point Gauss-Legendre.
-    On a sub-interval of half-length h the Bernstein ellipse with semi-minor
-    axis b = pi/2 has rho = b/h + sqrt((b/h)^2 + 1) and semi-major axis
-    a = sqrt(b^2 + h^2); |e^{gamma z} k(e^z)^r| <= e^{gamma Re z}
-    (|A| + |B| e^{Re z})^r is log-convex in Re z, so its largest value M on
-    the ellipse sits at x_mid - a or x_mid + a.  The truncation error is at
-    most h (64/15) M rho^{-24} / (rho^2 - 1) (Trefethen, Approximation
-    Theory and Approximation Practice, Thm 19.3).  A first-order bound on the
-    rounding of the nodes, the evaluations and the sums is added on top.  Any
-    other chord, nonnegative on the piece, gets the bracket of the extremes
-    of t^gamma and k^r there.
+    A chord k(t) = A + B t with a zero in [t0 e^-2, t1 e^2] (a slope made of
+    rounding on a piece a few ulps wide, say) gets the bracket of the
+    extremes of t^gamma and k^r on the piece.  Any other chord (a
+    nondecreasing one with A >= 0, as a concave K or t f**(t) between knots
+    gives) is integrated in closed form when r is an integer with
+    r + 1 <= len(_GL_NODES), and by Gauss-Legendre otherwise.
+
+    Closed form.  With s = log(t1/t0) and e_j = gamma + j, the integral is
+    the sum of the r + 1 terms C(r, j) A^(r-j) (B t0)^j t0^gamma G_j, with
+    G_j = expm1(e_j s)/e_j (s where e_j = 0).  A term is formed as
+    C(r, j) G_j (t0^gamma c^r) a^(r-j) b^j, with c = |A| + |B t0|, a = A/c
+    and b = B t0/c.  The factors after the first three are at most 1 in
+    size, so once t0^gamma, c^r, their product, G_0 and the nonzero ones of
+    B, B t0, a^r and b^r are at least 2^-1021, only the last three products
+    of a term can fall below the normal range, each off by at most 2^-1075
+    there, which the later factors do not enlarge: under 2^-1073 a term.
+    To first order in u = 2^-53, and relative to S = sum_j |term_j|
+    (the integral of t^gamma (|A| + |B| t)^r dt/t), the error counts: the
+    chord, where B carries 3u, B t0 4u and A = k0 - B t0 is off by
+    u |A| + 4u |B t0|, so k moves by at most 8u (|A| + |B| t) on [t0, t1]
+    and k^r by 8ru; the powers and products, where a and b carry u each,
+    raised to the powers r - j and j, each power 2u, c^r and t0^gamma 2u
+    each and the five products u each, (r + 13)u; G_j, with x_j = e_j s,
+    where s carries 4u (two operations and log1p), which moves G_j by
+    4u (1 + |x_j|) as |d log G_j / d log s| <= 1 + |x_j|, the rounding of
+    e_j moves it by u |x_j| as |d log G_j / d log e_j| <= |x_j|, that of
+    e_j s by u (1 + |x_j|), expm1 by 2u and the division by u,
+    (8 + 6 |x_j|)u; and the sum, u.  The bracket is value -+ (rel S +
+    (r + 1) 2^-1073), rel = 2u (9r + 22 + 6 s max_j |e_j|), twice the
+    first-order total so that it covers the second-order terms and the
+    rounding of value -+ err.  As the chord stays positive on
+    [t0 e^-2, t1 e^2], S is at most ((1 + e^-2)/(1 - e^-2))^r < 1.32^r times
+    the integral.  A factor below 2^-1021 or a term above 2^1019 (or one
+    that is not finite) sends the chord to Gauss-Legendre.
+
+    Gauss-Legendre.  The piece splits in x = log t into sub-intervals of
+    log-length at most 1 / max(1, |gamma| + r), each integrated by 12-point
+    Gauss-Legendre.  On a sub-interval of half-length h the Bernstein
+    ellipse with semi-minor axis b = pi/2 has rho = b/h + sqrt((b/h)^2 + 1)
+    and semi-major axis a = sqrt(b^2 + h^2); |e^{gamma z} k(e^z)^r| <=
+    e^{gamma Re z} (|A| + |B| e^{Re z})^r is log-convex in Re z, so its
+    largest value M on the ellipse sits at x_mid - a or x_mid + a.  The
+    truncation error is at most h (64/15) M rho^{-24} / (rho^2 - 1)
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+    A first-order bound on the rounding of the nodes, the evaluations and
+    the sums is added on top.
     """
     if not (t0 > 0.0 and t1 >= t0 and math.isfinite(t1)):
         raise ValueError("power_integral needs 0 < t0 <= t1 < inf")
@@ -178,19 +219,70 @@ def power_integral(
         raise ValueError("power_integral needs a nonnegative chord and r > 0")
     if t1 == t0 or k0 == k1 == 0.0:
         return 0.0, 0.0
+    if r < len(_GL_NODES) and r == int(r):
+        bracket = _binomial_bracket(t0, t1, k0, k1, gamma, int(r))
+        if bracket is not None:
+            return bracket
+    return _legendre_bracket(t0, t1, k0, k1, gamma, r)
+
+
+def _chord(t0: float, t1: float, k0: float, k1: float) -> tuple[float, float, float, bool]:
+    """log(t1/t0), slope and intercept of the chord, and whether it stays
+    positive on [t0 e^-2, t1 e^2] (the ellipses reach at most
+    hypot(pi/2, 1/2) < 2 out)."""
+    span = math.log1p((t1 - t0) / t0)
+    slope = (k1 - k0) / (t1 - t0)
+    intercept = k0 - slope * t0
+    clear = min(intercept + slope * t0 * _SHRINK, intercept + slope * t1 * _STRETCH) > 0.0
+    return span, slope, intercept, clear
+
+
+def _binomial_bracket(
+    t0: float, t1: float, k0: float, k1: float, gamma: float, r: int
+) -> tuple[float, float] | None:
+    """power_integral's closed-form bracket for an integer r, or None where
+    the chord has a zero within e^2 of the piece or a factor or term leaves
+    the accepted range."""
+    span, slope, intercept, clear = _chord(t0, t1, k0, k1)
+    rise = slope * t0
+    if not clear or not (k0 == k1 or _TINY <= min(abs(slope), abs(rise))):
+        return None
+    size = abs(intercept) + abs(rise)
+    a, b = intercept / size, rise / size
+    try:
+        scale, power = t0**gamma, size**r
+        common = scale * power
+        growth = [math.expm1(e * span) / e if e else span for e in [gamma + j for j in range(r + 1)]]
+        terms = [c * g * common * a ** (r - j) * b**j
+                 for j, (c, g) in enumerate(zip(_BINOMIALS[r], growth))]
+        total = math.fsum(map(abs, terms))
+    except OverflowError:
+        return None
+    if not (total <= _HUGE and _TINY <= min(scale, power, common, growth[0])
+            and (intercept == 0.0 or _TINY <= abs(a**r))
+            and (k0 == k1 or _TINY <= abs(b**r))):
+        return None
+    rel = 2.0 * _UNIT_ROUNDOFF * (9 * r + 22 + 6.0 * span * max(abs(gamma), abs(gamma + r)))
+    value = math.fsum(terms)
+    err = rel * total + (r + 1) * _UNDERFLOW
+    return max(value - err, 0.0), value + err
+
+
+def _legendre_bracket(
+    t0: float, t1: float, k0: float, k1: float, gamma: float, r: float
+) -> tuple[float, float]:
+    """power_integral's Gauss-Legendre bracket, or the extremes bracket of a
+    chord with a zero within e^2 of the piece."""
+    span, slope, intercept, clear = _chord(t0, t1, k0, k1)
     spread = abs(gamma) + r
     x0 = math.log(t0)
-    span = math.log1p((t1 - t0) / t0)
     # each value moves by at most (|gamma| + r) times its node's rounding,
     # about (|x| + 1) ulps, plus a few ulps per operation and per summand
     rel = 4.0 * _UNIT_ROUNDOFF * (len(_GL_NODES) + 8 + 2 * r + spread * (abs(x0) + span + 2.0))
-    slope = (k1 - k0) / (t1 - t0)
-    intercept = k0 - slope * t0
-    if min(intercept + slope * t0 * math.exp(-2.0), intercept + slope * t1 * math.exp(2.0)) <= 0.0:
-        # a zero of the chord within e^2 of the piece (the ellipses reach at
-        # most hypot(pi/2, 1/2) < 2 out) is a branch point of k^r, as is a
-        # slope made of rounding on a piece a few ulps wide: bracket by the
-        # extremes of the two monotone factors t^gamma and k^r on the piece
+    if not clear:
+        # a zero of the chord is a branch point of k^r, as is a slope made of
+        # rounding on a piece a few ulps wide: bracket by the extremes of the
+        # two monotone factors t^gamma and k^r on the piece
         powers = (t0**gamma, t1**gamma)
         return (span * min(powers) * min(k0, k1) ** r * (1.0 - rel),
                 span * max(powers) * max(k0, k1) ** r * (1.0 + rel))

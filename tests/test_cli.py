@@ -281,6 +281,23 @@ class TestCommands:
         assert "leave the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_witness_at_the_edge_with_q_inf_exit_2(self, tmp_path, capsys):
+        # at a = 1/p' and q = inf the tail terms are bounded: the certificate
+        # proves nothing there, so the cell is refused, not failed
+        out = tmp_path / "witness.json"
+        assert main(["verify", "witness", "--p", "2", "--a", "0.5", "--q", "inf",
+                     "--out", str(out)]) == 2
+        assert "proves nothing" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["verify", "witness", "--p", "2", "--a", "0.5", "--q", "1",
+                     "--out", str(out)]) == 0
+
+    def test_kfunc_weight_overflow_names_the_flag(self, capsys, two_annuli_file):
+        # the central-ball piece sits in annulus -1, whose weight 2^(-1 * -1100) overflows
+        assert main(["kfunc", "--input", two_annuli_file, "--a0", "-1100"]) == 2
+        err = capsys.readouterr().err
+        assert "--a0 -1100" in err and "2^1100" in err
+
     @pytest.mark.parametrize("command, content, message", [
         ("verify", [1, 2], "JSON object"),
         ("verify", {"size": "x"}, "'size'"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad
 
+from herzlab.corpus import random_step_functions
 from herzlab.lorentz import (
     INF,
     LorentzParams,
@@ -417,6 +418,19 @@ class TestEquivalence:
             assert rep.lower == lower and rep.constant == conjugate_exponent(p)
             assert rep.ratio == pytest.approx(lower, rel=1e-12)
             assert rep.passed
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_r1_star_is_p_conjugate_times_quasi(self, dim):
+        # at r = 1 star = p' quasi for every f: the chord brackets of the
+        # starred norm keep it to a few ulps of the closed-form quasi-norm
+        corpus = random_step_functions(300, seed=dim, dim=dim)
+        for p in (1.25, 1.5, 2.0, 3.0, 6.0):
+            params = LorentzParams(p, 1)
+            for f in corpus:
+                quasi = lorentz_quasi_norm(f, params)
+                if quasi:
+                    star = lorentz_star_norm(f, params)
+                    assert abs(star / (conjugate_exponent(p) * quasi) - 1.0) <= 2e-15, (p, f)
 
     def test_lower_factor_is_one_at_r_inf(self, two_shell):
         assert equivalence_check(two_shell, LorentzParams(3, INF)).lower == 1.0

@@ -881,6 +881,13 @@ class TestWitness:
         with pytest.raises(ValueError):
             out_of_range_witness(a=0.1, p=2.0)
 
+    def test_edge_is_certified_only_for_finite_q(self):
+        # at a = 1/p' the annulus terms 2^(u (a - 1/p')) are 1: their l^q sum
+        # diverges for q < inf, their sup does not
+        assert out_of_range_witness(a=0.5, p=2.0, q=1.0, family_size=1, cells_per_side=64).unbounded
+        with pytest.raises(ValueError, match="proves nothing"):
+            out_of_range_witness(a=0.5, p=2.0, q=INF, family_size=1, cells_per_side=64)
+
     def test_single_member_family(self):
         rep = out_of_range_witness(family_size=1, cells_per_side=512)
         assert len(rep.ratios) == 1

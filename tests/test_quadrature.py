@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +10,8 @@ from scipy.integrate import quad
 from herzlab.quadrature import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _binomial_bracket,
+    _legendre_bracket,
     adaptive_simpson,
     power_integral,
     power_sum_norm,
@@ -69,8 +72,9 @@ def binomial_power_integral(t0, t1, k0, k1, gamma, r):
 
 
 def mpmath_power_integral(t0, t1, k0, k1, gamma, r):
-    """The same integral at 40 digits, by tanh-sinh quadrature in log t."""
-    mpmath = pytest.importorskip("mpmath")
+    """The same integral at 40 digits, by tanh-sinh quadrature in log t.
+    The integrand, log-convex in log t, is divided by its value at the end
+    where it is largest, as mpmath.quad stops on an absolute error."""
     with mpmath.workdps(40):
         t0m, t1m, k0m, k1m = map(mpmath.mpf, (t0, t1, k0, k1))
         slope = (k1m - k0m) / (t1m - t0m)
@@ -80,7 +84,8 @@ def mpmath_power_integral(t0, t1, k0, k1, gamma, r):
         def f(x):
             return mpmath.exp(gamma * x) * (a + slope * mpmath.exp(x)) ** r
 
-        return mpmath.quad(f, mpmath.linspace(x0, x1, int(x1 - x0) + 2))
+        top = max(f(x0), f(x1))
+        return top * mpmath.quad(lambda x: f(x) / top, mpmath.linspace(x0, x1, int(x1 - x0) + 2))
 
 
 def random_piece(rng, r):
@@ -151,6 +156,69 @@ class TestPowerIntegral:
         exact = binomial_power_integral(*piece)
         assert 0.0 < lo <= exact <= hi
         assert hi - lo <= 1e-15 * 38.7
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 8, 11])
+    def test_closed_form_contains_mpmath(self, r):
+        # chords whose zero lies just outside [t0 e^-2, t1 e^2], where the
+        # binomial terms alternate, and chords through the origin or above
+        # it, at t0 near 2^-60, 1 and 2^60
+        rng = random.Random(f"closed-{r}")
+        for t0 in (2.0**-60 * 1.3, 1.0, 2.0**60 / 1.7):
+            for kind in ("below", "beyond", "origin", "above"):
+                t1 = t0 * 10.0 ** rng.uniform(0.01, 3.0)
+                b = 10.0 ** rng.uniform(-3.0, 3.0)
+                gamma = rng.choice([-0.5 * r, 0.25 - r, 1.0 - r, 0.0])
+                if kind == "below":
+                    zero = t0 * math.exp(-2.0) * (1.0 - 10.0 ** rng.uniform(-12.0, -1.0))
+                    k0, k1 = b * (t0 - zero), b * (t1 - zero)
+                elif kind == "beyond":
+                    zero = t1 * math.exp(2.0) * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0))
+                    k0, k1 = b * (zero - t0), b * (zero - t1)
+                else:
+                    a = 0.0 if kind == "origin" else b * t0 * 10.0 ** rng.uniform(-3.0, 3.0)
+                    k0, k1 = a + b * t0, a + b * t1
+                piece = (t0, t1, k0, k1, gamma, r)
+                bracket = _binomial_bracket(*piece)
+                assert bracket is not None and power_integral(*piece) == bracket, piece
+                lo, hi = bracket
+                exact = mpmath_power_integral(*piece)
+                assert lo <= exact <= hi, piece
+                assert hi - lo <= 1e-11 * exact, piece
+
+    @pytest.mark.parametrize("r", range(1, len(_GL_NODES)))
+    def test_closed_form_meets_gauss_legendre(self, r):
+        rng = random.Random(f"meet-{r}")
+        for _ in range(300):
+            piece = random_piece(rng, r)
+            closed = power_integral(*piece)
+            assert closed == _binomial_bracket(*piece), piece
+            legendre = _legendre_bracket(*piece)
+            assert max(closed[0], legendre[0]) <= min(closed[1], legendre[1]), piece
+            exact = binomial_power_integral(*piece)
+            for lo, hi in (closed, legendre):
+                assert hi - lo <= 1e-11 * exact, piece
+
+    @pytest.mark.parametrize("r", [0.5, 1.5, len(_GL_NODES), 20.0])
+    def test_other_exponents_take_gauss_legendre(self, r):
+        piece = (0.3, 70.0, 0.5, 9.0, -0.4 * r, r)
+        assert power_integral(*piece) == _legendre_bracket(*piece)
+
+    def test_factor_below_the_normal_range_falls_back(self):
+        # b = B t0 / (|A| + |B t0|) is about 1e-200, so b^2 underflows: the
+        # closed form declines, and Gauss-Legendre brackets the integral
+        piece = (1.0, 1e200, 1.0, 2.0, -3.0, 2)
+        assert _binomial_bracket(*piece) is None
+        lo, hi = power_integral(*piece)
+        assert (lo, hi) == _legendre_bracket(*piece)
+        assert lo <= binomial_power_integral(*piece) <= hi
+
+    @pytest.mark.parametrize("piece", [
+        (1e-300, 2e-300, 1.0, 2.0, -2.0, 2),  # t0^gamma overflows
+        (1.0, 1e300, 1.0, 2.0, 3.0, 3),  # expm1(e_j s) overflows
+        (1.0, 2.0, 1e200, 2e200, 0.5, 2),  # the size c^r overflows
+    ])
+    def test_term_beyond_the_float_range_declines(self, piece):
+        assert _binomial_bracket(*piece) is None
 
     def test_bad_pieces_rejected(self):
         for piece in ((2.0, 1.0, 1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0, 0.0, 1.0),
