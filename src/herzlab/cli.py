@@ -23,6 +23,7 @@ from . import corpus as corpus_mod
 from .herz import (
     AnnulusMeasureSequence,
     HerzParams,
+    annulus_weights,
     bfs_condition_check,
     embedding_check,
     hl_holder_check,
@@ -704,12 +705,10 @@ def _cmd_kfunc(args: argparse.Namespace) -> int:
     else:
         source = retract_L(obj, LorentzParams(args.base_p, args.base_r))
         for flag, a in (("--a0", args.a0), ("--a1", args.a1)):
-            for u in source.as_dict():
-                try:
-                    2.0 ** (u * a)
-                except OverflowError:
-                    raise ConfigError(f"{flag} {a}: the weight 2^(u a) of annulus u = {u} is "
-                                      f"2^{u * a:g}, beyond the float range") from None
+            try:
+                annulus_weights(source.as_dict(), a)
+            except ValueError as exc:
+                raise ConfigError(f"{flag} {a}: {exc}") from None
         couple = CoupleSpec((args.a0, args.q0), (args.a1, args.q1))
     ks = k_functional_curve(ts, source, couple)
     lines = [f"{t!r}\t{k!r}" for t, k in zip(ts, ks)]

@@ -13,11 +13,13 @@ builds its own on first use and keeps it (`RadialStepFunction.profile`,
 `GridFunction1D.profile`, the latter through `operators.grid_annulus_profiles`),
 and `annulus_profile` returns it, so a function used many times is decomposed
 once.  A profile caches per-annulus Lorentz scores per (p, r, starred) from
-the float cores of `lorentz` and aggregates them with `weighted_lq`'s floats;
-HL norms, the embeddings, the annulus retract, the endpoint K-functional and
-the operator sweeps all read it.  The HL pairing and the embeddings return a
-`reporting.Comparison`.  `bfs_condition_check` reports the partial sums of the
-lattice-compatibility conditions and decides a power tail in closed form.
+the float cores of `lorentz`, and `weighted_lq` aggregates them with
+`quadrature.lq_norm` and the weights of `annulus_weights`, the one place a
+weight 2^{ua} is formed and range-checked; HL norms, the embeddings, the
+annulus retract, the endpoint K-functional and the operator sweeps all read
+it.  The HL pairing and the embeddings return a `reporting.Comparison`.
+`bfs_condition_check` reports the partial sums of the lattice-compatibility
+conditions and decides a power tail in closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .lorentz import (
     lorentz_star_norm_from_steps,
     pairing_comparison,
 )
-from .quadrature import root
+from .quadrature import lq_norm
 from .rearrange import (
     RadialStepFunction,
     _check_dim,
@@ -60,7 +62,7 @@ __all__ = [
     "annuli_decompose",
     "AnnulusProfile",
     "annulus_profile",
-    "lq_norm",
+    "annulus_weights",
     "weighted_lq",
     "hl_norm",
     "bfs_condition_check",
@@ -149,32 +151,21 @@ def annuli_decompose(f: RadialStepFunction) -> list[tuple[int, RadialStepFunctio
     return pieces
 
 
-def lq_norm(vals: Sequence[float], q: float) -> float:
-    """(sum_i v_i^q)^{1/q} of nonnegative values, max at q = inf; zeros are skipped.
-
-    Where the sum lies outside [2^-64, 2^64] (a power or the sum may have
-    overflowed or underflowed, and the error of the 1/q-th power grows with
-    |log sum| since 1/q is inexact), the sum is redone with the values
-    scaled by the largest, so a norm that a float holds is still returned
-    to within rounding; an infinite value gives inf.
-    """
-    if not vals:
-        return 0.0
-    top = max(vals)
-    if q == INF or top == INF:
-        return top
+def annulus_weights(us: Collection[int], a: float) -> list[float]:
+    """The weights 2^{ua} of the annuli u in `us`, formed nowhere else.  Where
+    one exceeds the largest float, ValueError names the annulus of the
+    largest and its power of two; one below the float range is 0."""
     try:
-        total = math.fsum(math.pow(v, q) for v in vals if v != 0.0)
+        return [2.0 ** (u * a) for u in us]
     except OverflowError:
-        total = INF
-    if 2.0**-64 <= total <= 2.0**64:
-        return root(total, q)
-    return top * root(math.fsum(math.pow(v / top, q) for v in vals if v != 0.0), q)
+        u = max(us, key=lambda u: u * a)
+        raise ValueError(f"the weight of annulus u = {u} is 2^{u * a:g}, "
+                         "beyond the float range") from None
 
 
 def weighted_lq(scores: Mapping[int, float], a: float, q: float) -> float:
     """Weighted aggregation (sum_u 2^{uaq} s_u^q)^{1/q}, sup form at q = inf."""
-    return lq_norm([2.0 ** (u * a) * s for u, s in scores.items()], q)
+    return lq_norm([w * s for w, s in zip(annulus_weights(scores, a), scores.values())], q)
 
 
 @dataclass(eq=False)
@@ -397,10 +388,8 @@ def bfs_condition_check(
         # terms 2^{u weight q_} m_u^{q_/p_} and their partial sums; at q_ = inf
         # the terms drop q_ and the running supremum replaces the sum
         e = 1.0 if q_ == INF else q_
-        terms = tuple(
-            2.0 ** (u * (weight * e)) * _power_with_conventions(mu, e / p_)
-            for u, mu in zip(us, measures)
-        )
+        terms = tuple(w * _power_with_conventions(mu, e / p_)
+                      for w, mu in zip(annulus_weights(us, weight * e), measures))
         return terms, tuple(accumulate(terms, max) if q_ == INF else accumulate(terms))
 
     terms_a, partial_a = condition(a, p, q)
@@ -432,18 +421,6 @@ def hl_holder_check(
         raise ValueError("pairing needs 1 < p < inf and 1 <= q, r <= inf")
     integral = float(integrate_abs_product(f, g))
     return pairing_comparison(integral, hl_norm(f, params) * hl_norm(g, params.conjugate()))
-
-
-def _occupied_weight_constant(us: Sequence[int], a1: float, a2: float) -> float:
-    """Embedding constant for lowering the weight exponent from a1 to a2.
-
-    The weight ratio 2^{u(a2-a1)} stays at most 1 on the annuli u >= 0, so
-    the constant is 1 whenever f avoids the central ball; a charged central
-    ball contributes the ratio 2^{a1-a2} > 1 instead.
-    """
-    if not us:
-        return 1.0
-    return max(1.0, max(2.0 ** (u * (a2 - a1)) for u in us))
 
 
 def embedding_check(
@@ -487,7 +464,7 @@ def embedding_check(
         r1, r2 = source.r, target.r
         constant = 1.0 if r1 == r2 else (r1 / source.p) ** (1.0 / r1 - 1.0 / r2)
     elif v == "B":
-        constant = _occupied_weight_constant(f.us, source.a, target.a)
+        constant = max([1.0, *annulus_weights(f.us, target.a - source.a)])
     elif v == "C":
         p1, r1, p2 = target.p, target.r, source.p
         constant = (r1 / p1 - r1 / p2) ** (-1.0 / r1) if r1 != INF else 1.0

@@ -53,8 +53,8 @@ from .herz import (
     HerzParams,
     annulus_bounds,
     annulus_profile,
+    annulus_weights,
     hl_norm,
-    lq_norm,
     weighted_lq,
 )
 from .lorentz import (
@@ -64,7 +64,7 @@ from .lorentz import (
     lorentz_quasi_norm,
     lorentz_star_norm,
 )
-from .quadrature import adaptive_simpson, k_norm
+from .quadrature import adaptive_simpson, k_norm, lq_norm
 from .rearrange import (
     RadialStepFunction,
     pointwise_sum,
@@ -221,10 +221,9 @@ def coretract_M(
 
 def _side_vectors(y: WeightedSeq, couple: CoupleSpec) -> list[list[float]]:
     """Side weights a_u = 2^{u a0} y_u and b_u = 2^{u a1} y_u over y's support."""
-    support = [(u, v) for u, v in y.entries if v > 0]
-    return [
-        [2.0 ** (u * a) * v for u, v in support] for a in (couple.side0[0], couple.side1[0])
-    ]
+    support = {u: v for u, v in y.entries if v > 0}
+    return [[w * v for w, v in zip(annulus_weights(support, a), support.values())]
+            for a in (couple.side0[0], couple.side1[0])]
 
 
 def _sup_cost(
@@ -494,13 +493,24 @@ _VERTEX_CAP = 20
 def _vertex_norms(
     a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """||a_S||_{q0} and ||b_{S^c}||_{q1} over all subsets S, built by doubling."""
+    """||a_S||_{q0} and ||b_{S^c}||_{q1} over all subsets S, built by doubling:
+    subset i holds coordinate k when bit k of i is set, and keeps its largest
+    value m and the sum (at most 20) of the q-th powers of the ratios to m,
+    so no term rounds away at tiny q; a norm beyond the largest float is inf.
+    The complement of subset i is subset 2^n - 1 - i."""
     if len(a_vec) > _VERTEX_CAP:
         raise ValueError(f"sub-one K: support {len(a_vec)} exceeds the cap of {_VERTEX_CAP}")
-    s0 = s1 = np.zeros(1)
-    for a, b in zip(a_vec, b_vec):
-        s0, s1 = np.concatenate((s0, s0 + a**q0)), np.concatenate((s1 + b**q1, s1))
-    return s0 ** (1.0 / q0), s1 ** (1.0 / q1)
+
+    def subset_norms(vals: Sequence[float], q: float) -> np.ndarray:
+        top = total = np.zeros(1)
+        for v in vals:
+            wider = np.maximum(top, v)
+            top, total = (np.concatenate((top, wider)),
+                          np.concatenate((total, total * (top / wider) ** q + (v / wider) ** q)))
+        with np.errstate(over="ignore"):
+            return top * total ** (1.0 / q)
+
+    return subset_norms(a_vec, q0), subset_norms(b_vec, q1)[::-1]
 
 
 class _KPlan(NamedTuple):
@@ -591,8 +601,9 @@ def _k_plan(
         # a coordinate whose side weight rounds to 0 is free on that side, so K
         # is the K of the rest; where the norms still count it, K stays below
         # t N1 (free on side 0) or N0 (free on side 1) at every t
-        rest = _k_plan(WeightedSeq(tuple((u, v) for u, v in source.entries
-                                         if 2.0 ** (u * a0) * v and 2.0 ** (u * a1) * v)), couple)
+        support = [(u, v) for u, v in source.entries if v > 0]  # the vectors' coordinates
+        rest = _k_plan(WeightedSeq(tuple(e for e, a, b in zip(support, a_vec, b_vec) if a and b)),
+                       couple)
 
         def free_corners() -> tuple[float, float]:
             lo, hi = rest.corners()
@@ -703,9 +714,9 @@ def _endpoint_lines(
     (a0, q0), (a1, q1) = side0, side1
     _check_endpoint_exponents(q0, q1)
     pieces = [  # the level masses are the knot differences
-        (2.0 ** (u * a0) / 2.0 ** (u * a1), 2.0 ** (u * a1) * np.array(levels),
-         np.diff(knots, prepend=0.0))
-        for u, levels, knots in zip(prof.us, prof.levels, prof.knots)
+        (w0 / w1, w1 * np.array(levels), np.diff(knots, prepend=0.0))
+        for w0, w1, levels, knots in zip(annulus_weights(prof.us, a0),
+                                         annulus_weights(prof.us, a1), prof.levels, prof.knots)
     ]
 
     def group(part: list[tuple[float, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import k_norm, power_sum_norm, root
+from .quadrature import k_norm, lq_norm, root
 from .rearrange import RadialStepFunction, integrate_abs_product, rounded_rearrangement
 from .reporting import Comparison
 
@@ -140,15 +140,14 @@ def lorentz_norm_from_steps(
 def _rescaled_norm(w: np.ndarray, t: np.ndarray, p: float, r: float) -> float:
     """One segment's quasi-norm from the products x_i = w_i t_i^{1/p}, each formed
     from the binary mantissas and exponents of w_i and t_i, so no power of a
-    level or a knot can leave the float range.  For r < inf power_sum_norm takes the
-    sum by parts, sum_i x_i^r (1 - (w_{i+1}/w_i)^r) with w_{n+1} = 0."""
+    level or a knot can leave the float range.  lq_norm takes the sum by parts,
+    (p/r) sum_i x_i^r (1 - (w_{i+1}/w_i)^r) with w_{n+1} = 0, or the largest
+    x_i at r = inf."""
     w, t = w[w > 0], t[w > 0]  # zero levels, which can only trail, add nothing
     (m, a), (f, b) = np.frexp(w), np.frexp(t)
     e = b / p
     x = np.ldexp(m * f ** (1.0 / p) * 2.0 ** (e - np.floor(e)), a + np.floor(e).astype(int))
-    if r == INF:
-        return float(np.max(x, initial=0.0))
-    return power_sum_norm(x, r, 1.0 - np.append(w[1:] / w[:-1], 0.0) ** r, p / r)
+    return lq_norm(x, r, (p / r) * (1.0 - np.append(w[1:] / w[:-1], 0.0) ** r))
 
 
 def lorentz_quasi_norm(f: RadialStepFunction, params: LorentzParams) -> float:

@@ -32,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .herz import AnnulusProfile, HerzParams, annulus_measure, hl_norm, lq_norm
+from .herz import AnnulusProfile, HerzParams, annulus_measure, annulus_weights, hl_norm
 from .lorentz import INF, LorentzParams, char_norm_constant, conjugate_exponent
-from .quadrature import power_sum_norm
+from .quadrature import lq_norm
 from .rearrange import unit_ball_volume
 from .reporting import Comparison
 
@@ -559,12 +559,9 @@ def grid_hl_norm(f: GridFunction1D, params: HerzParams) -> float:
 
 
 def grid_lp_norm(f: GridFunction1D, p: float) -> float:
-    """Plain Lebesgue norm, computed directly cell by cell within the float
-    range (quadrature.power_sum_norm)."""
-    vals = np.abs(f.array())
-    if p == INF:
-        return float(vals.max())
-    return power_sum_norm(vals, p, factor=f.h)
+    """Plain Lebesgue norm: the lq_norm of the cell values, each weighted by
+    the cell width, so it holds within the float range."""
+    return lq_norm(np.abs(f.array()), p, f.h)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +618,7 @@ def _sweep_ratios(
         if inner not in matrices:
             matrices[inner] = np.array([[prof.scores(inner).get(u, 0.0) for u in us]
                                         for prof in profiles])
-        weighted = matrices[inner] * [2.0 ** (u * a) for u in us]
+        weighted = matrices[inner] * annulus_weights(us, a)
         norms = [lq_norm(row, q) for row in weighted.tolist()]
         base_ratio = fine_ratio = 0.0
         for n_f, n_tf, n_fr, n_tfr in zip(*[iter(norms)] * 4):

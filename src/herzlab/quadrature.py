@@ -14,9 +14,9 @@ with K(t) = t f**(t), since (L^1, L^inf)_{theta,q} = L^{p,q} for
 `adaptive_simpson`, which certifies nothing and accepts an interval
 silently at its depth cap, gives `k_norm` the main part on the front and
 sup-finish K branches, where K has no known piecewise-linear form.
-`power_sum_norm` takes the discrete integral of a step function, a weighted
-power sum, within the float range; `root` takes the 1/r-th power of such
-a sum, inf where that overflows.
+`lq_norm` is the one weighted l^q aggregator, (sum_i w_i v_i^q)^(1/q), of
+Herz sums, K side norms and step-function integrals alike; `root` takes
+the 1/q-th power of such a sum, inf where that overflows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["adaptive_simpson", "k_norm", "power_integral", "power_sum_norm", "root"]
+__all__ = ["adaptive_simpson", "k_norm", "lq_norm", "power_integral", "root"]
 
 # Subdivision depth at which an interval is accepted whatever its error.
 _MAX_DEPTH = 48
@@ -101,24 +101,37 @@ def root(total: float, r: float) -> float:
         return math.inf
 
 
-def power_sum_norm(
-    values: np.ndarray, r: float, weights: np.ndarray | float = 1.0, factor: float = 1.0
-) -> float:
-    """(factor * sum_i weights_i values_i^r)^(1/r) of nonnegative values, 0 < r < inf.
+def lq_norm(vals: Sequence[float] | np.ndarray, q: float,
+            weights: np.ndarray | float | None = None) -> float:
+    """(sum_i w_i v_i^q)^(1/q) of nonnegative values v_i, and the largest v_i
+    at q = inf; zero values are skipped.  The weights w_i >= 0 (finite q
+    only) are 1 when omitted and all `weights` when it is a float.
 
-    A sum that leaves the normal float range (overflow, or underflow to 0 or
-    a subnormal) is redone with the values scaled by the largest, so a norm
-    that a float holds is returned; an in-range sum keeps the bits of the
-    direct form, and an overflow raises no numpy warning.
+    The sum is the math.fsum of math.pow(v, q), or of numpy's w v^q.  Where
+    it lies outside [2^-64, 2^64] (a power or the sum may have overflowed or
+    underflowed, and the error of the 1/q-th power grows with |log sum|
+    since 1/q is inexact), it is redone with the values scaled by the
+    largest, so a norm that a float holds is returned to within rounding;
+    an infinite value, or a norm beyond the largest float, gives inf.
     """
-    with np.errstate(over="ignore"):
-        total = factor * float(np.sum(values**r * weights))
-    if sys.float_info.min <= total < math.inf:
-        return root(total, r)
-    top = float(np.max(values, initial=0.0))
-    if top == 0.0 or top == math.inf:
-        return total ** (1.0 / r)
-    return top * root(factor * float(np.sum((values / top) ** r * weights)), r)
+    if not len(vals):
+        return 0.0
+    top = max(vals) if weights is None else float(np.max(vals))
+    if q == math.inf or top == math.inf or top == 0.0:
+        return top
+    if weights is None:
+        try:
+            total = math.fsum(math.pow(v, q) for v in vals if v != 0.0)
+        except OverflowError:
+            total = math.inf
+    else:
+        with np.errstate(over="ignore"):  # numpy's power gives inf where math.pow raises
+            total = math.fsum((weights * np.power(vals, q)).tolist())
+    if 2.0**-64 <= total <= 2.0**64:
+        return root(total, q)
+    if weights is None:
+        return top * root(math.fsum(math.pow(v / top, q) for v in vals if v != 0.0), q)
+    return top * root(math.fsum((weights * np.power(np.divide(vals, top), q)).tolist()), q)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from herzlab.corpus import random_step_functions, record_to_object
-from herzlab.herz import lq_norm
+from herzlab.quadrature import lq_norm
 from herzlab.lorentz import conjugate_exponent
 from herzlab.rearrange import RadialStepFunction, unit_ball_volume
 

@@ -145,6 +145,27 @@ class TestCommands:
         assert main(["kfunc", "--input", str(path), "--q0", "0.5", "--q1", q1]) == 2
         assert message in capsys.readouterr().err
 
+    def test_kfunc_sub_one_norms_keep_tiny_exponents(self, tmp_path, capsys):
+        # one shell of L^2 norm 3/sqrt(2) in annulus -1: K(t) = min(a, t a/2),
+        # a = 3/sqrt(2), however small the exponents; a^q rounded to 1 before
+        path = tmp_path / "one.json"
+        save_corpus([RadialStepFunction(1, [0, Fraction(1, 4)], [3])], path)
+        assert main(["kfunc", "--input", str(path), "--q0", "1e-20", "--q1", "1e-20",
+                     "--t-lo", "1", "--t-hi", "1024", "--points", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        a = 3.0 / math.sqrt(2.0)
+        ks = [float(line.split("\t")[1]) for line in out]
+        assert ks == pytest.approx([a / 2, a], rel=1e-15, abs=0.0)
+        # four shells: every split leaves two or more coordinates on one side,
+        # whose 1/q-th power is beyond the float range: inf, with no warning
+        # (an overflow warning is an error under this suite's settings)
+        save_corpus([RadialStepFunction(1, [0, Fraction(1, 4), Fraction(3, 4), Fraction(3, 2), 3],
+                                        [3, 2, 1, Fraction(1, 2)])], path)
+        assert main(["kfunc", "--input", str(path), "--q0", "1e-300", "--q1", "1e-300",
+                     "--points", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [float(line.split("\t")[1]) for line in out] == [math.inf] * 3
+
     def test_kfunc_descending_grid(self, capsys, two_annuli_file):
         code = main(["kfunc", "--input", two_annuli_file, "--l1-linf",
                      "--t-lo", "4", "--t-hi", "0.25", "--points", "3"])
@@ -297,6 +318,29 @@ class TestCommands:
         assert main(["kfunc", "--input", two_annuli_file, "--a0", "-1100"]) == 2
         err = capsys.readouterr().err
         assert "--a0 -1100" in err and "2^1100" in err
+
+    @pytest.mark.parametrize("args, config, power", [
+        (["norm", "--space", "hl", "--a", "-1100", "--p", "2"], None, "u = -1 is 2^1100"),
+        (["verify", "bfs", "--a", "2000"], None, "is 2^"),
+        (["verify", "example-divergence", "--a", "2000"], None, "is 2^"),
+        (["verify", "herz-holder"], {"a_values": [2000]}, "is 2^"),
+    ], ids=["norm-hl", "bfs", "example-divergence", "herz-holder"])
+    def test_weight_overflow_names_the_weight(self, tmp_path, capsys, two_annuli_file,
+                                              args, config, power):
+        # an annulus weight 2^(u a) beyond the float range exits 2 and says so;
+        # the input itself is fine
+        if args[0] == "norm":
+            args = [*args, "--input", two_annuli_file]
+        else:
+            args = [*args, "--out", str(tmp_path / "report.json")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "config.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "the weight of annulus" in err and power in err and "beyond the float range" in err
+        assert "overflows a float" not in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command, content, message", [
         ("verify", [1, 2], "JSON object"),

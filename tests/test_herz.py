@@ -22,11 +22,11 @@ from herzlab.herz import (
     embedding_check,
     hl_holder_check,
     hl_norm,
-    lq_norm,
     weighted_lq,
 )
 from herzlab.lorentz import INF, LorentzParams, lorentz_quasi_norm, lorentz_star_norm
 from herzlab.operators import grid_indicator, grid_annulus_profiles
+from herzlab.quadrature import lq_norm
 from herzlab.rearrange import RadialStepFunction, ball, pointwise_sum, rearrangement
 
 # partial sums of 2^u * 2/u^2 for u = 1..5: 4, 6, 7.777..., 9.777..., 12.3377...

@@ -4,6 +4,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -608,6 +609,18 @@ class TestGridNorms:
             assert grid_hl_norm(g, params) == pytest.approx(
                 1e-200 * grid_hl_norm(f, params), rel=1e-15, abs=0.0
             )
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
+    @pytest.mark.parametrize("p", [0.7, 1.5, 3.0])
+    def test_lp_norm_within_rounding_near_the_range_ends(self, scale, p):
+        # the power sums leave [2^-64, 2^64], so the 1/p-th power is taken of
+        # the sum scaled by the largest cell; the direct form was 2.6e-14 off
+        mpmath.mp.dps = 50
+        for f in [small_grid(n=256, half=4.0, seed=s) for s in range(3)]:
+            g = GridFunction1D(f.half_width, scale * f.array())
+            powers = (mpmath.mpf(v) ** p for v in np.abs(g.array()).tolist() if v)
+            exact = (g.h * mpmath.fsum(powers)) ** (1 / mpmath.mpf(p))
+            assert abs(grid_lp_norm(g, p) - exact) <= 1e-15 * exact
 
     def test_indicator_value(self):
         f = grid_indicator(4.0, 2048, 0.5, 1.0, two_sided=True)  # = A_0

@@ -13,8 +13,8 @@ from herzlab.quadrature import (
     _binomial_bracket,
     _legendre_bracket,
     adaptive_simpson,
+    lq_norm,
     power_integral,
-    power_sum_norm,
 )
 
 
@@ -228,33 +228,36 @@ class TestPowerIntegral:
 
 
 class TestPowerSumNorm:
-    """(factor * sum w v^r)^(1/r), redone scaled by the largest value where the
-    sum leaves the normal float range."""
+    """lq_norm's (sum w v^r)^(1/r), redone scaled by the largest value where
+    the sum lies outside [2^-64, 2^64]."""
 
     def test_in_range_bits_are_the_direct_form(self):
+        # unweighted: math.fsum of math.pow; weighted: math.fsum of numpy's w v^r
         rng = np.random.default_rng(5)
         for _ in range(50):
             v, w = rng.random(7) * 10.0, rng.random(7)
             r, c = float(rng.uniform(0.5, 6.0)), float(rng.uniform(0.1, 3.0))
-            assert power_sum_norm(v, r, w, c) == (c * float(np.sum(v**r * w))) ** (1.0 / r)
-            assert power_sum_norm(v, r, factor=c) == (c * float(np.sum(v**r))) ** (1.0 / r)
+            total = math.fsum(math.pow(x, r) for x in v.tolist() if x != 0.0)
+            assert 2.0**-64 <= total <= 2.0**64
+            assert lq_norm(v.tolist(), r) == total ** (1.0 / r)
+            assert lq_norm(v, r, c * w) == math.fsum((c * w * v**r).tolist()) ** (1.0 / r)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e200, 1e300])
     @pytest.mark.parametrize("r", [1.0, 2.0, 4.5])
     def test_scales_with_the_values(self, scale, r):
-        v, w = np.array([3.0, 1.0, 0.0, 2.0]), np.array([0.5, 2.0, 1.0, 1.5])
-        unit = power_sum_norm(v / 3.0, r, w, 0.75)
-        got = power_sum_norm(scale * v / 3.0, r, w, 0.75)
+        v, w = np.array([3.0, 1.0, 0.0, 2.0]), 0.75 * np.array([0.5, 2.0, 1.0, 1.5])
+        unit = lq_norm(v / 3.0, r, w)
+        got = lq_norm(scale * v / 3.0, r, w)
         assert got == pytest.approx(scale * unit, rel=1e-14, abs=0.0)
 
     def test_zero_empty_and_infinite_values(self):
-        assert power_sum_norm(np.zeros(3), 2.0) == 0.0
-        assert power_sum_norm(np.zeros(0), 2.0) == 0.0
-        assert power_sum_norm(np.array([1.0, math.inf]), 2.0) == math.inf
+        assert lq_norm(np.zeros(3), 2.0, 0.5) == 0.0
+        assert lq_norm(np.zeros(0), 2.0, 0.5) == 0.0
+        assert lq_norm(np.array([1.0, math.inf]), 2.0, 0.5) == math.inf
 
     @pytest.mark.parametrize("values, r", [
         (np.full(100, 1e308), 0.5),  # the sum is a float, its square is not
         (np.full(100, 1e300), 0.001),  # the rescaled sum's power overflows
     ])
     def test_norm_beyond_the_largest_float_is_inf(self, values, r):
-        assert power_sum_norm(values, r) == math.inf
+        assert lq_norm(values, r, 1.0) == math.inf
