@@ -25,6 +25,7 @@ conditions and decides a power tail in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -154,7 +155,9 @@ def annuli_decompose(f: RadialStepFunction) -> list[tuple[int, RadialStepFunctio
 def annulus_weights(us: Collection[int], a: float) -> list[float]:
     """The weights 2^{ua} of the annuli u in `us`, formed nowhere else.  Where
     one exceeds the largest float, ValueError names the annulus of the
-    largest and its power of two; one below the float range is 0."""
+    largest and its power of two; one below the float range is 0 (a free
+    coordinate of the K-functional).  weighted_lq re-forms the term of any
+    weight below the normal range."""
     try:
         return [2.0 ** (u * a) for u in us]
     except OverflowError:
@@ -163,9 +166,26 @@ def annulus_weights(us: Collection[int], a: float) -> list[float]:
                          "beyond the float range") from None
 
 
+def _small_weight_term(ua: float, s: float) -> float:
+    """2^{ua} s for a weight 2^{ua} below the normal float range, from binary
+    exponents: s = m 2^e and ua = n + f with n an integer and 0 <= f < 1 give
+    m 2^f 2^(e + n), rounded once by ldexp, so a term that a float holds is
+    not lost with its weight."""
+    m, e = math.frexp(s)
+    n = math.floor(ua)
+    return math.ldexp(m * 2.0 ** (ua - n), e + n)
+
+
 def weighted_lq(scores: Mapping[int, float], a: float, q: float) -> float:
-    """Weighted aggregation (sum_u 2^{uaq} s_u^q)^{1/q}, sup form at q = inf."""
-    return lq_norm([w * s for w, s in zip(annulus_weights(scores, a), scores.values())], q)
+    """Weighted aggregation (sum_u 2^{uaq} s_u^q)^{1/q}, sup form at q = inf.
+    A term whose weight lies below the normal float range is formed by
+    _small_weight_term; every other term is w s."""
+    weights = annulus_weights(scores, a)
+    terms = [w * s for w, s in zip(weights, scores.values())]
+    if weights and min(weights) < sys.float_info.min:
+        terms = [x if w >= sys.float_info.min else _small_weight_term(u * a, s)
+                 for u, w, s, x in zip(scores, weights, scores.values(), terms)]
+    return lq_norm(terms, q)
 
 
 @dataclass(eq=False)

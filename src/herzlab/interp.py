@@ -10,13 +10,15 @@ all of them: outer exponents (1, 1) (the lines a_u and t b_u per coordinate),
 a sup side against an exponent <= 1 or inf (one line per kink of its capped
 cost), exponents both at most 1 (one line per vertex split s in {0,1}^U,
 where the concave objective attains its minimum), and the endpoint Herz
-couples with exponents (1, 1) and (1, inf) (one line per level cap).  Every
-other K is one monotone root (_root): a sup side against 1 < q < inf at the
-root of N'(beta) = -t of its convex capped cost, and other exponents both at
-least 1 on the Pareto front of the two side norms, at the root in log rho of
-t(rho) = t (_front_k), each front split itself a closed form or a root.  The
-couple whose endpoints are the integrable and bounded functions has
-K(t, f) = integral_0^t f*, the (1, inf) endpoint couple at zero weights.
+couples with exponents (1, 1) and (1, inf) (one line per level cap).  Other
+finite exponents at least 1 trace the Pareto front of the two side norms
+(_front_k): with one exponent 1 the front point at t is Holmstedt's closed
+form (Math. Scand. 26, 1970), and with both above 1 it is one monotone root
+(_root) in log rho of t(rho) = t, each front split itself a closed form or a
+root.  A sup side against 1 < q < inf is one monotone root too, of
+N'(beta) = -t of its convex capped cost.  The couple whose endpoints are
+the integrable and bounded functions has K(t, f) = integral_0^t f*, the
+(1, inf) endpoint couple at zero weights.
 A coordinate whose side weight rounds to 0 costs nothing on that side, so
 a plan drops it from K and keeps it in the norms and corners.
 
@@ -415,6 +417,43 @@ def _front_split(
     return s, r
 
 
+def _log_add(x: float, y: float) -> float:
+    """log(e^x + e^y) without overflow, for x, y in [-inf, inf)."""
+    hi, lo = max(x, y), min(x, y)
+    return hi if lo == -INF else hi + math.log1p(math.exp(lo - hi))
+
+
+def _holmstedt_log_rho(log_t: float, logs: Sequence[tuple[float, float]], q: float) -> float:
+    """log rho of the front point at t for outer exponents (1, q), 1 < q < inf,
+    in closed form (Holmstedt, Math. Scand. 26, 1970); +inf from the upper
+    corner on, where the split s = 1 gives K = N0.
+
+    With q' = q / (q - 1), rho_u = a_u / b_u^q and S = {u : rho_u < rho},
+    _front_split puts 1 - s_u = (rho_u / rho)^(1/(q-1)) on S and s_u = 0
+    off it, and t(rho) = rho N1^(q-1) reads t^q' = rho^q' A + B, with
+    A = sum_{u not in S} b_u^q and B = sum_{u in S} (a_u / b_u)^q'.  That is
+    continuous and piecewise linear in rho^q', rising between the rho_u.
+    So the coordinates are sorted by rho_u once, A and B formed as suffix
+    and prefix log-sum-exps, t located on its piece and rho read from it
+    (the piece's lower end where rounding leaves no t^q' - B).  Everything
+    is in logs (a pair (log a, log b) per coordinate), so no power of a
+    side weight is formed.
+    """
+    qc = q / (q - 1.0)
+    # (log rho_u, log b_u^q, log (a_u / b_u)^q') in increasing order of rho_u
+    coords = sorted((la - q * lb, q * lb, qc * (la - lb)) for la, lb in logs)
+    log_a = [-INF] * (len(coords) + 1)  # log A on piece k, where S is the first k
+    for k in range(len(coords) - 1, -1, -1):
+        log_a[k] = _log_add(log_a[k + 1], coords[k][1])
+    target, log_b, floor = qc * log_t, -INF, -INF  # log t^q', log B and log rho below piece k
+    for k, (log_rho, _, term) in enumerate(coords):
+        if target < _log_add(qc * log_rho + log_a[k], log_b):  # t lies below rho_u: piece k
+            gap = -math.expm1(log_b - target)  # 1 - B / t^q'
+            return (target + math.log(gap) - log_a[k]) / qc if gap > 0.0 else floor
+        log_b, floor = _log_add(log_b, term), log_rho
+    return INF
+
+
 # Cap on the doublings that bracket log rho; the last step, 2^63, spans any
 # log rho that a float weight and exponent can call for.
 _DOUBLINGS = 64
@@ -428,19 +467,38 @@ def _front_k(
 
     The split s(rho) of _front_split minimizes N0^q0 / q0 + rho N1^q1 / q1,
     so it is optimal for K at t(rho) = rho N1^(q1-1) / N0^(q0-1) (N0 and N1
-    the side norms of the split), which never decreases in rho.  So K(t)
-    comes from one monotone root of log t(rho) - log t in log rho, bracketed
-    by at most _DOUBLINGS doubling steps from a guess; without a bracket the
-    end nearest the root stands.  The value is that split's N0 + t N1, capped by
-    min(||a||_q0, t ||b||_q1), and the split is returned with it.
+    the side norms of the split), which never decreases in rho.  With one
+    exponent 1, log rho is Holmstedt's closed form (_holmstedt_log_rho); the
+    couple (q, 1) is the swap K(t; X0, X1) = t K(1/t; X1, X0), which maps
+    log rho to -log rho.  Otherwise K(t) comes from one monotone root of
+    log t(rho) - log t in log rho, bracketed by at most _DOUBLINGS doubling
+    steps from a guess; without a bracket the end nearest the root stands.
+    The value is that split's N0 + t N1, capped by min(||a||_q0, t ||b||_q1),
+    and the split is returned with it.
     """
     logs = [(math.log(a), math.log(b)) for a, b in zip(a_vec, b_vec)]
+    if q0 == 1.0:
+        x = _holmstedt_log_rho(math.log(t), logs, q1)
+    elif q1 == 1.0:
+        x = -_holmstedt_log_rho(-math.log(t), [(lb, la) for la, lb in logs], q0)
+    else:
+        x = _front_root(t, a_vec, b_vec, logs, q0, q1)
+    s, r = _front_split(x, logs, q0, q1)
+    value = lq_norm([a * v for a, v in zip(a_vec, s)], q0) + t * lq_norm(
+        [b * v for b, v in zip(b_vec, r)], q1)
+    return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
+
+
+def _front_root(
+    t: float, a_vec: Sequence[float], b_vec: Sequence[float],
+    logs: Sequence[tuple[float, float]], q0: float, q1: float
+) -> float:
+    """log rho of the front point at t for exponents both above 1: the root of
+    log t(rho) - log t, bracketed by doubling steps (see _front_k)."""
 
     def log_power(vals: Sequence[float], q: float) -> float:
         # (q - 1) log ||vals||_q, the norm scaled by its largest value so that
         # no power underflows
-        if q == 1.0:
-            return 0.0
         top = max(vals)
         if top == 0.0:
             return -INF
@@ -462,10 +520,7 @@ def _front_k(
             f_hi = excess(hi)
         else:
             break
-    s, r = _front_split(_root(excess, lo, hi, f_lo, f_hi), logs, q0, q1)
-    value = lq_norm([a * v for a, v in zip(a_vec, s)], q0) + t * lq_norm(
-        [b * v for b, v in zip(b_vec, r)], q1)
-    return min(value, lq_norm(a_vec, q0), t * lq_norm(b_vec, q1)), s
+    return _root(excess, lo, hi, f_lo, f_hi)
 
 
 def _corner_dual(
@@ -616,8 +671,13 @@ def _k_plan(
     if q0 <= 1.0 and q1 <= 1.0:
         return _line_plan(_lines([_vertex_norms(a_vec, b_vec, q0, q1)]), norms)
     if q1 != INF:
-        corners = functools.cache(lambda: (1.0 / _corner_dual(a_vec, b_vec, q0, q1),
-                                           _corner_dual(b_vec, a_vec, q1, q0)))
+        def front_corners() -> tuple[float, float]:
+            # a dual norm of 0 (every g/a underflows) puts the lower corner
+            # beyond the floats: K = t N1 at every float t
+            dual = _corner_dual(a_vec, b_vec, q0, q1)
+            return (1.0 / dual if dual else INF), _corner_dual(b_vec, a_vec, q1, q0)
+
+        corners = functools.cache(front_corners)
 
         def front(t: float) -> float:
             t_lo, t_hi = corners()
@@ -659,9 +719,10 @@ def k_functional(
     minimum of its convex N(beta) + t beta at the root of N'(beta) = -t,
     never above its kink lines.  Other exponents >= 1 trace the Pareto front
     of the two side norms: the split minimizing N0^q0 / q0 + rho N1^q1 / q1 is
-    optimal at a t(rho) that never decreases in rho, so K(t) is one monotone
-    root in log rho (see _front_k).  One exponent below 1 with the other
-    finite and above 1 has no certified method: ValueError.
+    optimal at a t(rho) that never decreases in rho.  With one exponent 1,
+    log rho at t is Holmstedt's closed form; with both above 1, K(t) is one
+    monotone root in log rho (see _front_k).  One exponent below 1 with the
+    other finite and above 1 has no certified method: ValueError.
 
     The endpoint couple (base "l1-linf") takes a radial step function or its
     AnnulusProfile.  Coordinates are the annulus pieces; the side-0 norm
@@ -795,16 +856,20 @@ def interpolation_norm(
         ts = [t_lo, *(t for t in grid if t_lo < t < t_hi), t_hi]
     else:
         ln2 = math.log(2.0)
-
-        def integrand(x: float) -> float:
-            t = math.exp(x)
-            return (k_of(t) / t**theta) ** q
-
         x_lo, x_hi = math.log(t_lo), math.log(t_hi)
         cuts = [x_lo, *(j * ln2 for j in range(-T + 1, T) if x_lo < j * ln2 < x_hi), x_hi]
-        simpson = sum(adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
-                      for x, x_next in zip(cuts, cuts[1:]) if x < x_next)
-        ts, main = [t_lo, t_hi], (simpson, simpson)
+
+        def main(k: Callable[[float], float]) -> tuple[float, float]:
+            # k is K as k_norm scales it
+            def integrand(x: float) -> float:
+                t = math.exp(x)
+                return (k(t) / t**theta) ** q
+
+            simpson = sum(adaptive_simpson(integrand, x, x_next, rel_tol=params.rel_tol)
+                          for x, x_next in zip(cuts, cuts[1:]) if x < x_next)
+            return simpson, simpson
+
+        ts = [t_lo, t_hi]
     value, lower, upper = k_norm(k_of, ts, corners, plan.norms, theta, q, main)
     if q == INF and plan.breaks is None:
         # K rises and K(t)/t falls, so t^-theta K = K^(1-theta) (K/t)^theta is

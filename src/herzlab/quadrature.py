@@ -13,7 +13,8 @@ with K(t) = t f**(t), since (L^1, L^inf)_{theta,q} = L^{p,q} for
 1/p = 1 - theta (Bergh-Lofstrom, Interpolation Spaces, 5.2).
 `adaptive_simpson`, which certifies nothing and accepts an interval
 silently at its depth cap, gives `k_norm` the main part on the front and
-sup-finish K branches, where K has no known piecewise-linear form.
+sup-finish K branches, where K has no known piecewise-linear form; it
+integrates the K that k_norm has scaled, as the chords do.
 `lq_norm` is the one weighted l^q aggregator, (sum_i w_i v_i^q)^(1/q), of
 Herz sums, K side norms and step-function integrals alike; `root` takes
 the 1/q-th power of such a sum, inf where that overflows.
@@ -354,7 +355,7 @@ def k_norm(
     norms: tuple[float, float],
     theta: float,
     q: float,
-    main: tuple[float, float] | None = None,
+    main: Callable[[Callable[[float], float]], tuple[float, float]] | None = None,
 ) -> tuple[float, float, float]:
     """(value, lower, upper) of (integral of (t^-theta K(t))^q dt/t)^(1/q).
 
@@ -362,13 +363,14 @@ def k_norm(
     corners[1] on, and is read through `k` at the sorted nodes `ts`, whose
     first and last are the window ends.  For finite q the main part is the
     `math.fsum` of the `power_integral` brackets of the chords between the
-    nodes, unless `main` is given, and a window of zero width reads no K.
+    nodes, or `main(k)`, the caller's bracket of the window integral of the
+    K that it is handed, and a window of zero width reads no K.
     Each tail is one bracket, exact where a corner covers its end; the value
     is the midpoint of the bracket of the q-th power.  Where the q-th power
     of v = N0^(1-theta) N1^theta, the size of the integrand, would leave the
     normal float range, K and both norms are first divided by the power of
-    two nearest v (exactly, if both scaled norms stay normal) and the
-    results multiplied back; a given `main` is taken as it is.  For q = inf, with K
+    two nearest v (exactly, if both scaled norms stay normal), `main`
+    included, and the results multiplied back.  For q = inf, with K
     linear between the nodes, t^-theta (A + B t) has no interior maximum, so
     the value is the largest t^-theta K at the nodes, or N0 at theta = 0
     and N1 at theta = 1 if larger, and lower == upper == value.
@@ -379,7 +381,7 @@ def k_norm(
                    n0 if theta == 0.0 else 0.0, n1 if theta == 1.0 else 0.0)
         return best, best, best
     log_v, scale = (1.0 - theta) * math.log2(n0) + theta * math.log2(n1), 1.0
-    if main is None and _POWER_RANGE < abs(log_v * q) < math.inf:
+    if _POWER_RANGE < abs(log_v * q) < math.inf:
         s = math.ldexp(1.0, max(-1022, min(round(log_v), 1023)))
         if all(sys.float_info.min <= n / s < math.inf for n in norms):
             scale, unscaled, n0, n1 = s, k, n0 / s, n1 / s
@@ -393,9 +395,11 @@ def k_norm(
         ks = [k(t) for t in nodes]
         pieces = [power_integral(t0, t1, k0, k1, -theta * q, q)
                   for t0, t1, k0, k1 in zip(nodes, nodes[1:], ks, ks[1:])]
-        main = tuple(math.fsum(piece[i] for piece in pieces) for i in (0, 1))
+        bracket = tuple(math.fsum(piece[i] for piece in pieces) for i in (0, 1))
+    else:
+        bracket = main(k)
     hi = _tail(n0, n1, t_hi, theta, q, None if t_hi >= corners[1] else k(t_hi))
     lo = _tail(n1, n0, 1.0 / t_lo, 1.0 - theta, q,
                None if t_lo <= corners[0] else k(t_lo) / t_lo)
-    lower_q, upper_q = (m + h + l for m, h, l in zip(main, hi, lo))
+    lower_q, upper_q = (m + h + l for m, h, l in zip(bracket, hi, lo))
     return tuple(scale * x ** (1.0 / q) for x in (0.5 * (lower_q + upper_q), lower_q, upper_q))

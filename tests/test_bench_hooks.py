@@ -53,24 +53,38 @@ def test_default_jobs_setting_exists():
     assert herzlab.cli.SuiteConfig("").jobs >= 1
 
 
-@pytest.mark.parametrize("kind", ["sequence", "endpoint-profile"])
+@pytest.mark.parametrize("kind", ["sequence", "endpoint-profile", "front"])
 def test_interpolation_norm_calls_k_functional(monkeypatch, kind):
-    calls = []
-    solve = interp.k_functional
+    calls, fronts = [], []
+    solve, front = interp.k_functional, interp._front_k
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args[0])
         return solve(*args, **kwargs)
 
+    def counted_front(*args, **kwargs):
+        fronts.append(None)
+        return front(*args, **kwargs)
+
     monkeypatch.setattr(interp, "k_functional", counted)
+    monkeypatch.setattr(interp, "_front_k", counted_front)
     if kind == "sequence":
         source = WeightedSeq.from_dict({0: 1.0, 1: 0.5, 3: 2.0})
         couple = CoupleSpec((0.0, 1.0), (1.0, 1.0))
-    else:
+    elif kind == "endpoint-profile":
         source = annulus_profile(RadialStepFunction(1, [0, 1, 2, 5], [3, 1, 2]))
         couple = CoupleSpec((0.2, 1.0), (0.5, INF), base="l1-linf")
+    else:
+        # interp-seq's seq-q couple (1, 2): the tracer's front-branch K count
+        # is one call per t that the Simpson main part reads, each solving
+        # at most one front point
+        source = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
+        couple = CoupleSpec((0.5, 1.0), (0.5, 2.0))
+        assert _tracer_module()._k_branch(couple) == "descent"
     assert interpolation_norm(source, InterpolationParams(0.5, 1.5), couple).value > 0.0
     assert len(calls) >= 1
+    assert len(set(calls)) == len(calls)
+    assert (1 <= len(fronts) <= len(calls)) if kind == "front" else not fronts
 
 
 @pytest.mark.parametrize("kind", ["sequence", "endpoint-profile"])

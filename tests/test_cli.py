@@ -342,6 +342,30 @@ class TestCommands:
         assert "overflows a float" not in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_norm_keeps_a_term_whose_weight_underflows(self, tmp_path, capsys):
+        # the weight 2^-1100 of annulus -1 is below the floats, but the term
+        # 2^-1100 * 7.07e299 is about 5.2e-32; 0.0 was printed
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"records": [{"type": "radial_step", "dim": 1,
+                                                 "breakpoints": [0, 0.25], "values": [1e300]}]}))
+        values = []
+        for a in ("1060", "1100"):
+            assert main(["norm", "--input", str(path), "--space", "hl", "--a", a, "--p", "2"]) == 0
+            values.append(float(capsys.readouterr().out))
+        assert values[0] == 5.723867849124358e-20  # 2^-1060 is a float: as before
+        assert values[1] == math.ldexp(values[0], -40)
+
+    def test_kfunc_front_corner_beyond_the_floats(self, tmp_path, capsys):
+        # one shell in annulus 200 under weights 2^(3u) and 2^(-3u): the corner
+        # a/b = 2^1200 is beyond the floats, so K = t N1 at every t; the
+        # lower corner divided by a dual norm that underflowed to 0
+        path = tmp_path / "far.json"
+        save_corpus([RadialStepFunction(1, [0, 2**199, 2**200], [0, 1])], path)
+        assert main(["kfunc", "--input", str(path), "--a0", "3", "--q0", "1",
+                     "--a1", "-3", "--q1", "1.5", "--points", "3"]) == 0
+        rows = [[float(v) for v in line.split("\t")] for line in capsys.readouterr().out.splitlines()]
+        assert [k / t for t, k in rows] == pytest.approx([rows[1][1]] * 3, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("command, content, message", [
         ("verify", [1, 2], "JSON object"),
         ("verify", {"size": "x"}, "'size'"),

@@ -3,9 +3,11 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -530,6 +532,125 @@ class TestKFunctional:
         y = WeightedSeq.from_dict({u: 1.0 + u / 50.0 for u in range(-1, 20)})
         with pytest.raises(ValueError, match="cap of 20"):
             k_functional(1.0, y, couple)
+
+
+def holmstedt_oracle(a, b, q):
+    """K(t) of the couple with outer exponents (1, q), 1 < q < inf, at 50
+    digits, from the dual side, and the t of its kinks.
+
+    K(t) = sup {sum z : 0 <= z <= a, ||z / b||_q' <= t}, and Lagrange gives
+    z_u = min(a_u, c b_u^q), c >= 0 solving sum_u (z_u / b_u)^q' = t^q', so
+    K(t) = sum_u z_u.  The capped coordinates are those with
+    a_u / b_u^q <= c, a prefix in that order, and between two kinks c^q'
+    solves a linear equation.  Returns K as a function of a float t > 0 and
+    the kinks t_k (mpmath numbers, in increasing order), the first and last
+    being the corners.
+    """
+    with mpmath.workdps(50):
+        qq = mpmath.mpf(q)
+        qc = qq / (qq - 1)
+        pairs = sorted(((mpmath.mpf(x) / mpmath.mpf(y) ** qq, mpmath.mpf(x), mpmath.mpf(y))
+                        for x, y in zip(a, b)))
+        n = len(pairs)
+        capped = [mpmath.mpf(0)] * (n + 1)  # sum of (a/b)^q' over the first k
+        mass = [mpmath.mpf(0)] * (n + 1)  # sum of a over the first k
+        free = [mpmath.mpf(0)] * (n + 1)  # sum of b^q over the rest
+        for k, (_, x, y) in enumerate(pairs):
+            capped[k + 1] = capped[k] + (x / y) ** qc
+            mass[k + 1] = mass[k] + x
+        for k in range(n - 1, -1, -1):
+            free[k] = free[k + 1] + pairs[k][2] ** qq
+        kink_powers = [c**qc * free[k] + capped[k] for k, (c, _, _) in enumerate(pairs)]
+        kinks = [v ** (1 / qc) for v in kink_powers]
+
+    def k(t):
+        with mpmath.workdps(50):
+            power = mpmath.mpf(t) ** qc
+            for j, top in enumerate(kink_powers):
+                if power < top:
+                    return mass[j] + ((power - capped[j]) / free[j]) ** (1 / qc) * free[j]
+            return mass[n]
+
+    return k, kinks
+
+
+class TestHolmstedtFront:
+    """The front K of a couple with one outer exponent 1 takes log rho in
+    closed form and runs no root; K(t; X0, X1) = t K(1/t; X1, X0) serves the
+    couples (q, 1)."""
+
+    @pytest.fixture(autouse=True)
+    def no_root(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a root ran on the closed-form route")
+
+        monkeypatch.setattr(interp, "_root", refuse)
+
+    @staticmethod
+    def couple(q, orient, a0, a1):
+        return (CoupleSpec((a0, 1.0), (a1, q)) if orient == "1-q"
+                else CoupleSpec((a0, q), (a1, 1.0)))
+
+    @staticmethod
+    def oracle(a, b, q, orient):
+        if orient == "1-q":
+            return holmstedt_oracle(a, b, q)
+        k, kinks = holmstedt_oracle(b, a, q)  # the swapped couple at 1/t
+        return (lambda t: t * k(1.0 / t)), [1 / v for v in reversed(kinks)]
+
+    @pytest.mark.parametrize("orient", ["1-q", "q-1"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 40])
+    @pytest.mark.parametrize("q", [1.25, 1.5, 2.0, 3.0, 8.0])
+    def test_matches_the_dual_oracle(self, q, n, orient):
+        # side weights from 2^-600 to 2^600; t on a log grid over 2^+-40, on
+        # one between the corners (clipped to 2^+-1000) and within three ulps
+        # of each corner and of some kinks between them
+        rng = random.Random(f"{q} {n} {orient}")
+        y = WeightedSeq.from_dict({u: rng.uniform(0.05, 3.0) for u in rng.sample(range(-1, 201), n)})
+        couple = self.couple(q, orient, 3.0, -3.0)
+        (_, q0), (_, q1) = couple.side0, couple.side1
+        a, b = interp._side_vectors(y, couple)
+        oracle, kinks = self.oracle(a, b, q, orient)
+        near = map(float, [kinks[0], *kinks[1:-1:max(1, n // 6)], kinks[-1]])
+        ends = [math.log2(min(max(float(v), 2.0**-1000), 2.0**1000)) for v in (kinks[0], kinks[-1])]
+        ts = [2.0**j for j in range(-40, 41, 4)]
+        ts += [2.0 ** (ends[0] + (ends[1] - ends[0]) * j / 17) for j in range(1, 17)]
+        for v in near:
+            if sys.float_info.min <= v < INF:
+                for toward in (0.0, INF):
+                    for _ in range(4):
+                        ts.append(v)
+                        v = math.nextafter(v, toward)
+        assert n == 1 or sum(kinks[0] < t < kinks[-1] for t in ts) >= 8
+        for t, k in zip(ts, k_functional_curve(ts, y, couple)):
+            exact = oracle(t)
+            front, _ = interp._front_k(t, a, b, q0, q1)
+            assert abs(k - exact) <= 1e-13 * exact, (t, k, float(exact))
+            assert abs(front - exact) <= 1e-13 * exact, (t, front, float(exact))
+
+    @pytest.mark.parametrize("orient", ["1-q", "q-1"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1.25, 1.5, 2.0, 3.0, 8.0])
+    def test_matches_brute_force_and_certifies_its_split(self, q, n, orient):
+        rng = random.Random(f"{q} {n} {orient} brute")
+        y = WeightedSeq.from_dict({u: rng.uniform(0.1, 2.0) for u in rng.sample(range(-1, 5), n)})
+        couple = self.couple(q, orient, 0.0, 0.5)
+        (_, q0), (_, q1) = couple.side0, couple.side1
+        a, b = interp._side_vectors(y, couple)
+        t_lo, t_hi = interp._k_plan(y, couple).corners()
+        for t in (t_lo, math.sqrt(t_lo * t_hi), t_hi):
+            k, s = interp._front_k(t, a, b, q0, q1)
+            oracle = brute_force_k(t, y, couple)
+            assert k == pytest.approx(oracle, abs=1e-6 * max(1.0, oracle))
+            assert k - dual_bound(s, t, a, b, q0, q1) <= 1e-12 * k
+
+    @pytest.mark.parametrize("orient", ["1-q", "q-1"])
+    def test_interpolation_norm_runs_no_root(self, orient):
+        # the default seq-q instance, in both orientations
+        y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
+        couple = self.couple(2.0, orient, 0.5, 0.5)
+        res = interpolation_norm(y, InterpolationParams(0.5, 4.0 / 3.0), couple)
+        assert 0.0 < res.lower <= res.value <= res.upper
 
 
 class TestKL1Linf:
@@ -1368,6 +1489,32 @@ class TestInterpolationNorm:
         y = WeightedSeq.from_dict({200: 1.0})
         res = interpolation_norm(y, InterpolationParams(theta, q), couple)
         assert res.value == res.lower == res.upper == 0.0
+
+    @pytest.mark.parametrize("q0", [2.0, 1.0])
+    def test_simpson_main_part_is_rescaled(self, q0):
+        # v^q = 2^-2866 leaves the floats: k_norm rescales K, and the main
+        # part that the caller integrates with it; (0, 0, 0) came back.  One
+        # coordinate has K = min(a, t b), whose norm is in closed form
+        y = WeightedSeq.from_dict({14: 0.7741741379366491})
+        couple = CoupleSpec((-25.587140209623833, q0), (-25.17424706016302, 2.0))
+        theta, q = 0.25, 8.0
+        (a,), (b,) = interp._side_vectors(y, couple)
+        exact = a ** (1.0 - theta) * b**theta * (theta * (1.0 - theta) * q) ** (-1.0 / q)
+        res = interpolation_norm(y, InterpolationParams(theta, q), couple)
+        assert [res.value, res.lower, res.upper] == pytest.approx([exact] * 3, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("q0", [2.0, 1.0])
+    def test_simpson_main_part_scales_with_the_source(self, q0):
+        # 2^-400 y puts v^q near 2^-3200, and Simpson runs between distinct
+        # corners there: the norm is 2^-400 times that of y
+        y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
+        couple = CoupleSpec((0.5, q0), (0.5, 2.0))
+        params = InterpolationParams(0.25, 8.0)
+        assert interp._k_plan(y, couple).breaks is None
+        res = interpolation_norm(y, params, couple)
+        tiny = interpolation_norm(y.scaled(2.0**-400), params, couple)
+        assert [tiny.value, tiny.lower, tiny.upper] == pytest.approx(
+            [math.ldexp(v, -400) for v in (res.value, res.lower, res.upper)], rel=1e-8, abs=0.0)
 
     def test_bracket_holds_where_line_products_overflow(self):
         # lines near 1e166 overflow the hull's products unscaled, and the
