@@ -23,12 +23,14 @@ A coordinate whose side weight rounds to 0 costs nothing on that side, so
 a plan drops it from K and keeps it in the norms and corners.
 
 k_functional and k_functional_curve are the only K entry points, for
-sequence and endpoint couples alike.  Each source and couple builds one
-memoized plan (_k_plan), which decides the branch, swaps a sup first side
-once and yields K along any t list, the couple's norms (N0, N1) of the
-source and, on demand, its corner range and, on a line branch, the
-breakpoints between which K is linear.  A line plan runs one hull pass
-(_envelope_breaks), and its first and last breakpoints are the corners.
+sequence and endpoint couples alike.  They and interpolation_norm put a
+sequence couple's smaller outer exponent on side 0 once, at entry
+(_oriented).  Each source and canonical couple builds one memoized plan
+(_k_plan), which decides the branch and yields K along any t list, the
+couple's norms (N0, N1) of the source and, on demand, its corner range
+and, on a line branch, the breakpoints between which K is linear.  A line
+plan runs one hull pass (_envelope_breaks), and its first and last
+breakpoints are the corners.
 There the interpolation integral is quadrature.k_norm, exact chord by
 chord with a certified bracket; the other branches hand it an adaptive
 Simpson main part, and it brackets both tails of every branch alike.  Their
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Literal, Mapping, NamedTuple, Sequence
 
@@ -389,9 +391,10 @@ def _front_split(
     [0, 1] at a^q0 s^(q0-1) = rho b^q1 (1 - s)^(q1-1), which reads
     (q0 - 1) log s - (q1 - 1) log(1 - s) = c with c = log(rho b^q1 / a^q0),
     formed from logs (a pair (log a, log b) per coordinate) so that no power
-    of a side weight can overflow.  Closed forms when q0 or q1 is 1;
-    otherwise the left side increases in w = log(s / (1 - s)), from about
-    (q0 - 1) w to about (q1 - 1) w, and its root comes from _root.
+    of a side weight can overflow.  The couple is canonical, 1 <= q0 <= q1,
+    so q1 > 1.  A closed form when q0 is 1; otherwise the left side
+    increases in w = log(s / (1 - s)), from about (q0 - 1) w to about
+    (q1 - 1) w, and its root comes from _root.
     """
     s, r = [], []
     for la, lb in logs:
@@ -399,9 +402,6 @@ def _front_split(
         if q0 == 1.0:
             e = min(0.0, -c / (q1 - 1.0))  # log(1 - s)
             s_u, r_u = -math.expm1(e), math.exp(e)
-        elif q1 == 1.0:
-            e = min(0.0, c / (q0 - 1.0))  # log s
-            s_u, r_u = math.exp(e), -math.expm1(e)
         else:
 
             def excess(w: float) -> float:
@@ -462,15 +462,14 @@ _DOUBLINGS = 64
 def _front_k(
     t: float, a_vec: Sequence[float], b_vec: Sequence[float], q0: float, q1: float
 ) -> tuple[float, list[float]]:
-    """K(t) and its split for finite exponents >= 1, not both 1, traced on the
-    Pareto front of the side norms.
+    """K(t) and its split for canonical exponents 1 <= q0 <= q1 < inf, not
+    both 1, traced on the Pareto front of the side norms.
 
     The split s(rho) of _front_split minimizes N0^q0 / q0 + rho N1^q1 / q1,
     so it is optimal for K at t(rho) = rho N1^(q1-1) / N0^(q0-1) (N0 and N1
-    the side norms of the split), which never decreases in rho.  With one
-    exponent 1, log rho is Holmstedt's closed form (_holmstedt_log_rho); the
-    couple (q, 1) is the swap K(t; X0, X1) = t K(1/t; X1, X0), which maps
-    log rho to -log rho.  Otherwise K(t) comes from one monotone root of
+    the side norms of the split), which never decreases in rho.  With
+    q0 = 1, log rho is Holmstedt's closed form (_holmstedt_log_rho).
+    Otherwise K(t) comes from one monotone root of
     log t(rho) - log t in log rho, bracketed by at most _DOUBLINGS doubling
     steps from a guess; without a bracket the end nearest the root stands.
     The value is that split's N0 + t N1, capped by min(||a||_q0, t ||b||_q1),
@@ -479,8 +478,6 @@ def _front_k(
     logs = [(math.log(a), math.log(b)) for a, b in zip(a_vec, b_vec)]
     if q0 == 1.0:
         x = _holmstedt_log_rho(math.log(t), logs, q1)
-    elif q1 == 1.0:
-        x = -_holmstedt_log_rho(-math.log(t), [(lb, la) for la, lb in logs], q0)
     else:
         x = _front_root(t, a_vec, b_vec, logs, q0, q1)
     s, r = _front_split(x, logs, q0, q1)
@@ -533,8 +530,8 @@ def _corner_dual(
     way so that no power of a side weight can overflow;
     z = t g certifies K(t) >= sum z = t N1 (the K-J duality) as long as
     t ||g/a||_{q0'} <= 1.  So K(t) = t N1 exactly for t <= 1/||g/a||_{q0'},
-    and with the sides swapped K(t) = N0 for t >= ||h/b||_{q1'}, where
-    h_u = a_u^{q0} N0^{1-q0}.  Returns ||g/a||_{q0'}.
+    and by the same test at the other corner K(t) = N0 for
+    t >= ||h/b||_{q1'}, where h_u = a_u^{q0} N0^{1-q0}.  Returns ||g/a||_{q0'}.
     """
     norm_b = lq_norm(b_vec, q1)
     w = [(b / norm_b) ** (q1 - 1.0) * b / a for a, b in zip(a_vec, b_vec)]
@@ -595,8 +592,17 @@ def _line_plan(lines: Lines, norms: tuple[float, float]) -> _KPlan:
                   lambda lo, hi: [b for b in breaks() if lo < b < hi], norms)
 
 
-# a few plans suffice: interpolation_norm reads one per call, and a sup first
-# side one more for the swapped couple
+def _oriented(couple: CoupleSpec) -> tuple[CoupleSpec, bool]:
+    """The couple with side 0 the smaller outer exponent, and whether its
+    sides were exchanged: K(t; X0, X1) = t K(1/t; X1, X0), so the theta norm
+    of (X0, X1) is the 1 - theta norm of (X1, X0) (Bergh-Loefstroem 3.4).
+    An l1-linf couple stays, as its sides carry different base norms."""
+    if couple.base is None and couple.side0[1] > couple.side1[1]:
+        return CoupleSpec(couple.side1, couple.side0), True
+    return couple, False
+
+
+# a few plans suffice: interpolation_norm reads one per call
 @functools.lru_cache(maxsize=8)
 def _k_plan(
     source: WeightedSeq | RadialStepFunction | AnnulusProfile, couple: CoupleSpec
@@ -608,15 +614,16 @@ def _k_plan(
     sequence, and for an endpoint couple the weighted aggregations of the
     profile's annulus integrals (side 0) and top levels (side 1).
 
-    Sequence couples: exponents (1, 1) give the lines a_u and t b_u per
-    coordinate, a sup second side one line N(beta) + t beta per kink of its
-    capped cost, exponents both <= 1 one line ||a_S||_{q0} + t ||b_{S^c}||_{q1}
-    per vertex split S; a sup first side goes through
-    K(t; X0, X1) = t K(1/t; X1, X0).  The corners are the first and last
-    breakpoints of the lines, except on the front branch (other exponents
-    >= 1), which reads both from the dual-norm test and answers t outside
-    them from the norms, and for a sup side against 1 < q0 < inf, whose
-    convex capped cost N gives them as -N'(max b) and -N'(0).
+    A sequence couple comes in its canonical orientation q0 <= q1 (see
+    _oriented), so a sup side is side 1; any other raises ValueError.
+    Exponents (1, 1) give the lines a_u and t b_u per coordinate, a sup
+    side one line N(beta) + t beta per kink of its capped cost, exponents
+    both <= 1 one line ||a_S||_{q0} + t ||b_{S^c}||_{q1} per vertex split S.
+    The corners are the first and last breakpoints of the lines, except on
+    the front branch (other exponents >= 1), which reads both from the
+    dual-norm test and answers t outside them from the norms, and for a sup
+    side against 1 < q0 < inf, whose convex capped cost N gives them as
+    -N'(max b) and -N'(0).
     A coordinate with a side weight of 0 is left out of K and counted in
     the norms, so it moves a corner to 0 or inf.  Uncertified exponents
     raise ValueError, on an empty support too.
@@ -630,26 +637,10 @@ def _k_plan(
         lines = _endpoint_lines(prof, couple.side0, couple.side1)
         return _line_plan(lines, (weighted_lq(dict(zip(prof.us, prof.integrals)), a0, q0),
                                   weighted_lq(dict(zip(prof.us, prof.tops)), a1, q1)))
-    if min(q0, q1) < 1.0 < max(q0, q1) < INF:
+    if q0 > q1:
+        raise ValueError(f"a K plan takes a canonical couple, q0 <= q1, not ({q0}, {q1})")
+    if q0 < 1.0 < q1 < INF:
         raise ValueError(f"no certified K for outer exponents ({q0}, {q1}): one below 1, one above")
-    if q0 == INF and q1 != INF:
-        swapped = _k_plan(source, CoupleSpec(couple.side1, couple.side0))
-
-        def swapped_corners() -> tuple[float, float]:
-            lo, hi = swapped.corners()  # 0 where a slope underflows, and then inf here
-            return (1.0 / hi if hi else INF), (1.0 / lo if lo else INF)
-
-        def swapped_breaks(lo: float, hi: float) -> list[float]:
-            # 1/b can round onto an end of (lo, hi)
-            ends = 1.0 / hi, (1.0 / lo if lo else INF)
-            return sorted(t for b in swapped.breaks(*ends) if lo < (t := 1.0 / b) < hi)
-
-        return _KPlan(
-            lambda t: t * swapped.k(1.0 / t),
-            swapped_corners,
-            None if swapped.breaks is None else swapped_breaks,
-            swapped.norms[::-1],
-        )
     norms = weighted_lq(source.as_dict(), a0, q0), weighted_lq(source.as_dict(), a1, q1)
     a_vec, b_vec = _side_vectors(source, couple)
     if 0.0 in a_vec or 0.0 in b_vec:
@@ -710,8 +701,9 @@ def k_functional(
 ) -> float:
     """K(t, y) between the two norms of the couple.
 
-    Sequence couples take a WeightedSeq.  Restricting to coordinatewise
-    scalar splits is lossless because both lattice norms are absolute and
+    Sequence couples take a WeightedSeq, oriented to q0 <= q1 at entry (see
+    _oriented) for every branch below.  Restricting to coordinatewise scalar
+    splits is lossless because both lattice norms are absolute and
     monotone.  Exponents (1, 1), a sup side against an exponent <= 1 or inf,
     and exponents both <= 1 (a concave objective, exact over the 2^n vertex
     splits of at most 20 coordinates) give K as a sum of lower envelopes of
@@ -719,8 +711,8 @@ def k_functional(
     minimum of its convex N(beta) + t beta at the root of N'(beta) = -t,
     never above its kink lines.  Other exponents >= 1 trace the Pareto front
     of the two side norms: the split minimizing N0^q0 / q0 + rho N1^q1 / q1 is
-    optimal at a t(rho) that never decreases in rho.  With one exponent 1,
-    log rho at t is Holmstedt's closed form; with both above 1, K(t) is one
+    optimal at a t(rho) that never decreases in rho.  With q0 = 1, log rho
+    at t is Holmstedt's closed form; with both above 1, K(t) is one
     monotone root in log rho (see _front_k).  One exponent below 1 with the
     other finite and above 1 has no certified method: ValueError.
 
@@ -746,12 +738,15 @@ def k_functional_curve(
     """K(t, y) along a t grid, from the one plan of y and the couple.
 
     Each t is solved on its own, with no state carried along the grid, so
-    every branch gives k_functional's values bit for bit.  `herzlab kfunc`
-    prints one such curve.
+    every branch gives k_functional's values bit for bit.  An exchanged
+    couple (see _oriented) reads t K(1/t) off the canonical plan.  `herzlab
+    kfunc` prints one such curve.
     """
     if any(t <= 0 for t in ts):
         raise ValueError("t must be positive")
-    return list(map(_k_plan(y, couple).k, ts))
+    couple, swap = _oriented(couple)
+    k = _k_plan(y, couple).k
+    return [t * k(1.0 / t) for t in ts] if swap else list(map(k, ts))
 
 
 def _check_endpoint_exponents(q0: float, q1: float) -> None:
@@ -786,7 +781,7 @@ def _endpoint_lines(
                    np.zeros_like(caps))
         return cost, caps
 
-    return _lines([group([p]) for p in pieces] if q1 == 1.0 else [group(pieces)])
+    return _lines([group(pieces)] if q1 == INF else [group([p]) for p in pieces])
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +825,13 @@ def interpolation_norm(
     bracket.  Functions (endpoint couple) are read through their annulus
     profile, built once.  The norms, corners and breakpoints come from the
     plan of the source and couple (_k_plan), and K from one k_functional
-    call per t, each reading that same plan.
+    call per t, each reading that same plan.  An exchanged couple (see
+    _oriented) takes the canonical norm at 1 - theta; where that rounds, the
+    norm is the one at 1 - fl(1 - theta), within 2^-54 of theta.
     """
+    couple, swap = _oriented(couple)
+    if swap:
+        params = replace(params, theta=1.0 - params.theta)
     theta, q = params.theta, params.q
     if couple.base == "l1-linf" and not isinstance(source, WeightedSeq):
         source = annulus_profile(source)
@@ -894,36 +894,10 @@ class SuiteReport:
     stability: float
     scale_drift: float
     passed: bool
-    notes: str = ""
 
 
 # Largest spread max/min of a suite's ratios that still passes.
 _STABILITY_FACTOR = 50.0
-
-
-def _band_verdict(
-    suite: str,
-    ratios: Sequence[float],
-    scale_drifts: Sequence[float],
-) -> SuiteReport:
-    finite = [r for r in ratios if math.isfinite(r) and r > 0]
-    if not finite:
-        return SuiteReport(suite, tuple(ratios), (0.0, 0.0), INF, INF, False, "no data")
-    lo, hi = min(finite), max(finite)
-    stability = hi / lo
-    drift = max(scale_drifts) if scale_drifts else 0.0
-    passed = (
-        len(finite) == len(ratios)
-        and stability <= _STABILITY_FACTOR
-        and drift <= 1e-9
-    )
-    return SuiteReport(suite, tuple(ratios), (lo, hi), stability, drift, passed)
-
-
-def _scale_drift(value_f: float, value_2f: float) -> float:
-    if value_f == 0.0:
-        return 0.0 if value_2f == 0.0 else INF
-    return abs(value_2f / (2.0 * value_f) - 1.0)
 
 
 def verify_interpolation(
@@ -940,10 +914,10 @@ def verify_interpolation(
     """Ratio-band verification of one interpolation identity.
 
     Each nonzero corpus member contributes interpolation_norm / target_norm
-    (a zero member has 0/0 and is skipped in every suite); the suite passes
-    when the ratios stay within a band of spread at most 50 and are
-    scale-stable (the ratio for 2f matches the ratio for f to 1e-9,
-    reflecting homogeneity).
+    (a zero member has 0/0 and is skipped in every suite; see _ratio_suite
+    for the range errors); the suite passes when the ratios stay within a
+    band of spread at most 50 and are scale-stable (the ratio for 2f
+    matches the ratio for f to 1e-9, reflecting homogeneity).
 
     Suites: ``seq-a`` interpolates the weight (a0 != a1, common q0 = q1),
     ``seq-q`` the outer exponent (common a), ``lorentz`` the endpoint couple
@@ -1021,12 +995,21 @@ def _ratio_suite(
     couple: CoupleSpec,
     target: Callable[[Any], float],
 ) -> SuiteReport:
-    """Band of interpolation_norm / target over (x, 2x) pairs, with scale drifts."""
+    """Band of interpolation_norm / target over (x, 2x) pairs, and the scale
+    drifts |norm(2x) / (2 norm(x)) - 1|; it passes on a spread max/min of at
+    most _STABILITY_FACTOR and drifts of at most 1e-9.  No pair, or a norm,
+    target or ratio of a nonzero member that is 0 or beyond the floats,
+    leaves nothing to compare: ValueError."""
+    if not pairs:
+        raise ValueError(f"{suite}: the corpus has no nonzero member")
     ratios, drifts = [], []
     for x, doubled in pairs:
-        val = interpolation_norm(x, params, couple).value
-        tgt = target(x)
-        ratios.append(val / tgt if tgt > 0 else INF)
-        val2 = interpolation_norm(doubled, params, couple).value
-        drifts.append(_scale_drift(val, val2))
-    return _band_verdict(suite, ratios, drifts)
+        val, tgt = interpolation_norm(x, params, couple).value, target(x)
+        if not (0.0 < val < INF and 0.0 < tgt < INF and 0.0 < val / tgt < INF):
+            raise ValueError(f"{suite}: a nonzero member has interpolation norm {val!r} and "
+                             f"target {tgt!r}, outside the float range")
+        ratios.append(val / tgt)
+        drifts.append(abs(interpolation_norm(doubled, params, couple).value / (2.0 * val) - 1.0))
+    lo, hi, drift = min(ratios), max(ratios), max(drifts)
+    passed = hi / lo <= _STABILITY_FACTOR and drift <= 1e-9
+    return SuiteReport(suite, tuple(ratios), (lo, hi), hi / lo, drift, passed)

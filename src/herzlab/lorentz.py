@@ -173,6 +173,8 @@ def lorentz_star_norm_from_steps(
     """
     if not LorentzParams(p, r).allows_star_norm:
         raise ValueError(f"averaged-profile norm not defined for (p, r) = ({p}, {r})")
+    if p < INF and 1.0 - 1.0 / p == 1.0:  # the lower tail's exponent (1 - theta) r is 0
+        raise ValueError(f"averaged-profile norm: theta = 1 - 1/p rounds to 1 at p = {p}")
     if len(levels) == 0:
         return 0.0
     top = float(levels[0])

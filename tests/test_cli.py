@@ -313,6 +313,36 @@ class TestCommands:
         assert main(["verify", "witness", "--p", "2", "--a", "0.5", "--q", "1",
                      "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "lorentz-equivalence", "--p", "1e300"],
+        ["norm", "--space", "lorentz-star", "--p", "1e300"],
+        ["norm", "--space", "hl-star", "--p", "1e300"],
+    ], ids=["lorentz-equivalence", "lorentz-star", "hl-star"])
+    def test_star_norm_theta_rounding_to_one_exit_2(self, tmp_path, capsys, two_annuli_file,
+                                                    args):
+        # at p = 1e300 the star norm's theta = 1 - 1/p rounds to 1, and its
+        # lower tail divided by the exponent (1 - theta) r = 0
+        out = tmp_path / "report.json"
+        args = ([*args, "--input", two_annuli_file] if args[0] == "norm"
+                else [*args, "--out", str(out)])
+        assert main(args) == 2
+        assert "theta = 1 - 1/p rounds to 1 at p = 1e+300" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["interp-hl", "--r", "1e-9"],
+        ["interp-hl", "--q", "3", "--r", "1e-300"],
+        ["interp-hl", "--theta", "1e-300", "--a", "1.000001"],
+        ["interp-lorentz", "--theta", "1e-300"],
+    ], ids=["hl-r-1e-9", "hl-q-3-r-1e-300", "hl-theta-1e-300", "lorentz-theta-1e-300"])
+    def test_interpolation_norms_beyond_the_float_range_exit_2(self, tmp_path, capsys, args):
+        # a norm or target of a nonzero member leaves the float range, where the
+        # suites used to fail with band=(0.0, 0.0) though no inequality failed
+        out = tmp_path / "report.json"
+        assert main(["verify", *args, "--out", str(out)]) == 2
+        assert "outside the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kfunc_weight_overflow_names_the_flag(self, capsys, two_annuli_file):
         # the central-ball piece sits in annulus -1, whose weight 2^(-1 * -1100) overflows
         assert main(["kfunc", "--input", two_annuli_file, "--a0", "-1100"]) == 2

@@ -166,6 +166,38 @@ def random_seq(n_coords=3):
     return WeightedSeq.from_dict({u: RNG.uniform(0.1, 2.0) for u in us})
 
 
+def canonical(couple: CoupleSpec):
+    """The couple with its smaller outer exponent on side 0, the only
+    orientation that a K plan takes, and whether that exchanged its sides."""
+    if couple.base is None and couple.side0[1] > couple.side1[1]:
+        return CoupleSpec(couple.side1, couple.side0), True
+    return couple, False
+
+
+def plan_for(source, couple: CoupleSpec):
+    """The K plan of the source and couple, read in the couple's own
+    orientation: an exchanged couple's canonical plan with the swap
+    K(t; X0, X1) = t K(1/t; X1, X0) written out, the norms reversed, the
+    corners (1/t_hi, 1/t_lo) and the breakpoints 1/b (with 1/0 = inf)."""
+    canon, swap = canonical(couple)
+    plan = interp._k_plan(source, canon)
+    if not swap:
+        return plan
+
+    def inv(t):
+        return 1.0 / t if t else INF
+
+    def corners():
+        lo, hi = plan.corners()
+        return inv(hi), inv(lo)
+
+    def breaks(lo, hi):
+        return sorted(t for b in plan.breaks(inv(hi), inv(lo)) if lo < (t := 1.0 / b) < hi)
+
+    return plan._replace(k=lambda t: t * plan.k(1.0 / t), corners=corners,
+                         breaks=None if plan.breaks is None else breaks, norms=plan.norms[::-1])
+
+
 class TestWeightedSeq:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -374,11 +406,14 @@ class TestKFunctional:
         y = WeightedSeq.from_dict(entries)
         got = k_functional(t, y, couple)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
-        (_, q0), (_, q1) = couple.side0, couple.side1
-        a, b = interp._side_vectors(y, couple)
-        value, s = interp._front_k(t, a, b, q0, q1)
-        assert value == got
-        assert got - dual_bound(s, t, a, b, q0, q1) <= 1e-9 * got
+        # eight-one runs on its canonical couple (1, 8) at 1/t, times t
+        canon, swap = canonical(couple)
+        tau, scale = (1.0 / t, t) if swap else (t, 1.0)
+        (_, q0), (_, q1) = canon.side0, canon.side1
+        a, b = interp._side_vectors(y, canon)
+        value, s = interp._front_k(tau, a, b, q0, q1)
+        assert scale * value == got
+        assert got - scale * dual_bound(s, tau, a, b, q0, q1) <= 1e-9 * got
 
     def test_front_finds_the_one_coordinate_split(self):
         # the split (0, 1) costs exactly 1.0; coordinate descent returned 2.0
@@ -407,13 +442,17 @@ class TestKFunctional:
             rng.choice([0.3, 1.0, 4.0])  # test_07's own t, drawn to keep the stream aligned
             if q0 == q1 == 1.0:
                 continue
-            t_lo, t_hi = interp._k_plan(y, couple).corners()
-            a, b = interp._side_vectors(y, couple)
+            # a couple with q0 > q1 runs on its canonical couple at 1/t, times t
+            canon, swap = canonical(couple)
+            (_, p0), (_, p1) = canon.side0, canon.side1
+            t_lo, t_hi = interp._k_plan(y, canon).corners()
+            a, b = interp._side_vectors(y, canon)
             for t, k in zip(ts, k_functional_curve(ts, y, couple)):
-                if t_lo < t < t_hi:
-                    value, s = interp._front_k(t, a, b, q0, q1)
-                    assert value == k
-                    assert k - dual_bound(s, t, a, b, q0, q1) <= 1e-9 * k, (y, couple, t)
+                tau, scale = (1.0 / t, t) if swap else (t, 1.0)
+                if t_lo < tau < t_hi:
+                    value, s = interp._front_k(tau, a, b, p0, p1)
+                    assert scale * value == k
+                    assert k - scale * dual_bound(s, tau, a, b, p0, p1) <= 1e-9 * k, (y, couple, t)
                     inside += 1
         assert inside > 500
 
@@ -467,7 +506,7 @@ class TestKFunctional:
         # finite, and t one ulp inside each finite nonzero corner
         y = WeightedSeq.from_dict({-1: 1.0, 200: 1.0})
         couple = CoupleSpec(side0, side1)
-        plan = interp._k_plan(y, couple)
+        plan = plan_for(y, couple)
         n0, n1 = plan.norms
         t_lo, t_hi = plan.corners()
         ts = [math.nextafter(c, toward)
@@ -576,8 +615,8 @@ def holmstedt_oracle(a, b, q):
 
 class TestHolmstedtFront:
     """The front K of a couple with one outer exponent 1 takes log rho in
-    closed form and runs no root; K(t; X0, X1) = t K(1/t; X1, X0) serves the
-    couples (q, 1)."""
+    closed form and runs no root; a couple (q, 1) runs as its canonical
+    couple (1, q), through K(t; X0, X1) = t K(1/t; X1, X0)."""
 
     @pytest.fixture(autouse=True)
     def no_root(self, monkeypatch):
@@ -608,9 +647,11 @@ class TestHolmstedtFront:
         rng = random.Random(f"{q} {n} {orient}")
         y = WeightedSeq.from_dict({u: rng.uniform(0.05, 3.0) for u in rng.sample(range(-1, 201), n)})
         couple = self.couple(q, orient, 3.0, -3.0)
-        (_, q0), (_, q1) = couple.side0, couple.side1
         a, b = interp._side_vectors(y, couple)
         oracle, kinks = self.oracle(a, b, q, orient)
+        canon, swap = canonical(couple)
+        (_, q0), (_, q1) = canon.side0, canon.side1
+        ca, cb = interp._side_vectors(y, canon)
         near = map(float, [kinks[0], *kinks[1:-1:max(1, n // 6)], kinks[-1]])
         ends = [math.log2(min(max(float(v), 2.0**-1000), 2.0**1000)) for v in (kinks[0], kinks[-1])]
         ts = [2.0**j for j in range(-40, 41, 4)]
@@ -624,7 +665,8 @@ class TestHolmstedtFront:
         assert n == 1 or sum(kinks[0] < t < kinks[-1] for t in ts) >= 8
         for t, k in zip(ts, k_functional_curve(ts, y, couple)):
             exact = oracle(t)
-            front, _ = interp._front_k(t, a, b, q0, q1)
+            tau, scale = (1.0 / t, t) if swap else (t, 1.0)  # (q, 1) runs on (1, q) at 1/t
+            front = scale * interp._front_k(tau, ca, cb, q0, q1)[0]
             assert abs(k - exact) <= 1e-13 * exact, (t, k, float(exact))
             assert abs(front - exact) <= 1e-13 * exact, (t, front, float(exact))
 
@@ -635,14 +677,18 @@ class TestHolmstedtFront:
         rng = random.Random(f"{q} {n} {orient} brute")
         y = WeightedSeq.from_dict({u: rng.uniform(0.1, 2.0) for u in rng.sample(range(-1, 5), n)})
         couple = self.couple(q, orient, 0.0, 0.5)
-        (_, q0), (_, q1) = couple.side0, couple.side1
-        a, b = interp._side_vectors(y, couple)
-        t_lo, t_hi = interp._k_plan(y, couple).corners()
+        canon, swap = canonical(couple)
+        (_, q0), (_, q1) = canon.side0, canon.side1
+        a, b = interp._side_vectors(y, canon)
+        t_lo, t_hi = plan_for(y, couple).corners()
         for t in (t_lo, math.sqrt(t_lo * t_hi), t_hi):
-            k, s = interp._front_k(t, a, b, q0, q1)
+            # (q, 1) runs on (1, q) at 1/t, times t
+            tau, scale = (1.0 / t, t) if swap else (t, 1.0)
+            k, s = interp._front_k(tau, a, b, q0, q1)
+            k *= scale
             oracle = brute_force_k(t, y, couple)
             assert k == pytest.approx(oracle, abs=1e-6 * max(1.0, oracle))
-            assert k - dual_bound(s, t, a, b, q0, q1) <= 1e-12 * k
+            assert k - scale * dual_bound(s, tau, a, b, q0, q1) <= 1e-12 * k
 
     @pytest.mark.parametrize("orient", ["1-q", "q-1"])
     def test_interpolation_norm_runs_no_root(self, orient):
@@ -823,7 +869,7 @@ class TestCornerRange:
 
     @staticmethod
     def check(source, couple, oracle, n0, n1):
-        t_lo, t_hi = interp._k_plan(source, couple).corners()
+        t_lo, t_hi = plan_for(source, couple).corners()
 
         def k_of(t):
             return k_functional(t, source, couple)
@@ -929,7 +975,7 @@ class TestZeroSideWeights:
     @pytest.mark.parametrize("q_pair", _ZERO_WEIGHT_COUPLES)
     def test_k_is_that_of_the_rest(self, weights, q_pair):
         couple = CoupleSpec((weights[0], q_pair[0]), (weights[1], q_pair[1]))
-        plan = interp._k_plan(self.Y, couple)
+        plan = plan_for(self.Y, couple)
         entries = self.Y.as_dict()
         assert plan.norms == (weighted_lq(entries, *couple.side0),
                               weighted_lq(entries, *couple.side1))
@@ -1020,7 +1066,7 @@ class TestKPlan:
                 entries = y.as_dict()
                 expected = (weighted_lq(entries, *couple.side0),
                             weighted_lq(entries, *couple.side1))
-                assert interp._k_plan(y, couple).norms == expected
+                assert plan_for(y, couple).norms == expected
 
     @pytest.mark.parametrize("couple", [
         CoupleSpec((0.0, 1.0), (1.0, 1.0)),
@@ -1039,7 +1085,7 @@ class TestKPlan:
             for n in (2, 3, 5)
         ]
         for source in sources:
-            plan = interp._k_plan(source, couple)
+            plan = plan_for(source, couple)
             lo, hi = plan.corners()
             breaks = plan.breaks(lo, hi)
             assert breaks == sorted(breaks) and all(lo < b < hi for b in breaks)
@@ -1070,7 +1116,7 @@ class TestKPlan:
         monkeypatch.setattr(interp, "_envelope_breaks", counted)
         interp._k_plan.cache_clear()
         source = annulus_profile(nonneg_corpus[2]) if couple.base else random_seq(4)
-        plan = interp._k_plan(source, couple)
+        plan = plan_for(source, couple)
         for _ in range(3):
             lo, hi = plan.corners()
             plan.breaks(lo, hi)
@@ -1092,28 +1138,31 @@ class TestKPlan:
         assert interp._envelope_breaks((c * 2.0**power, d * 2.0**power)) == breaks
 
     def test_swapped_zero_corner_is_infinite(self):
-        # -N'(0) of the swapped couple's capped cost underflows to 0, which
-        # sends the upper corner to inf instead of dividing by zero
+        # -N'(max b) of the canonical couple's capped cost underflows to a
+        # lower corner 0, which is an upper corner inf of the exchanged one
         y = WeightedSeq.from_dict({15: 1.5122299549928249, 18: 2.4677479758835816,
                                    28: 1.0467721484216457})
         couple = CoupleSpec((22.303229092392577, INF), (-26.51034745800751, 2.0))
-        assert interp._k_plan(y, couple).corners() == (2.6017230203236085e+220, INF)
+        t_lo, t_hi = interp._k_plan(y, canonical(couple)[0]).corners()
+        assert (t_lo, 1.0 / t_hi) == (0.0, 2.6017230203236085e+220)
         res = interpolation_norm(y, InterpolationParams(1.0, INF), couple)
         assert res.value == 2.974891504860194e-120  # N1, the sup of K(t)/t
 
     def test_swapped_breaks_from_zero(self):
-        # a lower end of 0 maps to an upper end of inf for the swapped couple
+        # the exchanged couple's breakpoints are the reciprocals of the
+        # canonical plan's, which an upper end of inf reads in full
         y = WeightedSeq.from_dict({-1: 0.5, 1: 2.0, 3: 0.25})
-        plan = interp._k_plan(y, CoupleSpec((0.3, INF), (0.0, 0.5)))
+        plan = interp._k_plan(y, CoupleSpec((0.0, 0.5), (0.3, INF)))
         expected = [0.08633881801885497, 0.11052723549445952, 1.2311444133449163]
-        assert plan.breaks(0.0, INF) == plan.breaks(1e-300, 1e300) == expected
+        assert plan.breaks(0.0, INF) == plan.breaks(1e-300, 1e300)
+        assert sorted(1.0 / b for b in plan.breaks(0.0, INF)) == expected
 
     @pytest.mark.parametrize("couple", [CoupleSpec((0.0, 2.0), (1.0, INF)),
                                         CoupleSpec((0.0, INF), (1.0, 2.0)),
                                         CoupleSpec((0.0, 2.0), (1.0, 1.5))],
                              ids=["sup-finish", "swapped-sup-finish", "descent"])
     def test_no_breaks_off_the_line_branches(self, couple):
-        assert interp._k_plan(random_seq(), couple).breaks is None
+        assert plan_for(random_seq(), couple).breaks is None
 
     def test_mismatched_source_rejected(self):
         with pytest.raises(ValueError, match="l1-linf couple"):
@@ -1198,7 +1247,7 @@ class TestKfunc:
         t, k = map(float, lines[-1].split("\t"))
         assert (t, k) == (1024.0, pytest.approx(65520.9668040209, rel=1e-12))
         y = retract_L(f, LorentzParams(2.0, 2.0))
-        t_lo, t_hi = interp._k_plan(y, CoupleSpec((80.0, 16.0), (0.0, 2.0))).corners()
+        t_lo, t_hi = plan_for(y, CoupleSpec((80.0, 16.0), (0.0, 2.0))).corners()
         assert 0.0 < t_lo <= t_hi < INF
 
     @pytest.mark.parametrize("q_pair", [("2", "inf"), ("inf", "2")])
@@ -1606,7 +1655,7 @@ class TestTail:
         # for K = min(N0, t N1) of one coordinate: the norm is that value
         # times (theta (1 - theta) q)^(-1/q)
         y, couple = WeightedSeq.from_dict(dict([entry])), CoupleSpec(side0, side1)
-        n0, n1 = interp._k_plan(y, couple).norms
+        n0, n1 = plan_for(y, couple).norms
         oracle = n0 ** (1.0 - theta) * n1**theta * (theta * (1.0 - theta) * q) ** (-1.0 / q)
         res = interpolation_norm(y, InterpolationParams(theta, q), couple)
         # the window clips the corner, so the bracket can be wide
@@ -1664,6 +1713,8 @@ class TestVerifySuites:
         with_zero = verify_interpolation("hl-4", fns + [zero], **kw)
         assert with_zero == verify_interpolation("hl-4", fns, **kw)
         assert with_zero.passed
+        with pytest.raises(ValueError, match="no nonzero member"):
+            verify_interpolation("hl-4", [zero], **kw)
 
     def test_single_annulus_reduction_constant_ratio(self):
         from herzlab.herz import annulus_indicator
